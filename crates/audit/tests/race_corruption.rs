@@ -11,9 +11,7 @@
 use ditto_audit::{check_trace, RaceOptions, RaceRule};
 use ditto_cluster::ResourceManager;
 use ditto_core::{DittoScheduler, Objective, Scheduler, SchedulingContext};
-use ditto_exec::{
-    try_simulate_with_faults_traced, ExecConfig, FaultPlan, GroundTruth, RecoveryPolicy,
-};
+use ditto_exec::{Engine, ExecConfig, FaultPlan, GroundTruth, RecoveryPolicy};
 use ditto_obs::{AttrValue, EventRecord, Recorder, TraceData};
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
@@ -33,16 +31,11 @@ fn traced_run() -> TraceData {
     });
     let gt = GroundTruth::new(ExecConfig::default());
     let obs = Recorder::new();
-    try_simulate_with_faults_traced(
-        &dag,
-        &schedule,
-        &gt,
-        &FaultPlan::none(),
-        &RecoveryPolicy::default(),
-        None,
-        &obs,
-    )
-    .expect("fault-free run cannot fail");
+    Engine::new(&dag, &schedule, &gt)
+        .faults(&FaultPlan::none(), &RecoveryPolicy::default())
+        .recorder(&obs)
+        .run()
+        .expect("fault-free run cannot fail");
     obs.finish()
 }
 

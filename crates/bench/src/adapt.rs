@@ -8,9 +8,9 @@
 //! scenario through both engines:
 //!
 //! * **frozen** — the schedule as optimized, faults handled by the
-//!   retry/lineage ladder only ([`ditto_exec::try_simulate_with_faults`]);
+//!   retry/lineage ladder only ([`ditto_exec::Engine::faults`]);
 //! * **adaptive** — the same ladder plus online drift detection and
-//!   elastic suffix re-optimization ([`ditto_exec::try_simulate_adaptive`]).
+//!   elastic suffix re-optimization ([`ditto_exec::Engine::adaptive`]).
 //!
 //! Deterministic: one seed names one fault history per cell, so the JSON
 //! artifact is byte-identical across runs.
@@ -19,9 +19,7 @@ use crate::setup::{prepare, PreparedQuery};
 use ditto_cluster::ResourceManager;
 use ditto_core::{DittoScheduler, JointOptions, Objective, Schedule};
 use ditto_exec::{
-    try_simulate_adaptive, try_simulate_adaptive_traced, try_simulate_with_faults,
-    try_simulate_with_faults_traced, AdaptiveConfig, FaultPlan, FaultRates, RecoveryPolicy,
-    ReschedulingContext,
+    AdaptiveConfig, Engine, FaultPlan, FaultRates, RecoveryPolicy, ReschedulingContext,
 };
 use ditto_obs::{Recorder, TraceData};
 use ditto_sql::queries::Query;
@@ -124,16 +122,11 @@ pub fn traced_adapt_pair() -> (TraceData, TraceData) {
     let plan = fault_plan(2.0, 0.0);
     let policy = RecoveryPolicy::default();
     let frozen_obs = Recorder::new();
-    try_simulate_with_faults_traced(
-        &p.plan.dag,
-        &schedule,
-        &p.gt,
-        &plan,
-        &policy,
-        None,
-        &frozen_obs,
-    )
-    .expect("frozen engine recovers within policy bounds");
+    Engine::new(&p.plan.dag, &schedule, &p.gt)
+        .faults(&plan, &policy)
+        .recorder(&frozen_obs)
+        .run()
+        .expect("frozen engine recovers within policy bounds");
     let ctx = ReschedulingContext {
         model: &p.model,
         resources: &rm,
@@ -141,17 +134,12 @@ pub fn traced_adapt_pair() -> (TraceData, TraceData) {
         options: JointOptions::default(),
     };
     let adaptive_obs = Recorder::new();
-    try_simulate_adaptive_traced(
-        &p.plan.dag,
-        &schedule,
-        &p.gt,
-        &plan,
-        &policy,
-        &ctx,
-        &AdaptiveConfig::default(),
-        &adaptive_obs,
-    )
-    .expect("adaptive engine recovers within policy bounds");
+    Engine::new(&p.plan.dag, &schedule, &p.gt)
+        .faults(&plan, &policy)
+        .adaptive(&ctx, &AdaptiveConfig::default())
+        .recorder(&adaptive_obs)
+        .run()
+        .expect("adaptive engine recovers within policy bounds");
     (frozen_obs.finish(), adaptive_obs.finish())
 }
 
@@ -178,7 +166,7 @@ fn run_cell(
     loss: f64,
 ) -> [AdaptSweepRow; 2] {
     let dag = &p.plan.dag;
-    let (_, frozen) = try_simulate_with_faults(dag, schedule, &p.gt, plan, policy, None)
+    let (_, frozen) = Engine::new(dag, schedule, &p.gt).faults(plan, policy).run()
         .expect("frozen engine recovers within policy bounds");
     let ctx = ReschedulingContext {
         model: &p.model,
@@ -186,16 +174,11 @@ fn run_cell(
         objective: Objective::Jct,
         options: JointOptions::default(),
     };
-    let (trace, adaptive) = try_simulate_adaptive(
-        dag,
-        schedule,
-        &p.gt,
-        plan,
-        policy,
-        &ctx,
-        &AdaptiveConfig::default(),
-    )
-    .expect("adaptive engine recovers within policy bounds");
+    let (trace, adaptive) = Engine::new(dag, schedule, &p.gt)
+        .faults(plan, policy)
+        .adaptive(&ctx, &AdaptiveConfig::default())
+        .run()
+        .expect("adaptive engine recovers within policy bounds");
     let row = |engine: &str, jct: f64, adaptive: bool| AdaptSweepRow {
         drift,
         loss_rate: loss,
@@ -293,16 +276,11 @@ mod tests {
             objective: Objective::Jct,
             options: JointOptions::default(),
         };
-        let (trace, _) = try_simulate_adaptive(
-            &p.plan.dag,
-            &schedule,
-            &p.gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            &ctx,
-            &AdaptiveConfig::default(),
-        )
-        .expect("adaptive engine recovers within policy bounds");
+        let (trace, _) = Engine::new(&p.plan.dag, &schedule, &p.gt)
+            .faults(&plan, &RecoveryPolicy::default())
+            .adaptive(&ctx, &AdaptiveConfig::default())
+            .run()
+            .expect("adaptive engine recovers within policy bounds");
         // `to_chrome_trace` emits the bare-array form; the validator
         // checks the wrapped object form Perfetto also accepts.
         let wrapped = format!("{{\"traceEvents\":{}}}", trace.to_chrome_trace());

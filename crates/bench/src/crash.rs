@@ -29,8 +29,7 @@ use ditto_audit::RaceOptions;
 use ditto_cluster::{ResourceManager, ServerId};
 use ditto_core::{DittoScheduler, JointOptions, Objective, Schedule};
 use ditto_exec::{
-    cross_check, decode_journal, simulate, try_simulate_adaptive_journaled,
-    try_simulate_with_faults_journaled, validate_journal, AdaptiveConfig, ExecError,
+    cross_check, decode_journal, simulate, validate_journal, AdaptiveConfig, Engine, ExecError,
     ExecutionTrace, FaultPlan, FaultRates, JobMetrics, JournalSession, RecoveryPolicy,
     ReschedulingContext,
 };
@@ -146,29 +145,15 @@ impl Harness {
         session: &mut JournalSession,
     ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
         let policy = RecoveryPolicy::default();
+        let ctx = self.ctx();
+        let engine = Engine::new(&self.dag, &self.schedule, &self.gt)
+            .faults(&sc.plan, &policy)
+            .recorder(obs)
+            .journal(session);
         if sc.adaptive {
-            try_simulate_adaptive_journaled(
-                &self.dag,
-                &self.schedule,
-                &self.gt,
-                &sc.plan,
-                &policy,
-                &self.ctx(),
-                &AdaptiveConfig::default(),
-                obs,
-                session,
-            )
+            engine.adaptive(&ctx, &AdaptiveConfig::default()).run()
         } else {
-            try_simulate_with_faults_journaled(
-                &self.dag,
-                &self.schedule,
-                &self.gt,
-                &sc.plan,
-                &policy,
-                Some(&self.ctx()),
-                obs,
-                session,
-            )
+            engine.failover(&ctx).run()
         }
     }
 }

@@ -762,7 +762,7 @@ pub const FAULT_SWEEP_RATES: [f64; 4] = [0.02, 0.05, 0.1, 0.2];
 /// rates, Ditto vs NIMBLE schedules, bounded-retry vs retry+speculation
 /// recovery. Deterministic: one seed names one fault history per rate.
 pub fn fault_sweep() -> Vec<FaultSweepRow> {
-    use ditto_exec::{try_simulate_with_faults, FaultPlan, FaultRates, RecoveryPolicy};
+    use ditto_exec::{Engine, FaultPlan, FaultRates, RecoveryPolicy};
     let p = prepare(Query::Q95, Medium::S3);
     let rm = default_testbed();
     let ditto = DittoScheduler::new();
@@ -797,7 +797,7 @@ pub fn fault_sweep() -> Vec<FaultSweepRow> {
                     ..FaultRates::none(17)
                 });
                 let (_, m) =
-                    try_simulate_with_faults(&p.plan.dag, &schedule, &p.gt, &plan, policy, None)
+                    Engine::new(&p.plan.dag, &schedule, &p.gt).faults(&plan, policy).run()
                         .expect("bounded fault rates recover within 16 retries");
                 rows.push(FaultSweepRow {
                     scheduler: name.into(),

@@ -24,9 +24,8 @@ use ditto_cluster::{ResourceManager, ServerId};
 use ditto_core::{DittoScheduler, JointOptions, Objective, Scheduler, SchedulingContext};
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_exec::{
-    explore_random_dags, simulate, try_simulate_adaptive_traced, try_simulate_with_faults_traced,
-    AdaptiveConfig, ExecConfig, ExploreConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy,
-    ReschedulingContext,
+    explore_random_dags, simulate, AdaptiveConfig, Engine, ExecConfig, ExploreConfig, FaultPlan,
+    FaultRates, GroundTruth, RecoveryPolicy, ReschedulingContext,
 };
 use ditto_obs::{Recorder, TraceData};
 use ditto_timemodel::model::RateConfig;
@@ -112,7 +111,7 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
         ..RecoveryPolicy::default()
     };
     let obs = Recorder::new();
-    try_simulate_with_faults_traced(&p.plan.dag, &schedule, &p.gt, &plan, &policy, None, &obs)
+    Engine::new(&p.plan.dag, &schedule, &p.gt).faults(&plan, &policy).recorder(&obs).run()
         .expect("fault ladder recovers within policy bounds");
     rows.push(row("faults", "frozen", &certify(&obs.finish())));
 
@@ -132,7 +131,7 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
         ..RecoveryPolicy::default()
     };
     let obs = Recorder::new();
-    try_simulate_with_faults_traced(&p.plan.dag, &schedule, &p.gt, &plan, &policy, None, &obs)
+    Engine::new(&p.plan.dag, &schedule, &p.gt).faults(&plan, &policy).recorder(&obs).run()
         .expect("speculation recovers within policy bounds");
     rows.push(row("speculation", "frozen", &certify(&obs.finish())));
 
@@ -146,16 +145,12 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
         ..RecoveryPolicy::default()
     };
     let obs = Recorder::new();
-    try_simulate_with_faults_traced(
-        &p.plan.dag,
-        &schedule,
-        &p.gt,
-        &plan,
-        &policy,
-        Some(&ctx),
-        &obs,
-    )
-    .expect("failover recovers within policy bounds");
+    Engine::new(&p.plan.dag, &schedule, &p.gt)
+        .faults(&plan, &policy)
+        .failover(&ctx)
+        .recorder(&obs)
+        .run()
+        .expect("failover recovers within policy bounds");
     rows.push(row("failover", "frozen", &certify(&obs.finish())));
 
     // 4. The adaptive 2×-drift exemplar pair (same fixed-seed pair the
@@ -196,17 +191,12 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
     };
     let gt = GroundTruth::new(ExecConfig::default());
     let obs = Recorder::new();
-    try_simulate_adaptive_traced(
-        &dag,
-        &splice_schedule,
-        &gt,
-        &plan,
-        &policy,
-        &splice_ctx,
-        &AdaptiveConfig::default(),
-        &obs,
-    )
-    .expect("drift replan recovers within policy bounds");
+    Engine::new(&dag, &splice_schedule, &gt)
+        .faults(&plan, &policy)
+        .adaptive(&splice_ctx, &AdaptiveConfig::default())
+        .recorder(&obs)
+        .run()
+        .expect("drift replan recovers within policy bounds");
     let trace = obs.finish();
     assert!(
         trace.events.iter().any(|e| e.name == "hb.seam"),

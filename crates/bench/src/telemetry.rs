@@ -10,10 +10,7 @@
 
 use crate::setup::{default_testbed, prepare};
 use ditto_core::{DittoScheduler, Objective, SchedulingContext};
-use ditto_exec::{
-    try_simulate_with_faults, try_simulate_with_faults_traced, FaultPlan, FaultRates, JobMetrics,
-    RecoveryPolicy,
-};
+use ditto_exec::{Engine, FaultPlan, FaultRates, JobMetrics, RecoveryPolicy};
 use ditto_obs::{critical_path, CriticalPathReport, Recorder, TraceData};
 use ditto_sql::queries::Query;
 use ditto_storage::Medium;
@@ -69,7 +66,7 @@ pub fn traced_fault_run() -> TracedRun {
     );
     let (plan, policy) = exemplar_faults();
     let (_, metrics) =
-        try_simulate_with_faults_traced(&p.plan.dag, &schedule, &p.gt, &plan, &policy, None, &obs)
+        Engine::new(&p.plan.dag, &schedule, &p.gt).faults(&plan, &policy).recorder(&obs).run()
             .expect("rate-0.05 faults recover within 16 retries");
     let data = obs.finish();
     let critical_path = critical_path(&data);
@@ -127,7 +124,7 @@ pub fn telemetry_overhead() -> Vec<TelemetryOverheadRow> {
     let run_untraced = || {
         let t0 = Instant::now();
         let schedule = DittoScheduler::new().schedule_traced(&ctx, &Recorder::disabled());
-        let out = try_simulate_with_faults(&p.plan.dag, &schedule, &p.gt, &plan, &policy, None)
+        let out = Engine::new(&p.plan.dag, &schedule, &p.gt).faults(&plan, &policy).run()
             .expect("recoverable");
         (t0.elapsed().as_secs_f64(), out)
     };
@@ -135,16 +132,11 @@ pub fn telemetry_overhead() -> Vec<TelemetryOverheadRow> {
         let obs = Recorder::new();
         let t0 = Instant::now();
         let schedule = DittoScheduler::new().schedule_traced(&ctx, &obs);
-        let out = try_simulate_with_faults_traced(
-            &p.plan.dag,
-            &schedule,
-            &p.gt,
-            &plan,
-            &policy,
-            None,
-            &obs,
-        )
-        .expect("recoverable");
+        let out = Engine::new(&p.plan.dag, &schedule, &p.gt)
+            .faults(&plan, &policy)
+            .recorder(&obs)
+            .run()
+            .expect("recoverable");
         (t0.elapsed().as_secs_f64(), out, obs.finish())
     };
 

@@ -21,13 +21,13 @@
 //!    current plan — a replan that cannot prove itself feasible is a
 //!    hard [`ExecError::InvalidSchedule`], not a silent fallback;
 //! 4. each accepted or rejected replan is recorded as a [`ReplanRecord`]
-//!    on the [`ExecutionTrace`].
+//!    on the [`ExecutionTrace`](crate::ExecutionTrace).
 //!
-//! The adaptive engine drives the exact same per-stage simulator
-//! ([`sim_stage`](crate::faults)) as the frozen fault engine, so with no
-//! drift and no object faults it is **bit-identical** to
-//! [`try_simulate_with_faults`](crate::faults::try_simulate_with_faults)
-//! — the property the `adaptive_properties` suite pins down.
+//! An adaptive run is [`Engine::adaptive`](crate::Engine::adaptive): the
+//! same pass driver and per-stage simulator as a frozen run, with this
+//! module's `Replanner` consulted at every batch boundary — so with no
+//! drift and no object faults it is **bit-identical** to the frozen run,
+//! the property the `adaptive_properties` suite pins down.
 //!
 //! Escalation ladder (DESIGN.md §6g): storage read retry → lineage
 //! re-execution of the producing task (both inside `sim_stage`; the
@@ -36,13 +36,9 @@
 //! failure.
 
 use crate::error::ExecError;
-use crate::faults::{
-    finish_pass, ready_time, sim_stage, FaultPlan, RecoveryPolicy, ReschedulingContext, SimState,
-};
+use crate::faults::{finish_pass, ReschedulingContext, SimPass, SimState};
 use crate::groundtruth::GroundTruth;
-use crate::metrics::JobMetrics;
-use crate::queue::{ReadyQueue, TieBreak};
-use crate::trace::ExecutionTrace;
+use crate::journal::JournalSession;
 use ditto_cluster::{DriftConfig, DriftDetector, ServerId};
 use ditto_core::{joint_optimize_traced, predicted_jct, Schedule};
 use ditto_dag::{JobDag, StageId};
@@ -105,7 +101,8 @@ pub enum ReplanTrigger {
     ObjectRecovery,
 }
 
-/// One suffix re-optimization, recorded on the [`ExecutionTrace`].
+/// One suffix re-optimization, recorded on the
+/// [`ExecutionTrace`](crate::ExecutionTrace).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ReplanRecord {
     /// What tripped the detector.
@@ -143,451 +140,338 @@ pub struct ReplanRecord {
     pub decision_seq: u64,
 }
 
-/// Simulate `schedule` on `dag` adaptively: same fault semantics as
-/// [`try_simulate_with_faults`](crate::faults::try_simulate_with_faults),
-/// plus online drift detection and elastic suffix re-optimization through
-/// `ctx`. See the module docs for the loop.
-pub fn try_simulate_adaptive(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    ctx: &ReschedulingContext<'_>,
-    cfg: &AdaptiveConfig,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    // Debug builds run traced and gate the event stream through the race
-    // checker: replan splices and lineage recoveries are exactly where
-    // ordering hazards would creep in. Same fidelity either way — the
-    // telemetry tests pin traced and untraced runs to identical metrics.
-    #[cfg(debug_assertions)]
-    {
-        let obs = Recorder::new();
-        let out = try_simulate_adaptive_traced(dag, schedule, gt, plan, policy, ctx, cfg, &obs)?;
-        let race =
-            ditto_audit::check_trace(&obs.finish(), &ditto_audit::RaceOptions::default());
-        debug_assert!(
-            race.is_clean(),
-            "race checker rejected try_simulate_adaptive's own trace:\n{}",
-            race.render()
-        );
-        Ok(out)
+/// The observe→replan half of an adaptive run: the engine's pass driver
+/// simulates stages and hands every completed simultaneous-event batch to
+/// [`Replanner::observe`], which owns the drift detector, the running
+/// schedule and the decision log.
+pub(crate) struct Replanner<'a> {
+    dag: &'a JobDag,
+    ctx: &'a ReschedulingContext<'a>,
+    cfg: &'a AdaptiveConfig,
+    order: Vec<StageId>,
+    detector: DriftDetector,
+    cur: Schedule,
+    replans: Vec<ReplanRecord>,
+    last_decision: Option<(f64, usize)>,
+    reexecs_seen: u32,
+    simulated: Vec<bool>,
+}
+
+impl<'a> Replanner<'a> {
+    pub(crate) fn new(
+        dag: &'a JobDag,
+        schedule: &Schedule,
+        ctx: &'a ReschedulingContext<'a>,
+        cfg: &'a AdaptiveConfig,
+    ) -> Result<Self, ExecError> {
+        // The detector's class layer keys EWMAs by stage *type* (the ISSUE's
+        // per-stage-type corrections): drift learned from a completed map
+        // stage transfers to maps that have not started — per-stage estimates
+        // alone can only correct stages that already ran, which the suffix
+        // replan no longer cares about.
+        let class_of: Vec<u32> = dag.stages().iter().map(|st| st.kind as u32).collect();
+        Ok(Replanner {
+            dag,
+            ctx,
+            cfg,
+            order: dag.topo_order().map_err(|_| ExecError::CyclicDag)?,
+            detector: DriftDetector::with_classes(&class_of, cfg.drift),
+            cur: schedule.clone(),
+            replans: Vec::new(),
+            last_decision: None,
+            reexecs_seen: 0,
+            simulated: vec![false; dag.num_stages()],
+        })
     }
-    #[cfg(not(debug_assertions))]
-    try_simulate_adaptive_traced(dag, schedule, gt, plan, policy, ctx, cfg, &Recorder::disabled())
-}
 
-/// [`try_simulate_adaptive`] with telemetry: replan decisions land on the
-/// scheduler track (`sched.replan` events) alongside the usual task/stage
-/// spans and fault events.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_adaptive_traced(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    ctx: &ReschedulingContext<'_>,
-    cfg: &AdaptiveConfig,
-    obs: &Recorder,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    try_simulate_adaptive_tie(
-        dag,
-        schedule,
-        gt,
-        plan,
-        policy,
-        ctx,
-        cfg,
-        obs,
-        &mut TieBreak::canonical(),
-        None,
-    )
-}
+    /// The schedule the next stage runs under.
+    pub(crate) fn current(&self) -> &Schedule {
+        &self.cur
+    }
 
-/// [`try_simulate_adaptive_traced`] under an explicit tie-break
-/// controller. Stages simulate in (ready time, controller choice) order;
-/// drift observation and replan decisions run at **batch boundaries** —
-/// only after every member of a simultaneous-event batch has simulated,
-/// and then in stage-id order — so the decision sequence sees an
-/// order-invariant simulation state no matter how the controller
-/// sequenced the batch. The model checker relies on exactly this.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_simulate_adaptive_tie(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    ctx: &ReschedulingContext<'_>,
-    cfg: &AdaptiveConfig,
-    obs: &Recorder,
-    tie: &mut TieBreak,
-    mut jr: Option<&mut crate::journal::JournalSession>,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    schedule.validate(dag).map_err(ExecError::InvalidSchedule)?;
-    let n = dag.num_stages();
-    let order = dag.topo_order().map_err(|_| ExecError::CyclicDag)?;
-    let mut state = SimState::new(dag, plan, schedule);
-    state.announce(obs);
-    // The detector's class layer keys EWMAs by stage *type* (the ISSUE's
-    // per-stage-type corrections): drift learned from a completed map
-    // stage transfers to maps that have not started — per-stage estimates
-    // alone can only correct stages that already ran, which the suffix
-    // replan no longer cares about.
-    let class_of: Vec<u32> = dag.stages().iter().map(|st| st.kind as u32).collect();
-    let mut detector = DriftDetector::with_classes(&class_of, cfg.drift);
-    let mut cur = schedule.clone();
-    let mut replans: Vec<ReplanRecord> = Vec::new();
-    let mut last_decision: Option<(f64, usize)> = None;
-    let mut reexecs_seen = 0u32;
-    let mut simulated = vec![false; n];
-
-    // Ready-queue execution: pop stages in (ready time, tie) order; a run
-    // of bit-equal ready times is one simultaneous-event batch. The batch
-    // simulates in the controller's order, then drift observation and
-    // replan decisions flush in stage-id order over the completed batch.
-    let mut queue = ReadyQueue::new(dag);
-    let mut pending = queue.pop(tie);
-    while let Some((batch_ready, first)) = pending {
-        let mut batch: Vec<StageId> = Vec::new();
-        let mut next = Some((batch_ready, first));
-        loop {
-            match next {
-                Some((r, s)) if r == batch_ready => {
-                    let restored = match jr.as_deref_mut() {
-                        Some(j) => j.try_restore(s, &mut state, dag, obs),
-                        None => false,
-                    };
-                    if !restored {
-                        sim_stage(&mut state, dag, &cur, gt, plan, policy, obs, s)?;
-                        if let Some(j) = jr.as_deref_mut() {
-                            j.record_stage(s, &state, dag)?;
-                        }
-                    }
-                    queue.complete(dag, s, |c| ready_time(&state, dag, c));
-                    batch.push(s);
-                    next = queue.pop(tie);
-                }
-                other => {
-                    pending = other;
-                    break;
-                }
-            }
+    /// Drift observation and replan decisions over one completed batch of
+    /// simultaneous stages (`batch` in stage-id order). Running only at
+    /// **batch boundaries**, and then in stage-id order, means the
+    /// decision sequence sees an order-invariant simulation state no
+    /// matter how the tie-break controller sequenced the batch — the
+    /// model checker relies on exactly this. With a journal, a decision
+    /// point either replays the journaled decision or journals the live
+    /// one before it takes effect.
+    pub(crate) fn observe(
+        &mut self,
+        batch: &[StageId],
+        state: &mut SimState,
+        obs: &Recorder,
+        mut journal: Option<&mut JournalSession>,
+    ) -> Result<(), ExecError> {
+        let (dag, ctx, cfg) = (self.dag, self.ctx, self.cfg);
+        let n = dag.num_stages();
+        for &s in batch {
+            self.simulated[s.index()] = true;
         }
-        batch.sort_unstable();
-        for &s in &batch {
-            simulated[s.index()] = true;
-        }
-        for &s in &batch {
-        let event = detector.observe(
-            s.0,
-            &state.stage_observed[s.index()],
-            &state.stage_clean[s.index()],
-        );
-        let totals = state.total_stats();
-        let new_reexecs = totals.lineage_reexecs - reexecs_seen;
-        reexecs_seen = totals.lineage_reexecs;
-        let Some(ev) = event else { continue };
-        // Every band exceedance is recorded — including ones the budget
-        // or re-arm gates below swallow — so the scorecard can annotate
-        // post-drift predictor samples even when no replan fired.
-        ev.record(obs, state.stage_end[s.index()]);
-        // Gates: replan budget (each decision below re-runs the joint
-        // optimizer; unbounded replanning on a noisy signal would
-        // thrash), then re-arm. A constant drift level must not
-        // re-trigger the optimizer after every stage — but only while the
-        // *decision state* is also unchanged. Stages completing in
-        // ready-time order report similar factors back to back (all the
-        // scans, then all the joins), and job progress is new information
-        // even at a flat factor: the last evaluation priced a splice over
-        // stages that have since launched or pinned. Swallow the event
-        // only when neither the smoothed factor nor the unsimulated
-        // remainder has moved since the last decision — the remainder is
-        // batch-constant and order-invariant, so the model checker's
-        // tie-break permutations see the same gate outcomes.
-        if replans.len() >= cfg.max_replans as usize {
-            continue;
-        }
-        let remaining = simulated.iter().filter(|&&b| !b).count();
-        if let Some((lf, ln)) = last_decision {
-            if ((ev.factor - lf) / lf).abs() < cfg.re_arm && remaining == ln {
+        for &s in batch {
+            let event = self.detector.observe(
+                s.0,
+                &state.stage_observed[s.index()],
+                &state.stage_clean[s.index()],
+            );
+            let totals = state.total_stats();
+            let new_reexecs = totals.lineage_reexecs - self.reexecs_seen;
+            self.reexecs_seen = totals.lineage_reexecs;
+            let Some(ev) = event else { continue };
+            // Every band exceedance is recorded — including ones the budget
+            // or re-arm gates below swallow — so the scorecard can annotate
+            // post-drift predictor samples even when no replan fired.
+            ev.record(obs, state.stage_end[s.index()]);
+            // Gates: replan budget (each decision below re-runs the joint
+            // optimizer; unbounded replanning on a noisy signal would
+            // thrash), then re-arm. A constant drift level must not
+            // re-trigger the optimizer after every stage — but only while the
+            // *decision state* is also unchanged. Stages completing in
+            // ready-time order report similar factors back to back (all the
+            // scans, then all the joins), and job progress is new information
+            // even at a flat factor: the last evaluation priced a splice over
+            // stages that have since launched or pinned. Swallow the event
+            // only when neither the smoothed factor nor the unsimulated
+            // remainder has moved since the last decision — the remainder is
+            // batch-constant and order-invariant, so the model checker's
+            // tie-break permutations see the same gate outcomes.
+            if self.replans.len() >= cfg.max_replans as usize {
                 continue;
             }
-        }
-        let now = state.stage_end[s.index()];
-        // The elastic suffix: stages that cannot have *launched* yet.
-        // Not-yet-simulated is not enough — a source stage still queued
-        // (a second table scan) launched at t=0 and may already be
-        // finished by `now`; re-doping it would be time travel, and
-        // splicing it out of its group externalizes edges whose data
-        // already moved through shared memory. A stage is replannable iff
-        // its JIT launch is gated behind `now`: some producer is itself
-        // replannable, or already simulated with its end at/after `now`
-        // (still in flight counts). Everything else is frozen at its
-        // incumbent DoP and placement. (Iterated in topo order so a
-        // producer's suffix membership is settled before its consumers'.)
-        let mut suffix = vec![false; n];
-        for &t in &order {
-            if simulated[t.index()] {
-                continue;
+            let simulated = &self.simulated;
+            let remaining = simulated.iter().filter(|&&b| !b).count();
+            if let Some((lf, ln)) = self.last_decision {
+                if ((ev.factor - lf) / lf).abs() < cfg.re_arm && remaining == ln {
+                    continue;
+                }
             }
-            suffix[t.index()] = dag.in_edges(t).any(|e| {
-                let p = e.src.index();
-                suffix[p] || (simulated[p] && state.stage_end[p] >= now - 1e-9)
-            });
-        }
-        let n_suffix = suffix.iter().filter(|&&b| b).count();
-        if n_suffix == 0 {
-            continue; // nothing downstream is still movable
-        }
-        // Journal replay: the gates above re-ran deterministically over
-        // restored state, so a gate-passing decision point on a resumed
-        // run either matches the journaled decision made here before the
-        // crash (substitute it — no re-optimization, which is what bounds
-        // recovery work) or the run has diverged (hard error). Once the
-        // replay queue drains, decisions fall through to the live path
-        // below and journal as usual.
-        if let Some(j) = jr.as_deref_mut() {
-            if let Some((rec, j_suffix, j_sched)) = j.next_replan_for(s.0, now) {
+            let now = state.stage_end[s.index()];
+            // The elastic suffix: stages that cannot have *launched* yet.
+            // Not-yet-simulated is not enough — a source stage still queued
+            // (a second table scan) launched at t=0 and may already be
+            // finished by `now`; re-doping it would be time travel, and
+            // splicing it out of its group externalizes edges whose data
+            // already moved through shared memory. A stage is replannable iff
+            // its JIT launch is gated behind `now`: some producer is itself
+            // replannable, or already simulated with its end at/after `now`
+            // (still in flight counts). Everything else is frozen at its
+            // incumbent DoP and placement. (Iterated in topo order so a
+            // producer's suffix membership is settled before its consumers'.)
+            let mut suffix = vec![false; n];
+            for &t in &self.order {
+                if simulated[t.index()] {
+                    continue;
+                }
+                suffix[t.index()] = dag.in_edges(t).any(|e| {
+                    let p = e.src.index();
+                    suffix[p] || (simulated[p] && state.stage_end[p] >= now - 1e-9)
+                });
+            }
+            let n_suffix = suffix.iter().filter(|&&b| b).count();
+            if n_suffix == 0 {
+                continue; // nothing downstream is still movable
+            }
+            // Journal replay: the gates above re-ran deterministically over
+            // restored state, so a gate-passing decision point on a resumed
+            // run either matches the journaled decision made here before the
+            // crash (substitute it — no re-optimization, which is what bounds
+            // recovery work) or the run has diverged (hard error). Once the
+            // replay queue drains, decisions fall through to the live arm
+            // and journal as usual.
+            let replayed = journal.as_deref_mut().and_then(|j| j.next_replan_for(s.0, now));
+            let (record, spliced) = if let Some((rec, j_suffix, j_sched)) = replayed {
                 if j_suffix != suffix {
                     return Err(ExecError::Journal(format!(
                         "resumed run diverged: replan at stage {} recomputed a different suffix than the journal",
                         s.0
                     )));
                 }
-                if obs.is_enabled() {
-                    obs.event(
-                        "sched.replan",
-                        Track::scheduler(0),
-                        now,
-                        vec![
-                            ("trigger", match rec.trigger {
-                                ReplanTrigger::Drift => "drift",
-                                ReplanTrigger::ObjectRecovery => "object-recovery",
-                            }
-                            .into()),
-                            ("at_stage", rec.at_stage.into()),
-                            ("factor", rec.factor.into()),
-                            ("suffix_stages", u64::from(rec.suffix_stages).into()),
-                            ("old_predicted_jct", rec.old_predicted_jct.into()),
-                            ("new_predicted_jct", rec.new_predicted_jct.into()),
-                            ("applied", u64::from(rec.applied).into()),
-                            ("risk_penalty", rec.risk_penalty.into()),
-                            ("audit_clean", u64::from(rec.audit_clean).into()),
-                            ("corr_read", rec.corrections.read.into()),
-                            ("corr_compute", rec.corrections.compute.into()),
-                            ("corr_write", rec.corrections.write.into()),
-                            ("decision_seq", rec.decision_seq.into()),
-                        ],
-                    );
+                if rec.applied && j_sched.is_none() {
+                    return Err(ExecError::Journal(
+                        "applied replan was journaled without its spliced schedule".into(),
+                    ));
                 }
-                if rec.applied {
-                    let Some(stored) = j_sched else {
-                        return Err(ExecError::Journal(
-                            "applied replan was journaled without its spliced schedule".into(),
-                        ));
+                (rec, j_sched)
+            } else {
+                // Learned corrections, most-specific first: the stage's own
+                // samples, else its stage-type class (maps correct maps that have
+                // not run), else *identity*. The job-global EWMA is deliberately
+                // not used as a scaling fallback: after one drifted map it would
+                // smear the map's factor over joins and reduces too, turning a
+                // differential signal back into a uniform one — and uniform drift
+                // scales α and β together, which moves no DoP ratios (Eq. 3/4).
+                // It is still recorded on the ReplanRecord as the summary factor.
+                let to_corr = |t: StepTimings| StepCorrections {
+                    read: t.read,
+                    compute: t.compute,
+                    write: t.write,
+                };
+                let corrections = ModelCorrections {
+                    per_stage: (0..n)
+                        .map(|i| {
+                            Some(
+                                self.detector
+                                    .stage_correction(i as u32)
+                                    .or_else(|| self.detector.class_correction(i as u32))
+                                    .map(to_corr)
+                                    .unwrap_or_else(StepCorrections::identity),
+                            )
+                        })
+                        .collect(),
+                    global: to_corr(self.detector.global_correction()),
+                };
+                // Corrections price the future; the mask erases the past. Without
+                // it, joint_optimize re-plans the *whole* DAG and a 3×-corrected
+                // completed scan hogs slots it no longer needs, starving the very
+                // suffix the replan is for (and making every replanned schedule
+                // predict worse than the incumbent). Prefix stages' steps and
+                // already-written edge outputs are zeroed; seam reads the suffix
+                // still pays stay at full corrected cost. Both predicted JCTs
+                // below use the same masked model, so the apply decision compares
+                // suffix-only futures.
+                let done: Vec<bool> = (0..n).map(|i| !suffix[i]).collect();
+                let corrected = ctx.model.corrected(dag, &corrections).masked_completed(dag, &done);
+                // Free-slot snapshot at the decision instant: the schedule's
+                // original snapshot, minus a failed server (if it already died),
+                // minus slots still held by in-flight prefix stages.
+                let mut rm = ctx.resources.clone();
+                if let Some((failed, at)) = state.failure {
+                    if at <= now {
+                        rm.fail_server(failed.index());
+                    }
+                }
+                // Slot deduction, in stage-id order (the order-invariant one):
+                // simulated stages still in flight at `now` hold their slots;
+                // frozen-but-unsimulated stages (launched before `now`, end not
+                // yet known) are conservatively assumed to hold theirs too.
+                let cur = &self.cur;
+                for i in 0..n {
+                    let holds = if simulated[i] {
+                        state.stage_end[i] > now
+                    } else {
+                        !suffix[i]
                     };
-                    if obs.is_enabled() {
-                        for e in dag.edges() {
-                            if !suffix[e.src.index()] && suffix[e.dst.index()] {
-                                obs.event(
-                                    "hb.seam",
-                                    Track::scheduler(0),
-                                    now,
-                                    vec![
-                                        ("edge", (e.id.index() as u64).into()),
-                                        ("src_stage", e.src.0.into()),
-                                        ("dst_stage", e.dst.0.into()),
-                                    ],
-                                );
+                    if !holds {
+                        continue;
+                    }
+                    for t in 0..cur.dop[i] {
+                        let srv: ServerId = cur.placement[i].server_of_task(t);
+                        if rm.free_on(srv) > 0 {
+                            let _ = rm.reserve(srv, 1);
+                        }
+                    }
+                }
+                if rm.total_free() < n as u32 {
+                    // Not enough headroom to even re-plan; keep the frozen plan.
+                    continue;
+                }
+                let replanned =
+                    joint_optimize_traced(dag, &corrected, &rm, ctx.objective, &ctx.options, obs);
+                let spliced = cur.splice(dag, &replanned, &suffix);
+                // Feasibility certificate: the optimizer planned against the
+                // deducted snapshot, but the splice mixes in prefix placements it
+                // never saw — re-count the suffix before trusting it.
+                let audit_clean = if cfg.audit_splices {
+                    let report = ditto_audit::audit_splice(dag, &rm, &spliced, &suffix);
+                    if !report.is_clean() {
+                        return Err(ExecError::InvalidSchedule(report.render()));
+                    }
+                    true
+                } else {
+                    false
+                };
+                let dop_f = |sc: &Schedule| sc.dop.iter().map(|&d| d as f64).collect::<Vec<f64>>();
+                let old_predicted_jct = predicted_jct(dag, &corrected, &dop_f(cur), &cur.colocated);
+                let new_predicted_jct =
+                    predicted_jct(dag, &corrected, &dop_f(&spliced), &spliced.colocated);
+                // Risk adjustment: on a loss-prone store every external read is a
+                // fault surface. A replan that externalizes seam edges or raises
+                // the DoP of externally-reading stages buys its predicted gain
+                // with extra loss draws — the very splice that wins 10% on a
+                // clean store can lose it back to recovery waits at a 5% loss
+                // rate. Estimate the per-read loss rate and mean recovery delay
+                // from this run's own observations and charge each plan its
+                // expected recovery delay before comparing.
+                let recoveries = totals.object_losses + totals.object_corruptions;
+                let (old_risk, new_risk) = if recoveries > 0 {
+                    let mut reads_seen: u64 = 0;
+                    for (i, _) in simulated.iter().enumerate().filter(|(_, &s)| s) {
+                        for e in dag.in_edges(StageId(i as u32)) {
+                            if !cur.colocated[e.id.index()] {
+                                reads_seen += u64::from(cur.dop[i]);
                             }
                         }
                     }
-                    state.stats.rescheduled_stages += rec.suffix_stages;
-                    cur = stored;
-                }
-                last_decision = Some((rec.factor, remaining));
-                replans.push(rec);
-                continue;
-            }
-        }
-        // Learned corrections, most-specific first: the stage's own
-        // samples, else its stage-type class (maps correct maps that have
-        // not run), else *identity*. The job-global EWMA is deliberately
-        // not used as a scaling fallback: after one drifted map it would
-        // smear the map's factor over joins and reduces too, turning a
-        // differential signal back into a uniform one — and uniform drift
-        // scales α and β together, which moves no DoP ratios (Eq. 3/4).
-        // It is still recorded on the ReplanRecord as the summary factor.
-        let to_corr = |t: StepTimings| StepCorrections {
-            read: t.read,
-            compute: t.compute,
-            write: t.write,
-        };
-        let corrections = ModelCorrections {
-            per_stage: (0..n)
-                .map(|i| {
-                    Some(
-                        detector
-                            .stage_correction(i as u32)
-                            .or_else(|| detector.class_correction(i as u32))
-                            .map(to_corr)
-                            .unwrap_or_else(StepCorrections::identity),
+                    let p_loss = (f64::from(recoveries) / reads_seen.max(1) as f64).min(1.0);
+                    let avg_rec = totals.recovery_delay_s / f64::from(recoveries);
+                    (
+                        expected_recovery_delay(dag, cur, &suffix, p_loss, avg_rec),
+                        expected_recovery_delay(dag, &spliced, &suffix, p_loss, avg_rec),
                     )
-                })
-                .collect(),
-            global: to_corr(detector.global_correction()),
-        };
-        // Corrections price the future; the mask erases the past. Without
-        // it, joint_optimize re-plans the *whole* DAG and a 3×-corrected
-        // completed scan hogs slots it no longer needs, starving the very
-        // suffix the replan is for (and making every replanned schedule
-        // predict worse than the incumbent). Prefix stages' steps and
-        // already-written edge outputs are zeroed; seam reads the suffix
-        // still pays stay at full corrected cost. Both predicted JCTs
-        // below use the same masked model, so the apply decision compares
-        // suffix-only futures.
-        let done: Vec<bool> = (0..n).map(|i| !suffix[i]).collect();
-        let corrected = ctx.model.corrected(dag, &corrections).masked_completed(dag, &done);
-        // Free-slot snapshot at the decision instant: the schedule's
-        // original snapshot, minus a failed server (if it already died),
-        // minus slots still held by in-flight prefix stages.
-        let mut rm = ctx.resources.clone();
-        if let Some((failed, at)) = state.failure {
-            if at <= now {
-                rm.fail_server(failed.index());
-            }
-        }
-        // Slot deduction, in stage-id order (the order-invariant one):
-        // simulated stages still in flight at `now` hold their slots;
-        // frozen-but-unsimulated stages (launched before `now`, end not
-        // yet known) are conservatively assumed to hold theirs too.
-        for i in 0..n {
-            let holds = if simulated[i] {
-                state.stage_end[i] > now
-            } else {
-                !suffix[i]
+                } else {
+                    (0.0, 0.0)
+                };
+                let applied = new_predicted_jct + new_risk
+                    < (old_predicted_jct + old_risk) * (1.0 - cfg.min_gain) - 1e-12;
+                let record = ReplanRecord {
+                    trigger: if new_reexecs > 0 && ev.step_factors.read > ev.step_factors.compute {
+                        ReplanTrigger::ObjectRecovery
+                    } else {
+                        ReplanTrigger::Drift
+                    },
+                    at_stage: s.0,
+                    sim_time: now,
+                    factor: ev.factor,
+                    corrections: corrections.global,
+                    suffix_stages: n_suffix as u32,
+                    old_predicted_jct,
+                    new_predicted_jct,
+                    risk_penalty: new_risk - old_risk,
+                    audit_clean,
+                    applied,
+                    // Decision 0 is the schedule commit; replans continue the
+                    // shared monotonic sequence (replayed decisions included
+                    // via `replans`).
+                    decision_seq: self.replans.len() as u64 + 1,
+                };
+                let spliced = applied.then_some(spliced);
+                // Write-ahead: the decision journals before its event fires or
+                // the splice takes effect.
+                if let Some(j) = journal.as_deref_mut() {
+                    j.append_replan(&record, &suffix, spliced.as_ref())?;
+                }
+                (record, spliced)
             };
-            if !holds {
-                continue;
+            if obs.is_enabled() {
+                obs.event(
+                    "sched.replan",
+                    Track::scheduler(0),
+                    now,
+                    vec![
+                        ("trigger", match record.trigger {
+                            ReplanTrigger::Drift => "drift",
+                            ReplanTrigger::ObjectRecovery => "object-recovery",
+                        }
+                        .into()),
+                        ("at_stage", record.at_stage.into()),
+                        ("factor", record.factor.into()),
+                        ("suffix_stages", u64::from(record.suffix_stages).into()),
+                        ("old_predicted_jct", record.old_predicted_jct.into()),
+                        ("new_predicted_jct", record.new_predicted_jct.into()),
+                        ("applied", u64::from(record.applied).into()),
+                        ("risk_penalty", record.risk_penalty.into()),
+                        ("audit_clean", u64::from(record.audit_clean).into()),
+                        ("corr_read", record.corrections.read.into()),
+                        ("corr_compute", record.corrections.compute.into()),
+                        ("corr_write", record.corrections.write.into()),
+                        ("decision_seq", record.decision_seq.into()),
+                    ],
+                );
             }
-            for t in 0..cur.dop[i] {
-                let srv: ServerId = cur.placement[i].server_of_task(t);
-                if rm.free_on(srv) > 0 {
-                    let _ = rm.reserve(srv, 1);
-                }
-            }
-        }
-        if rm.total_free() < n as u32 {
-            // Not enough headroom to even re-plan; keep the frozen plan.
-            continue;
-        }
-        let replanned =
-            joint_optimize_traced(dag, &corrected, &rm, ctx.objective, &ctx.options, obs);
-        let spliced = cur.splice(dag, &replanned, &suffix);
-        // Feasibility certificate: the optimizer planned against the
-        // deducted snapshot, but the splice mixes in prefix placements it
-        // never saw — re-count the suffix before trusting it.
-        let audit_clean = if cfg.audit_splices {
-            let report = ditto_audit::audit_splice(dag, &rm, &spliced, &suffix);
-            if !report.is_clean() {
-                return Err(ExecError::InvalidSchedule(report.render()));
-            }
-            true
-        } else {
-            false
-        };
-        let dop_f = |sc: &Schedule| sc.dop.iter().map(|&d| d as f64).collect::<Vec<f64>>();
-        let old_predicted_jct = predicted_jct(dag, &corrected, &dop_f(&cur), &cur.colocated);
-        let new_predicted_jct =
-            predicted_jct(dag, &corrected, &dop_f(&spliced), &spliced.colocated);
-        // Risk adjustment: on a loss-prone store every external read is a
-        // fault surface. A replan that externalizes seam edges or raises
-        // the DoP of externally-reading stages buys its predicted gain
-        // with extra loss draws — the very splice that wins 10% on a
-        // clean store can lose it back to recovery waits at a 5% loss
-        // rate. Estimate the per-read loss rate and mean recovery delay
-        // from this run's own observations and charge each plan its
-        // expected recovery delay before comparing.
-        let recoveries = totals.object_losses + totals.object_corruptions;
-        let (old_risk, new_risk) = if recoveries > 0 {
-            let mut reads_seen: u64 = 0;
-            for (i, _) in simulated.iter().enumerate().filter(|(_, &s)| s) {
-                for e in dag.in_edges(StageId(i as u32)) {
-                    if !cur.colocated[e.id.index()] {
-                        reads_seen += u64::from(cur.dop[i]);
-                    }
-                }
-            }
-            let p_loss = (f64::from(recoveries) / reads_seen.max(1) as f64).min(1.0);
-            let avg_rec = totals.recovery_delay_s / f64::from(recoveries);
-            (
-                expected_recovery_delay(dag, &cur, &suffix, p_loss, avg_rec),
-                expected_recovery_delay(dag, &spliced, &suffix, p_loss, avg_rec),
-            )
-        } else {
-            (0.0, 0.0)
-        };
-        let risk_penalty = new_risk - old_risk;
-        let applied = new_predicted_jct + new_risk
-            < (old_predicted_jct + old_risk) * (1.0 - cfg.min_gain) - 1e-12;
-        let trigger = if new_reexecs > 0 && ev.step_factors.read > ev.step_factors.compute {
-            ReplanTrigger::ObjectRecovery
-        } else {
-            ReplanTrigger::Drift
-        };
-        // Decision 0 is the schedule commit; replans continue the shared
-        // monotonic sequence (replayed decisions included via `replans`).
-        let decision_seq = replans.len() as u64 + 1;
-        let record = ReplanRecord {
-            trigger,
-            at_stage: s.0,
-            sim_time: now,
-            factor: ev.factor,
-            corrections: corrections.global,
-            suffix_stages: n_suffix as u32,
-            old_predicted_jct,
-            new_predicted_jct,
-            risk_penalty,
-            audit_clean,
-            applied,
-            decision_seq,
-        };
-        // Write-ahead: the decision journals before its event fires or
-        // the splice takes effect.
-        if let Some(j) = jr.as_deref_mut() {
-            j.append_replan(&record, &suffix, if applied { Some(&spliced) } else { None })?;
-        }
-        if obs.is_enabled() {
-            obs.event(
-                "sched.replan",
-                Track::scheduler(0),
-                now,
-                vec![
-                    ("trigger", match trigger {
-                        ReplanTrigger::Drift => "drift",
-                        ReplanTrigger::ObjectRecovery => "object-recovery",
-                    }
-                    .into()),
-                    ("at_stage", s.0.into()),
-                    ("factor", ev.factor.into()),
-                    ("suffix_stages", (n_suffix as u64).into()),
-                    ("old_predicted_jct", old_predicted_jct.into()),
-                    ("new_predicted_jct", new_predicted_jct.into()),
-                    ("applied", if applied { 1u64 } else { 0u64 }.into()),
-                    ("risk_penalty", risk_penalty.into()),
-                    ("audit_clean", if audit_clean { 1u64 } else { 0u64 }.into()),
-                    ("corr_read", corrections.global.read.into()),
-                    ("corr_compute", corrections.global.compute.into()),
-                    ("corr_write", corrections.global.write.into()),
-                    ("decision_seq", decision_seq.into()),
-                ],
-            );
-        }
-        replans.push(record);
-        last_decision = Some((ev.factor, remaining));
-        if applied {
+            self.replans.push(record);
+            self.last_decision = Some((record.factor, remaining));
+            let Some(spliced) = spliced else { continue };
             if obs.is_enabled() {
                 // Seam edges of the applied splice: prefix producer →
                 // replanned consumer. The race checker pins seam reads to
@@ -609,22 +493,24 @@ pub(crate) fn try_simulate_adaptive_tie(
                     }
                 }
             }
-            state.stats.rescheduled_stages += n_suffix as u32;
-            cur = spliced;
+            state.stats.rescheduled_stages += record.suffix_stages;
+            self.cur = spliced;
         }
-        }
+        Ok(())
     }
 
-    let mut pass = finish_pass(state, dag, &cur, gt, obs);
-    pass.trace.replans = replans;
-    pass.metrics.faults.rescheduled_stages = pass
-        .trace
-        .replans
-        .iter()
-        .filter(|r| r.applied)
-        .map(|r| r.suffix_stages)
-        .sum();
-    Ok((pass.trace, pass.metrics))
+    /// Close the pass under the final schedule and attach the decision log.
+    pub(crate) fn finish(self, state: SimState, gt: &GroundTruth, obs: &Recorder) -> SimPass {
+        let mut pass = finish_pass(state, self.dag, &self.cur, gt, obs);
+        pass.metrics.faults.rescheduled_stages = self
+            .replans
+            .iter()
+            .filter(|r| r.applied)
+            .map(|r| r.suffix_stages)
+            .sum();
+        pass.trace.replans = self.replans;
+        pass
+    }
 }
 
 /// Expected serial lineage-recovery delay of a plan's not-yet-run suffix
@@ -662,7 +548,8 @@ fn expected_recovery_delay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::try_simulate_with_faults;
+    use crate::engine::Engine;
+    use crate::faults::{FaultPlan, RecoveryPolicy};
     use crate::groundtruth::ExecConfig;
     use ditto_cluster::ResourceManager;
     use ditto_core::{
@@ -707,17 +594,12 @@ mod tests {
         let plan = FaultPlan::none();
         let policy = RecoveryPolicy::none();
         let (ft, fm) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap();
-        let (at, am) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+            Engine::new(&dag, &schedule, &gt).faults(&plan, &policy).run().unwrap();
+        let (at, am) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy)
+            .adaptive(&ctx(&model, &rm), &AdaptiveConfig::default())
+            .run()
+            .unwrap();
         assert!(at.replans.is_empty(), "no drift may be detected fault-free");
         assert_eq!(at.tasks, ft.tasks);
         assert_eq!(am, fm);
@@ -732,17 +614,12 @@ mod tests {
         let plan = FaultPlan::none().with_drift(1.0);
         let policy = RecoveryPolicy::default();
         let (ft, fm) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap();
-        let (at, am) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+            Engine::new(&dag, &schedule, &gt).faults(&plan, &policy).run().unwrap();
+        let (at, am) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy)
+            .adaptive(&ctx(&model, &rm), &AdaptiveConfig::default())
+            .run()
+            .unwrap();
         assert!(at.replans.is_empty());
         assert_eq!(at.tasks, ft.tasks);
         assert_eq!(am, fm);
@@ -753,16 +630,11 @@ mod tests {
         let (dag, model, rm, schedule, gt) = fixture(&[24, 16]);
         let plan = FaultPlan::none().with_drift(2.0);
         let policy = RecoveryPolicy::default();
-        let (trace, metrics) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+        let (trace, metrics) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy)
+            .adaptive(&ctx(&model, &rm), &AdaptiveConfig::default())
+            .run()
+            .unwrap();
         assert!(!trace.replans.is_empty(), "2x drift must trip the band");
         for r in &trace.replans {
             assert!(r.audit_clean, "every splice must certify clean");
@@ -794,16 +666,11 @@ mod tests {
             max_replans: 1,
             ..Default::default()
         };
-        let (trace, _) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            &ctx(&model, &rm),
-            &cfg,
-        )
-        .unwrap();
+        let (trace, _) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::default())
+            .adaptive(&ctx(&model, &rm), &cfg)
+            .run()
+            .unwrap();
         assert!(trace.replans.len() <= 1);
     }
 
@@ -817,16 +684,11 @@ mod tests {
             loss_prob: 0.9,
             ..crate::faults::FaultRates::none(7)
         });
-        let (trace, metrics) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+        let (trace, metrics) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::default())
+            .adaptive(&ctx(&model, &rm), &AdaptiveConfig::default())
+            .run()
+            .unwrap();
         assert!(metrics.faults.lineage_reexecs > 0);
         if let Some(r) = trace.replans.first() {
             assert_eq!(r.trigger, ReplanTrigger::ObjectRecovery);
@@ -843,17 +705,12 @@ mod tests {
         let plan = FaultPlan::none().with_drift(2.0);
         let policy = RecoveryPolicy::default();
         let (_, frozen) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap();
-        let (trace, adaptive) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+            Engine::new(&dag, &schedule, &gt).faults(&plan, &policy).run().unwrap();
+        let (trace, adaptive) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy)
+            .adaptive(&ctx(&model, &rm), &AdaptiveConfig::default())
+            .run()
+            .unwrap();
         assert!(
             adaptive.jct <= frozen.jct + 1e-9,
             "adaptive {} must not lose to frozen {}",
@@ -878,17 +735,12 @@ mod tests {
             .with_kind_drift(ditto_dag::StageKind::GroupBy, 2.0);
         let policy = RecoveryPolicy::default();
         let (_, frozen) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap();
-        let (trace, adaptive) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+            Engine::new(&dag, &schedule, &gt).faults(&plan, &policy).run().unwrap();
+        let (trace, adaptive) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy)
+            .adaptive(&ctx(&model, &rm), &AdaptiveConfig::default())
+            .run()
+            .unwrap();
         assert!(
             trace.replans.iter().any(|r| r.applied),
             "kind drift on a constrained cluster must apply a replan"

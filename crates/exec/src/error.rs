@@ -1,9 +1,9 @@
 //! Typed execution errors.
 //!
-//! Both engines expose fallible entry points (`try_simulate`,
-//! `LocalRuntime::try_run`) returning [`ExecError`]; the historical
-//! panicking APIs remain as thin wrappers for callers that treat these
-//! conditions as bugs.
+//! The simulator and the runtime are fallible (`Engine::run`,
+//! `LocalRuntime::try_run`) and return [`ExecError`]; the panicking
+//! shorthands (`simulate`, `LocalRuntime::execute`) remain as thin
+//! wrappers for callers that treat these conditions as bugs.
 
 use std::fmt;
 

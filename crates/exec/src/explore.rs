@@ -1,15 +1,15 @@
 //! Small-scope model checking of the simulators' schedule space.
 //!
-//! The discrete-event engines ([`crate::faults`], [`crate::adaptive`])
-//! execute stages through a ready queue; stages with **bit-equal** ready
-//! times are simultaneous events with no physical ordering, so the
-//! simulation result must not depend on how their tie is broken. This
-//! module *checks* that claim the loom way: it re-runs the same job under
-//! every tie-break interleaving (exhaustively up to a budget, then
-//! seeded-sampled), asserting bit-identical [`JobMetrics`] and
-//! structurally identical traces. Any divergence is shrunk to a minimal
-//! witness decision vector — the smallest set of flipped tie-breaks that
-//! reproduces the difference — which is what goes into a regression test.
+//! The discrete-event [`Engine`] executes stages through a ready queue;
+//! stages with **bit-equal** ready times are simultaneous events with no
+//! physical ordering, so the simulation result must not depend on how
+//! their tie is broken. This module *checks* that claim the loom way: it
+//! re-runs the same job under every tie-break interleaving (exhaustively
+//! up to a budget, then seeded-sampled), asserting bit-identical
+//! [`JobMetrics`] and structurally identical traces. Any divergence is
+//! shrunk to a minimal witness decision vector — the smallest set of
+//! flipped tie-breaks that reproduces the difference — which is what goes
+//! into a regression test.
 //!
 //! The tie-break decision tree is *dynamic*: flipping an early decision
 //! can change which later batches form. Enumeration therefore walks the
@@ -18,11 +18,10 @@
 //! script increments the last incrementable position and truncates the
 //! tail (depth-first over the trie of schedules).
 
-use crate::adaptive::{try_simulate_adaptive_tie, AdaptiveConfig};
+use crate::adaptive::AdaptiveConfig;
+use crate::engine::Engine;
 use crate::error::ExecError;
-use crate::faults::{
-    sim_pass_with, FaultPlan, FaultRates, RecoveryPolicy, ReschedulingContext,
-};
+use crate::faults::{FaultPlan, FaultRates, RecoveryPolicy, ReschedulingContext};
 use crate::groundtruth::{ExecConfig, GroundTruth};
 use crate::metrics::JobMetrics;
 use crate::queue::TieBreak;
@@ -31,7 +30,6 @@ use ditto_cluster::ResourceManager;
 use ditto_core::{DittoScheduler, JointOptions, Objective, Schedule, Scheduler, SchedulingContext};
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_dag::{JobDag, StageKind};
-use ditto_obs::Recorder;
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
 
@@ -141,10 +139,10 @@ fn next_script(decisions: &[u32], arity: &[u32]) -> Option<Vec<u32>> {
 
 /// Explore every tie-break interleaving of one simulated job, frozen or
 /// adaptive. `adaptive` switches the engine:
-/// `Some((ctx, cfg))` drives [`crate::try_simulate_adaptive`] (replans
-/// enabled), `None` drives the frozen fault engine. Returns the outcome
-/// with any divergence shrunk to a minimal witness; engine-level errors
-/// (retries exhausted, infeasible splice) propagate.
+/// `Some((ctx, cfg))` adds [`Engine::adaptive`] (replans enabled), `None`
+/// runs the schedule frozen. Returns the outcome with any divergence
+/// shrunk to a minimal witness; engine-level errors (retries exhausted,
+/// infeasible splice) propagate.
 pub fn explore_schedule(
     dag: &JobDag,
     schedule: &Schedule,
@@ -154,16 +152,11 @@ pub fn explore_schedule(
     adaptive: Option<(&ReschedulingContext<'_>, &AdaptiveConfig)>,
     cfg: &ExploreConfig,
 ) -> Result<ExploreOutcome, ExecError> {
-    let muted = Recorder::disabled();
     let run = |mut tie: TieBreak| -> Result<RunResult, ExecError> {
+        let engine = Engine::new(dag, schedule, gt).faults(plan, policy).tie_break(&mut tie);
         let (trace, metrics) = match adaptive {
-            Some((ctx, acfg)) => try_simulate_adaptive_tie(
-                dag, schedule, gt, plan, policy, ctx, acfg, &muted, &mut tie, None,
-            )?,
-            None => {
-                let pass = sim_pass_with(dag, schedule, gt, plan, policy, &muted, &mut tie)?;
-                (pass.trace, pass.metrics)
-            }
+            Some((ctx, acfg)) => engine.adaptive(ctx, acfg).run()?,
+            None => engine.run()?,
         };
         Ok(RunResult {
             metrics,

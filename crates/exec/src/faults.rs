@@ -28,10 +28,9 @@
 use crate::error::ExecError;
 use crate::groundtruth::GroundTruth;
 use crate::metrics::JobMetrics;
-use crate::queue::{ReadyQueue, TieBreak};
 use crate::trace::{ExecutionTrace, TaskTrace};
 use ditto_cluster::{ResourceManager, ServerId};
-use ditto_core::{joint_optimize_traced, JointOptions, Objective, Schedule};
+use ditto_core::{JointOptions, Objective, Schedule};
 use ditto_dag::{JobDag, StageId, StageKind};
 use ditto_obs::{Recorder, StepTimings, Track};
 use ditto_storage::{CostModel, Medium};
@@ -611,120 +610,10 @@ pub struct ReschedulingContext<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Fault-aware simulation
+// Per-stage simulation (driven by `crate::engine`)
 // ---------------------------------------------------------------------
 
-/// Simulate `schedule` on `dag` under an injected [`FaultPlan`] and a
-/// [`RecoveryPolicy`]. With an empty plan and [`RecoveryPolicy::none`]
-/// this reproduces [`crate::sim::simulate`] exactly.
-///
-/// On a whole-server failure, attempts running on the failed server are
-/// killed and re-executed on a survivor; if
-/// [`RecoveryPolicy::reschedule_on_server_failure`] is set and a
-/// [`ReschedulingContext`] is supplied, stages that had not launched at
-/// the failure instant are replanned by [`ditto_core::joint_optimize`]
-/// against the shrunk resource snapshot (surviving work keeps its
-/// original schedule).
-pub fn try_simulate_with_faults(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    resched: Option<&ReschedulingContext<'_>>,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    try_simulate_with_faults_traced(dag, schedule, gt, plan, policy, resched, &Recorder::disabled())
-}
-
-/// [`try_simulate_with_faults`] with telemetry: task/stage/attempt spans,
-/// fault events, per-medium byte counters and task-duration histograms
-/// land on `obs` (sim-clock timestamps). The replanning path routes the
-/// re-optimization through [`joint_optimize_traced`], so rescheduling
-/// decisions appear on the scheduler track of the same trace. A disabled
-/// recorder makes this identical to [`try_simulate_with_faults`].
-pub fn try_simulate_with_faults_traced(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    resched: Option<&ReschedulingContext<'_>>,
-    obs: &Recorder,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    schedule
-        .validate(dag)
-        .map_err(ExecError::InvalidSchedule)?;
-    // When a replan may discard the first pass, record telemetry only for
-    // the pass whose trace is actually returned.
-    let replan_possible = plan.first_server_failure().is_some()
-        && resched.is_some()
-        && policy.reschedule_on_server_failure;
-    let muted = Recorder::disabled();
-    let pass1_obs = if replan_possible { &muted } else { obs };
-    let pass1 = sim_pass(dag, schedule, gt, plan, policy, pass1_obs)?;
-    let Some((failed, at_time)) = plan.first_server_failure() else {
-        return Ok((pass1.trace, pass1.metrics));
-    };
-    let (Some(ctx), true) = (resched, policy.reschedule_on_server_failure) else {
-        return Ok((pass1.trace, pass1.metrics));
-    };
-    // The not-yet-started suffix: stages whose containers had not launched
-    // when the server died (per the pre-replan timeline).
-    let suffix: Vec<bool> = pass1.stage_launch.iter().map(|&l| l >= at_time).collect();
-    let n_suffix = suffix.iter().filter(|&&b| b).count() as u32;
-    if n_suffix == 0 {
-        // Pass 1 ran muted but is the final result: re-run it recorded.
-        // The simulation is deterministic, so the timeline is identical.
-        if obs.is_enabled() {
-            let pass = sim_pass(dag, schedule, gt, plan, policy, obs)?;
-            return Ok((pass.trace, pass.metrics));
-        }
-        return Ok((pass1.trace, pass1.metrics));
-    }
-    let mut rm = ctx.resources.clone();
-    rm.fail_server(failed.index());
-    let needed = dag.num_stages() as u32;
-    if rm.total_free() < needed {
-        return Err(ExecError::InsufficientCapacity {
-            needed,
-            available: rm.total_free(),
-        });
-    }
-    let replanned = joint_optimize_traced(dag, ctx.model, &rm, ctx.objective, &ctx.options, obs);
-    if obs.is_enabled() {
-        obs.event(
-            "sched.failover",
-            Track::scheduler(0),
-            obs.wall_now(),
-            vec![
-                ("failed_server", (failed.index() as u64).into()),
-                ("at_time", at_time.into()),
-                ("suffix_stages", (n_suffix as u64).into()),
-                // Decision 0 is the schedule commit; the (single) failover
-                // reschedule is decision 1 — the same sequence the journal
-                // records, so trace diffing can align crashed vs recovered
-                // runs.
-                ("decision_seq", 1u64.into()),
-            ],
-        );
-    }
-    let hybrid = schedule.splice(dag, &replanned, &suffix);
-    // Feasibility certificate on the spliced schedule (debug builds): the
-    // replan optimized against the shrunk snapshot, but the splice mixes
-    // in prefix placements the optimizer never saw — re-count the suffix
-    // against the surviving slots before trusting it.
-    #[cfg(debug_assertions)]
-    {
-        let report = ditto_audit::audit_splice(dag, &rm, &hybrid, &suffix);
-        if !report.is_clean() {
-            return Err(ExecError::InvalidSchedule(report.render()));
-        }
-    }
-    let mut pass2 = sim_pass(dag, &hybrid, gt, plan, policy, obs)?;
-    pass2.metrics.faults.rescheduled_stages = n_suffix;
-    Ok((pass2.trace, pass2.metrics))
-}
-
+/// Result of one full pass of the engine's driver over the DAG.
 pub(crate) struct SimPass {
     pub(crate) trace: ExecutionTrace,
     pub(crate) metrics: JobMetrics,
@@ -732,11 +621,10 @@ pub(crate) struct SimPass {
     pub(crate) stage_launch: Vec<f64>,
 }
 
-/// Mutable state threaded through a simulation: per-stage timeline
-/// gates, accounting, and the recovery bookkeeping shared by the frozen
-/// ([`sim_pass`]) and adaptive (`crate::adaptive`) engines. Both engines
-/// drive the *same* [`sim_stage`] — that is what makes the adaptive
-/// engine bit-identical to the frozen one when it never replans.
+/// Mutable state threaded through one engine pass: per-stage timeline
+/// gates, accounting, and the recovery bookkeeping. Frozen and adaptive
+/// runs drive the *same* [`sim_stage`] over it — that is what makes an
+/// adaptive run bit-identical to a frozen one when it never replans.
 pub(crate) struct SimState {
     pub(crate) failure: Option<(ServerId, f64)>,
     pub(crate) restart_server: Option<ServerId>,
@@ -819,6 +707,17 @@ impl SimState {
         total
     }
 
+    /// Where the next stage's rows will start in the trace and lineage
+    /// log: taken before a stage runs (or is restored), it delimits the
+    /// rows [`emit_stage`] reports and the journal checkpoints.
+    pub(crate) fn mark(&self) -> StageMark {
+        StageMark {
+            tasks: self.trace.tasks.len(),
+            attempts: self.trace.attempts.len(),
+            lineage: self.lineage_log.len(),
+        }
+    }
+
     /// Emit the run-level telemetry header (track names, server-failure
     /// announcement). Call once before the first [`sim_stage`].
     pub(crate) fn announce(&self, obs: &Recorder) {
@@ -835,6 +734,17 @@ impl SimState {
             }
         }
     }
+}
+
+/// Row offsets of one stage's output inside [`SimState`] (see
+/// [`SimState::mark`]). A stage's task, attempt and lineage rows are
+/// appended contiguously while it runs, so the tail past the mark is
+/// exactly that stage's rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageMark {
+    pub(crate) tasks: usize,
+    pub(crate) attempts: usize,
+    pub(crate) lineage: usize,
 }
 
 /// Final timeline of one task after its attempt history.
@@ -855,9 +765,8 @@ struct TaskOutcome {
 }
 
 /// The pre-recovery ready time of stage `s`: the max over in-edges of the
-/// producer's write start (pipelined) or end (blocking). Must stay
-/// bit-identical to the gate [`sim_stage`] computes — it is the ready
-/// queue's ordering key, and both fold the same edges in the same order.
+/// producer's write start (pipelined) or end (blocking). Both the ready
+/// queue's ordering key and the gate [`sim_stage`] starts from.
 pub(crate) fn ready_time(state: &SimState, dag: &JobDag, s: StageId) -> f64 {
     let mut ready = 0.0_f64;
     for e in dag.in_edges(s) {
@@ -870,57 +779,16 @@ pub(crate) fn ready_time(state: &SimState, dag: &JobDag, s: StageId) -> f64 {
     ready
 }
 
-/// One full simulation sweep under a fixed schedule (no replanning),
-/// canonical (lowest-stage-id) tie-breaking.
-fn sim_pass(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    obs: &Recorder,
-) -> Result<SimPass, ExecError> {
-    sim_pass_with(dag, schedule, gt, plan, policy, obs, &mut TieBreak::canonical())
-}
-
-/// [`sim_pass`] under an explicit tie-break controller: stages execute in
-/// (ready time, controller choice) order through a [`ReadyQueue`]. The
-/// model checker (`crate::explore`) drives this with scripted and random
-/// controllers to prove the result is tie-break-invariant.
-pub(crate) fn sim_pass_with(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    obs: &Recorder,
-    tie: &mut TieBreak,
-) -> Result<SimPass, ExecError> {
-    let mut state = SimState::new(dag, plan, schedule);
-    state.announce(obs);
-    let mut queue = ReadyQueue::new(dag);
-    let mut popped = 0usize;
-    while let Some((_, s)) = queue.pop(tie) {
-        popped += 1;
-        sim_stage(&mut state, dag, schedule, gt, plan, policy, obs, s)?;
-        queue.complete(dag, s, |c| ready_time(&state, dag, c));
-    }
-    if popped != dag.num_stages() {
-        return Err(ExecError::CyclicDag);
-    }
-    Ok(finish_pass(state, dag, schedule, gt, obs))
-}
-
 /// Simulate one stage under the current schedule, updating `state`.
 ///
-/// This is the shared per-stage engine: the frozen path ([`sim_pass`])
-/// calls it over a fixed schedule; the adaptive engine interleaves drift
-/// detection and suffix replanning between calls, passing whichever
-/// schedule is current. It applies injected slowdowns, global compute
-/// drift ([`FaultPlan::drift_factor`]), crash/retry/speculation recovery,
-/// and lineage re-execution of upstream tasks whose stored outputs were
-/// lost or corrupted.
-#[allow(clippy::too_many_arguments)]
+/// This is the per-stage simulator the engine's pass driver calls for
+/// every stage it does not restore from a journal checkpoint: a frozen
+/// run passes its fixed schedule, an adaptive run whichever schedule is
+/// current. It applies injected slowdowns, global compute drift
+/// ([`FaultPlan::drift_factor`]), crash/retry/speculation recovery, and
+/// lineage re-execution of upstream tasks whose stored outputs were lost
+/// or corrupted. It emits no telemetry: the rows it appends to `state`
+/// are what [`emit_stage`] reports.
 pub(crate) fn sim_stage(
     state: &mut SimState,
     dag: &JobDag,
@@ -928,7 +796,6 @@ pub(crate) fn sim_stage(
     gt: &GroundTruth,
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
-    obs: &Recorder,
     s: StageId,
 ) -> Result<(), ExecError> {
     let failure = state.failure;
@@ -939,16 +806,11 @@ pub(crate) fn sim_stage(
         // pipelined edges (§4.5) let the consumer start streaming at the
         // producer's write *start*, but it cannot finish reading before
         // the producer finishes emitting.
-        let mut ready = 0.0_f64;
-        let mut read_gate = 0.0_f64;
-        for e in dag.in_edges(s) {
-            if e.pipelined {
-                ready = ready.max(state.stage_write_start[e.src.index()]);
-                read_gate = read_gate.max(state.stage_end[e.src.index()]);
-            } else {
-                ready = ready.max(state.stage_end[e.src.index()]);
-            }
-        }
+        let mut ready = ready_time(state, dag, s);
+        let mut read_gate = dag
+            .in_edges(s)
+            .filter(|e| e.pipelined)
+            .fold(0.0_f64, |gate, e| gate.max(state.stage_end[e.src.index()]));
         // Lineage recovery: lost or corrupt upstream objects are detected
         // by their first reader and healed by re-executing the producing
         // task. The first reader (earliest ready time; the ready queue
@@ -1004,32 +866,6 @@ pub(crate) fn sim_stage(
                     detect_at: ready,
                     reexec_s: reexec,
                 });
-                if obs.is_enabled() {
-                    let name = match kind {
-                        ObjectFaultKind::Loss => "fault.object_lost",
-                        ObjectFaultKind::Corruption => "fault.object_corrupt",
-                    };
-                    obs.event(
-                        name,
-                        Track::storage(),
-                        ready,
-                        vec![
-                            ("stage", src.0.into()),
-                            ("task", tp.into()),
-                            ("reader_stage", s.0.into()),
-                        ],
-                    );
-                    obs.event(
-                        "recovery.lineage_reexec",
-                        Track::storage(),
-                        ready + reexec,
-                        vec![
-                            ("stage", src.0.into()),
-                            ("task", tp.into()),
-                            ("reexec_s", reexec.into()),
-                        ],
-                    );
-                }
             }
         }
         ready += recovery;
@@ -1041,12 +877,18 @@ pub(crate) fn sim_stage(
         let mem = gt.task_memory_gb(dag, s, d);
         let placement = &schedule.placement[s.index()];
 
+        // Summed as-executed and clean step durations, for the drift
+        // detector's per-stage means below.
+        let mut obs_sum = StepTimings::zero();
+        let mut clean_sum = StepTimings::zero();
         let mut outcomes: Vec<TaskOutcome> = Vec::with_capacity(steps.len());
         for (t, st) in steps.iter().enumerate() {
             let t = t as u32;
             let slow = plan.slowdown(s, t);
             let (read, compute, write) =
                 (st.read * slow, st.compute * slow * drift, st.write * slow);
+            obs_sum.accumulate(&StepTimings::new(st.setup, read, compute, write));
+            clean_sum.accumulate(&StepTimings::new(st.setup, st.read, st.compute, st.write));
             state.task_clean_time[s.index()].push(st.setup + read + compute + write);
             let mut server = placement.server_of_task(t);
             let mut records = Vec::new();
@@ -1164,52 +1006,41 @@ pub(crate) fn sim_stage(
                 let bucket = &mut state.stage_stats[s.index()];
                 bucket.speculative_copies += 1;
                 let spec_attempt = o.attempts; // next index in the sequence
-                if se < o.end {
-                    // The copy wins; the original is killed at the copy's
-                    // finish (or cancelled outright if it had not launched
-                    // yet) and whatever it ran is wasted.
-                    let killed_at = se.max(o.launch);
-                    let wasted = mem * (killed_at - o.launch);
-                    o.records.push(AttemptRecord {
-                        stage: s.0,
-                        task: t as u32,
-                        attempt: o.attempts - 1,
-                        server: o.server,
-                        start: o.launch,
-                        end: killed_at,
-                        outcome: AttemptOutcome::Superseded,
-                        wasted_gb_s: wasted,
-                        speculative: false,
-                    });
-                    bucket.extra_attempts += 1;
-                    bucket.wasted_gb_s += wasted;
-                    bucket.recovery_delay_s += killed_at - o.launch;
+                // Whichever execution finishes second is superseded and
+                // what it ran is wasted: if the copy wins, the original is
+                // killed at the copy's finish (or cancelled outright if it
+                // had not launched yet); a losing copy is killed when the
+                // original ends.
+                let copy_wins = se < o.end;
+                let (attempt, start, end) = if copy_wins {
+                    (o.attempts - 1, o.launch, se.max(o.launch))
+                } else {
+                    (spec_attempt, spec_launch, o.end)
+                };
+                let ran = (end - start).max(0.0);
+                o.records.push(AttemptRecord {
+                    stage: s.0,
+                    task: t as u32,
+                    attempt,
+                    server: o.server,
+                    start,
+                    end,
+                    outcome: AttemptOutcome::Superseded,
+                    wasted_gb_s: mem * ran,
+                    speculative: !copy_wins,
+                });
+                bucket.extra_attempts += 1;
+                bucket.wasted_gb_s += mem * ran;
+                bucket.recovery_delay_s += ran;
+                o.attempts += 1;
+                if copy_wins {
                     o.launch = spec_launch;
                     o.read_start = rs;
                     o.compute_start = cs;
                     o.write_start = ws;
                     o.end = se;
-                    o.attempts += 1;
                     o.final_attempt = spec_attempt;
                     o.final_is_spec = true;
-                } else {
-                    // The copy loses and is killed when the original ends.
-                    let wasted = mem * (o.end - spec_launch).max(0.0);
-                    o.records.push(AttemptRecord {
-                        stage: s.0,
-                        task: t as u32,
-                        attempt: spec_attempt,
-                        server: o.server,
-                        start: spec_launch,
-                        end: o.end,
-                        outcome: AttemptOutcome::Superseded,
-                        wasted_gb_s: wasted,
-                        speculative: true,
-                    });
-                    bucket.extra_attempts += 1;
-                    bucket.wasted_gb_s += wasted;
-                    bucket.recovery_delay_s += (o.end - spec_launch).max(0.0);
-                    o.attempts += 1;
                 }
             }
         }
@@ -1226,29 +1057,11 @@ pub(crate) fn sim_stage(
         // lineage-recovery wait lands on the read step: that is where the
         // first reader stalls, and what makes sustained object loss look
         // like storage drift to the monitor.
-        let mut obs_sum = StepTimings::zero();
-        let mut clean_sum = StepTimings::zero();
-        for (t, st) in steps.iter().enumerate() {
-            let slow = plan.slowdown(s, t as u32);
-            obs_sum.accumulate(&StepTimings::new(
-                st.setup,
-                st.read * slow,
-                st.compute * slow * drift,
-                st.write * slow,
-            ));
-            clean_sum.accumulate(&StepTimings::new(st.setup, st.read, st.compute, st.write));
-        }
         let inv = 1.0 / (steps.len().max(1)) as f64;
         let mut observed = obs_sum.scaled(inv);
         observed.read += recovery;
         state.stage_observed[s.index()] = observed;
         state.stage_clean[s.index()] = clean_sum.scaled(inv);
-        // Per-task shuffle volume estimates for telemetry consumers.
-        let d_f = (d as f64).max(1.0);
-        let task_read_bytes: f64 =
-            dag.in_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
-        let task_write_bytes: f64 =
-            dag.out_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
         for (t, mut o) in outcomes.into_iter().enumerate() {
             end = end.max(o.end);
             wstart = wstart.min(o.write_start);
@@ -1267,111 +1080,6 @@ pub(crate) fn sim_stage(
                     speculative: o.final_is_spec,
                 });
             }
-            if obs.is_enabled() {
-                let srv = o.server.index() as u32;
-                obs.name_track(Track::SERVER_BASE + srv, &format!("server {srv}"));
-                let lane = s.0 * 10_000 + t as u32;
-                obs.span(
-                    "task",
-                    Track::server(srv, lane),
-                    o.launch,
-                    o.end,
-                    vec![
-                        ("stage", s.0.into()),
-                        ("task", (t as u32).into()),
-                        ("attempts", o.attempts.into()),
-                        ("read_start", o.read_start.into()),
-                        ("compute_start", o.compute_start.into()),
-                        ("write_start", o.write_start.into()),
-                        ("memory_gb", mem.into()),
-                        ("bytes_read", task_read_bytes.into()),
-                        ("bytes_written", task_write_bytes.into()),
-                    ],
-                );
-                obs.observe("task.duration", "all", o.end - o.launch);
-                for r in &o.records {
-                    let (name, fault) = match r.outcome {
-                        AttemptOutcome::Crashed => ("fault.crashed", true),
-                        AttemptOutcome::ServerLost => ("fault.server_lost", true),
-                        AttemptOutcome::Superseded => ("fault.superseded", true),
-                        AttemptOutcome::Completed => ("", false),
-                    };
-                    obs.span(
-                        "attempt",
-                        Track::server(r.server.index() as u32, lane),
-                        r.start,
-                        r.end,
-                        vec![
-                            ("stage", r.stage.into()),
-                            ("task", r.task.into()),
-                            ("attempt", r.attempt.into()),
-                            ("outcome", outcome_label(r.outcome).into()),
-                            ("wasted_gb_s", r.wasted_gb_s.into()),
-                        ],
-                    );
-                    if fault {
-                        obs.event(
-                            name,
-                            Track::server(r.server.index() as u32, lane),
-                            r.end,
-                            vec![
-                                ("stage", r.stage.into()),
-                                ("task", r.task.into()),
-                                ("attempt", r.attempt.into()),
-                            ],
-                        );
-                    }
-                }
-                // Happens-before edges for the race checker: the surviving
-                // output's commit instant, one read event per in-edge, and
-                // slot-occupancy intervals per attempt.
-                obs.event(
-                    "hb.write",
-                    Track::server(srv, lane),
-                    o.end,
-                    vec![
-                        ("stage", s.0.into()),
-                        ("task", (t as u32).into()),
-                        ("server", srv.into()),
-                        ("write_start", o.write_start.into()),
-                    ],
-                );
-                for e in dag.in_edges(s) {
-                    let medium = state.edge_medium[e.id.index()]
-                        .unwrap_or_else(|| gt.edge_medium(schedule, e.id.index()));
-                    obs.event(
-                        "hb.read",
-                        Track::server(srv, lane),
-                        o.read_start,
-                        vec![
-                            ("stage", s.0.into()),
-                            ("task", (t as u32).into()),
-                            ("server", srv.into()),
-                            ("edge", (e.id.index() as u64).into()),
-                            ("src_stage", e.src.0.into()),
-                            ("pipelined", (e.pipelined as u64).into()),
-                            ("medium", medium_label(medium).into()),
-                            ("compute_start", o.compute_start.into()),
-                        ],
-                    );
-                }
-                if o.records.is_empty() {
-                    slot_pair(obs, srv, lane, s.0, t as u32, o.launch, o.end, false);
-                } else {
-                    for r in &o.records {
-                        slot_pair(
-                            obs,
-                            r.server.index() as u32,
-                            lane,
-                            r.stage,
-                            r.task,
-                            r.start,
-                            r.end,
-                            r.speculative,
-                        );
-                    }
-                }
-            }
             state.trace.tasks.push(TaskTrace {
                 stage: s.0,
                 task: t as u32,
@@ -1388,57 +1096,216 @@ pub(crate) fn sim_stage(
             }
         }
         state.stage_end[s.index()] = end;
-        if obs.is_enabled() {
-            // Most-external in-edge medium: where this stage's reads
-            // actually came from (diff buckets carry it as the medium).
-            let read_medium = dag
-                .in_edges(s)
-                .map(|e| {
-                    state.edge_medium[e.id.index()]
-                        .unwrap_or_else(|| gt.edge_medium(schedule, e.id.index()))
-                })
-                .max_by_key(|m| match m {
-                    Medium::SharedMemory => 0,
-                    Medium::Redis => 1,
-                    Medium::S3 => 2,
-                })
-                .map_or("none", medium_label);
-            obs.span(
-                "stage",
-                Track::job(s.0),
-                state.stage_launch[s.index()],
-                end,
-                vec![
-                    ("stage", s.0.into()),
-                    ("dop", (d as u64).into()),
-                    ("read_medium", read_medium.into()),
-                ],
-            );
-            // Predicted-vs-observed per-task mean step durations: the
-            // scorecard's Fig.-11 sample for this stage.
-            let pred = state.stage_clean[s.index()];
-            let realized = state.stage_observed[s.index()];
-            obs.event(
-                "predictor.sample",
-                Track::job(s.0),
-                end,
-                vec![
-                    ("stage", s.0.into()),
-                    ("pred_setup", pred.setup.into()),
-                    ("pred_read", pred.read.into()),
-                    ("pred_compute", pred.compute.into()),
-                    ("pred_write", pred.write.into()),
-                    ("obs_setup", realized.setup.into()),
-                    ("obs_read", realized.read.into()),
-                    ("obs_compute", realized.compute.into()),
-                    ("obs_write", realized.write.into()),
-                ],
-            );
-        }
         state.stage_write_start[s.index()] = if wstart.is_finite() { wstart } else { end };
         state.stage_read_end[s.index()] = rend;
     }
     Ok(())
+}
+
+/// Report one completed stage on `obs`: lineage faults, then per task its
+/// span, attempt history, happens-before edges and slot intervals, then
+/// the stage span and its predictor sample. The single emitter of the
+/// per-stage telemetry vocabulary — fed only by the rows past `mark`
+/// and the stage's entries in `state`, which [`sim_stage`] and a journal
+/// checkpoint restore fill identically, so a recovered run's trace equals
+/// the crash-free one by construction.
+pub(crate) fn emit_stage(
+    obs: &Recorder,
+    dag: &JobDag,
+    s: StageId,
+    state: &SimState,
+    mark: StageMark,
+) {
+    if !obs.is_enabled() {
+        return;
+    }
+    for h in &state.lineage_log[mark.lineage..] {
+        let name = if h.corrupt {
+            "fault.object_corrupt"
+        } else {
+            "fault.object_lost"
+        };
+        obs.event(
+            name,
+            Track::storage(),
+            h.detect_at,
+            vec![
+                ("stage", h.src_stage.into()),
+                ("task", h.src_task.into()),
+                ("reader_stage", h.reader_stage.into()),
+            ],
+        );
+        obs.event(
+            "recovery.lineage_reexec",
+            Track::storage(),
+            h.detect_at + h.reexec_s,
+            vec![
+                ("stage", h.src_stage.into()),
+                ("task", h.src_task.into()),
+                ("reexec_s", h.reexec_s.into()),
+            ],
+        );
+    }
+    let tasks = &state.trace.tasks[mark.tasks..];
+    // Per-task shuffle volume estimates for telemetry consumers.
+    let d_f = tasks.len().max(1) as f64;
+    let task_read_bytes: f64 = dag.in_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
+    let task_write_bytes: f64 = dag.out_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
+    // Attempt rows are appended task by task, so each task's history is
+    // the next run of rows carrying its index.
+    let mut rest = &state.trace.attempts[mark.attempts..];
+    for tt in tasks {
+        let n = rest.iter().take_while(|a| a.task == tt.task).count();
+        let (records, later) = rest.split_at(n);
+        rest = later;
+        let srv = tt.server.index() as u32;
+        obs.name_track(Track::SERVER_BASE + srv, &format!("server {srv}"));
+        let lane = tt.stage * 10_000 + tt.task;
+        obs.span(
+            "task",
+            Track::server(srv, lane),
+            tt.launch,
+            tt.end,
+            vec![
+                ("stage", tt.stage.into()),
+                ("task", tt.task.into()),
+                ("attempts", (records.len().max(1) as u32).into()),
+                ("read_start", tt.read_start.into()),
+                ("compute_start", tt.compute_start.into()),
+                ("write_start", tt.write_start.into()),
+                ("memory_gb", tt.memory_gb.into()),
+                ("bytes_read", task_read_bytes.into()),
+                ("bytes_written", task_write_bytes.into()),
+            ],
+        );
+        obs.observe("task.duration", "all", tt.end - tt.launch);
+        for r in records {
+            let fault = match r.outcome {
+                AttemptOutcome::Crashed => Some("fault.crashed"),
+                AttemptOutcome::ServerLost => Some("fault.server_lost"),
+                AttemptOutcome::Superseded => Some("fault.superseded"),
+                AttemptOutcome::Completed => None,
+            };
+            obs.span(
+                "attempt",
+                Track::server(r.server.index() as u32, lane),
+                r.start,
+                r.end,
+                vec![
+                    ("stage", r.stage.into()),
+                    ("task", r.task.into()),
+                    ("attempt", r.attempt.into()),
+                    ("outcome", outcome_label(r.outcome).into()),
+                    ("wasted_gb_s", r.wasted_gb_s.into()),
+                ],
+            );
+            if let Some(name) = fault {
+                obs.event(
+                    name,
+                    Track::server(r.server.index() as u32, lane),
+                    r.end,
+                    vec![
+                        ("stage", r.stage.into()),
+                        ("task", r.task.into()),
+                        ("attempt", r.attempt.into()),
+                    ],
+                );
+            }
+        }
+        // Happens-before edges for the race checker: the surviving
+        // output's commit instant, one read event per in-edge, and
+        // slot-occupancy intervals per attempt.
+        obs.event(
+            "hb.write",
+            Track::server(srv, lane),
+            tt.end,
+            vec![
+                ("stage", tt.stage.into()),
+                ("task", tt.task.into()),
+                ("server", srv.into()),
+                ("write_start", tt.write_start.into()),
+            ],
+        );
+        for e in dag.in_edges(s) {
+            obs.event(
+                "hb.read",
+                Track::server(srv, lane),
+                tt.read_start,
+                vec![
+                    ("stage", tt.stage.into()),
+                    ("task", tt.task.into()),
+                    ("server", srv.into()),
+                    ("edge", (e.id.index() as u64).into()),
+                    ("src_stage", e.src.0.into()),
+                    ("pipelined", (e.pipelined as u64).into()),
+                    (
+                        "medium",
+                        state.edge_medium[e.id.index()].map_or("none", medium_label).into(),
+                    ),
+                    ("compute_start", tt.compute_start.into()),
+                ],
+            );
+        }
+        // A fault-free task has no attempt rows: its one execution held
+        // the slot from launch to end.
+        let sole = AttemptRecord {
+            stage: tt.stage,
+            task: tt.task,
+            attempt: 0,
+            server: tt.server,
+            start: tt.launch,
+            end: tt.end,
+            outcome: AttemptOutcome::Completed,
+            wasted_gb_s: 0.0,
+            speculative: false,
+        };
+        for r in if records.is_empty() { std::slice::from_ref(&sole) } else { records } {
+            slot_pair(obs, lane, r);
+        }
+    }
+    // Most-external in-edge medium: where this stage's reads actually
+    // came from (diff buckets carry it as the medium).
+    let read_medium = dag
+        .in_edges(s)
+        .filter_map(|e| state.edge_medium[e.id.index()])
+        .max_by_key(|m| match m {
+            Medium::SharedMemory => 0,
+            Medium::Redis => 1,
+            Medium::S3 => 2,
+        })
+        .map_or("none", medium_label);
+    let end = state.stage_end[s.index()];
+    obs.span(
+        "stage",
+        Track::job(s.0),
+        state.stage_launch[s.index()],
+        end,
+        vec![
+            ("stage", s.0.into()),
+            ("dop", (tasks.len() as u64).into()),
+            ("read_medium", read_medium.into()),
+        ],
+    );
+    // Predicted-vs-observed per-task mean step durations: the
+    // scorecard's Fig.-11 sample for this stage.
+    let pred = state.stage_clean[s.index()];
+    let realized = state.stage_observed[s.index()];
+    obs.event(
+        "predictor.sample",
+        Track::job(s.0),
+        end,
+        vec![
+            ("stage", s.0.into()),
+            ("pred_setup", pred.setup.into()),
+            ("pred_read", pred.read.into()),
+            ("pred_compute", pred.compute.into()),
+            ("pred_write", pred.write.into()),
+            ("obs_setup", realized.setup.into()),
+            ("obs_read", realized.read.into()),
+            ("obs_compute", realized.compute.into()),
+            ("obs_write", realized.write.into()),
+        ],
+    );
 }
 
 /// Close out a simulation: storage persistence cost over the recorded
@@ -1493,36 +1360,26 @@ pub(crate) fn finish_pass(
     }
 }
 
-/// Emit a matched `hb.slot_acquire`/`hb.slot_release` pair for one slot
-/// occupancy interval. `spec` marks speculative copies, which run without
+/// Emit a matched `hb.slot_acquire`/`hb.slot_release` pair for the slot
+/// occupancy interval of one attempt. Speculative copies run without
 /// reserving a slot (graded as a warning by the race checker, not an
-/// error).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn slot_pair(
-    obs: &Recorder,
-    srv: u32,
-    lane: u32,
-    stage: u32,
-    task: u32,
-    start: f64,
-    end: f64,
-    spec: bool,
-) {
-    let kind = if spec { "spec" } else { "task" };
-    let attrs = |k: &'static str| {
+/// error) and are marked `kind = "spec"`.
+fn slot_pair(obs: &Recorder, lane: u32, r: &AttemptRecord) {
+    let srv = r.server.index() as u32;
+    let attrs = || {
         vec![
-            ("stage", stage.into()),
-            ("task", task.into()),
+            ("stage", r.stage.into()),
+            ("task", r.task.into()),
             ("server", srv.into()),
-            ("kind", k.into()),
+            ("kind", if r.speculative { "spec" } else { "task" }.into()),
         ]
     };
-    obs.event("hb.slot_acquire", Track::server(srv, lane), start, attrs(kind));
-    obs.event("hb.slot_release", Track::server(srv, lane), end, attrs(kind));
+    obs.event("hb.slot_acquire", Track::server(srv, lane), r.start, attrs());
+    obs.event("hb.slot_release", Track::server(srv, lane), r.end, attrs());
 }
 
 /// Static label of an [`AttemptOutcome`] for telemetry attributes.
-pub(crate) fn outcome_label(outcome: AttemptOutcome) -> &'static str {
+fn outcome_label(outcome: AttemptOutcome) -> &'static str {
     match outcome {
         AttemptOutcome::Completed => "completed",
         AttemptOutcome::Crashed => "crashed",
@@ -1532,7 +1389,7 @@ pub(crate) fn outcome_label(outcome: AttemptOutcome) -> &'static str {
 }
 
 /// Static label of a [`Medium`] for telemetry counter series.
-pub(crate) fn medium_label(medium: Medium) -> &'static str {
+fn medium_label(medium: Medium) -> &'static str {
     match medium {
         Medium::SharedMemory => "shared-memory",
         Medium::Redis => "redis",
@@ -1559,6 +1416,7 @@ fn pick_survivor(schedule: &Schedule, failed: ServerId) -> ServerId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::groundtruth::ExecConfig;
     use crate::sim::simulate;
     use ditto_core::baselines::EvenSplitScheduler;
@@ -1582,15 +1440,10 @@ mod tests {
     fn empty_plan_matches_plain_simulate() {
         let (dag, _, _, schedule, gt) = fixture(&[96; 8]);
         let (plain_trace, plain_m) = simulate(&dag, &schedule, &gt);
-        let (t, m) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &FaultPlan::none(),
-            &RecoveryPolicy::none(),
-            None,
-        )
-        .unwrap();
+        let (t, m) = Engine::new(&dag, &schedule, &gt)
+            .faults(&FaultPlan::none(), &RecoveryPolicy::none())
+            .run()
+            .unwrap();
         assert_eq!(plain_m, m);
         assert_eq!(plain_trace.tasks, t.tasks);
         assert!(t.attempts.is_empty(), "no faults, no attempt records");
@@ -1606,15 +1459,10 @@ mod tests {
             attempt: 0,
             at_fraction: 0.5,
         }]);
-        let (t, m) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::retry_only(),
-            None,
-        )
-        .unwrap();
+        let (t, m) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::retry_only())
+            .run()
+            .unwrap();
         assert!(m.jct >= base.jct, "a crash cannot speed the job up");
         assert_eq!(m.faults.extra_attempts, 1);
         assert!(m.faults.wasted_gb_s > 0.0);
@@ -1640,15 +1488,10 @@ mod tests {
             max_retries: 2,
             ..RecoveryPolicy::retry_only()
         };
-        let err = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &FaultPlan::from_events(events),
-            &policy,
-            None,
-        )
-        .unwrap_err();
+        let err = Engine::new(&dag, &schedule, &gt)
+            .faults(&FaultPlan::from_events(events), &policy)
+            .run()
+            .unwrap_err();
         assert_eq!(
             err,
             ExecError::RetriesExhausted {
@@ -1667,24 +1510,14 @@ mod tests {
             task: 0,
             slowdown: 20.0,
         }]);
-        let (_, without) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::retry_only(),
-            None,
-        )
-        .unwrap();
-        let (t, with) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            None,
-        )
-        .unwrap();
+        let (_, without) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::retry_only())
+            .run()
+            .unwrap();
+        let (t, with) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::default())
+            .run()
+            .unwrap();
         assert!(
             with.jct < without.jct,
             "speculation must beat a 20x straggler: {} vs {}",
@@ -1711,15 +1544,11 @@ mod tests {
             objective: Objective::Jct,
             options: JointOptions::default(),
         };
-        let (trace, m) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            Some(&ctx),
-        )
-        .unwrap();
+        let (trace, m) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::default())
+            .failover(&ctx)
+            .run()
+            .unwrap();
         assert_eq!(m.faults.server_failures, 1);
         assert!(
             m.faults.rescheduled_stages > 0,
@@ -1741,15 +1570,10 @@ mod tests {
         let (dag, _, _, schedule, gt) = fixture(&[48; 4]);
         let (_, base) = simulate(&dag, &schedule, &gt);
         let plan = FaultPlan::none().and_server_failure(ServerId(0), base.jct * 0.3);
-        let (trace, m) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            None,
-        )
-        .unwrap();
+        let (trace, m) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::default())
+            .run()
+            .unwrap();
         assert!(m.jct >= base.jct);
         assert_eq!(m.faults.rescheduled_stages, 0, "no context, no replan");
         for s in 0..dag.num_stages() as u32 {
@@ -1771,7 +1595,7 @@ mod tests {
                 max_retries: 16,
                 ..Default::default()
             };
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap()
+            Engine::new(&dag, &schedule, &gt).faults(&plan, &policy).run().unwrap()
         };
         let (ta, ma) = run(9);
         let (tb, mb) = run(9);
@@ -1787,15 +1611,10 @@ mod tests {
         let (base_t, base) = simulate(&dag, &schedule, &gt);
         let plan = FaultPlan::none().with_drift(2.0);
         assert!((plan.drift_factor() - 2.0).abs() < 1e-12);
-        let (t, m) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::none(),
-            None,
-        )
-        .unwrap();
+        let (t, m) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::none())
+            .run()
+            .unwrap();
         assert!(m.jct > base.jct, "2x compute drift must lengthen the job");
         // Compute steps exactly double; read and write steps untouched.
         for (a, b) in base_t.tasks.iter().zip(&t.tasks) {
@@ -1813,15 +1632,10 @@ mod tests {
         let (dag, _, _, schedule, gt) = fixture(&[96; 8]);
         let (_, base) = simulate(&dag, &schedule, &gt);
         let plan = FaultPlan::none().and_object_loss(StageId(0), 0);
-        let (_, m) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::retry_only(),
-            None,
-        )
-        .unwrap();
+        let (_, m) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::retry_only())
+            .run()
+            .unwrap();
         assert_eq!(m.faults.object_losses, 1);
         assert_eq!(m.faults.lineage_reexecs, 1);
         assert!(m.jct > base.jct, "a lost object must delay its reader");
@@ -1830,15 +1644,10 @@ mod tests {
 
         // Corruption is detected by checksum and healed the same way.
         let plan = FaultPlan::none().and_object_corruption(StageId(0), 1);
-        let (_, mc) = try_simulate_with_faults(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::retry_only(),
-            None,
-        )
-        .unwrap();
+        let (_, mc) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &RecoveryPolicy::retry_only())
+            .run()
+            .unwrap();
         assert_eq!(mc.faults.object_corruptions, 1);
         assert_eq!(mc.faults.lineage_reexecs, 1);
         assert!(mc.jct > base.jct);
@@ -1853,7 +1662,7 @@ mod tests {
                 corruption_prob: 0.1,
                 ..FaultRates::none(seed)
             });
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &RecoveryPolicy::retry_only(), None)
+            Engine::new(&dag, &schedule, &gt).faults(&plan, &RecoveryPolicy::retry_only()).run()
                 .unwrap()
         };
         let (_, a) = run(5);
@@ -1898,15 +1707,10 @@ mod tests {
                     at_fraction: 0.6,
                 })
                 .collect();
-            let (_, m) = try_simulate_with_faults(
-                &dag,
-                &schedule,
-                &gt,
-                &FaultPlan::from_events(events),
-                &RecoveryPolicy::retry_only(),
-                None,
-            )
-            .unwrap();
+            let (_, m) = Engine::new(&dag, &schedule, &gt)
+                .faults(&FaultPlan::from_events(events), &RecoveryPolicy::retry_only())
+                .run()
+                .unwrap();
             assert!(
                 m.jct >= last - 1e-9,
                 "jct dropped from {last} to {} at {k} crashes",

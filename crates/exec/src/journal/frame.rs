@@ -1,0 +1,128 @@
+//! Journal framing: the `DITTOWAL` header, `[len][crc][payload]` frames,
+//! and the torn-tail-aware stream decoder.
+
+use super::record::{decode_record, put_u32, put_u64, JournalRecord};
+use crate::error::ExecError;
+use ditto_storage::checksum64;
+
+/// Journal file magic: the first 8 bytes of every journal.
+pub const JOURNAL_MAGIC: [u8; 8] = *b"DITTOWAL";
+/// Journal format version (header byte 9).
+pub const JOURNAL_VERSION: u8 = 1;
+/// Header length: magic + version byte.
+pub const JOURNAL_HEADER_LEN: usize = 9;
+/// Seed for the per-frame payload checksum.
+pub const JOURNAL_SEED: u64 = 0xD177_0A11_0F4A_C0DE;
+/// Maximum frame payload size accepted by the decoder.
+pub const MAX_FRAME: usize = 64 << 20;
+
+/// Why [`decode_journal`] stopped before the end of the byte stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TornReason {
+    /// The remaining bytes are shorter than the frame they announce (the
+    /// classic torn tail of a crash mid-append).
+    Truncated,
+    /// A full frame was present but its payload failed the CRC check.
+    ChecksumMismatch,
+    /// The frame length field is zero or beyond [`MAX_FRAME`].
+    BadLength,
+}
+
+impl TornReason {
+    /// Human-readable label.
+    pub fn label(self) -> &'static str {
+        match self {
+            TornReason::Truncated => "truncated",
+            TornReason::ChecksumMismatch => "checksum-mismatch",
+            TornReason::BadLength => "bad-length",
+        }
+    }
+}
+
+/// Exact provenance of a torn or corrupt journal tail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TornTail {
+    /// Index of the first unreadable record (== count of durable records).
+    pub at_record: u64,
+    /// Byte length of the durable prefix (header + intact frames).
+    pub byte_offset: usize,
+    /// What was wrong with the tail.
+    pub reason: TornReason,
+}
+
+/// A decoded journal: the durable record prefix plus tail provenance.
+#[derive(Debug, Clone)]
+pub struct DecodedJournal {
+    /// All intact records, in append order.
+    pub records: Vec<JournalRecord>,
+    /// Present iff the byte stream did not end exactly on a frame
+    /// boundary.
+    pub torn: Option<TornTail>,
+    /// Byte length of the durable prefix (equals the input length when
+    /// the journal is clean).
+    pub durable_len: usize,
+}
+
+pub(super) fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
+    put_u32(buf, payload.len() as u32);
+    put_u64(buf, checksum64(payload, JOURNAL_SEED));
+    buf.extend_from_slice(payload);
+}
+
+/// Decode a journal byte stream: header check, then frames until the end
+/// or the first torn/corrupt frame. A bad header is a hard error; a bad
+/// *tail* is expected after a crash and reported as [`TornTail`] with the
+/// exact record index and durable byte offset.
+pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ExecError> {
+    if bytes.len() < JOURNAL_HEADER_LEN || bytes[..8] != JOURNAL_MAGIC {
+        return Err(ExecError::Journal("missing DITTOWAL header".into()));
+    }
+    if bytes[8] != JOURNAL_VERSION {
+        return Err(ExecError::Journal(format!(
+            "unsupported journal version {}",
+            bytes[8]
+        )));
+    }
+    let mut records = Vec::new();
+    let mut pos = JOURNAL_HEADER_LEN;
+    let mut torn = None;
+    while pos < bytes.len() {
+        let rem = bytes.len() - pos;
+        let tear = |reason| TornTail {
+            at_record: records.len() as u64,
+            byte_offset: pos,
+            reason,
+        };
+        if rem < 12 {
+            torn = Some(tear(TornReason::Truncated));
+            break;
+        }
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        if len == 0 || len > MAX_FRAME {
+            torn = Some(tear(TornReason::BadLength));
+            break;
+        }
+        if len > rem - 12 {
+            torn = Some(tear(TornReason::Truncated));
+            break;
+        }
+        let crc = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
+        let payload = &bytes[pos + 12..pos + 12 + len];
+        if checksum64(payload, JOURNAL_SEED) != crc {
+            torn = Some(tear(TornReason::ChecksumMismatch));
+            break;
+        }
+        let rec = decode_record(payload).map_err(|e| {
+            ExecError::Journal(format!("record {} is CRC-valid but malformed: {e}", records.len()))
+        })?;
+        records.push(rec);
+        pos += 12 + len;
+    }
+    let durable_len = torn.map_or(bytes.len(), |t| t.byte_offset);
+    Ok(DecodedJournal {
+        records,
+        torn,
+        durable_len,
+    })
+}
+

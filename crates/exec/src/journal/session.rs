@@ -1,0 +1,639 @@
+//! Writing and resuming a journal: the batched crash-armed
+//! [`JournalWriter`], the per-job [`JournalSession`] (write-ahead on the
+//! way out, replay on the way back), [`recover`] and [`compact_journal`].
+
+use super::frame::{decode_journal, frame_into, TornTail, JOURNAL_MAGIC, JOURNAL_VERSION};
+use super::record::{
+    encode_record, flatten, medium_code, medium_from_code, outcome_code, schedule_fingerprint,
+    EngineKind, JournalRecord, StageCheckpoint,
+};
+use crate::adaptive::ReplanRecord;
+use crate::error::ExecError;
+use crate::faults::{AttemptOutcome, AttemptRecord, FaultPlan, SimState, StageMark};
+use crate::metrics::JobMetrics;
+use ditto_core::Schedule;
+use ditto_dag::{JobDag, StageId};
+use ditto_obs::{Recorder, Track};
+use ditto_storage::{CommitLedger, CommitOutcome};
+use std::collections::{BTreeMap, VecDeque};
+
+/// Compact a journal: fold everything up to (and including) the last
+/// `StageComplete` into one `Snapshot` record and keep the tail verbatim,
+/// bounding replay work without losing any decision. Recovery from the
+/// compacted journal is byte-for-byte equivalent to recovery from the
+/// full one (`snapshot_tail_recovery_equals_full` pins it). Errors on a
+/// torn journal — compact only after clean decode.
+pub fn compact_journal(bytes: &[u8]) -> Result<Vec<u8>, ExecError> {
+    let decoded = decode_journal(bytes)?;
+    if let Some(t) = decoded.torn {
+        return Err(ExecError::Journal(format!(
+            "cannot compact a torn journal ({} at record {})",
+            t.reason.label(),
+            t.at_record
+        )));
+    }
+    let flat = flatten(&decoded.records);
+    let Some(last_cp) = flat
+        .iter()
+        .rposition(|r| matches!(r, JournalRecord::StageComplete(_)))
+    else {
+        return Ok(bytes.to_vec());
+    };
+    let mut out = Vec::with_capacity(bytes.len());
+    out.extend_from_slice(&JOURNAL_MAGIC);
+    out.push(JOURNAL_VERSION);
+    let snapshot = JournalRecord::Snapshot(flat[..=last_cp].to_vec());
+    frame_into(&mut out, &encode_record(&snapshot));
+    for rec in &flat[last_cp + 1..] {
+        frame_into(&mut out, &encode_record(rec));
+    }
+    Ok(out)
+}
+
+// ---------------------------------------------------------------------
+// Batched crash-armed writer
+// ---------------------------------------------------------------------
+
+/// The single batched journal writer the simulator and the runner append
+/// through.
+///
+/// In-memory durable buffer standing in for an fsync'd file (the crate
+/// has no I/O); `crash_at` arms a seeded coordinator crash that kills the
+/// append of record `n` half-way through its frame — the torn tail
+/// [`decode_journal`] must detect and truncate.
+#[derive(Debug)]
+pub struct JournalWriter {
+    buf: Vec<u8>,
+    records_written: u64,
+    crash_at: Option<u64>,
+}
+
+impl JournalWriter {
+    /// Fresh journal (header only), optionally armed to crash at the
+    /// `crash_at`-th appended record (0-based).
+    pub fn new(crash_at: Option<u64>) -> Self {
+        let mut buf = Vec::with_capacity(4096);
+        buf.extend_from_slice(&JOURNAL_MAGIC);
+        buf.push(JOURNAL_VERSION);
+        JournalWriter {
+            buf,
+            records_written: 0,
+            crash_at,
+        }
+    }
+
+    /// Resume appending to a durable prefix of `records` intact records.
+    /// Deliberately *not* re-armed: a recovered coordinator crashing at
+    /// the same record forever would never finish.
+    pub fn from_durable(bytes: Vec<u8>, records: u64) -> Self {
+        JournalWriter {
+            buf: bytes,
+            records_written: records,
+            crash_at: None,
+        }
+    }
+
+    /// Append one record. If the armed crash point is this record, half
+    /// of its frame is written (a torn tail) and the append fails with
+    /// [`ExecError::CoordinatorCrash`].
+    pub fn append(&mut self, rec: &JournalRecord) -> Result<(), ExecError> {
+        let payload = encode_record(rec);
+        if self.crash_at == Some(self.records_written) {
+            let mut frame = Vec::with_capacity(12 + payload.len());
+            frame_into(&mut frame, &payload);
+            self.buf.extend_from_slice(&frame[..frame.len() / 2]);
+            return Err(ExecError::CoordinatorCrash {
+                at_record: self.records_written,
+            });
+        }
+        frame_into(&mut self.buf, &payload);
+        self.records_written += 1;
+        Ok(())
+    }
+
+    /// The journal bytes, including any torn tail after a crash.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Records successfully appended (a `Snapshot` counts as one).
+    pub fn records_written(&self) -> u64 {
+        self.records_written
+    }
+
+    /// Arm (or re-arm) a crash at appended-record index `at`.
+    pub fn arm_crash(&mut self, at: u64) {
+        self.crash_at = Some(at);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Journal session: write-ahead on the way out, replay on the way back
+// ---------------------------------------------------------------------
+
+/// One job's journal session: wraps the [`JournalWriter`] with the replay
+/// state decoded from a durable prefix. A fresh session journals every
+/// decision as it happens; a resumed session restores checkpointed
+/// stages, deduplicates re-delivered object commits through the
+/// [`CommitLedger`], and substitutes journaled replan/failover decisions
+/// for the optimizer calls they gate.
+#[derive(Debug)]
+pub struct JournalSession {
+    writer: JournalWriter,
+    resumed: bool,
+    admit: Option<(u32, u32, EngineKind, String)>,
+    schedule_fp: Option<u64>,
+    checkpoints: BTreeMap<u32, StageCheckpoint>,
+    replans: VecDeque<(ReplanRecord, Vec<bool>, Option<Schedule>)>,
+    failover: Option<(u64, u32, f64, Vec<bool>, Schedule)>,
+    completed: Option<JobMetrics>,
+    ledger: CommitLedger,
+    torn: Option<TornTail>,
+    deduped: u64,
+    restored_stages: u32,
+    replayed_commits: u64,
+    replay_total: usize,
+}
+
+impl JournalSession {
+    /// Fresh session (empty journal), optionally armed to crash at
+    /// appended-record index `crash_at`.
+    pub fn fresh(crash_at: Option<u64>) -> Self {
+        JournalSession {
+            writer: JournalWriter::new(crash_at),
+            resumed: false,
+            admit: None,
+            schedule_fp: None,
+            checkpoints: BTreeMap::new(),
+            replans: VecDeque::new(),
+            failover: None,
+            completed: None,
+            ledger: CommitLedger::new(),
+            torn: None,
+            deduped: 0,
+            restored_stages: 0,
+            replayed_commits: 0,
+            replay_total: 0,
+        }
+    }
+
+    /// Fresh session armed from the fault plan's seeded
+    /// `CoordinatorCrash`, if any.
+    pub fn fresh_from_plan(plan: &FaultPlan) -> Self {
+        Self::fresh(plan.coordinator_crash())
+    }
+
+    /// Resume from journal bytes: decode the durable prefix (truncating
+    /// any torn tail), replay object commits into the ledger, and stage
+    /// checkpoints / replans / failover for replay. The crash arming is
+    /// deliberately *not* restored.
+    pub fn resume(bytes: &[u8]) -> Result<Self, ExecError> {
+        let decoded = decode_journal(bytes)?;
+        let flat = flatten(&decoded.records);
+        let mut session = JournalSession {
+            writer: JournalWriter::from_durable(
+                bytes[..decoded.durable_len].to_vec(),
+                decoded.records.len() as u64,
+            ),
+            resumed: true,
+            torn: decoded.torn,
+            ..Self::fresh(None)
+        };
+        for rec in flat {
+            match rec {
+                JournalRecord::JobAdmit {
+                    stages,
+                    edges,
+                    engine,
+                    scheduler,
+                } => session.admit = Some((stages, edges, engine, scheduler)),
+                JournalRecord::ScheduleCommit { schedule_fp, .. } => {
+                    session.schedule_fp = Some(schedule_fp)
+                }
+                JournalRecord::ObjectCommit {
+                    stage,
+                    task,
+                    attempt_epoch,
+                    value,
+                } => {
+                    let key = format!("s{stage}.t{task}");
+                    match session.ledger.commit(&key, attempt_epoch, value) {
+                        CommitOutcome::Committed => session.replayed_commits += 1,
+                        CommitOutcome::Duplicate => {}
+                        CommitOutcome::Conflict { expected, actual } => {
+                            return Err(ExecError::Journal(format!(
+                                "journal commits {key}@{attempt_epoch} twice with different values ({expected:#x} vs {actual:#x})"
+                            )));
+                        }
+                    }
+                }
+                JournalRecord::StageComplete(cp) => {
+                    session.checkpoints.insert(cp.stage, *cp);
+                }
+                JournalRecord::Replan {
+                    record,
+                    suffix,
+                    schedule,
+                } => session.replans.push_back((record, suffix, schedule)),
+                JournalRecord::Failover {
+                    decision_seq,
+                    failed_server,
+                    at_time,
+                    suffix,
+                    schedule,
+                } => {
+                    session.failover =
+                        Some((decision_seq, failed_server, at_time, suffix, schedule))
+                }
+                JournalRecord::JobComplete { metrics } => session.completed = Some(metrics),
+                JournalRecord::TaskAttempt { .. } | JournalRecord::Snapshot(_) => {}
+            }
+        }
+        session.replay_total = session.replans.len();
+        Ok(session)
+    }
+
+    /// The journal bytes as durable so far (torn tail included on a fresh
+    /// crashed session; truncated to the durable prefix on resume).
+    pub fn durable_bytes(&self) -> &[u8] {
+        self.writer.bytes()
+    }
+
+    /// Records successfully appended to the journal.
+    pub fn records_written(&self) -> u64 {
+        self.writer.records_written()
+    }
+
+    /// Re-delivered object commits deduplicated during re-execution.
+    pub fn deduped(&self) -> u64 {
+        self.deduped
+    }
+
+    /// Stages restored from checkpoints instead of re-simulated.
+    pub fn restored_stages(&self) -> u32 {
+        self.restored_stages
+    }
+
+    /// Torn-tail provenance of the resumed journal, if any.
+    pub fn torn(&self) -> Option<TornTail> {
+        self.torn
+    }
+
+    /// Object commits replayed from the durable prefix on resume.
+    pub fn replayed_commits(&self) -> u64 {
+        self.replayed_commits
+    }
+
+    /// Arm a coordinator crash at appended-record index `at` (tests use
+    /// this to exercise double crashes on a resumed session).
+    pub fn arm_crash(&mut self, at: u64) {
+        self.writer.arm_crash(at);
+    }
+
+    /// Open (or verify) the job: journals `JobAdmit` + `ScheduleCommit`
+    /// on a fresh session, verifies DAG shape / engine / schedule
+    /// fingerprint against the journal on a resumed one, and announces
+    /// the resume on the scheduler track. Call once per run, before any
+    /// stage executes.
+    pub fn begin(
+        &mut self,
+        dag: &JobDag,
+        engine: EngineKind,
+        schedule: &Schedule,
+        obs: &Recorder,
+    ) -> Result<(), ExecError> {
+        let (stages, edges) = (dag.num_stages() as u32, dag.num_edges() as u32);
+        match &self.admit {
+            Some((s0, e0, k0, name)) => {
+                if *s0 != stages || *e0 != edges || *k0 != engine || name != &schedule.scheduler {
+                    return Err(ExecError::Journal(format!(
+                        "journal admitted a different job: {} stages / {} edges / {} engine / scheduler {:?}, resume offered {} / {} / {} / {:?}",
+                        s0, e0, k0.label(), name, stages, edges, engine.label(), schedule.scheduler
+                    )));
+                }
+            }
+            None => {
+                self.writer.append(&JournalRecord::JobAdmit {
+                    stages,
+                    edges,
+                    engine,
+                    scheduler: schedule.scheduler.clone(),
+                })?;
+                self.admit = Some((stages, edges, engine, schedule.scheduler.clone()));
+            }
+        }
+        let fp = schedule_fingerprint(schedule);
+        match self.schedule_fp {
+            Some(stored) if stored != fp => {
+                return Err(ExecError::Journal(format!(
+                    "schedule fingerprint mismatch: journal committed {stored:#018x}, resume offered {fp:#018x}"
+                )));
+            }
+            Some(_) => {}
+            None => {
+                self.writer.append(&JournalRecord::ScheduleCommit {
+                    decision_seq: 0,
+                    schedule_fp: fp,
+                })?;
+                self.schedule_fp = Some(fp);
+            }
+        }
+        if self.resumed && obs.is_enabled() {
+            obs.event(
+                "recovery.resume",
+                Track::scheduler(0),
+                0.0,
+                vec![
+                    ("resumed_stages", (self.checkpoints.len() as u64).into()),
+                    ("replayed_commits", self.replayed_commits.into()),
+                    ("replayed_replans", (self.replay_total as u64).into()),
+                    ("torn", (self.torn.is_some() as u64).into()),
+                    ("torn_at", self.torn.map_or(0, |t| t.at_record).into()),
+                ],
+            );
+        }
+        Ok(())
+    }
+
+    /// If stage `s` has a journaled checkpoint, restore it into `state`
+    /// wholesale (timeline gates, fault buckets, edge media, heal map,
+    /// trace and lineage rows) and return `true`; otherwise return `false`
+    /// and the caller re-simulates. Either way the stage's rows sit past
+    /// the caller's `SimState::mark`, which is all the telemetry emitter
+    /// reads — a restored stage reports exactly what the live one did.
+    pub(crate) fn try_restore(&mut self, s: StageId, state: &mut SimState) -> bool {
+        let Some(cp) = self.checkpoints.remove(&s.0) else {
+            return false;
+        };
+        let i = s.index();
+        state.stage_end[i] = cp.end;
+        state.stage_write_start[i] = cp.write_start;
+        state.stage_read_end[i] = cp.read_end;
+        state.stage_launch[i] = cp.launch;
+        state.stage_observed[i] = cp.observed;
+        state.stage_clean[i] = cp.clean;
+        state.task_clean_time[i] = cp.task_clean;
+        state.edge_medium = cp
+            .edge_medium
+            .iter()
+            .map(|&c| medium_from_code(c).unwrap_or(None))
+            .collect();
+        state.heal_end = cp.heal_end.iter().map(|&(a, b, h)| ((a, b), h)).collect();
+        state.stage_stats = cp.buckets;
+        state.lineage_log.extend(cp.lineage);
+        state.trace.tasks.extend(cp.tasks);
+        state.trace.attempts.extend(cp.attempts);
+        self.restored_stages += 1;
+        true
+    }
+
+    /// Exactly-once gate for a (re-)delivered object commit: `true` if it
+    /// is new to the ledger and must be journaled, `false` (counted in
+    /// [`Self::deduped`]) if the durable journal already holds it; the
+    /// same epoch committing a different value is a hard error.
+    fn commit_once(
+        &mut self,
+        stage: u32,
+        task: u32,
+        epoch: u32,
+        value: u64,
+    ) -> Result<bool, ExecError> {
+        let key = format!("s{stage}.t{task}");
+        match self.ledger.commit(&key, epoch, value) {
+            CommitOutcome::Committed => Ok(true),
+            CommitOutcome::Duplicate => {
+                self.deduped += 1;
+                Ok(false)
+            }
+            CommitOutcome::Conflict { expected, actual } => Err(ExecError::Journal(format!(
+                "re-executed {key}@{epoch} produced {actual:#x}, journal committed {expected:#x}"
+            ))),
+        }
+    }
+
+    /// Journal a just-simulated stage: one exactly-once `ObjectCommit`
+    /// per task (re-deliveries against the ledger are deduplicated, value
+    /// conflicts are hard errors) followed by its `StageComplete`
+    /// checkpoint, both taken from the stage's rows past `mark`.
+    /// Write-ahead: appends happen before the engine proceeds, so a crash
+    /// can tear at any decision boundary.
+    pub(crate) fn record_stage(
+        &mut self,
+        s: StageId,
+        state: &SimState,
+        mark: StageMark,
+    ) -> Result<(), ExecError> {
+        let tasks = state.trace.tasks[mark.tasks..].to_vec();
+        let attempts = state.trace.attempts[mark.attempts..].to_vec();
+        for tt in &tasks {
+            let epoch = attempts
+                .iter()
+                .filter(|a| a.task == tt.task && a.outcome == AttemptOutcome::Completed)
+                .map(|a| a.attempt)
+                .next_back()
+                .unwrap_or(0);
+            let value = tt.end.to_bits();
+            if self.commit_once(s.0, tt.task, epoch, value)? {
+                self.writer.append(&JournalRecord::ObjectCommit {
+                    stage: s.0,
+                    task: tt.task,
+                    attempt_epoch: epoch,
+                    value,
+                })?;
+            }
+        }
+        let i = s.index();
+        let cp = StageCheckpoint {
+            stage: s.0,
+            end: state.stage_end[i],
+            write_start: state.stage_write_start[i],
+            read_end: state.stage_read_end[i],
+            launch: state.stage_launch[i],
+            observed: state.stage_observed[i],
+            clean: state.stage_clean[i],
+            task_clean: state.task_clean_time[i].clone(),
+            edge_medium: state.edge_medium.iter().map(|&m| medium_code(m)).collect(),
+            heal_end: state
+                .heal_end
+                .iter()
+                .map(|(&(a, b), &h)| (a, b, h))
+                .collect(),
+            buckets: state.stage_stats.clone(),
+            lineage: state.lineage_log[mark.lineage..].to_vec(),
+            tasks,
+            attempts,
+        };
+        self.writer
+            .append(&JournalRecord::StageComplete(Box::new(cp)))
+    }
+
+    /// Journal one *physical* task's outcome (the runner engine): its
+    /// faulted-attempt history plus the object commit of its output
+    /// checksum, deduplicated through the ledger. Returns whether the
+    /// commit was fresh — `false` means the durable journal already holds
+    /// this task's output (re-execution after a crash) and nothing was
+    /// appended. A same-epoch commit with a different checksum is a hard
+    /// exactly-once violation.
+    pub fn record_physical_task(
+        &mut self,
+        stage: u32,
+        task: u32,
+        attempt_epoch: u32,
+        value: u64,
+        attempts: &[AttemptRecord],
+    ) -> Result<bool, ExecError> {
+        if !self.commit_once(stage, task, attempt_epoch, value)? {
+            return Ok(false);
+        }
+        for a in attempts.iter().filter(|a| a.stage == stage && a.task == task) {
+            self.writer.append(&JournalRecord::TaskAttempt {
+                stage,
+                task,
+                attempt: a.attempt,
+                outcome: outcome_code(a.outcome),
+                start: a.start,
+                end: a.end,
+            })?;
+        }
+        self.writer.append(&JournalRecord::ObjectCommit {
+            stage,
+            task,
+            attempt_epoch,
+            value,
+        })?;
+        Ok(true)
+    }
+
+    /// If the front of the replay queue is a replan decided at exactly
+    /// this `(stage, bit-exact sim time)` decision point, pop and return
+    /// it for substitution.
+    pub(crate) fn next_replan_for(
+        &mut self,
+        at_stage: u32,
+        now: f64,
+    ) -> Option<(ReplanRecord, Vec<bool>, Option<Schedule>)> {
+        let front = self.replans.front()?;
+        if front.0.at_stage == at_stage && front.0.sim_time.to_bits() == now.to_bits() {
+            self.replans.pop_front()
+        } else {
+            None
+        }
+    }
+
+    /// Journal a live replan decision. Erroring while journaled replans
+    /// remain unreplayed means the resumed run diverged from the journal.
+    pub(crate) fn append_replan(
+        &mut self,
+        record: &ReplanRecord,
+        suffix: &[bool],
+        schedule: Option<&Schedule>,
+    ) -> Result<(), ExecError> {
+        if !self.replans.is_empty() {
+            return Err(ExecError::Journal(format!(
+                "resumed run diverged: new replan at stage {} while {} journaled replans remain unreplayed",
+                record.at_stage,
+                self.replans.len()
+            )));
+        }
+        self.writer.append(&JournalRecord::Replan {
+            record: *record,
+            suffix: suffix.to_vec(),
+            schedule: schedule.cloned(),
+        })
+    }
+
+    /// Take the journaled failover decision for replay, if any.
+    pub(crate) fn take_failover(&mut self) -> Option<(u64, u32, f64, Vec<bool>, Schedule)> {
+        self.failover.take()
+    }
+
+    /// Journal a live failover decision (frozen engine).
+    pub(crate) fn append_failover(
+        &mut self,
+        decision_seq: u64,
+        failed_server: u32,
+        at_time: f64,
+        suffix: Vec<bool>,
+        schedule: Schedule,
+    ) -> Result<(), ExecError> {
+        if self.failover.is_some() {
+            return Err(ExecError::Journal(
+                "resumed run diverged: live failover while a journaled one is unreplayed".into(),
+            ));
+        }
+        self.writer.append(&JournalRecord::Failover {
+            decision_seq,
+            failed_server,
+            at_time,
+            suffix,
+            schedule,
+        })
+    }
+
+    /// Close the job: journals `JobComplete` on a fresh run; on a resumed
+    /// run that already completed, verifies the recomputed metrics equal
+    /// the journaled ones bit for bit.
+    pub fn finish(&mut self, metrics: &JobMetrics) -> Result<(), ExecError> {
+        if let Some(done) = self.completed {
+            if done != *metrics {
+                return Err(ExecError::Journal(
+                    "recovered final metrics differ from the journaled job-complete record".into(),
+                ));
+            }
+            return Ok(());
+        }
+        self.writer
+            .append(&JournalRecord::JobComplete { metrics: *metrics })?;
+        self.completed = Some(*metrics);
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Recovery surface
+// ---------------------------------------------------------------------
+
+/// What [`recover`] rebuilt from a journal: resume the job by handing
+/// `session` to an identically configured [`Engine`](crate::Engine).
+#[derive(Debug)]
+pub struct ResumedJob {
+    /// Engine that wrote the journal (resume with the same one).
+    pub engine: EngineKind,
+    /// DAG stage count recorded at admission.
+    pub stages: u32,
+    /// Stages with durable checkpoints (restored, not re-simulated).
+    pub completed_stages: Vec<u32>,
+    /// Journaled replan decisions staged for replay.
+    pub replans_recorded: u64,
+    /// Whether a journaled failover decision is staged for replay.
+    pub has_failover: bool,
+    /// Whether the job already completed (recovery is then a no-op
+    /// verification run).
+    pub finished: bool,
+    /// Torn-tail provenance, if the journal ended mid-frame.
+    pub torn: Option<TornTail>,
+    /// The resumed session to hand to [`Engine::journal`](crate::Engine::journal).
+    pub session: JournalSession,
+}
+
+/// Rebuild engine state from journal bytes. Fails on a journal without a
+/// durable job-admit record (nothing to resume).
+pub fn recover(journal: &[u8]) -> Result<ResumedJob, ExecError> {
+    let session = JournalSession::resume(journal)?;
+    let Some((stages, _, engine, _)) = session.admit.clone() else {
+        return Err(ExecError::Journal(
+            "journal has no durable job-admit record".into(),
+        ));
+    };
+    Ok(ResumedJob {
+        engine,
+        stages,
+        completed_stages: session.checkpoints.keys().copied().collect(),
+        replans_recorded: session.replay_total as u64,
+        has_failover: session.failover.is_some(),
+        finished: session.completed.is_some(),
+        torn: session.torn(),
+        session,
+    })
+}
+

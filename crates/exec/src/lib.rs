@@ -1,18 +1,50 @@
 #![warn(missing_docs)]
 
-//! # ditto-exec — execution engines for scheduled jobs
+//! # ditto-exec — execution of scheduled jobs
 //!
-//! Two execution paths, sharing the `Schedule` produced by `ditto-core`:
+//! Everything here consumes the `Schedule` produced by `ditto-core`:
 //!
-//! * **Simulation** ([`sim`]): a discrete-event simulator that plays a
-//!   schedule against a *ground-truth* performance model
+//! * **Simulation** — [`Engine`]: one discrete-event simulator that plays
+//!   a schedule against a *ground-truth* performance model
 //!   ([`groundtruth`]) — per-task data skew, deterministic straggler
 //!   noise, medium-dependent transfer times (shared memory / Redis / S3).
 //!   The ground truth deliberately differs from the scheduler's fitted
 //!   `α/d + β` model the way reality differs from a regression: that gap
-//!   is what the paper's Fig. 11 measures. The simulator yields the JCT,
-//!   cost and per-task timeline ([`trace`]) behind every evaluation
-//!   figure.
+//!   is what the paper's Fig. 11 measures. A run yields the JCT, cost and
+//!   per-task timeline ([`trace`]) behind every evaluation figure, and is
+//!   configured by composition — each option is one builder call:
+//!
+//!   | option | adds |
+//!   |---|---|
+//!   | [`.faults(plan, policy)`](Engine::faults) | injected crashes, stragglers, server and object loss, drift ([`faults`]) and their recovery |
+//!   | [`.failover(ctx)`](Engine::failover) | failure-aware rescheduling of the not-yet-launched suffix |
+//!   | [`.adaptive(ctx, cfg)`](Engine::adaptive) | online drift detection + elastic suffix re-optimization ([`adaptive`]) |
+//!   | [`.recorder(obs)`](Engine::recorder) | telemetry: spans, fault and happens-before events |
+//!   | [`.journal(session)`](Engine::journal) | write-ahead journal, crash and resume ([`journal`]) |
+//!
+//!   ```
+//!   use ditto_core::{DittoScheduler, Objective, Scheduler, SchedulingContext};
+//!   use ditto_exec::{Engine, ExecConfig, FaultPlan, GroundTruth, RecoveryPolicy};
+//!   use ditto_timemodel::{model::RateConfig, JobTimeModel};
+//!
+//!   let dag = ditto_dag::generators::fig1_join();
+//!   let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
+//!   let rm = ditto_cluster::ResourceManager::from_free_slots(vec![10, 10]);
+//!   let schedule = DittoScheduler::new().schedule(&SchedulingContext {
+//!       dag: &dag, model: &model, resources: &rm, objective: Objective::Jct,
+//!   });
+//!   let gt = GroundTruth::new(ExecConfig::default());
+//!   let (trace, plain) = Engine::new(&dag, &schedule, &gt).run().unwrap();
+//!   assert_eq!(plain.jct, trace.jct());
+//!   let (plan, policy) = (FaultPlan::with_random_crashes(0.2, 7), RecoveryPolicy::default());
+//!   let (_, faulted) = Engine::new(&dag, &schedule, &gt).faults(&plan, &policy).run().unwrap();
+//!   assert!(faulted.jct >= plain.jct);
+//!   ```
+//!
+//!   [`simulate`] is the option-free shorthand; the four `try_simulate_*`
+//!   free functions are single-expression delegates kept for the repo's
+//!   benchmark adapter (see [`sim`]). [`explore`] model-checks that a
+//!   run's result does not depend on how simultaneous events are ordered.
 //! * **Local runtime** ([`runner`]): a real multi-threaded executor that
 //!   physically runs a `ditto-sql` query plan under a schedule — tasks on
 //!   worker threads, intermediate tables encoded through the
@@ -21,17 +53,19 @@
 //!   scheduling machinery drives a working analytics system, and to
 //!   cross-check distributed results against single-threaded references.
 //!
-//! Both engines consume the same fault vocabulary ([`faults`]): a
+//! Simulator and runtime consume the same fault vocabulary ([`faults`]): a
 //! deterministic seed-driven [`FaultPlan`] (task crashes, stragglers,
 //! whole-server failures) plus a [`RecoveryPolicy`] (bounded retry with
 //! backoff, speculative re-execution, failure-aware rescheduling through
-//! the joint optimizer). Typed failures are [`error::ExecError`].
+//! the joint optimizer), and the same journal. Typed failures are
+//! [`error::ExecError`].
 //!
 //! [`profile`] generates recurring-job profiles by "running" stages at a
 //! few DoPs in the simulator — the input to `ditto-timemodel`'s fitting
 //! (Table 2) and the accuracy experiment (Fig. 11).
 
 pub mod adaptive;
+pub mod engine;
 pub mod error;
 pub mod explore;
 pub mod faults;
@@ -45,25 +79,25 @@ pub mod runner;
 pub mod sim;
 pub mod trace;
 
-pub use adaptive::{
-    try_simulate_adaptive, try_simulate_adaptive_traced, AdaptiveConfig, ReplanRecord,
-    ReplanTrigger,
-};
+pub use adaptive::{AdaptiveConfig, ReplanRecord, ReplanTrigger};
+pub use engine::Engine;
 pub use error::ExecError;
 pub use explore::{explore_random_dags, explore_schedule, Divergence, ExploreConfig, ExploreOutcome};
 pub use faults::{
-    try_simulate_with_faults, try_simulate_with_faults_traced, AttemptOutcome, AttemptRecord,
-    FaultEvent, FaultPlan, FaultRates, FaultStats, RecoveryPolicy, ReschedulingContext,
+    AttemptOutcome, AttemptRecord, FaultEvent, FaultPlan, FaultRates, FaultStats, RecoveryPolicy,
+    ReschedulingContext,
 };
 pub use groundtruth::{ExecConfig, GroundTruth};
 pub use journal::{
-    compact_journal, cross_check, decode_journal, recover, schedule_fingerprint,
-    try_simulate_adaptive_journaled, try_simulate_with_faults_journaled, validate_journal,
+    compact_journal, cross_check, decode_journal, recover, schedule_fingerprint, validate_journal,
     DecodedJournal, EngineKind, JournalRecord, JournalSession, JournalWriter, LineageHit,
     ResumedJob, StageCheckpoint, TornReason, TornTail,
 };
 pub use metrics::JobMetrics;
 pub use profile::profile_job;
 pub use runner::LocalRuntime;
-pub use sim::{simulate, simulate_traced, try_simulate};
+pub use sim::{
+    simulate, try_simulate_adaptive_journaled, try_simulate_with_faults,
+    try_simulate_with_faults_journaled, try_simulate_with_faults_traced,
+};
 pub use trace::{ExecutionTrace, StageBreakdown, TaskTrace};

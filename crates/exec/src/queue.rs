@@ -122,31 +122,27 @@ pub(crate) struct TieBreak {
 }
 
 impl TieBreak {
-    /// Lowest-stage-id tie-breaking (production order).
-    pub(crate) fn canonical() -> Self {
+    fn with(mode: TieMode) -> Self {
         TieBreak {
-            mode: TieMode::Canonical,
+            mode,
             decisions: Vec::new(),
             arity: Vec::new(),
         }
+    }
+
+    /// Lowest-stage-id tie-breaking (production order).
+    pub(crate) fn canonical() -> Self {
+        Self::with(TieMode::Canonical)
     }
 
     /// Replay the given decision vector.
     pub(crate) fn scripted(decisions: Vec<u32>) -> Self {
-        TieBreak {
-            mode: TieMode::Scripted(decisions),
-            decisions: Vec::new(),
-            arity: Vec::new(),
-        }
+        Self::with(TieMode::Scripted(decisions))
     }
 
     /// Seeded random tie-breaking (sampling mode of the explorer).
     pub(crate) fn random(seed: u64) -> Self {
-        TieBreak {
-            mode: TieMode::Random(StdRng::seed_from_u64(seed)),
-            decisions: Vec::new(),
-            arity: Vec::new(),
-        }
+        Self::with(TieMode::Random(StdRng::seed_from_u64(seed)))
     }
 
     fn choose(&mut self, n: usize) -> usize {

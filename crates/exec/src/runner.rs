@@ -157,13 +157,7 @@ impl LocalRuntime {
         let dag = &plan.dag;
         schedule.validate(dag).map_err(ExecError::InvalidSchedule)?;
         if let Some(j) = session.as_deref_mut() {
-            j.begin(
-                dag.num_stages() as u32,
-                dag.num_edges() as u32,
-                EngineKind::Runner,
-                schedule,
-                &ditto_obs::Recorder::disabled(),
-            )?;
+            j.begin(dag, EngineKind::Runner, schedule, &ditto_obs::Recorder::disabled())?;
         }
         // One knob bounds both recovery paths: the storage read-retry
         // policy is derived from the task-level RecoveryPolicy, so a run

@@ -8,19 +8,29 @@
 //! `setup` seconds before their inputs are ready, so setup overlaps the
 //! upstream tail and idle waiting is avoided — which is exactly what makes
 //! late launching cost-neutral.
+//!
+//! The engine itself is [`Engine`]; this module keeps [`simulate`] — the
+//! option-free shorthand — and the four `try_simulate_*` names the repo's
+//! benchmark adapter imports. Each is a single-expression delegate to an
+//! `Engine` builder chain and adds nothing; removing one needs a
+//! benchmark issue first (`benchmark/README.md`). New code should build an
+//! [`Engine`].
 
+use crate::adaptive::AdaptiveConfig;
+use crate::engine::Engine;
 use crate::error::ExecError;
-use crate::faults::{FaultPlan, RecoveryPolicy};
-#[cfg(not(debug_assertions))]
-use crate::faults::try_simulate_with_faults;
+use crate::faults::{FaultPlan, RecoveryPolicy, ReschedulingContext};
 use crate::groundtruth::GroundTruth;
+use crate::journal::JournalSession;
 use crate::metrics::JobMetrics;
 use crate::trace::ExecutionTrace;
 use ditto_core::Schedule;
 use ditto_dag::JobDag;
+use ditto_obs::Recorder;
 
 /// Simulate `schedule` on `dag` under the ground truth. Returns the full
-/// trace plus job metrics.
+/// trace plus job metrics. Shorthand for `Engine::new(..).run()` that
+/// panics on an invalid schedule or cyclic DAG.
 ///
 /// ```
 /// use ditto_core::{DittoScheduler, Objective, Scheduler, SchedulingContext};
@@ -39,81 +49,74 @@ use ditto_dag::JobDag;
 /// assert_eq!(metrics.jct, trace.jct());
 /// ```
 pub fn simulate(dag: &JobDag, schedule: &Schedule, gt: &GroundTruth) -> (ExecutionTrace, JobMetrics) {
-    try_simulate(dag, schedule, gt).expect("schedule must be valid for its DAG")
+    Engine::new(dag, schedule, gt).run().expect("schedule must be valid for its DAG")
 }
 
-/// Fallible variant of [`simulate`]: returns [`ExecError`] instead of
-/// panicking on an invalid schedule or cyclic DAG.
-///
-/// Both are thin wrappers over the fault-aware engine
-/// ([`crate::try_simulate_with_faults`]) with an empty [`FaultPlan`] — the
-/// fault-free path reproduces the historical simulator bit-for-bit.
-pub fn try_simulate(
+/// Delegate: `Engine::new(..).faults(plan, policy).failover(resched).run()`.
+pub fn try_simulate_with_faults(
     dag: &JobDag,
     schedule: &Schedule,
     gt: &GroundTruth,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+    resched: Option<&ReschedulingContext<'_>>,
 ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    // Certificate gate: refuse structurally unsound schedules up front with
-    // the auditor's stage/edge-attributed findings instead of a mid-run
-    // panic deep inside the event loop.
-    let report = ditto_audit::audit_structure(dag, schedule);
-    if !report.is_clean() {
-        return Err(ExecError::InvalidSchedule(report.render()));
-    }
-    // Debug builds run traced (telemetry is <5% overhead and metrics are
-    // bit-identical either way — the telemetry tests pin both) and gate
-    // the recorded event stream through the race checker, so any ordering
-    // hazard a refactor introduces fails loudly in every debug test run.
-    #[cfg(debug_assertions)]
-    {
-        let obs = ditto_obs::Recorder::new();
-        let out = crate::faults::try_simulate_with_faults_traced(
-            dag,
-            schedule,
-            gt,
-            &FaultPlan::none(),
-            &RecoveryPolicy::none(),
-            None,
-            &obs,
-        )?;
-        let race = ditto_audit::check_trace(&obs.finish(), &ditto_audit::RaceOptions::default());
-        debug_assert!(
-            race.is_clean(),
-            "race checker rejected try_simulate's own trace:\n{}",
-            race.render()
-        );
-        Ok(out)
-    }
-    #[cfg(not(debug_assertions))]
-    try_simulate_with_faults(
-        dag,
-        schedule,
-        gt,
-        &FaultPlan::none(),
-        &RecoveryPolicy::none(),
-        None,
-    )
+    Engine::new(dag, schedule, gt).faults(plan, policy).failover(resched).run()
 }
 
-/// [`simulate`] with telemetry: every task, stage and storage transfer of
-/// the fault-free run lands on `obs` as spans/counters (sim-clock
-/// timestamps). With a disabled recorder this is exactly [`simulate`].
-pub fn simulate_traced(
+/// Delegate: [`try_simulate_with_faults`] plus `.recorder(obs)`.
+pub fn try_simulate_with_faults_traced(
     dag: &JobDag,
     schedule: &Schedule,
     gt: &GroundTruth,
-    obs: &ditto_obs::Recorder,
-) -> (ExecutionTrace, JobMetrics) {
-    crate::faults::try_simulate_with_faults_traced(
-        dag,
-        schedule,
-        gt,
-        &FaultPlan::none(),
-        &RecoveryPolicy::none(),
-        None,
-        obs,
-    )
-    .expect("schedule must be valid for its DAG")
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+    resched: Option<&ReschedulingContext<'_>>,
+    obs: &Recorder,
+) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
+    Engine::new(dag, schedule, gt).faults(plan, policy).failover(resched).recorder(obs).run()
+}
+
+/// Delegate: [`try_simulate_with_faults_traced`] plus `.journal(session)`.
+#[allow(clippy::too_many_arguments)]
+pub fn try_simulate_with_faults_journaled(
+    dag: &JobDag,
+    schedule: &Schedule,
+    gt: &GroundTruth,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+    resched: Option<&ReschedulingContext<'_>>,
+    obs: &Recorder,
+    session: &mut JournalSession,
+) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
+    Engine::new(dag, schedule, gt)
+        .faults(plan, policy)
+        .failover(resched)
+        .recorder(obs)
+        .journal(session)
+        .run()
+}
+
+/// Delegate: `Engine::new(..).faults(plan, policy).adaptive(ctx, cfg)
+/// .recorder(obs).journal(session).run()`.
+#[allow(clippy::too_many_arguments)]
+pub fn try_simulate_adaptive_journaled(
+    dag: &JobDag,
+    schedule: &Schedule,
+    gt: &GroundTruth,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+    ctx: &ReschedulingContext<'_>,
+    cfg: &AdaptiveConfig,
+    obs: &Recorder,
+    session: &mut JournalSession,
+) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
+    Engine::new(dag, schedule, gt)
+        .faults(plan, policy)
+        .adaptive(ctx, cfg)
+        .recorder(obs)
+        .journal(session)
+        .run()
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@ use ditto_core::{
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_dag::JobDag;
 use ditto_exec::{
-    try_simulate_adaptive, try_simulate_with_faults, AdaptiveConfig, ExecConfig, FaultPlan,
-    FaultRates, GroundTruth, RecoveryPolicy, ReschedulingContext,
+    AdaptiveConfig, Engine, ExecConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy,
+    ReschedulingContext,
 };
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
@@ -72,9 +72,11 @@ proptest! {
             options: JointOptions::default(),
         };
         let gt = GroundTruth::new(ExecConfig::default());
-        let (trace, metrics) = try_simulate_adaptive(
-            &dag, &schedule, &gt, &plan, &policy(), &ctx, &AdaptiveConfig::default(),
-        ).expect("bounded fault rates must recover within policy bounds");
+        let (trace, metrics) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy())
+            .adaptive(&ctx, &AdaptiveConfig::default())
+            .run()
+            .expect("bounded fault rates must recover within policy bounds");
 
         prop_assert!(metrics.jct.is_finite() && metrics.jct > 0.0);
         for s in dag.stages() {
@@ -110,10 +112,12 @@ proptest! {
         };
         let gt = GroundTruth::new(ExecConfig::default());
         let (frozen_trace, frozen) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy(), None).unwrap();
-        let (adaptive_trace, adaptive) = try_simulate_adaptive(
-            &dag, &schedule, &gt, &plan, &policy(), &ctx, &AdaptiveConfig::default(),
-        ).unwrap();
+            Engine::new(&dag, &schedule, &gt).faults(&plan, &policy()).run().unwrap();
+        let (adaptive_trace, adaptive) = Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy())
+            .adaptive(&ctx, &AdaptiveConfig::default())
+            .run()
+            .unwrap();
 
         prop_assert!(adaptive_trace.replans.is_empty(), "clean run must not replan");
         prop_assert_eq!(adaptive.jct.to_bits(), frozen.jct.to_bits(), "JCT must be bit-identical");

@@ -21,10 +21,9 @@ use ditto_core::{
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_dag::JobDag;
 use ditto_exec::{
-    decode_journal, try_simulate_adaptive_journaled, try_simulate_with_faults_journaled,
-    validate_journal, AdaptiveConfig, ExecConfig, ExecError, ExecutionTrace, FaultPlan,
-    FaultRates, GroundTruth, JobMetrics, JournalRecord, JournalSession, RecoveryPolicy,
-    ReschedulingContext,
+    decode_journal, validate_journal, AdaptiveConfig, Engine, ExecConfig, ExecError,
+    ExecutionTrace, FaultPlan, FaultRates, GroundTruth, JobMetrics, JournalRecord,
+    JournalSession, RecoveryPolicy, ReschedulingContext,
 };
 use ditto_obs::Recorder;
 use ditto_timemodel::model::RateConfig;
@@ -72,29 +71,15 @@ fn run(
         objective: Objective::Jct,
         options: JointOptions::default(),
     };
+    let policy = policy();
+    let engine = Engine::new(dag, schedule, gt)
+        .faults(plan, &policy)
+        .recorder(obs)
+        .journal(session);
     if adaptive {
-        try_simulate_adaptive_journaled(
-            dag,
-            schedule,
-            gt,
-            plan,
-            &policy(),
-            &ctx,
-            &AdaptiveConfig::default(),
-            obs,
-            session,
-        )
+        engine.adaptive(&ctx, &AdaptiveConfig::default()).run()
     } else {
-        try_simulate_with_faults_journaled(
-            dag,
-            schedule,
-            gt,
-            plan,
-            &policy(),
-            Some(&ctx),
-            obs,
-            session,
-        )
+        engine.failover(&ctx).run()
     }
 }
 

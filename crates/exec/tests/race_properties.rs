@@ -14,8 +14,8 @@ use ditto_core::{
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_dag::JobDag;
 use ditto_exec::{
-    try_simulate_adaptive_traced, try_simulate_with_faults_traced, AdaptiveConfig, ExecConfig,
-    FaultPlan, FaultRates, GroundTruth, RecoveryPolicy, ReschedulingContext,
+    AdaptiveConfig, Engine, ExecConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy,
+    ReschedulingContext,
 };
 use ditto_obs::Recorder;
 use ditto_timemodel::model::RateConfig;
@@ -82,9 +82,11 @@ proptest! {
         let (dag, _model, _rm, schedule) = setup(dag_seed, stages);
         let gt = GroundTruth::new(ExecConfig::default());
         let obs = Recorder::new();
-        try_simulate_with_faults_traced(
-            &dag, &schedule, &gt, &plan(crash, loss, fault_seed), &policy(), None, &obs,
-        ).expect("bounded fault rates must recover within policy bounds");
+        Engine::new(&dag, &schedule, &gt)
+            .faults(&plan(crash, loss, fault_seed), &policy())
+            .recorder(&obs)
+            .run()
+            .expect("bounded fault rates must recover within policy bounds");
         let g = HbGraph::build(&obs.finish());
 
         prop_assert!(g.cycle.is_empty(), "hb cycle through ops {:?}", g.cycle);
@@ -114,9 +116,11 @@ proptest! {
         let (dag, _model, _rm, schedule) = setup(dag_seed, stages);
         let gt = GroundTruth::new(ExecConfig::default());
         let obs = Recorder::new();
-        try_simulate_with_faults_traced(
-            &dag, &schedule, &gt, &plan(crash, loss, fault_seed), &policy(), None, &obs,
-        ).expect("bounded fault rates must recover within policy bounds");
+        Engine::new(&dag, &schedule, &gt)
+            .faults(&plan(crash, loss, fault_seed), &policy())
+            .recorder(&obs)
+            .run()
+            .expect("bounded fault rates must recover within policy bounds");
         let report = check_trace(&obs.finish(), &opts());
         prop_assert!(report.is_clean(), "frozen engine raced:\n{}", report.render());
     }
@@ -145,9 +149,12 @@ proptest! {
             options: JointOptions::default(),
         };
         let obs = Recorder::new();
-        try_simulate_adaptive_traced(
-            &dag, &schedule, &gt, &plan, &policy(), &ctx, &AdaptiveConfig::default(), &obs,
-        ).expect("bounded fault rates must recover within policy bounds");
+        Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy())
+            .adaptive(&ctx, &AdaptiveConfig::default())
+            .recorder(&obs)
+            .run()
+            .expect("bounded fault rates must recover within policy bounds");
         let report = check_trace(&obs.finish(), &opts());
         prop_assert!(report.is_clean(), "adaptive engine raced:\n{}", report.render());
     }

@@ -5,10 +5,7 @@
 
 use ditto_cluster::ResourceManager;
 use ditto_core::{DittoScheduler, Objective, SchedulingContext};
-use ditto_exec::{
-    try_simulate_with_faults_traced, FaultPlan, FaultRates, RecoveryPolicy,
-};
-use ditto_exec::{ExecConfig, GroundTruth};
+use ditto_exec::{Engine, ExecConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy};
 use ditto_obs::{Recorder, TraceData};
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
@@ -42,7 +39,7 @@ fn traced_chain_run(stages: u32, gb: u64, selectivity: f64, rate: f64, seed: u64
         ..RecoveryPolicy::default()
     };
     let gt = GroundTruth::new(ExecConfig::default());
-    try_simulate_with_faults_traced(&dag, &schedule, &gt, &plan, &policy, None, &obs)
+    Engine::new(&dag, &schedule, &gt).faults(&plan, &policy).recorder(&obs).run()
         .expect("bounded fault rates recover");
     obs.finish()
 }

@@ -25,8 +25,8 @@ use ditto::cluster::{Cluster, ResourceManager, ServerId, SlotDistribution};
 use ditto::core::{DittoScheduler, JointOptions, Objective, Scheduler, SchedulingContext};
 use ditto::core::baselines::NimbleScheduler;
 use ditto::exec::{
-    profile_job, simulate, try_simulate_with_faults, try_simulate_with_faults_traced, ExecConfig,
-    FaultPlan, FaultRates, GroundTruth, RecoveryPolicy, ReschedulingContext,
+    profile_job, simulate, Engine, ExecConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy,
+    ReschedulingContext,
 };
 use ditto::obs::{critical_path, summary_table, to_chrome_trace, Recorder};
 use ditto::sql::queries::Query;
@@ -79,7 +79,7 @@ fn main() {
                     ..FaultRates::none(17)
                 });
                 let (_, m) =
-                    try_simulate_with_faults(&plan.dag, &schedule, &gt, &faults, &policy, None)
+                    Engine::new(&plan.dag, &schedule, &gt).faults(&faults, &policy).run()
                         .expect("recoverable");
                 println!(
                     "{:<8} {:<12} {:>6.2} {:>12.1} {:>9.2}x {:>9} {:>12.0}",
@@ -115,7 +115,7 @@ fn main() {
     });
     let policy = RecoveryPolicy { max_retries: 16, ..RecoveryPolicy::default() };
     let (trace, m) =
-        try_simulate_with_faults_traced(&plan.dag, &schedule, &gt, &faults, &policy, None, &obs)
+        Engine::new(&plan.dag, &schedule, &gt).faults(&faults, &policy).recorder(&obs).run()
             .expect("recoverable");
     for a in trace.attempts.iter().take(12) {
         println!(
@@ -156,15 +156,11 @@ fn main() {
         objective: Objective::Jct,
         options: JointOptions::default(),
     };
-    let (trace, m) = try_simulate_with_faults(
-        &plan.dag,
-        &schedule,
-        &gt,
-        &faults,
-        &RecoveryPolicy::default(),
-        Some(&ctx),
-    )
-    .expect("job survives a single server failure");
+    let (trace, m) = Engine::new(&plan.dag, &schedule, &gt)
+        .faults(&faults, &RecoveryPolicy::default())
+        .failover(&ctx)
+        .run()
+        .expect("job survives a single server failure");
     println!("  fault-free JCT {:.1}s -> {:.1}s under failure", base.jct, m.jct);
     println!(
         "  {} stages replanned on the surviving servers, {} attempts killed with the server",

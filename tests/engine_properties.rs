@@ -222,7 +222,7 @@ proptest! {
     ) {
         use ditto::core::baselines::EvenSplitScheduler;
         use ditto::core::{Objective, Scheduler, SchedulingContext};
-        use ditto::exec::{try_simulate_with_faults, FaultEvent, FaultPlan, RecoveryPolicy};
+        use ditto::exec::{Engine, FaultEvent, FaultPlan, RecoveryPolicy};
         let dag = ditto::dag::generators::fig1_join();
         let model = ditto::timemodel::JobTimeModel::from_rates(
             &dag,
@@ -249,15 +249,10 @@ proptest! {
         let mut last = 0.0_f64;
         for k in 0..=pool.len() {
             let plan = FaultPlan::from_events(pool[..k].to_vec());
-            let (_, m) = try_simulate_with_faults(
-                &dag,
-                &schedule,
-                &gt,
-                &plan,
-                &RecoveryPolicy::retry_only(),
-                None,
-            )
-            .unwrap();
+            let (_, m) = Engine::new(&dag, &schedule, &gt)
+                .faults(&plan, &RecoveryPolicy::retry_only())
+                .run()
+                .unwrap();
             prop_assert!(
                 m.jct >= last - 1e-9,
                 "jct dropped from {} to {} at {} crashes",
@@ -267,5 +262,254 @@ proptest! {
             );
             last = m.jct;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The simulator `Engine`, at smoke scale: every configuration is the same
+// pass driver, so each must agree with its neighbours bit for bit.
+// ---------------------------------------------------------------------
+
+mod engine {
+    use ditto::cluster::{ResourceManager, ServerId};
+    use ditto::core::baselines::EvenSplitScheduler;
+    use ditto::core::{
+        DittoScheduler, JointOptions, Objective, Schedule, Scheduler, SchedulingContext,
+    };
+    use ditto::dag::{generators, JobDag, StageId};
+    use ditto::exec::{
+        explore_schedule, simulate, AdaptiveConfig, Engine, ExecConfig, ExecError, ExecutionTrace,
+        ExploreConfig, FaultPlan, FaultRates, GroundTruth, JobMetrics, JournalSession,
+        RecoveryPolicy, ReschedulingContext,
+    };
+    use ditto::obs::{to_chrome_trace, Recorder};
+    use ditto::timemodel::model::RateConfig;
+    use ditto::timemodel::JobTimeModel;
+
+    struct Fixture {
+        dag: JobDag,
+        model: JobTimeModel,
+        rm: ResourceManager,
+        schedule: Schedule,
+        gt: GroundTruth,
+    }
+
+    fn fixture(dag: JobDag, free: &[u32]) -> Fixture {
+        let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
+        let rm = ResourceManager::from_free_slots(free.to_vec());
+        let schedule = DittoScheduler::new().schedule(&SchedulingContext {
+            dag: &dag,
+            model: &model,
+            resources: &rm,
+            objective: Objective::Jct,
+        });
+        Fixture { dag, model, rm, schedule, gt: GroundTruth::new(ExecConfig::default()) }
+    }
+
+    impl Fixture {
+        fn ctx(&self) -> ReschedulingContext<'_> {
+            ReschedulingContext {
+                model: &self.model,
+                resources: &self.rm,
+                objective: Objective::Jct,
+                options: JointOptions::default(),
+            }
+        }
+
+        /// A journaled run: frozen with failover, or adaptive.
+        fn journaled(
+            &self,
+            adaptive: bool,
+            plan: &FaultPlan,
+            obs: &Recorder,
+            session: &mut JournalSession,
+        ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
+            let (ctx, policy, cfg) = (self.ctx(), policy(), AdaptiveConfig::default());
+            let engine = Engine::new(&self.dag, &self.schedule, &self.gt)
+                .faults(plan, &policy)
+                .recorder(obs)
+                .journal(session);
+            if adaptive {
+                engine.adaptive(&ctx, &cfg).run()
+            } else {
+                engine.failover(&ctx).run()
+            }
+        }
+    }
+
+    fn policy() -> RecoveryPolicy {
+        RecoveryPolicy { max_retries: 16, ..RecoveryPolicy::default() }
+    }
+
+    /// Crashes, stragglers (so speculation fires) and lost objects.
+    fn mixed_faults(seed: u64) -> FaultPlan {
+        FaultPlan::from_rates(FaultRates {
+            crash_prob: 0.1,
+            straggler_prob: 0.1,
+            straggler_slowdown: 4.0,
+            loss_prob: 0.1,
+            ..FaultRates::none(seed)
+        })
+    }
+
+    fn assert_same_run(a: &(ExecutionTrace, JobMetrics), b: &(ExecutionTrace, JobMetrics), what: &str) {
+        assert_eq!(a.1, b.1, "{what}: metrics");
+        assert_eq!(a.0.tasks, b.0.tasks, "{what}: task timelines");
+        assert_eq!(a.0.attempts, b.0.attempts, "{what}: attempt history");
+        assert_eq!(a.0.replans, b.0.replans, "{what}: replan decisions");
+    }
+
+    #[test]
+    fn option_free_run_matches_the_golden_trace() {
+        // The fixture of `crates/exec/tests/trace_golden.rs`.
+        let dag = generators::chain(2, 1 << 30, 0.5);
+        let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
+        let rm = ResourceManager::from_free_slots(vec![8, 8]);
+        let schedule = EvenSplitScheduler.schedule(&SchedulingContext {
+            dag: &dag,
+            model: &model,
+            resources: &rm,
+            objective: Objective::Jct,
+        });
+        let gt = GroundTruth::new(ExecConfig::default());
+        let plain = Engine::new(&dag, &schedule, &gt).run().unwrap();
+        assert_same_run(&plain, &simulate(&dag, &schedule, &gt), "simulate is Engine::run");
+        let obs = Recorder::new();
+        let recorded = Engine::new(&dag, &schedule, &gt).recorder(&obs).run().unwrap();
+        assert_same_run(&plain, &recorded, "recording changes nothing");
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("crates/exec/tests/golden/two_stage_trace.json");
+        assert_eq!(
+            to_chrome_trace(&obs.finish()),
+            std::fs::read_to_string(golden).unwrap(),
+            "the option-free engine drifted from the golden trace"
+        );
+    }
+
+    #[test]
+    fn invalid_schedule_is_rejected_before_anything_is_journaled() {
+        let f = fixture(generators::fig1_join(), &[10, 10]);
+        let mut bad = f.schedule.clone();
+        bad.dop[0] = 0;
+        let broken = Fixture { schedule: bad, ..f };
+        for adaptive in [false, true] {
+            let mut session = JournalSession::fresh(None);
+            let err = broken
+                .journaled(adaptive, &FaultPlan::none(), &Recorder::disabled(), &mut session)
+                .unwrap_err();
+            assert!(matches!(err, ExecError::InvalidSchedule(_)), "adaptive={adaptive}: {err}");
+            assert_eq!(session.records_written(), 0, "adaptive={adaptive}: admitted a job that never ran");
+        }
+        let err = Engine::new(&broken.dag, &broken.schedule, &broken.gt).run().unwrap_err();
+        assert!(matches!(err, ExecError::InvalidSchedule(_)), "{err}");
+    }
+
+    #[test]
+    fn journaling_changes_neither_the_run_nor_its_telemetry() {
+        let f = fixture(generators::q95_shape(), &[24, 16]);
+        let (plan, policy) = (mixed_faults(3), policy());
+        let bare_obs = Recorder::deterministic();
+        let bare = Engine::new(&f.dag, &f.schedule, &f.gt)
+            .faults(&plan, &policy)
+            .recorder(&bare_obs)
+            .run()
+            .unwrap();
+        assert!(bare.1.faults.extra_attempts > 0, "the plan must actually inject faults");
+        let obs = Recorder::deterministic();
+        let mut session = JournalSession::fresh(None);
+        let journaled = Engine::new(&f.dag, &f.schedule, &f.gt)
+            .faults(&plan, &policy)
+            .recorder(&obs)
+            .journal(&mut session)
+            .run()
+            .unwrap();
+        assert_same_run(&bare, &journaled, "faults vs faults+journal");
+        assert_eq!(to_chrome_trace(&bare_obs.finish()), to_chrome_trace(&obs.finish()));
+        assert!(session.records_written() > f.dag.num_stages() as u64);
+    }
+
+    #[test]
+    fn crash_at_every_kth_record_resumes_to_the_crash_free_run() {
+        let f = fixture(generators::q95_shape(), &[24, 16]);
+        let (_, base) = simulate(&f.dag, &f.schedule, &f.gt);
+        let failover = FaultPlan::none()
+            .and_object_loss(StageId(0), 1)
+            .and_server_failure(ServerId(0), base.jct * 0.3);
+        let drift = FaultPlan::none().with_drift(2.0).and_object_loss(StageId(2), 0);
+        let muted = Recorder::disabled();
+        for (adaptive, plan) in [(false, &failover), (true, &drift)] {
+            let mut clean = JournalSession::fresh(None);
+            let want = f.journaled(adaptive, plan, &muted, &mut clean).unwrap();
+            if adaptive {
+                assert!(!want.0.replans.is_empty(), "2x drift must fire a replan");
+            } else {
+                assert!(want.1.faults.rescheduled_stages > 0, "the failure must replan a suffix");
+            }
+            for k in (0..clean.records_written()).step_by(4) {
+                let mut armed = JournalSession::fresh(Some(k));
+                let err = f.journaled(adaptive, plan, &muted, &mut armed).unwrap_err();
+                assert!(
+                    matches!(err, ExecError::CoordinatorCrash { at_record } if at_record == k),
+                    "adaptive={adaptive} crash {k}: {err}"
+                );
+                let mut resumed = JournalSession::resume(armed.durable_bytes()).unwrap();
+                let got = f.journaled(adaptive, plan, &muted, &mut resumed).unwrap();
+                assert_same_run(&want, &got, &format!("adaptive={adaptive} crash at record {k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn restored_stages_report_the_same_telemetry_as_live_ones() {
+        let f = fixture(generators::q95_shape(), &[24, 16]);
+        let plan = mixed_faults(5);
+        let live = Recorder::deterministic();
+        let mut clean = JournalSession::fresh(None);
+        f.journaled(false, &plan, &live, &mut clean).unwrap();
+        // Crash late, so most stages of the resumed run come back from
+        // checkpoints instead of the simulator.
+        let mut armed = JournalSession::fresh(Some(clean.records_written() - 2));
+        f.journaled(false, &plan, &Recorder::disabled(), &mut armed).unwrap_err();
+        let mut resumed = JournalSession::resume(armed.durable_bytes()).unwrap();
+        let recovered = Recorder::deterministic();
+        f.journaled(false, &plan, &recovered, &mut resumed).unwrap();
+        assert!(resumed.restored_stages() as usize >= f.dag.num_stages() - 2);
+        let mut recovered = recovered.finish();
+        recovered.events.retain(|e| e.name != "recovery.resume");
+        assert_eq!(to_chrome_trace(&live.finish()), to_chrome_trace(&recovered));
+    }
+
+    #[test]
+    fn adaptive_without_drift_is_the_frozen_run() {
+        let f = fixture(generators::q95_shape(), &[24, 16]);
+        let plan = FaultPlan::none().with_drift(1.0);
+        let policy = RecoveryPolicy::default();
+        let frozen = Engine::new(&f.dag, &f.schedule, &f.gt).faults(&plan, &policy).run().unwrap();
+        let adaptive = Engine::new(&f.dag, &f.schedule, &f.gt)
+            .faults(&plan, &policy)
+            .adaptive(&f.ctx(), &AdaptiveConfig::default())
+            .run()
+            .unwrap();
+        assert!(adaptive.0.replans.is_empty(), "no drift may be detected");
+        assert_same_run(&frozen, &adaptive, "adaptive without drift vs frozen");
+    }
+
+    #[test]
+    fn tie_break_order_never_changes_the_result() {
+        let f = fixture(generators::diamond(1 << 30), &[8, 8]);
+        let plan = mixed_faults(11).with_drift(2.0);
+        let (ctx, cfg) = (f.ctx(), AdaptiveConfig::default());
+        let out = explore_schedule(
+            &f.dag,
+            &f.schedule,
+            &f.gt,
+            &plan,
+            &policy(),
+            Some((&ctx, &cfg)),
+            &ExploreConfig::default(),
+        )
+        .unwrap();
+        assert!(out.interleavings > 1, "a diamond has simultaneous stages to permute");
+        assert!(out.divergence.is_none(), "{:?}", out.divergence);
     }
 }
