@@ -511,12 +511,16 @@ fn sql_metrics(rows: &[ditto_bench::SqlBenchRow], include_wall: bool) -> Vec<(St
 
 fn sched_metrics(rows: &[ditto_bench::SchedBenchRow]) -> Vec<(String, f64)> {
     rows.iter()
-        .filter(|r| r.implementation == "incremental")
-        .map(|r| {
-            (
-                format!("sched_{}_{}_micros", r.stages, r.objective),
+        .filter_map(|r| {
+            let kernel = match r.implementation.as_str() {
+                "incremental" => "sched",
+                "dop_flat" => "dop",
+                _ => return None,
+            };
+            Some((
+                format!("{kernel}_{}_{}_micros", r.stages, r.objective),
                 r.median_micros,
-            )
+            ))
         })
         .collect()
 }

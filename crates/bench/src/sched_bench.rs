@@ -10,6 +10,12 @@
 //! `crates/core/tests/joint_equivalence.rs`); this sweep measures only
 //! how much work each does to arrive at the same schedule.
 //!
+//! At the sizes in [`DOP_BENCH_SIZES`] the sweep also times one DoP ratio
+//! computing call — what the optimizer pays per never-seen co-location
+//! mask — on the same DAG: the flat [`DopWorkspace`] kernel against the
+//! tree-building `compute_dop_reference` (rows `dop_flat` /
+//! `dop_reference`, loop counters zero).
+//!
 //! Each timed loop is wrapped in a `bench.sched` span on the recorder
 //! passed in (scheduler track, lane 1), carrying the implementation,
 //! size, objective and measured median as attributes — run
@@ -17,17 +23,25 @@
 //! reference/incremental duration gap side by side in Perfetto.
 
 use ditto_cluster::ResourceManager;
-use ditto_core::reference::joint_optimize_reference_with_stats;
+use ditto_core::dop::DopWorkspace;
+use ditto_core::reference::{compute_dop_reference, joint_optimize_reference_with_stats};
 use ditto_core::{joint_optimize_with_stats, JointOptions, JointStats, Objective};
 use ditto_dag::generators::{random_dag, RandomDagConfig};
+use ditto_dag::JobDag;
 use ditto_obs::{Recorder, Track};
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
 use serde::Serialize;
 use std::time::Instant;
 
-/// The full sweep behind `BENCH_sched.json`.
-pub const SCHED_BENCH_SIZES: &[usize] = &[16, 64, 256, 512, 1024];
+/// The full sweep behind `BENCH_sched.json`. 192 — the shape of the
+/// benchmark's `sched_wide_*` workloads, cluster included — is appended,
+/// not inserted: a size's DAG seed is its position in the list, and the
+/// five older sizes keep their DAGs (and so their loop counters) across
+/// commits.
+pub const SCHED_BENCH_SIZES: &[usize] = &[16, 64, 256, 512, 1024, 192];
+/// Sizes that also get per-call DoP ratio computing rows.
+pub const DOP_BENCH_SIZES: &[usize] = &[192, 512, 1024];
 /// The CI smoke subset (debug-friendly sizes; see `.github/workflows`).
 pub const SCHED_SMOKE_SIZES: &[usize] = &[16, 64, 256];
 
@@ -40,9 +54,11 @@ pub struct SchedBenchRow {
     pub edges: usize,
     /// `jct` or `cost`.
     pub objective: String,
-    /// `reference` (from-scratch) or `incremental`.
+    /// `reference` (from-scratch) or `incremental` for `joint_optimize`
+    /// rows; `dop_reference` (merge tree) or `dop_flat` (workspace) for
+    /// the per-call DoP ratio computing rows.
     pub implementation: String,
-    /// Median wall-clock latency of one `joint_optimize` call, in µs.
+    /// Median wall-clock latency of one call, in µs.
     pub median_micros: f64,
     /// Commit rounds of Algorithm 3.
     pub rounds: usize,
@@ -52,8 +68,8 @@ pub struct SchedBenchRow {
     pub commits: usize,
     /// Candidate evaluations that skipped `compute_dop`.
     pub dop_memo_hits: usize,
-    /// `reference median / this median` on the same (size, objective);
-    /// 1.0 for the reference rows themselves.
+    /// `reference median / this median` on the same (size, objective,
+    /// kernel); 1.0 for the reference rows themselves.
     pub speedup_vs_reference: f64,
 }
 
@@ -114,6 +130,38 @@ fn timed<F: FnMut() -> JointStats>(
     (med, stats)
 }
 
+/// Median µs of one DoP ratio computing call per implementation —
+/// `(tree reference, flat workspace)` — cycling through co-location masks
+/// of different densities the way the optimizer's candidates do.
+fn dop_call_micros(dag: &JobDag, model: &JobTimeModel, objective: Objective, c: u32) -> (f64, f64) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xd09);
+    let masks: Vec<Vec<bool>> = (0..8)
+        .map(|i| (0..dag.num_edges()).map(|_| rng.gen_bool(i as f64 / 8.0)).collect())
+        .collect();
+    let per_call = |calls: usize, call: &mut dyn FnMut(&[bool])| {
+        let mut samples: Vec<f64> = (0..7)
+            .map(|_| {
+                let start = Instant::now();
+                for k in 0..calls {
+                    call(&masks[k % masks.len()]);
+                }
+                start.elapsed().as_secs_f64() * 1e6 / calls as f64
+            })
+            .collect();
+        median(&mut samples)
+    };
+    let tree = per_call(64, &mut |mask| {
+        std::hint::black_box(compute_dop_reference(dag, model, mask, objective, c));
+    });
+    let mut ws = DopWorkspace::new(dag, model, objective, c);
+    let flat = per_call(512, &mut |mask| {
+        ws.compute(mask);
+        std::hint::black_box(ws.sum_dop());
+    });
+    (tree, flat)
+}
+
 /// Run the sweep over `sizes`, recording `bench.sched` spans on `obs`.
 pub fn sched_bench_sizes(sizes: &[usize], obs: &Recorder) -> Vec<SchedBenchRow> {
     obs.name_track(Track::SCHEDULER_GROUP, "scheduler");
@@ -138,10 +186,16 @@ pub fn sched_bench_sizes(sizes: &[usize], obs: &Recorder) -> Vec<SchedBenchRow> 
                 std::hint::black_box(s);
                 stats
             });
-            for (implementation, med, stats, speedup) in [
+            let mut measured = vec![
                 ("reference", ref_med, ref_stats, 1.0),
                 ("incremental", inc_med, inc_stats, ref_med / inc_med),
-            ] {
+            ];
+            if DOP_BENCH_SIZES.contains(&stages) {
+                let (tree, flat) = dop_call_micros(&dag, &model, objective, rm.total_free());
+                measured.push(("dop_reference", tree, JointStats::default(), 1.0));
+                measured.push(("dop_flat", flat, JointStats::default(), tree / flat));
+            }
+            for (implementation, med, stats, speedup) in measured {
                 rows.push(SchedBenchRow {
                     stages,
                     edges: dag.num_edges(),
@@ -161,7 +215,8 @@ pub fn sched_bench_sizes(sizes: &[usize], obs: &Recorder) -> Vec<SchedBenchRow> 
 }
 
 /// The full sweep (16 → 1024 stages, both objectives, both
-/// implementations) — the source of `BENCH_sched.json`.
+/// implementations, plus the per-call DoP rows) — the source of
+/// `BENCH_sched.json`.
 pub fn sched_bench() -> Vec<SchedBenchRow> {
     sched_bench_sizes(SCHED_BENCH_SIZES, &Recorder::disabled())
 }
@@ -222,8 +277,9 @@ mod tests {
     #[test]
     fn incremental_is_at_least_3x_faster_at_512_stages() {
         let rows = sched_bench_sizes(&[512], &Recorder::disabled());
-        for pair in rows.chunks(2) {
-            let (r, i) = (&pair[0], &pair[1]);
+        let joint: Vec<_> = rows.iter().filter(|r| !r.implementation.starts_with("dop_")).collect();
+        for pair in joint.chunks(2) {
+            let (r, i) = (pair[0], pair[1]);
             assert!(
                 i.speedup_vs_reference >= 3.0,
                 "{}: reference {:.0}µs vs incremental {:.0}µs (speedup {:.1}×)",
@@ -233,5 +289,22 @@ mod tests {
                 i.speedup_vs_reference
             );
         }
+    }
+
+    /// The flat DoP kernel's claim, as a same-machine ratio: at 192 stages
+    /// under JCT one call costs at most a third of the tree version's
+    /// (measured ≈7×; a ratio, so machine speed cancels).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn flat_dop_kernel_is_at_least_3x_faster_per_call_at_192_stages() {
+        let dag = random_dag(1, &RandomDagConfig::sized(192));
+        let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
+        let c = bench_cluster(192).total_free();
+        let (tree, flat) = dop_call_micros(&dag, &model, Objective::Jct, c);
+        assert!(
+            tree >= 3.0 * flat,
+            "tree {tree:.2}µs vs flat {flat:.2}µs per call ({:.1}×)",
+            tree / flat
+        );
     }
 }

@@ -28,56 +28,36 @@
 //! out-edges) still counts in its α, so only the ratio bookkeeping, not
 //! the modeled work, is approximated.
 //!
+//! **The workspace.** The forest depends on the co-location mask (through
+//! α), so Algorithm 3 rebuilds it for every candidate mask. A
+//! [`DopWorkspace`] makes that rebuild allocation-free: it is built once
+//! per `(dag, model, objective, C)` with everything that does *not* depend
+//! on the mask — the topological order, the children in CSR form, the
+//! per-stage α terms each gated by the edge that can zero them — and then
+//! [`DopWorkspace::compute`] runs flat passes over reused buffers: α per
+//! stage; `longest`/`primary` in reverse topological order; the feeders
+//! of every stage in CSR, filled in ascending stage id (so they are
+//! sorted without sorting); the bottom-up merge in topological order,
+//! recording per stage its subtree's merged α and the running α after each
+//! sibling (the prefix sums the split needs); and the top-down split in
+//! reverse topological order. No merge tree is materialized: an `Inter`
+//! node is one prefix entry, an `Intra` node is one subtree α. Every
+//! floating-point operation is the one the tree version performs, in the
+//! same order — left fold over sorted feeders, `(√a + √b)²` via `powi(2)`,
+//! `d·share` and `d·(1 − share)` — so the result is bit-identical to
+//! [`crate::reference::compute_dop_reference`], which keeps the boxed tree
+//! as the oracle. [`compute_dop`] is the one-shot form: a throw-away
+//! workspace.
+//!
 //! **Cost.** Minimizing Σ M·T reduces to single-path JCT with parallelized
 //! times `ρᵢαᵢ` (§4.2), giving `dᵢ/dⱼ = √(ρᵢαᵢ)/√(ρⱼαⱼ)` for *all* stage
 //! pairs.
 
 use crate::objective::Objective;
-use ditto_dag::{JobDag, StageId};
+use ditto_dag::JobDag;
 use ditto_timemodel::JobTimeModel;
-
-/// The merge tree produced by the bottom-up pass. Exposed for tests and
-/// for the ablation benches; normal callers use [`compute_dop`].
-#[derive(Debug, Clone)]
-pub enum MergeNode {
-    /// An original stage.
-    Leaf {
-        /// The stage.
-        stage: StageId,
-        /// Its effective parallelized time.
-        alpha: f64,
-    },
-    /// Two sibling (parallel) subtrees merged with the inter-path ratio.
-    Inter {
-        /// Left subtree.
-        left: Box<MergeNode>,
-        /// Right subtree.
-        right: Box<MergeNode>,
-        /// Merged α = α_left + α_right.
-        alpha: f64,
-    },
-    /// An upstream subtree merged with its downstream consumer stage with
-    /// the intra-path ratio.
-    Intra {
-        /// The upstream (earlier) subtree.
-        upstream: Box<MergeNode>,
-        /// The downstream (later) subtree.
-        downstream: Box<MergeNode>,
-        /// Merged α = (√α_up + √α_down)².
-        alpha: f64,
-    },
-}
-
-impl MergeNode {
-    /// The node's merged parallelized time α.
-    pub fn alpha(&self) -> f64 {
-        match self {
-            MergeNode::Leaf { alpha, .. }
-            | MergeNode::Inter { alpha, .. }
-            | MergeNode::Intra { alpha, .. } => *alpha,
-        }
-    }
-}
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of DoP ratio computing.
 #[derive(Debug, Clone)]
@@ -91,124 +71,315 @@ pub struct DopAssignment {
     pub merged_alpha: f64,
 }
 
-/// Build the spanning in-forest: for every stage with out-degree > 1 pick
-/// the consumer on the heaviest α-path to the sink. Returns
-/// `primary_child[stage] = Some(child)` (`None` for final stages).
-fn primary_children(dag: &JobDag, alpha: &[f64]) -> Vec<Option<StageId>> {
-    // Longest α-weighted path from each stage to any sink.
-    let order = dag.topo_order().expect("scheduler requires a valid DAG");
-    let n = dag.num_stages();
-    let mut longest = vec![0.0_f64; n];
-    for &s in order.iter().rev() {
-        let best_child = dag
-            .children_of(s)
-            .map(|c| longest[c.index()])
-            .fold(0.0_f64, f64::max);
-        longest[s.index()] = alpha[s.index()] + best_child;
-    }
-    (0..n)
-        .map(|i| {
-            let s = StageId(i as u32);
-            dag.children_of(s).max_by(|&a, &b| {
-                // total_cmp: a NaN weight must not panic the scheduler.
-                longest[a.index()]
-                    .total_cmp(&longest[b.index()])
-                    .then(b.cmp(&a)) // tie → smaller id
-            })
-        })
-        .collect()
+/// "No stage" in the workspace's `u32` stage arrays.
+const NONE: u32 = u32::MAX;
+
+/// Reusable state for repeated DoP ratio computing over one
+/// `(dag, model, objective, C)` under changing co-location masks (see the
+/// module docs). [`DopWorkspace::compute`] allocates nothing.
+#[derive(Debug, Clone)]
+pub struct DopWorkspace {
+    objective: Objective,
+    c: u32,
+    // --- mask-independent inputs ---
+    /// Compute + external read + external write α per stage.
+    base_alpha: Vec<f64>,
+    /// Straggler scaling per stage.
+    scaling: Vec<f64>,
+    /// ρ per stage (cost objective only).
+    rho: Vec<f64>,
+    /// CSR of the α terms an edge can zero: per stage, the read α of its
+    /// non-pipelined in-edges, then the write α of its out-edges.
+    io_start: Vec<u32>,
+    io_edge: Vec<u32>,
+    io_alpha: Vec<f64>,
+    /// Topological order, children in CSR (out-edge order) and final
+    /// stages (ascending id) — JCT objective only.
+    topo: Vec<u32>,
+    child_start: Vec<u32>,
+    child: Vec<u32>,
+    finals: Vec<u32>,
+    // --- per-call scratch ---
+    alpha: Vec<f64>,
+    longest: Vec<f64>,
+    primary: Vec<u32>,
+    /// Feeders of each stage (the stages whose primary consumer it is) in
+    /// CSR, ascending; `feeder_fill` is the fill cursor per stage.
+    feeder_start: Vec<u32>,
+    feeder_fill: Vec<u32>,
+    feeders: Vec<u32>,
+    /// Aligned with `feeders`: merged α of a stage's first `k + 1` feeder
+    /// subtrees (the left fold's accumulator).
+    feeder_prefix: Vec<f64>,
+    /// Same fold over the final stages' subtrees.
+    final_prefix: Vec<f64>,
+    /// Merged α of the subtree rooted at each stage; the √(ρα) shares
+    /// under the cost objective.
+    subtree_alpha: Vec<f64>,
+    round_heap: BinaryHeap<(u32, Reverse<u32>)>,
+    // --- outputs of the last `compute` ---
+    /// During the top-down split an entry first holds the slots handed to
+    /// the stage's whole subtree, then the stage's own share.
+    fractional: Vec<f64>,
+    dop: Vec<u32>,
+    sum_dop: u32,
+    merged_alpha: f64,
 }
 
-/// Run the bottom-up merge (Algorithm 1) and return the merge tree.
-///
-/// `alpha[s]` is each stage's effective parallelized time under the current
-/// placement (already scaled by ρ for the cost objective if desired).
-pub fn bottom_up_merge(dag: &JobDag, alpha: &[f64]) -> MergeNode {
-    assert_eq!(alpha.len(), dag.num_stages());
-    let primary = primary_children(dag, alpha);
-
-    // tree_parents[s] = upstream stages merged into s (their primary child
-    // is s), sorted for determinism.
-    let mut tree_parents: Vec<Vec<StageId>> = vec![Vec::new(); dag.num_stages()];
-    for (i, pc) in primary.iter().enumerate() {
-        if let Some(c) = pc {
-            tree_parents[c.index()].push(StageId(i as u32));
-        }
-    }
-    for tp in &mut tree_parents {
-        tp.sort_unstable();
-    }
-
-    fn build(s: StageId, alpha: &[f64], tree_parents: &[Vec<StageId>]) -> MergeNode {
-        let leaf = MergeNode::Leaf {
-            stage: s,
-            alpha: alpha[s.index()],
+impl DopWorkspace {
+    /// Build the workspace: everything about `dag` and `model` that does
+    /// not depend on the co-location mask.
+    pub fn new(dag: &JobDag, model: &JobTimeModel, objective: Objective, c: u32) -> Self {
+        assert!(c >= 1, "need at least one function slot");
+        let n = dag.num_stages();
+        let mut ws = DopWorkspace {
+            objective,
+            c,
+            base_alpha: Vec::with_capacity(n),
+            scaling: Vec::with_capacity(n),
+            rho: Vec::new(),
+            io_start: Vec::with_capacity(n + 1),
+            io_edge: Vec::new(),
+            io_alpha: Vec::new(),
+            topo: Vec::new(),
+            child_start: Vec::new(),
+            child: Vec::new(),
+            finals: Vec::new(),
+            alpha: vec![0.0; n],
+            longest: Vec::new(),
+            primary: Vec::new(),
+            feeder_start: Vec::new(),
+            feeder_fill: Vec::new(),
+            feeders: Vec::new(),
+            feeder_prefix: Vec::new(),
+            final_prefix: Vec::new(),
+            subtree_alpha: vec![0.0; n],
+            round_heap: BinaryHeap::new(),
+            fractional: vec![0.0; n],
+            dop: Vec::with_capacity(n),
+            sum_dop: 0,
+            merged_alpha: 0.0,
         };
-        let feeders = &tree_parents[s.index()];
-        if feeders.is_empty() {
-            return leaf;
-        }
-        // Merge sibling subtrees with the inter-path rule (Eq. 4)...
-        let mut iter = feeders.iter();
-        let first = build(*iter.next().expect("feeders checked non-empty"), alpha, tree_parents);
-        let upstream = iter.fold(first, |acc, &f| {
-            let rhs = build(f, alpha, tree_parents);
-            let a = acc.alpha() + rhs.alpha();
-            MergeNode::Inter {
-                left: Box::new(acc),
-                right: Box::new(rhs),
-                alpha: a,
+        // The terms of `JobTimeModel::stage_alpha`, in its summation order.
+        ws.io_start.push(0);
+        for s in dag.stages() {
+            let st = model.stage_steps(s.id);
+            ws.base_alpha
+                .push(st.compute.alpha + st.external_read.alpha + st.external_write.alpha);
+            ws.scaling.push(model.scaling(s.id));
+            for e in dag.in_edges(s.id) {
+                let io = model.edge_io(e.id);
+                if !io.pipelined {
+                    ws.io_edge.push(e.id.0);
+                    ws.io_alpha.push(io.read.alpha);
+                }
             }
-        });
-        // ...then merge with the downstream stage via the intra-path rule
-        // (Eq. 3).
-        let a = (upstream.alpha().sqrt() + leaf.alpha().sqrt()).powi(2);
-        MergeNode::Intra {
-            upstream: Box::new(upstream),
-            downstream: Box::new(leaf),
-            alpha: a,
+            for e in dag.out_edges(s.id) {
+                ws.io_edge.push(e.id.0);
+                ws.io_alpha.push(model.edge_io(e.id).write.alpha);
+            }
+            ws.io_start.push(ws.io_edge.len() as u32);
+        }
+        match objective {
+            Objective::Cost => {
+                ws.rho = dag.stages().iter().map(|s| model.resource(s.id).rho).collect();
+            }
+            Objective::Jct => {
+                let order = dag.topo_order().expect("scheduler requires a valid DAG");
+                ws.topo = order.iter().map(|s| s.0).collect();
+                ws.child_start.push(0);
+                for s in dag.stages() {
+                    ws.child.extend(dag.children_of(s.id).map(|c| c.0));
+                    ws.child_start.push(ws.child.len() as u32);
+                    if dag.out_degree(s.id) == 0 {
+                        ws.finals.push(s.id.0);
+                    }
+                }
+                ws.longest = vec![0.0; n];
+                ws.primary = vec![NONE; n];
+                ws.feeder_start = vec![0; n + 1];
+                ws.feeder_fill = vec![0; n];
+                ws.feeders = vec![0; n - ws.finals.len()];
+                ws.feeder_prefix = vec![0.0; n - ws.finals.len()];
+                ws.final_prefix = vec![0.0; ws.finals.len()];
+            }
+        }
+        ws
+    }
+
+    /// Run DoP ratio computing under `colocated` (aligned with
+    /// `dag.edges()`): effective αs, bottom-up merge (JCT) or the
+    /// single-path reduction (cost), budget split and rounding. Results
+    /// are read through the accessors until the next call.
+    pub fn compute(&mut self, colocated: &[bool]) {
+        let n = self.alpha.len();
+        for s in 0..n {
+            let mut a = self.base_alpha[s];
+            for k in self.io_start[s] as usize..self.io_start[s + 1] as usize {
+                if !colocated[self.io_edge[k] as usize] {
+                    a += self.io_alpha[k];
+                }
+            }
+            self.alpha[s] = a * self.scaling[s];
+        }
+        match self.objective {
+            Objective::Jct => self.merge_and_split(),
+            Objective::Cost => {
+                // Single-path reduction: dᵢ ∝ √(ρᵢ αᵢ).
+                let shares = &mut self.subtree_alpha;
+                for ((share, rho), alpha) in shares.iter_mut().zip(&self.rho).zip(&self.alpha) {
+                    *share = (rho * alpha).sqrt();
+                }
+                let total: f64 = shares.iter().sum();
+                let c = self.c as f64;
+                for (f, share) in self.fractional.iter_mut().zip(shares.iter()) {
+                    *f = if total > 0.0 { share / total * c } else { c / n as f64 };
+                }
+                self.merged_alpha = total * total; // (Σ√(ρα))² by Eq. 3 cascade
+            }
+        }
+        self.sum_dop = round_dops_into(&self.fractional, self.c, &mut self.dop, &mut self.round_heap);
+    }
+
+    /// Algorithm 1 on the spanning in-forest, without the tree.
+    fn merge_and_split(&mut self) {
+        let n = self.alpha.len();
+
+        // Spanning in-forest: longest α-weighted path from each stage to
+        // any sink, then the consumer on the heaviest one.
+        self.feeder_start.fill(0);
+        for &s in self.topo.iter().rev() {
+            let s = s as usize;
+            let mut best_child = 0.0_f64;
+            let mut primary = NONE;
+            for k in self.child_start[s] as usize..self.child_start[s + 1] as usize {
+                let c = self.child[k];
+                let l = self.longest[c as usize];
+                best_child = best_child.max(l);
+                // total_cmp: a NaN weight must not panic the scheduler;
+                // tie → smaller id.
+                if primary == NONE
+                    || l.total_cmp(&self.longest[primary as usize]).then(primary.cmp(&c)).is_ge()
+                {
+                    primary = c;
+                }
+            }
+            self.longest[s] = self.alpha[s] + best_child;
+            self.primary[s] = primary;
+            if primary != NONE {
+                self.feeder_start[primary as usize + 1] += 1;
+            }
+        }
+        // Feeders per stage, ascending by construction.
+        for s in 0..n {
+            self.feeder_start[s + 1] += self.feeder_start[s];
+            self.feeder_fill[s] = self.feeder_start[s];
+        }
+        for s in 0..n {
+            let p = self.primary[s];
+            if p != NONE {
+                let at = &mut self.feeder_fill[p as usize];
+                self.feeders[*at as usize] = s as u32;
+                *at += 1;
+            }
+        }
+
+        // Bottom-up: sibling subtrees merge with the inter-path rule
+        // (Eq. 4, a left fold), the result merges with the consumer via
+        // the intra-path rule (Eq. 3).
+        for &s in &self.topo {
+            let s = s as usize;
+            let (lo, hi) = (self.feeder_start[s] as usize, self.feeder_start[s + 1] as usize);
+            self.subtree_alpha[s] = if lo == hi {
+                self.alpha[s]
+            } else {
+                let upstream = fold_inter(
+                    &self.feeders[lo..hi],
+                    &self.subtree_alpha,
+                    &mut self.feeder_prefix[lo..hi],
+                );
+                (upstream.sqrt() + self.alpha[s].sqrt()).powi(2)
+            };
+        }
+        // Each final stage roots a tree; several sinks run in parallel and
+        // are inter-merged.
+        self.merged_alpha = fold_inter(&self.finals, &self.subtree_alpha, &mut self.final_prefix);
+
+        // Top-down: split `C` by the recorded ratios. `fractional[s]`
+        // holds the slots of `s`'s whole subtree until `s` is visited.
+        split_inter(
+            &self.finals,
+            &self.subtree_alpha,
+            &self.final_prefix,
+            self.c as f64,
+            &mut self.fractional,
+        );
+        for &s in self.topo.iter().rev() {
+            let s = s as usize;
+            let (lo, hi) = (self.feeder_start[s] as usize, self.feeder_start[s + 1] as usize);
+            if lo == hi {
+                continue; // a leaf keeps its subtree's slots
+            }
+            let d = self.fractional[s];
+            // dᵢ/dⱼ = √αᵢ/√αⱼ (Cauchy–Schwarz optimum).
+            let (su, sd) = (self.feeder_prefix[hi - 1].sqrt(), self.alpha[s].sqrt());
+            let share = if su + sd > 0.0 { su / (su + sd) } else { 0.5 };
+            self.fractional[s] = d * (1.0 - share);
+            split_inter(
+                &self.feeders[lo..hi],
+                &self.subtree_alpha,
+                &self.feeder_prefix[lo..hi],
+                d * share,
+                &mut self.fractional,
+            );
         }
     }
 
-    // Each final stage roots a tree; several sinks run in parallel and are
-    // inter-merged.
-    let finals = dag.final_stages();
-    let mut iter = finals.iter();
-    let first = build(*iter.next().expect("validated DAG is non-empty"), alpha, &tree_parents);
-    iter.fold(first, |acc, &f| {
-        let rhs = build(f, alpha, &tree_parents);
-        let a = acc.alpha() + rhs.alpha();
-        MergeNode::Inter {
-            left: Box::new(acc),
-            right: Box::new(rhs),
-            alpha: a,
-        }
-    })
+    /// Exact (real-valued) per-stage DoPs summing to `C`.
+    pub fn fractional(&self) -> &[f64] {
+        &self.fractional
+    }
+
+    /// Rounded DoPs ([`round_dops`] of [`DopWorkspace::fractional`]).
+    pub fn dop(&self) -> &[u32] {
+        &self.dop
+    }
+
+    /// `Σ` of [`DopWorkspace::dop`].
+    pub fn sum_dop(&self) -> u32 {
+        self.sum_dop
+    }
+
+    /// α of the fully merged virtual stage.
+    pub fn merged_alpha(&self) -> f64 {
+        self.merged_alpha
+    }
 }
 
-/// Split `d` slots down the merge tree by the recorded optimal ratios.
-pub fn distribute(node: &MergeNode, d: f64, out: &mut [f64]) {
-    match node {
-        MergeNode::Leaf { stage, .. } => out[stage.index()] = d,
-        MergeNode::Inter { left, right, .. } => {
-            // dᵢ/dⱼ = αᵢ/αⱼ (balanced structure).
-            let (al, ar) = (left.alpha(), right.alpha());
-            let share = if al + ar > 0.0 { al / (al + ar) } else { 0.5 };
-            distribute(left, d * share, out);
-            distribute(right, d * (1.0 - share), out);
-        }
-        MergeNode::Intra {
-            upstream,
-            downstream,
-            ..
-        } => {
-            // dᵢ/dⱼ = √αᵢ/√αⱼ (Cauchy–Schwarz optimum).
-            let (su, sd) = (upstream.alpha().sqrt(), downstream.alpha().sqrt());
-            let share = if su + sd > 0.0 { su / (su + sd) } else { 0.5 };
-            distribute(upstream, d * share, out);
-            distribute(downstream, d * (1.0 - share), out);
-        }
+/// Left-fold the subtrees rooted at `roots` with the inter-path rule
+/// (`α = α_left + α_right`), recording the accumulator after each root in
+/// `prefix`; returns the merged α. `roots` is non-empty.
+fn fold_inter(roots: &[u32], subtree_alpha: &[f64], prefix: &mut [f64]) -> f64 {
+    let mut acc = subtree_alpha[roots[0] as usize];
+    prefix[0] = acc;
+    for k in 1..roots.len() {
+        acc += subtree_alpha[roots[k] as usize];
+        prefix[k] = acc;
     }
+    acc
+}
+
+/// Undo [`fold_inter`] top-down: hand `d` slots to the subtrees rooted at
+/// `roots`, peeling the fold's right operands off one by one with
+/// `dᵢ/dⱼ = αᵢ/αⱼ` (balanced structure).
+fn split_inter(roots: &[u32], subtree_alpha: &[f64], prefix: &[f64], mut d: f64, slots: &mut [f64]) {
+    for k in (1..roots.len()).rev() {
+        let (al, ar) = (prefix[k - 1], subtree_alpha[roots[k] as usize]);
+        let share = if al + ar > 0.0 { al / (al + ar) } else { 0.5 };
+        slots[roots[k] as usize] = d * (1.0 - share);
+        d *= share;
+    }
+    slots[roots[0] as usize] = d;
 }
 
 /// Round fractional DoPs per §4.5: floor, at least one task per stage.
@@ -216,22 +387,39 @@ pub fn distribute(node: &MergeNode, d: f64, out: &mut [f64]) {
 /// relative to the stage count), slots are taken back from the largest
 /// DoPs so the budget holds whenever `C ≥ #stages`.
 pub fn round_dops(fractional: &[f64], c: u32) -> Vec<u32> {
-    let mut dop: Vec<u32> = fractional.iter().map(|&f| (f.floor() as u32).max(1)).collect();
-    let n = dop.len() as u32;
-    let budget = c.max(n); // every stage needs ≥ 1 task regardless
+    let mut dop = Vec::with_capacity(fractional.len());
+    round_dops_into(fractional, c, &mut dop, &mut BinaryHeap::new());
+    dop
+}
+
+/// [`round_dops`] into `dop` (cleared first), returning `Σ dop`. `largest`
+/// is scratch for the take-back phase.
+fn round_dops_into(
+    fractional: &[f64],
+    c: u32,
+    dop: &mut Vec<u32>,
+    largest: &mut BinaryHeap<(u32, Reverse<u32>)>,
+) -> u32 {
+    dop.clear();
+    dop.extend(fractional.iter().map(|&f| (f.floor() as u32).max(1)));
+    let budget = c.max(dop.len() as u32); // every stage needs ≥ 1 task regardless
     let mut sum: u32 = dop.iter().sum();
+    if sum <= budget {
+        return sum;
+    }
+    // Take slots back one at a time from the currently largest DoP
+    // (deterministic: the smallest index among the largest): a max-heap
+    // keyed `(dop, Reverse(index))` instead of a rescan per slot.
+    largest.clear();
+    largest.extend(dop.iter().enumerate().map(|(i, &d)| (d, Reverse(i as u32))));
     while sum > budget {
-        // Shrink the currently largest DoP (deterministic: first max).
-        let (idx, _) = dop
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &d)| (d, usize::MAX - i))
-            .expect("dop vector is non-empty");
-        debug_assert!(dop[idx] > 1);
-        dop[idx] -= 1;
+        let Some(mut top) = largest.peek_mut() else { break };
+        debug_assert!(top.0 > 1);
+        top.0 -= 1;
+        dop[top.1 .0 as usize] = top.0;
         sum -= 1;
     }
-    dop
+    sum
 }
 
 /// Alternative rounding (extension, not in the paper): floor + at least
@@ -288,52 +476,19 @@ pub fn compute_dop(
     objective: Objective,
     c: u32,
 ) -> DopAssignment {
-    assert!(c >= 1, "need at least one function slot");
-    let n = dag.num_stages();
-    let alpha: Vec<f64> = dag
-        .stages()
-        .iter()
-        .map(|s| model.stage_alpha(dag, s.id, colocated))
-        .collect();
-
-    match objective {
-        Objective::Jct => {
-            let tree = bottom_up_merge(dag, &alpha);
-            let mut fractional = vec![0.0; n];
-            distribute(&tree, c as f64, &mut fractional);
-            let dop = round_dops(&fractional, c);
-            DopAssignment {
-                fractional,
-                dop,
-                merged_alpha: tree.alpha(),
-            }
-        }
-        Objective::Cost => {
-            // Single-path reduction: dᵢ ∝ √(ρᵢ αᵢ).
-            let shares: Vec<f64> = (0..n)
-                .map(|i| (model.resource(StageId(i as u32)).rho * alpha[i]).sqrt())
-                .collect();
-            let total: f64 = shares.iter().sum();
-            let fractional: Vec<f64> = if total > 0.0 {
-                shares.iter().map(|s| s / total * c as f64).collect()
-            } else {
-                vec![c as f64 / n as f64; n]
-            };
-            let merged_alpha = total * total; // (Σ√(ρα))² by Eq. 3 cascade
-            let dop = round_dops(&fractional, c);
-            DopAssignment {
-                fractional,
-                dop,
-                merged_alpha,
-            }
-        }
+    let mut ws = DopWorkspace::new(dag, model, objective, c);
+    ws.compute(colocated);
+    DopAssignment {
+        fractional: ws.fractional,
+        dop: ws.dop,
+        merged_alpha: ws.merged_alpha,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ditto_dag::{DagBuilder, EdgeKind, StageKind};
+    use ditto_dag::{DagBuilder, EdgeKind, StageId, StageKind};
     use ditto_timemodel::model::{EdgeIo, StageSteps};
     use ditto_timemodel::ResourceModel;
 

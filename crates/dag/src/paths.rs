@@ -82,12 +82,26 @@ pub fn critical_path(dag: &JobDag, w: &DagWeights) -> Path {
 /// each recomputation is a single allocation-free O(V + E) sweep (plus the
 /// returned [`Path`] itself). Produces bit-identical results to
 /// [`critical_path`].
+///
+/// The cache also keeps the last DP state, so a caller that changes one
+/// edge weight at a time (the greedy grouping pick zeroes one edge per
+/// step) can bring it up to date with [`CriticalPathCache::edge_zeroed`]
+/// instead of a full sweep, and read the path back with
+/// [`CriticalPathCache::current_path`] /
+/// [`CriticalPathCache::current_edges_into`].
 #[derive(Debug, Clone)]
 pub struct CriticalPathCache {
     topo: Vec<StageId>,
+    /// `topo_pos[StageId::index()]` = position of the stage in `topo`.
+    topo_pos: Vec<u32>,
     finals: Vec<StageId>,
     best: Vec<f64>,
     pred: Vec<Option<EdgeId>>,
+    /// End stage of the critical path under the last DP state.
+    end: StageId,
+    /// Scratch for [`CriticalPathCache::edge_zeroed`]: stages whose inputs
+    /// changed and still await re-relaxation. All `false` between calls.
+    dirty: Vec<bool>,
 }
 
 impl CriticalPathCache {
@@ -97,48 +111,123 @@ impl CriticalPathCache {
             .topo_order()
             .expect("critical_path requires an acyclic DAG");
         let n = dag.num_stages();
+        let mut topo_pos = vec![0u32; n];
+        for (i, s) in topo.iter().enumerate() {
+            topo_pos[s.index()] = i as u32;
+        }
         CriticalPathCache {
             topo,
+            topo_pos,
             finals: dag.final_stages(),
             best: vec![f64::NEG_INFINITY; n],
             pred: vec![None; n],
+            end: StageId(0),
+            dirty: vec![false; n],
         }
     }
 
-    /// The DP sweep: recompute `best`/`pred` under `w` and return the end
-    /// stage of the critical path.
-    fn sweep(&mut self, dag: &JobDag, w: &DagWeights) -> StageId {
-        debug_assert_eq!(self.best.len(), dag.num_stages());
-        // best[s] = max weight of a path ending at s (inclusive of s's node
-        // weight); pred[s] = edge taken into s on that path.
-        let best = &mut self.best;
-        let pred = &mut self.pred;
-        for &s in &self.topo {
-            let own = w.node_weight(s);
-            let mut b = own; // start of a path
-            let mut p = None;
-            for e in dag.in_edges(s) {
-                let cand = best[e.src.index()] + w.edge_weight(e.id) + own;
-                // Strictly better, or a tie against "start a fresh path here":
-                // prefer the longer path through a parent so zero-weight DAGs
-                // still yield maximal paths (greedy grouping needs edges to
-                // traverse even when all remaining weights are equal).
-                if cand > b + 1e-15 || (p.is_none() && cand >= b - 1e-15) {
-                    b = cand;
-                    p = Some(e.id);
-                }
+    /// One DP step: the best path ending at `s` (inclusive of `s`'s node
+    /// weight) and the edge taken into `s` on it, from the current `best`
+    /// of `s`'s parents.
+    fn relax(&self, dag: &JobDag, w: &DagWeights, s: StageId) -> (f64, Option<EdgeId>) {
+        let own = w.node_weight(s);
+        let mut b = own; // start of a path
+        let mut p = None;
+        for e in dag.in_edges(s) {
+            let cand = self.best[e.src.index()] + w.edge_weight(e.id) + own;
+            // Strictly better, or a tie against "start a fresh path here":
+            // prefer the longer path through a parent so zero-weight DAGs
+            // still yield maximal paths (greedy grouping needs edges to
+            // traverse even when all remaining weights are equal).
+            if cand > b + 1e-15 || (p.is_none() && cand >= b - 1e-15) {
+                b = cand;
+                p = Some(e.id);
             }
-            best[s.index()] = b;
-            pred[s.index()] = p;
         }
-        // Pick the best final stage.
+        (b, p)
+    }
+
+    /// Pick the best final stage under the current `best`.
+    fn pick_end(&mut self) {
+        let best = &self.best;
         let mut end: Option<StageId> = None;
         for &s in &self.finals {
             if end.is_none_or(|cur| best[s.index()] > best[cur.index()] + 1e-15) {
                 end = Some(s);
             }
         }
-        end.expect("non-empty DAG has a final stage")
+        self.end = end.expect("non-empty DAG has a final stage");
+    }
+
+    /// The DP sweep: recompute `best`/`pred`/`end` under `w`.
+    fn sweep(&mut self, dag: &JobDag, w: &DagWeights) {
+        debug_assert_eq!(self.best.len(), dag.num_stages());
+        for i in 0..self.topo.len() {
+            let s = self.topo[i];
+            let (b, p) = self.relax(dag, w, s);
+            self.best[s.index()] = b;
+            self.pred[s.index()] = p;
+        }
+        self.pick_end();
+    }
+
+    /// Bring the DP state up to date after the weight of edge `e` — and of
+    /// nothing else — changed in `w` since the last sweep or `edge_zeroed`
+    /// (the greedy pick's `ω(e) ← 0`). Only `e.dst` and stages downstream
+    /// of it can change, so only stages whose inputs actually changed are
+    /// re-relaxed, in topological order, each from *all* its in-edges with
+    /// the sweep's tie rule: `best`/`pred` end up bitwise what a full sweep
+    /// under `w` gives.
+    pub fn edge_zeroed(&mut self, dag: &JobDag, w: &DagWeights, e: EdgeId) {
+        let first = dag.edge(e).dst;
+        self.dirty[first.index()] = true;
+        let mut pending = 1usize;
+        let mut i = self.topo_pos[first.index()] as usize;
+        while pending > 0 {
+            let s = self.topo[i];
+            i += 1;
+            if !std::mem::take(&mut self.dirty[s.index()]) {
+                continue;
+            }
+            pending -= 1;
+            let (b, p) = self.relax(dag, w, s);
+            self.pred[s.index()] = p;
+            if b.to_bits() != self.best[s.index()].to_bits() {
+                self.best[s.index()] = b;
+                for c in dag.children_of(s) {
+                    if !std::mem::replace(&mut self.dirty[c.index()], true) {
+                        pending += 1;
+                    }
+                }
+            }
+        }
+        self.pick_end();
+    }
+
+    /// Edges of the critical path under the current DP state, written into
+    /// `out` (cleared first) in downstream→upstream order.
+    pub fn current_edges_into(&self, dag: &JobDag, out: &mut Vec<EdgeId>) {
+        out.clear();
+        let mut cur = self.end;
+        while let Some(e) = self.pred[cur.index()] {
+            out.push(e);
+            cur = dag.edge(e).src;
+        }
+    }
+
+    /// The critical path under the current DP state (after a sweep or an
+    /// [`CriticalPathCache::edge_zeroed`]).
+    pub fn current_path(&self, dag: &JobDag) -> Path {
+        let mut edges = Vec::new();
+        self.current_edges_into(dag, &mut edges);
+        edges.reverse();
+        let mut stages: Vec<StageId> = edges.iter().map(|&e| dag.edge(e).src).collect();
+        stages.push(self.end);
+        Path {
+            stages,
+            edges,
+            weight: self.best[self.end.index()],
+        }
     }
 
     /// The critical path's *edges only*, written into `out` (cleared first)
@@ -147,37 +236,15 @@ impl CriticalPathCache {
     /// heaviest-edge comparator is a total order and therefore
     /// order-independent.
     pub fn critical_path_edges_into(&mut self, dag: &JobDag, w: &DagWeights, out: &mut Vec<EdgeId>) {
-        let end = self.sweep(dag, w);
-        out.clear();
-        let mut cur = end;
-        while let Some(e) = self.pred[cur.index()] {
-            out.push(e);
-            cur = dag.edge(e).src;
-        }
+        self.sweep(dag, w);
+        self.current_edges_into(dag, out);
     }
 
     /// [`critical_path`] using the cached topo order and buffers. The cache
     /// must have been built for this `dag`.
     pub fn critical_path(&mut self, dag: &JobDag, w: &DagWeights) -> Path {
-        let end = self.sweep(dag, w);
-        let best = &self.best;
-        let pred = &self.pred;
-        // Reconstruct.
-        let mut stages = vec![end];
-        let mut edges = Vec::new();
-        let mut cur = end;
-        while let Some(e) = pred[cur.index()] {
-            edges.push(e);
-            cur = dag.edge(e).src;
-            stages.push(cur);
-        }
-        stages.reverse();
-        edges.reverse();
-        Path {
-            stages,
-            edges,
-            weight: best[end.index()],
-        }
+        self.sweep(dag, w);
+        self.current_path(dag)
     }
 }
 
@@ -319,6 +386,72 @@ mod tests {
             assert_eq!(cached.stages, fresh.stages);
             assert_eq!(cached.edges, fresh.edges);
             assert_eq!(cached.weight, fresh.weight);
+        }
+    }
+
+    use crate::generators::{random_dag, RandomDagConfig};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn assert_current_is_fresh(cache: &CriticalPathCache, g: &JobDag, w: &DagWeights) {
+        let (kept, fresh) = (cache.current_path(g), critical_path(g, w));
+        assert_eq!(kept.stages, fresh.stages);
+        assert_eq!(kept.edges, fresh.edges);
+        assert_eq!(kept.weight.to_bits(), fresh.weight.to_bits());
+        let mut edges = Vec::new();
+        cache.current_edges_into(g, &mut edges);
+        edges.reverse();
+        assert_eq!(edges, fresh.edges);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After any sequence of single-edge zeroings — on the path or off
+        /// it, down to the all-zero DAG — the incrementally maintained
+        /// state is the fresh computation's: stages, edges, weight bits.
+        #[test]
+        fn edge_zeroed_matches_fresh_critical_path(
+            seed in 0u64..10_000,
+            stages in 2usize..40,
+            layers in 1usize..7,
+            dense in 0u32..3,
+            zero_nodes in 0u32..2,
+        ) {
+            let cfg = RandomDagConfig {
+                stages,
+                layers,
+                edge_prob: [0.1, 0.5, 0.9][dense as usize],
+                ..Default::default()
+            };
+            let g = random_dag(seed, &cfg);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xc9a7);
+            let mut w = DagWeights::zeros(&g);
+            // Coarse weights make exact ties (the 1e-15 rule) common.
+            for x in w.edge.iter_mut() {
+                *x = f64::from(rng.gen_range(0u32..4)) * 0.25;
+            }
+            if zero_nodes == 0 {
+                for x in w.node.iter_mut() {
+                    *x = rng.gen_range(0.0..2.0);
+                }
+            }
+            let mut cache = CriticalPathCache::new(&g);
+            cache.critical_path(&g, &w);
+            // Every edge once, in random order: whatever the path is at
+            // each step, most of these are off it; the last leaves every
+            // edge (and, with `zero_nodes`, the whole DAG) at zero.
+            let mut order: Vec<usize> = (0..g.num_edges()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            for e in order {
+                w.edge[e] = 0.0;
+                cache.edge_zeroed(&g, &w, EdgeId(e as u32));
+                assert_current_is_fresh(&cache, &g, &w);
+            }
+            prop_assert!(w.edge.iter().all(|&x| x == 0.0));
         }
     }
 

@@ -93,11 +93,16 @@ pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ExecError> {
             byte_offset: pos,
             reason,
         };
-        if rem < 12 {
+        // `[len: 4][crc: 8]`, read as fixed-size chunks: fewer than 12
+        // bytes left is the torn tail of a crash mid-append.
+        let head = bytes[pos..]
+            .split_first_chunk::<4>()
+            .and_then(|(len, rest)| Some((*len, *rest.first_chunk::<8>()?)));
+        let Some((len, crc)) = head else {
             torn = Some(tear(TornReason::Truncated));
             break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_le_bytes(len) as usize;
         if len == 0 || len > MAX_FRAME {
             torn = Some(tear(TornReason::BadLength));
             break;
@@ -106,7 +111,7 @@ pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ExecError> {
             torn = Some(tear(TornReason::Truncated));
             break;
         }
-        let crc = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
+        let crc = u64::from_le_bytes(crc);
         let payload = &bytes[pos + 12..pos + 12 + len];
         if checksum64(payload, JOURNAL_SEED) != crc {
             torn = Some(tear(TornReason::ChecksumMismatch));

@@ -74,12 +74,17 @@ impl<'a> Dec<'a> {
         Ok(self.bytes(1)?[0])
     }
 
+    /// [`Dec::bytes`] as a fixed-size array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        <[u8; N]>::try_from(self.bytes(N)?).map_err(|e| e.to_string())
+    }
+
     fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64, String> {

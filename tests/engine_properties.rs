@@ -265,6 +265,27 @@ proptest! {
     }
 }
 
+/// CI's "Determinism lint" step, where tier-1 sees it: the workspace has
+/// no unallowed finding and `audit.allow` has no entry that matches
+/// nothing (a moved file leaves both behind at once).
+#[test]
+fn determinism_lint_is_clean_and_allowlist_is_current() {
+    use ditto::audit::lint::{lint_workspace, Allowlist};
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("audit.allow")).unwrap();
+    let mut allow = Allowlist::parse(&text).unwrap();
+    let findings = lint_workspace(root, &mut allow).unwrap();
+    let violations: Vec<String> =
+        findings.iter().filter(|f| !f.allowed).map(|f| f.to_string()).collect();
+    assert!(violations.is_empty(), "unallowed lint findings:\n{}", violations.join("\n"));
+    let stale: Vec<String> = allow
+        .stale()
+        .iter()
+        .map(|e| format!("{}|{}|{}", e.rule, e.path, e.needle))
+        .collect();
+    assert!(stale.is_empty(), "stale audit.allow entries:\n{}", stale.join("\n"));
+}
+
 // ---------------------------------------------------------------------
 // The simulator `Engine`, at smoke scale: every configuration is the same
 // pass driver, so each must agree with its neighbours bit for bit.

@@ -6,6 +6,7 @@ use ditto::core::dop::{compute_dop, round_dops};
 use ditto::core::grouping::{greedy_group_order, StageGroups};
 use ditto::core::joint::{joint_optimize, JointOptions};
 use ditto::core::predict::{predicted_cost, predicted_jct};
+use ditto::core::reference::round_dops_reference;
 use ditto::core::Objective;
 use ditto::dag::generators::{random_dag, RandomDagConfig};
 use ditto::dag::paths::{critical_path, DagWeights};
@@ -42,15 +43,26 @@ proptest! {
     }
 
     /// Rounding never exceeds the budget (when feasible) and never zeroes
-    /// a stage.
+    /// a stage — and the heap that takes slots back picks exactly the
+    /// slots the original rescan-per-slot loop picked, at the natural
+    /// budget and at tighter ones that force long take-backs.
     #[test]
-    fn rounding_respects_budget(fracs in proptest::collection::vec(0.01f64..50.0, 1..30)) {
-        let c = (fracs.iter().sum::<f64>().ceil() as u32).max(fracs.len() as u32);
+    fn rounding_respects_budget(
+        fracs in proptest::collection::vec(0.01f64..50.0, 1..30),
+        squeeze in 0.0f64..1.0,
+    ) {
+        let n = fracs.len() as u32;
+        let c = (fracs.iter().sum::<f64>().ceil() as u32).max(n);
         let dop = round_dops(&fracs, c);
         prop_assert!(dop.iter().all(|&d| d >= 1));
-        prop_assert!(dop.iter().sum::<u32>() <= c.max(fracs.len() as u32));
+        prop_assert!(dop.iter().sum::<u32>() <= c.max(n));
         for (d, f) in dop.iter().zip(&fracs) {
             prop_assert!(*d as f64 <= f.max(1.0) + 1e-9, "rounding never exceeds the fraction");
+        }
+        for budget in [c, n + ((c - n) as f64 * squeeze) as u32, n, 1] {
+            let dop = round_dops(&fracs, budget);
+            prop_assert_eq!(&dop, &round_dops_reference(&fracs, budget), "budget {}", budget);
+            prop_assert!(dop.iter().sum::<u32>() <= budget.max(n));
         }
     }
 
