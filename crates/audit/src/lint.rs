@@ -113,7 +113,7 @@ impl LintRule {
                 rel.starts_with("crates/exec/") || rel.starts_with("crates/storage/")
             }
             LintRule::Fsync01RawDurableWrite => {
-                rel == "crates/exec/src/journal.rs" || rel.starts_with("crates/storage/")
+                rel.starts_with("crates/exec/src/journal/") || rel.starts_with("crates/storage/")
             }
         }
     }
@@ -620,11 +620,13 @@ fn also_shipping() { Some(2).unwrap(); }
     #[test]
     fn fsync_rule_guards_journal_and_storage_paths() {
         let src = "fn persist(&self) {\n    std::fs::write(&self.path, &self.buf).unwrap();\n}\n";
-        let f = run("crates/exec/src/journal.rs", src);
-        assert!(
-            f.iter().any(|f| f.rule == LintRule::Fsync01RawDurableWrite),
-            "{f:?}"
-        );
+        for journal_file in ["session.rs", "frame.rs"] {
+            let f = run(&format!("crates/exec/src/journal/{journal_file}"), src);
+            assert!(
+                f.iter().any(|f| f.rule == LintRule::Fsync01RawDurableWrite),
+                "{journal_file}: {f:?}"
+            );
+        }
         assert_eq!(
             run("crates/storage/src/object_store.rs", "file.write_all(&frame)?;\n").len(),
             1

@@ -209,7 +209,7 @@ fn main() {
             }
             // Crash-point certification sweep: kill the coordinator at
             // every journal record index (smoke: a strided subset) of
-            // two fixed-seed scenarios and recover from the write-ahead
+            // three fixed-seed scenarios and recover from the write-ahead
             // journal. `crash` exercises every index; `crash-smoke` the
             // CI stride. Both write BENCH_crash.json and the recovered
             // adaptive exemplar's journal as JOURNAL_crash.bin; exits
@@ -225,6 +225,11 @@ fn main() {
                 emit(&rows, json);
                 std::fs::write("BENCH_crash.json", write_json(&rows)).expect("write BENCH_crash.json");
                 println!("wrote BENCH_crash.json ({} rows)", rows.len());
+                // Wall-clock, so on stdout only: the file must repeat.
+                println!(
+                    "wide-192 journal overhead: journaled / un-journaled run = {:.2}",
+                    ditto_bench::crash::wide_journal_overhead_ratio()
+                );
                 let (trace, journal) = ditto_bench::traced_crash_recovery();
                 std::fs::write("JOURNAL_crash.bin", &journal).expect("write JOURNAL_crash.bin");
                 println!(
@@ -460,9 +465,11 @@ fn adapt_metrics(rows: &[ditto_bench::AdaptSweepRow]) -> Vec<(String, f64)> {
 
 fn crash_config() -> String {
     format!(
-        "seed={} slots={:?} scenarios=[frozen-ladder,adaptive-drift2x]",
+        "seed={} slots={:?} scenarios=[frozen-ladder,adaptive-drift2x] wide={}x{:?}",
         ditto_bench::crash::CRASH_SEED,
         ditto_bench::crash::CRASH_SLOTS,
+        ditto_bench::crash::WIDE_STAGES,
+        ditto_bench::crash::WIDE_SLOTS,
     )
 }
 

@@ -2,7 +2,7 @@
 //! `BENCH_crash.json` + `JOURNAL_crash.bin`).
 //!
 //! The control plane is one coordinator process; this sweep certifies
-//! that losing it at *any* journal instant is recoverable. Two
+//! that losing it at *any* journal instant is recoverable. Three
 //! representative fixed-seed scenarios run crash-free first to establish
 //! the baseline journal, then the coordinator is killed at every journal
 //! record index (the smoke subset strides the same ladder) and resumed:
@@ -12,7 +12,12 @@
 //!   recovery ladder of the frozen engine);
 //! * **adaptive-drift2x** — the adaptive engine under 2× compute drift
 //!   plus object loss, where recovery must also replay journaled replan
-//!   splices without re-optimizing.
+//!   splices without re-optimizing;
+//! * **wide-192** — one 192-stage random DAG on eight 48-slot servers
+//!   under the end-to-end benchmark's 2 % crash / straggler / loss mix:
+//!   the shape where a checkpoint is a delta against up to 191 earlier
+//!   ones, and where the journal's size and write cost are fenced (see
+//!   [`wide_journal_overhead_ratio`]).
 //!
 //! Every crash point asserts the recovered run is **bit-identical** to
 //! the crash-free run (final metrics, task timelines, attempt history,
@@ -27,18 +32,22 @@
 use crate::setup::prepare;
 use ditto_audit::RaceOptions;
 use ditto_cluster::{ResourceManager, ServerId};
-use ditto_core::{DittoScheduler, JointOptions, Objective, Schedule};
+use ditto_core::{DittoScheduler, JointOptions, Objective, Schedule, Scheduler, SchedulingContext};
+use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_exec::{
-    cross_check, decode_journal, simulate, validate_journal, AdaptiveConfig, Engine, ExecError,
-    ExecutionTrace, FaultPlan, FaultRates, JobMetrics, JournalSession, RecoveryPolicy,
-    ReschedulingContext,
+    cross_check, decode_journal, simulate, validate_journal, AdaptiveConfig, Engine, ExecConfig,
+    ExecError, ExecutionTrace, FaultPlan, FaultRates, GroundTruth, JobMetrics, JournalSession,
+    RecoveryPolicy, ReschedulingContext,
 };
 use ditto_obs::{Recorder, TraceData};
 use ditto_sql::queries::Query;
 use ditto_storage::Medium;
+use ditto_timemodel::model::RateConfig;
+use ditto_timemodel::JobTimeModel;
 use serde::Serialize;
+use std::time::Instant;
 
-/// Seed naming the fault history of both scenarios.
+/// Seed naming the fault history of every scenario (and the wide DAG).
 pub const CRASH_SEED: u64 = 31;
 /// Smoke subset: at most this many crash points per scenario.
 pub const CRASH_SMOKE_POINTS: u64 = 8;
@@ -46,10 +55,14 @@ pub const CRASH_SMOKE_POINTS: u64 = 8;
 /// One scenario's crash-sweep certification summary.
 #[derive(Debug, Clone, Serialize)]
 pub struct CrashSweepRow {
-    /// Scenario name (`frozen-ladder` / `adaptive-drift2x`).
+    /// Scenario name (`frozen-ladder` / `adaptive-drift2x` / `wide-192`).
     pub scenario: String,
     /// Records in the crash-free baseline journal.
     pub journal_records: u64,
+    /// Bytes of the crash-free baseline journal (header included).
+    pub journal_bytes: u64,
+    /// `journal_bytes / journal_records`.
+    pub bytes_per_record: f64,
     /// Crash points exercised (= records for the full sweep).
     pub crash_points: u64,
     /// Baseline (and recovered — they are asserted equal) JCT, seconds.
@@ -68,94 +81,145 @@ pub struct CrashSweepRow {
     pub deduped_commits: u64,
 }
 
-/// The sweep's cluster: the adaptive sweep's slot-constrained pair, so
-/// drift-triggered replans have real trade-offs to move.
+/// The Q95 scenarios' cluster: the adaptive sweep's slot-constrained
+/// pair, so drift-triggered replans have real trade-offs to move.
 pub const CRASH_SLOTS: &[u32] = &[24, 16];
+/// The wide scenario's cluster and DAG size (the end-to-end benchmark's
+/// `sched_wide_*` shape).
+pub const WIDE_SLOTS: &[u32] = &[48; 8];
+/// Stages of the wide scenario's random DAG.
+pub const WIDE_STAGES: usize = 192;
 
-fn crash_cluster() -> ResourceManager {
-    ResourceManager::from_free_slots(CRASH_SLOTS.to_vec())
-}
-
+/// One scenario: a job, its cluster and schedule, and a fault history.
 struct Scenario {
     name: &'static str,
+    dag: ditto_dag::JobDag,
+    gt: GroundTruth,
+    model: JobTimeModel,
+    slots: &'static [u32],
+    schedule: Schedule,
     plan: FaultPlan,
     adaptive: bool,
 }
 
-fn scenarios(dag_jct: f64) -> Vec<Scenario> {
-    let loss = FaultPlan::from_rates(FaultRates {
-        loss_prob: 0.05,
-        ..FaultRates::none(CRASH_SEED)
-    });
+/// The scenarios, in the order their rows are written (new ones are
+/// appended, so older rows keep their place and their seeds).
+fn scenarios() -> Vec<Scenario> {
+    let p = prepare(Query::Q95, Medium::S3);
+    let rm = ResourceManager::from_free_slots(CRASH_SLOTS.to_vec());
+    let schedule = p.schedule(&DittoScheduler::new(), &rm, Objective::Jct);
+    let (_, base) = simulate(&p.plan.dag, &schedule, &p.gt);
+    let loss = |loss_prob| {
+        FaultPlan::from_rates(FaultRates {
+            loss_prob,
+            ..FaultRates::none(CRASH_SEED)
+        })
+    };
+    let q95 = |name, adaptive, plan| Scenario {
+        name,
+        dag: p.plan.dag.clone(),
+        gt: p.gt.clone(),
+        model: p.model.clone(),
+        slots: CRASH_SLOTS,
+        schedule: schedule.clone(),
+        plan,
+        adaptive,
+    };
     vec![
-        Scenario {
-            name: "frozen-ladder",
-            plan: loss
-                .clone()
-                .and_server_failure(ServerId(1), dag_jct * 0.3),
-            adaptive: false,
-        },
-        Scenario {
-            name: "adaptive-drift2x",
-            plan: FaultPlan::from_rates(FaultRates {
-                loss_prob: 0.02,
-                ..FaultRates::none(CRASH_SEED)
-            })
-            .with_drift(2.0),
-            adaptive: true,
-        },
+        q95(
+            "frozen-ladder",
+            false,
+            loss(0.05).and_server_failure(ServerId(1), base.jct * 0.3),
+        ),
+        q95("adaptive-drift2x", true, loss(0.02).with_drift(2.0)),
+        wide_scenario(),
     ]
 }
 
-struct Harness {
-    dag: ditto_dag::JobDag,
-    gt: ditto_exec::GroundTruth,
-    model: ditto_timemodel::JobTimeModel,
-    rm: ResourceManager,
-    schedule: Schedule,
-}
-
-fn harness() -> Harness {
-    let p = prepare(Query::Q95, Medium::S3);
-    let rm = crash_cluster();
-    let schedule = p.schedule(&DittoScheduler::new(), &rm, Objective::Jct);
-    Harness {
-        dag: p.plan.dag.clone(),
-        gt: p.gt,
-        model: p.model,
-        rm,
+fn wide_scenario() -> Scenario {
+    let dag = random_dag(CRASH_SEED, &RandomDagConfig::sized(WIDE_STAGES));
+    let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
+    let schedule = DittoScheduler::new().schedule(&SchedulingContext {
+        dag: &dag,
+        model: &model,
+        resources: &ResourceManager::from_free_slots(WIDE_SLOTS.to_vec()),
+        objective: Objective::Jct,
+    });
+    Scenario {
+        name: "wide-192",
+        plan: FaultPlan::from_rates(FaultRates {
+            crash_prob: 0.02,
+            straggler_prob: 0.02,
+            straggler_slowdown: 4.0,
+            loss_prob: 0.02,
+            ..FaultRates::none(CRASH_SEED)
+        }),
+        dag,
+        gt: GroundTruth::new(ExecConfig::default()),
+        model,
+        slots: WIDE_SLOTS,
         schedule,
+        adaptive: false,
     }
 }
 
-impl Harness {
-    fn ctx(&self) -> ReschedulingContext<'_> {
-        ReschedulingContext {
-            model: &self.model,
-            resources: &self.rm,
-            objective: Objective::Jct,
-            options: JointOptions::default(),
-        }
-    }
-
+impl Scenario {
+    /// Run the scenario on its engine, journaled when `session` is given.
     fn run(
         &self,
-        sc: &Scenario,
         obs: &Recorder,
-        session: &mut JournalSession,
+        session: Option<&mut JournalSession>,
     ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
         let policy = RecoveryPolicy::default();
-        let ctx = self.ctx();
-        let engine = Engine::new(&self.dag, &self.schedule, &self.gt)
-            .faults(&sc.plan, &policy)
-            .recorder(obs)
-            .journal(session);
-        if sc.adaptive {
+        let rm = ResourceManager::from_free_slots(self.slots.to_vec());
+        let ctx = ReschedulingContext {
+            model: &self.model,
+            resources: &rm,
+            objective: Objective::Jct,
+            options: JointOptions::default(),
+        };
+        let mut engine = Engine::new(&self.dag, &self.schedule, &self.gt)
+            .faults(&self.plan, &policy)
+            .recorder(obs);
+        if let Some(session) = session {
+            engine = engine.journal(session);
+        }
+        if self.adaptive {
             engine.adaptive(&ctx, &AdaptiveConfig::default()).run()
         } else {
             engine.failover(&ctx).run()
         }
     }
+}
+
+/// What the write-ahead journal costs a run of the wide scenario: wall
+/// time of the journaled run ÷ the un-journaled one, as the median over
+/// rounds that time the two back to back (so a clock-speed change between
+/// rounds cancels). A ratio of two timings on one machine, not an absolute
+/// time; it is printed and asserted but — unlike everything in a
+/// [`CrashSweepRow`] — differs run to run, so it stays out of
+/// `BENCH_crash.json`, which CI compares byte for byte across two runs.
+pub fn wide_journal_overhead_ratio() -> f64 {
+    const ROUNDS: usize = 15;
+    const REPS: usize = 8;
+    let sc = wide_scenario();
+    let off = Recorder::disabled();
+    let time = |journaled: bool| {
+        let start = Instant::now();
+        for _ in 0..REPS {
+            let mut session = journaled.then(|| JournalSession::fresh(None));
+            sc.run(&off, session.as_mut()).expect("crash-free run");
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let mut ratios: Vec<f64> = (0..ROUNDS)
+        .map(|_| {
+            let plain = time(false);
+            time(true) / plain
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ROUNDS / 2]
 }
 
 /// Full certification sweep: crash at *every* journal record index.
@@ -170,15 +234,14 @@ pub fn crash_sweep_smoke() -> Vec<CrashSweepRow> {
 }
 
 fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
-    let h = harness();
-    let (_, base) = simulate(&h.dag, &h.schedule, &h.gt);
     let mut rows = Vec::new();
-    for sc in scenarios(base.jct) {
+    for sc in scenarios() {
         let mut clean = JournalSession::fresh(None);
-        let (bt, bm) = h
-            .run(&sc, &Recorder::disabled(), &mut clean)
+        let (bt, bm) = sc
+            .run(&Recorder::disabled(), Some(&mut clean))
             .expect("crash-free journaled run");
         let total = clean.records_written();
+        let journal_bytes = clean.durable_bytes().len() as u64;
         let v = validate_journal(&decode_journal(clean.durable_bytes()).unwrap().records);
         assert!(v.is_empty(), "{}: baseline journal dirty: {v:?}", sc.name);
 
@@ -186,7 +249,7 @@ fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
             Some(m) if total > m => total.div_ceil(m),
             _ => 1,
         };
-        let n_stages = h.dag.num_stages() as u32;
+        let n_stages = sc.dag.num_stages() as u32;
         let mut bit_identical = true;
         let mut certified_clean = true;
         let mut resim: Vec<u32> = Vec::new();
@@ -195,8 +258,8 @@ fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
         for k in (0..total).step_by(stride as usize) {
             points += 1;
             let mut armed = JournalSession::fresh(Some(k));
-            let err = h
-                .run(&sc, &Recorder::disabled(), &mut armed)
+            let err = sc
+                .run(&Recorder::disabled(), Some(&mut armed))
                 .expect_err("armed crash must kill the run");
             assert!(
                 matches!(err, ExecError::CoordinatorCrash { at_record } if at_record == k),
@@ -206,8 +269,8 @@ fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
             let mut resumed =
                 JournalSession::resume(armed.durable_bytes()).expect("torn journal resumes");
             let obs = Recorder::new();
-            let (rt, rm2) = h
-                .run(&sc, &obs, &mut resumed)
+            let (rt, rm2) = sc
+                .run(&obs, Some(&mut resumed))
                 .expect("recovery must terminate");
             let trace = obs.finish();
             if rm2 != bm || rt.tasks != bt.tasks || rt.attempts != bt.attempts
@@ -215,13 +278,15 @@ fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
             {
                 bit_identical = false;
             }
-            certified_clean &= certify(&resumed, &trace);
+            certified_clean &= certify(&resumed, &trace, sc.slots);
             resim.push(n_stages - resumed.restored_stages());
             deduped += resumed.deduped();
         }
         rows.push(CrashSweepRow {
             scenario: sc.name.to_string(),
             journal_records: total,
+            journal_bytes,
+            bytes_per_record: journal_bytes as f64 / total as f64,
             crash_points: points,
             jct_seconds: bm.jct,
             bit_identical,
@@ -238,7 +303,7 @@ fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
 /// The three certificates every recovered run must pass: journal
 /// invariants, race-freedom of the recovered telemetry, and the
 /// journal ↔ trace cross-check.
-fn certify(session: &JournalSession, trace: &TraceData) -> bool {
+fn certify(session: &JournalSession, trace: &TraceData, slots: &[u32]) -> bool {
     let decoded = match decode_journal(session.durable_bytes()) {
         Ok(d) => d,
         Err(_) => return false,
@@ -252,7 +317,7 @@ fn certify(session: &JournalSession, trace: &TraceData) -> bool {
     let race = ditto_audit::check_trace(
         trace,
         &RaceOptions {
-            capacities: Some(CRASH_SLOTS.to_vec()),
+            capacities: Some(slots.to_vec()),
             ..Default::default()
         },
     );
@@ -267,22 +332,20 @@ fn certify(session: &JournalSession, trace: &TraceData) -> bool {
 /// live replan run on a [`Recorder::deterministic`] virtual clock, so
 /// the exported artifact is byte-reproducible run over run.
 pub fn traced_crash_recovery() -> (TraceData, Vec<u8>) {
-    let h = harness();
-    let (_, base) = simulate(&h.dag, &h.schedule, &h.gt);
-    let sc = scenarios(base.jct)
+    let sc = scenarios()
         .into_iter()
         .find(|s| s.adaptive)
         .expect("adaptive scenario exists");
     let mut clean = JournalSession::fresh(None);
-    h.run(&sc, &Recorder::disabled(), &mut clean)
+    sc.run(&Recorder::disabled(), Some(&mut clean))
         .expect("crash-free journaled run");
     let mid = clean.records_written() / 2;
     let mut armed = JournalSession::fresh(Some(mid));
-    h.run(&sc, &Recorder::disabled(), &mut armed)
+    sc.run(&Recorder::disabled(), Some(&mut armed))
         .expect_err("armed crash");
     let mut resumed = JournalSession::resume(armed.durable_bytes()).expect("resume");
     let obs = Recorder::deterministic();
-    h.run(&sc, &obs, &mut resumed).expect("recovery");
+    sc.run(&obs, Some(&mut resumed)).expect("recovery");
     (obs.finish(), resumed.durable_bytes().to_vec())
 }
 
@@ -293,7 +356,7 @@ mod tests {
     #[test]
     fn crash_smoke_certifies_every_point() {
         let rows = crash_sweep_smoke();
-        assert_eq!(rows.len(), 2, "both scenarios swept");
+        assert_eq!(rows.len(), 3, "every scenario swept");
         for r in &rows {
             assert!(r.journal_records > 4, "{r:?}");
             assert!(r.crash_points > 0 && r.crash_points <= CRASH_SMOKE_POINTS + 1);
@@ -307,6 +370,21 @@ mod tests {
         // The adaptive scenario must have exercised replan replay.
         let ad = rows.iter().find(|r| r.scenario == "adaptive-drift2x").unwrap();
         assert!(ad.deduped_commits > 0, "commit dedup never exercised: {ad:?}");
+        // Format v2's delta checkpoints: a 192-stage journal no longer
+        // carries 192 whole bucket vectors (it was 3.9 KB a record).
+        let wide = rows.iter().find(|r| r.scenario == "wide-192").unwrap();
+        assert!(wide.journal_records > WIDE_STAGES as u64, "{wide:?}");
+        assert!(wide.bytes_per_record <= 1024.0, "journal grew fat: {wide:?}");
+    }
+
+    /// Same-machine ratio, not an absolute time: the journaled wide run
+    /// may cost at most three un-journaled ones (format v1 paid 13.6).
+    /// Release only — a debug build times different code.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn journaled_wide_run_costs_at_most_three_plain_ones() {
+        let ratio = wide_journal_overhead_ratio();
+        assert!(ratio <= 3.0, "journaled / un-journaled = {ratio:.2}");
     }
 
     #[test]

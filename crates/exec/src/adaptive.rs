@@ -38,7 +38,7 @@
 use crate::error::ExecError;
 use crate::faults::{finish_pass, ReschedulingContext, SimPass, SimState};
 use crate::groundtruth::GroundTruth;
-use crate::journal::JournalSession;
+use crate::journal::{JournalSession, ReplanDecision};
 use ditto_cluster::{DriftConfig, DriftDetector, ServerId};
 use ditto_core::{joint_optimize_traced, predicted_jct, Schedule};
 use ditto_dag::{JobDag, StageId};
@@ -280,7 +280,12 @@ impl<'a> Replanner<'a> {
             // replay queue drains, decisions fall through to the live arm
             // and journal as usual.
             let replayed = journal.as_deref_mut().and_then(|j| j.next_replan_for(s.0, now));
-            let (record, spliced) = if let Some((rec, j_suffix, j_sched)) = replayed {
+            let (record, spliced) = if let Some(ReplanDecision {
+                record: rec,
+                suffix: j_suffix,
+                schedule: j_sched,
+            }) = replayed
+            {
                 if j_suffix != suffix {
                     return Err(ExecError::Journal(format!(
                         "resumed run diverged: replan at stage {} recomputed a different suffix than the journal",

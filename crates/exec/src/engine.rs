@@ -26,7 +26,7 @@ use crate::faults::{
     SimPass, SimState,
 };
 use crate::groundtruth::GroundTruth;
-use crate::journal::{EngineKind, JournalSession};
+use crate::journal::{EngineKind, FailoverDecision, JournalSession};
 use crate::metrics::JobMetrics;
 use crate::queue::{ReadyQueue, TieBreak};
 use crate::trace::ExecutionTrace;
@@ -236,7 +236,7 @@ impl Run<'_> {
             popped += 1;
             let mark = state.mark();
             let restored = match journal.as_deref_mut() {
-                Some(j) => j.try_restore(s, &mut state),
+                Some(j) => j.try_restore(s, &mut state)?,
                 None => false,
             };
             if !restored {
@@ -245,7 +245,7 @@ impl Run<'_> {
             }
             emit_stage(obs, dag, s, &state, mark);
             if let (false, Some(j)) = (restored, journal.as_deref_mut()) {
-                j.record_stage(s, &state, mark)?;
+                j.record_stage(dag, s, &state, mark)?;
             }
             queue.complete(dag, s, |c| ready_time(&state, dag, c));
             next = queue.pop(tie);
@@ -288,7 +288,13 @@ impl Run<'_> {
             // Replay: the failover was decided and journaled before the
             // crash. Verify the plan still injects that exact failure,
             // then run the journaled hybrid — no re-optimization.
-            Some((seq, failed_idx, at_time_j, suffix, stored)) => {
+            Some(FailoverDecision {
+                decision_seq: seq,
+                failed_server: failed_idx,
+                at_time: at_time_j,
+                suffix,
+                schedule: stored,
+            }) => {
                 let Some((failed, at_time)) = failure else {
                     return Err(ExecError::Journal(
                         "journaled failover but the fault plan has no server failure".into(),
@@ -358,16 +364,17 @@ impl Run<'_> {
                 // and trace, so trace diffing can align crashed vs
                 // recovered runs. Write-ahead: the decision journals
                 // before its event fires.
+                let decision = FailoverDecision {
+                    decision_seq: 1,
+                    failed_server: failed.index() as u32,
+                    at_time,
+                    suffix,
+                    schedule: hybrid,
+                };
                 if let Some(j) = journal.as_deref_mut() {
-                    j.append_failover(
-                        1,
-                        failed.index() as u32,
-                        at_time,
-                        suffix.clone(),
-                        hybrid.clone(),
-                    )?;
+                    j.append_failover(&decision)?;
                 }
-                (1, (failed, at_time), suffix, hybrid)
+                (1, (failed, at_time), decision.suffix, decision.schedule)
             }
         };
         let n_suffix = suffix.iter().filter(|&&b| b).count() as u32;

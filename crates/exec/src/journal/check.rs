@@ -1,8 +1,9 @@
 //! Journal certification (`ditto-audit journal`): structural validation
 //! of a record stream and the journal ↔ trace cross-check.
 
-use super::record::{flatten, JournalRecord};
+use super::record::{flat, JournalRecord};
 use ditto_obs::TraceData;
+use ditto_storage::{CommitLedger, CommitOutcome};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
@@ -25,7 +26,7 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
             }
         }
     }
-    let flat = flatten(records);
+    let flat: Vec<&JournalRecord> = flat(records).collect();
     if flat.is_empty() {
         findings.push("journal holds no records".into());
         return findings;
@@ -36,18 +37,18 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
     let mut admits = 0u32;
     let mut schedule_commits = 0u32;
     let mut schedule_committed_at: Option<usize> = None;
-    let mut commits: BTreeMap<(u32, u32, u32), u64> = BTreeMap::new();
+    let mut commits = CommitLedger::new();
     let mut commits_per_stage: BTreeMap<u32, u32> = BTreeMap::new();
     let mut completed: BTreeMap<u32, (usize, usize)> = BTreeMap::new(); // stage -> (index, tasks)
     let mut last_seq = 0u64;
     let mut complete_at: Option<usize> = None;
-    for (i, rec) in flat.iter().enumerate() {
+    for (i, &rec) in flat.iter().enumerate() {
         let needs_schedule = matches!(
             rec,
             JournalRecord::ObjectCommit { .. }
                 | JournalRecord::StageComplete(_)
-                | JournalRecord::Replan { .. }
-                | JournalRecord::Failover { .. }
+                | JournalRecord::Replan(_)
+                | JournalRecord::Failover(_)
         );
         if needs_schedule && schedule_committed_at.is_none() {
             findings.push(format!("record {i}: precedes the schedule commit"));
@@ -79,25 +80,31 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
                         "record {i}: object commit s{stage}.t{task} after its stage completed (record {at})"
                     ));
                 }
-                match commits.get(&(*stage, *task, *attempt_epoch)) {
-                    Some(v) if v == value => findings.push(format!(
+                match commits.commit(*stage, *task, *attempt_epoch, *value) {
+                    CommitOutcome::Committed => *commits_per_stage.entry(*stage).or_insert(0) += 1,
+                    CommitOutcome::Duplicate => findings.push(format!(
                         "record {i}: duplicated object-commit record s{stage}.t{task}@{attempt_epoch}"
                     )),
-                    Some(v) => findings.push(format!(
-                        "record {i}: conflicting object commit s{stage}.t{task}@{attempt_epoch}: {v:#x} vs {value:#x}"
+                    CommitOutcome::Conflict { expected, .. } => findings.push(format!(
+                        "record {i}: conflicting object commit s{stage}.t{task}@{attempt_epoch}: {expected:#x} vs {value:#x}"
                     )),
-                    None => {
-                        commits.insert((*stage, *task, *attempt_epoch), *value);
-                        *commits_per_stage.entry(*stage).or_insert(0) += 1;
-                    }
                 }
             }
             JournalRecord::StageComplete(cp) => {
+                if cp.ordinal as usize != completed.len() {
+                    findings.push(format!(
+                        "record {i}: checkpoint of stage {} has ordinal {}, expected {}",
+                        cp.stage,
+                        cp.ordinal,
+                        completed.len()
+                    ));
+                }
                 if completed.insert(cp.stage, (i, cp.tasks.len())).is_some() {
                     findings.push(format!("record {i}: stage {} completed twice", cp.stage));
                 }
             }
-            JournalRecord::Replan { record, .. } => {
+            JournalRecord::Replan(d) => {
+                let record = &d.record;
                 if record.decision_seq <= last_seq {
                     findings.push(format!(
                         "record {i}: replan decision_seq {} not above {last_seq}",
@@ -106,15 +113,16 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
                 }
                 last_seq = last_seq.max(record.decision_seq);
             }
-            JournalRecord::Failover { decision_seq, .. } => {
-                if *decision_seq <= last_seq {
+            JournalRecord::Failover(d) => {
+                if d.decision_seq <= last_seq {
                     findings.push(format!(
-                        "record {i}: failover decision_seq {decision_seq} not above {last_seq}"
+                        "record {i}: failover decision_seq {} not above {last_seq}",
+                        d.decision_seq
                     ));
                 }
-                last_seq = last_seq.max(*decision_seq);
+                last_seq = last_seq.max(d.decision_seq);
             }
-            JournalRecord::JobComplete { .. } => {
+            JournalRecord::JobComplete(_) => {
                 if complete_at.is_some() {
                     findings.push(format!("record {i}: duplicate job-complete"));
                 }
@@ -154,15 +162,13 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
 /// in emission order. Returns findings (empty = consistent).
 pub fn cross_check(records: &[JournalRecord], trace: &TraceData) -> Vec<String> {
     let mut findings = Vec::new();
-    let flat = flatten(records);
-    let completed: std::collections::BTreeSet<u32> = flat
-        .iter()
+    let completed: std::collections::BTreeSet<u32> = flat(records)
         .filter_map(|r| match r {
             JournalRecord::StageComplete(cp) => Some(cp.stage),
             _ => None,
         })
         .collect();
-    for (i, rec) in flat.iter().enumerate() {
+    for (i, rec) in flat(records).enumerate() {
         if let JournalRecord::ObjectCommit {
             stage,
             task,
@@ -187,13 +193,13 @@ pub fn cross_check(records: &[JournalRecord], trace: &TraceData) -> Vec<String> 
             }
         }
     }
-    let replans = flat.iter().filter_map(|r| match r {
-        JournalRecord::Replan { record, .. } => Some(record.decision_seq),
+    let replans = flat(records).filter_map(|r| match r {
+        JournalRecord::Replan(d) => Some(d.record.decision_seq),
         _ => None,
     });
     align_seqs(&mut findings, "sched.replan", &replans.collect::<Vec<_>>(), trace);
-    let failovers = flat.iter().filter_map(|r| match r {
-        JournalRecord::Failover { decision_seq, .. } => Some(*decision_seq),
+    let failovers = flat(records).filter_map(|r| match r {
+        JournalRecord::Failover(d) => Some(d.decision_seq),
         _ => None,
     });
     align_seqs(&mut findings, "sched.failover", &failovers.collect::<Vec<_>>(), trace);

@@ -1,16 +1,20 @@
 //! Journal framing: the `DITTOWAL` header, `[len][crc][payload]` frames,
 //! and the torn-tail-aware stream decoder.
 
-use super::record::{decode_record, put_u32, put_u64, JournalRecord};
+use super::record::{decode_record, JournalRecord};
 use crate::error::ExecError;
 use ditto_storage::checksum64;
 
 /// Journal file magic: the first 8 bytes of every journal.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"DITTOWAL";
-/// Journal format version (header byte 9).
-pub const JOURNAL_VERSION: u8 = 1;
+/// Journal format version (header byte 9). Version 2 made a
+/// `StageComplete` checkpoint a delta with an ordinal; version 1 journals
+/// are rejected, not read.
+pub const JOURNAL_VERSION: u8 = 2;
 /// Header length: magic + version byte.
 pub const JOURNAL_HEADER_LEN: usize = 9;
+/// Frame head length: `[len: u32][crc: u64]`.
+pub(super) const FRAME_HEAD_LEN: usize = 12;
 /// Seed for the per-frame payload checksum.
 pub const JOURNAL_SEED: u64 = 0xD177_0A11_0F4A_C0DE;
 /// Maximum frame payload size accepted by the decoder.
@@ -63,10 +67,34 @@ pub struct DecodedJournal {
     pub durable_len: usize,
 }
 
-pub(super) fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
-    put_u32(buf, payload.len() as u32);
-    put_u64(buf, checksum64(payload, JOURNAL_SEED));
-    buf.extend_from_slice(payload);
+/// Append one frame whose payload `encode` writes straight into `buf`:
+/// the head is reserved first and its length and checksum patched in
+/// place afterwards, so a frame is built without a second buffer. Returns
+/// the frame's start offset.
+pub(super) fn frame_with(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEAD_LEN]);
+    encode(buf);
+    let (head, payload) = buf[start..].split_at_mut(FRAME_HEAD_LEN);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&checksum64(payload, JOURNAL_SEED).to_le_bytes());
+    start
+}
+
+/// The admitted job shape so far, and every checkpoint's indices checked
+/// against it (a checkpoint ahead of any admission fits no job).
+fn check_shape(rec: &JournalRecord, shape: &mut (u32, u32)) -> Result<(), String> {
+    match rec {
+        JournalRecord::JobAdmit { stages, edges, .. } => *shape = (*stages, *edges),
+        JournalRecord::StageComplete(cp) => cp.check_shape(shape.0, shape.1)?,
+        JournalRecord::Snapshot(inner) => {
+            for rec in inner {
+                check_shape(rec, shape)?;
+            }
+        }
+        _ => {}
+    }
+    Ok(())
 }
 
 /// Decode a journal byte stream: header check, then frames until the end
@@ -83,7 +111,10 @@ pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ExecError> {
             bytes[8]
         )));
     }
-    let mut records = Vec::new();
+    // Sized from the byte length (a typical record is a ~33-byte object
+    // commit; 64 bytes a record keeps the guess under the input's size).
+    let mut records = Vec::with_capacity((bytes.len() - JOURNAL_HEADER_LEN) / 64);
+    let mut shape = (0, 0);
     let mut pos = JOURNAL_HEADER_LEN;
     let mut torn = None;
     while pos < bytes.len() {
@@ -107,21 +138,26 @@ pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ExecError> {
             torn = Some(tear(TornReason::BadLength));
             break;
         }
-        if len > rem - 12 {
+        if len > rem - FRAME_HEAD_LEN {
             torn = Some(tear(TornReason::Truncated));
             break;
         }
         let crc = u64::from_le_bytes(crc);
-        let payload = &bytes[pos + 12..pos + 12 + len];
+        let payload = &bytes[pos + FRAME_HEAD_LEN..pos + FRAME_HEAD_LEN + len];
         if checksum64(payload, JOURNAL_SEED) != crc {
             torn = Some(tear(TornReason::ChecksumMismatch));
             break;
         }
-        let rec = decode_record(payload).map_err(|e| {
-            ExecError::Journal(format!("record {} is CRC-valid but malformed: {e}", records.len()))
-        })?;
+        let rec = decode_record(payload)
+            .and_then(|rec| check_shape(&rec, &mut shape).map(|()| rec))
+            .map_err(|e| {
+                ExecError::Journal(format!(
+                    "record {} is CRC-valid but malformed: {e}",
+                    records.len()
+                ))
+            })?;
         records.push(rec);
-        pos += 12 + len;
+        pos += FRAME_HEAD_LEN + len;
     }
     let durable_len = torn.map_or(bytes.len(), |t| t.byte_offset);
     Ok(DecodedJournal {

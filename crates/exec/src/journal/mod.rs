@@ -11,12 +11,27 @@
 //! durable prefix so a crashed job *resumes* from its last completed
 //! stage instead of restarting.
 //!
-//! Format: a 9-byte header (`DITTOWAL` + version) followed by frames of
-//! `[len: u32 LE][crc64: u64 LE][payload]`, where `crc64` is
-//! [`checksum64`](ditto_storage::checksum64) of the payload. A coordinator
-//! crash can tear the tail mid-frame; [`decode_journal`] detects the torn
-//! tail (truncation, bad length, or checksum mismatch) with exact
-//! record-index provenance and truncates recovery to the durable prefix.
+//! Format (v2): a 9-byte header (`DITTOWAL` + version) followed by frames
+//! of `[len: u32 LE][crc64: u64 LE][payload]`, where `crc64` is
+//! [`checksum64`](ditto_storage::checksum64) (the XXH64 schedule) of the
+//! payload. A coordinator crash can tear the tail mid-frame;
+//! [`decode_journal`] detects the torn tail (truncation, bad length, or
+//! checksum mismatch) with exact record-index provenance and truncates
+//! recovery to the durable prefix. A `StageComplete` checkpoint carries
+//! the stage's own rows whole and, of the state stages share (fault
+//! buckets, edge media, heal map), only the entries that stage can have
+//! written — a delta against the checkpoint before it, stamped with an
+//! ordinal and applied strictly in that order (see [`StageCheckpoint`]).
+//! A v1 journal (whole vectors per checkpoint) is rejected by version.
+//!
+//! Cost: a record is encoded once, straight into the journal's buffer
+//! behind a frame head that is then patched ([`JournalWriter::append`]);
+//! checkpoints are encoded from borrowed `SimState` rows; the commit
+//! ledger is keyed by integers. Every length a payload announces is
+//! checked against the bytes left before anything is allocated for it,
+//! and every index a checkpoint's restore would use against the admitted
+//! job shape — the checksum seed is public, so a CRC-valid frame is not a
+//! trusted one.
 //!
 //! Layout: `frame` (header, framing, torn-tail decode) · `record`
 //! ([`JournalRecord`] and its `enc_*`/`dec_*` codec) · `session`
@@ -27,10 +42,10 @@
 //!
 //! * **exactly-once commits** — re-execution after a crash is
 //!   at-least-once; the [`CommitLedger`](ditto_storage::CommitLedger)
-//!   keyed by `(object, attempt_epoch)` deduplicates re-delivered commits
-//!   and hard-fails on value conflicts;
-//! * **bit-identical results** — restored stages replay absolute
-//!   checkpointed state ([`StageCheckpoint`]) and re-simulated suffix
+//!   keyed by `(stage, task, attempt_epoch)` deduplicates re-delivered
+//!   commits and hard-fails on value conflicts;
+//! * **bit-identical results** — restored stages replay checkpointed
+//!   state ([`StageCheckpoint`], in ordinal order) and re-simulated suffix
 //!   stages run the same deterministic engine, so final metrics, task
 //!   timelines and replan decisions equal the crash-free run bit for bit;
 //!   a restored stage's telemetry comes from the same emitter as a live
@@ -53,15 +68,15 @@ pub use frame::{
     JOURNAL_SEED, JOURNAL_VERSION, MAX_FRAME,
 };
 pub use record::{
-    decode_record, encode_record, schedule_fingerprint, EngineKind, JournalRecord, LineageHit,
-    StageCheckpoint, SCHEDULE_FP_SEED,
+    decode_record, encode_record, schedule_fingerprint, EngineKind, FailoverDecision,
+    JournalRecord, LineageHit, ReplanDecision, StageCheckpoint, SCHEDULE_FP_SEED,
 };
 pub use session::{compact_journal, recover, JournalSession, JournalWriter, ResumedJob};
 
 #[cfg(test)]
 mod tests {
-    use super::frame::frame_into;
-    use super::record::{flatten, outcome_code};
+    use super::frame::frame_with;
+    use super::record::{flat, outcome_code};
     use super::*;
     use crate::adaptive::{ReplanRecord, ReplanTrigger};
     use crate::engine::Engine;
@@ -112,9 +127,10 @@ mod tests {
         }
     }
 
-    fn sample_checkpoint() -> StageCheckpoint {
+    fn sample_checkpoint() -> StageCheckpoint<'static> {
         StageCheckpoint {
             stage: 3,
+            ordinal: 2,
             end: 12.5,
             write_start: 10.0,
             read_end: 4.5,
@@ -131,10 +147,21 @@ mod tests {
                 compute: 1.8,
                 write: 0.7,
             },
-            task_clean: vec![3.0, 3.5],
-            edge_medium: vec![0, 2, 255],
-            heal_end: vec![(1, 0, 9.5)],
-            buckets: vec![FaultStats::default(); 4],
+            task_clean: vec![3.0, 3.5].into(),
+            edge_medium: vec![(0, 0), (4, 2), (6, 255)].into(),
+            heal_end: vec![(1, 0, 9.5)].into(),
+            buckets: vec![
+                (3, FaultStats::default()),
+                (
+                    1,
+                    FaultStats {
+                        lineage_reexecs: 1,
+                        wasted_gb_s: 0.75,
+                        ..FaultStats::default()
+                    },
+                ),
+            ]
+            .into(),
             lineage: vec![LineageHit {
                 reader_stage: 3,
                 src_stage: 1,
@@ -142,7 +169,8 @@ mod tests {
                 corrupt: true,
                 detect_at: 4.0,
                 reexec_s: 1.5,
-            }],
+            }]
+            .into(),
             tasks: vec![TaskTrace {
                 stage: 3,
                 task: 0,
@@ -153,7 +181,8 @@ mod tests {
                 write_start: 10.0,
                 end: 12.5,
                 memory_gb: 2.0,
-            }],
+            }]
+            .into(),
             attempts: vec![AttemptRecord {
                 stage: 3,
                 task: 0,
@@ -164,7 +193,8 @@ mod tests {
                 outcome: AttemptOutcome::Completed,
                 wasted_gb_s: 0.25,
                 speculative: false,
-            }],
+            }]
+            .into(),
         }
     }
 
@@ -187,7 +217,7 @@ mod tests {
                 value: 0xDEAD_BEEF,
             },
             JournalRecord::StageComplete(Box::new(sample_checkpoint())),
-            JournalRecord::Replan {
+            JournalRecord::Replan(Box::new(ReplanDecision {
                 record: ReplanRecord {
                     trigger: ReplanTrigger::Drift,
                     at_stage: 2,
@@ -208,14 +238,14 @@ mod tests {
                 },
                 suffix: vec![false, false, true, true],
                 schedule: Some(schedule.clone()),
-            },
-            JournalRecord::Failover {
+            })),
+            JournalRecord::Failover(Box::new(FailoverDecision {
                 decision_seq: 2,
                 failed_server: 1,
                 at_time: 3.25,
                 suffix: vec![false, true],
                 schedule: schedule.clone(),
-            },
+            })),
             JournalRecord::TaskAttempt {
                 stage: 1,
                 task: 0,
@@ -224,14 +254,12 @@ mod tests {
                 start: 0.5,
                 end: 1.5,
             },
-            JournalRecord::JobComplete {
-                metrics: JobMetrics {
-                    jct: 42.0,
-                    compute_cost: 1.5,
-                    storage_cost: 0.25,
-                    faults: FaultStats::default(),
-                },
-            },
+            JournalRecord::JobComplete(Box::new(JobMetrics {
+                jct: 42.0,
+                compute_cost: 1.5,
+                storage_cost: 0.25,
+                faults: FaultStats::default(),
+            })),
         ]
     }
 
@@ -244,6 +272,9 @@ mod tests {
         // A snapshot wrapping everything exercises the nested codec too.
         let snap = JournalRecord::Snapshot(records.clone());
         records.push(snap);
+        // The schedule- and checkpoint-carrying variants are boxed: a
+        // decoded journal is a dense vector of few-word records.
+        assert!(std::mem::size_of::<JournalRecord>() <= 40);
         for rec in &records {
             let bytes = encode_record(rec);
             let back = decode_record(&bytes).expect("roundtrip decode");
@@ -270,7 +301,7 @@ mod tests {
             "trailing garbage must be a hard decode error"
         );
         // A bool byte outside {0, 1} is rejected, not coerced.
-        let rep = JournalRecord::Replan {
+        let rep = JournalRecord::Replan(Box::new(ReplanDecision {
             record: ReplanRecord {
                 trigger: ReplanTrigger::Drift,
                 at_stage: 0,
@@ -291,7 +322,7 @@ mod tests {
             },
             suffix: vec![true],
             schedule: None,
-        };
+        }));
         let good = encode_record(&rep);
         for (i, b) in good.iter().enumerate() {
             if *b == 1u8 {
@@ -375,13 +406,61 @@ mod tests {
         bytes[8] = 99; // unknown version
         assert!(decode_journal(&bytes).is_err());
         assert!(decode_journal(&bytes[..4]).is_err(), "short header");
+        // Format v1 (whole-vector checkpoints) is rejected by name, not
+        // misread as v2: no v1 reader is kept.
+        bytes[8] = 1;
+        let err = decode_journal(&bytes).unwrap_err().to_string();
+        assert!(err.contains("unsupported journal version 1"), "{err}");
+        assert!(JournalSession::resume(&bytes).is_err());
+    }
+
+    #[test]
+    fn hostile_lengths_and_indices_are_decode_errors_not_aborts() {
+        let (_, _, _, schedule, _) = fixture(&[12, 10]);
+        let records = sample_records(&schedule);
+        // Every length field of every variant, inflated inside a frame
+        // whose CRC is then valid: the decoder must answer `Err` before
+        // it allocates for the count (4 G elements would abort).
+        for rec in &records {
+            let good = encode_record(rec);
+            for at in 1..good.len().saturating_sub(3) {
+                let mut bad = good.clone();
+                bad[at..at + 4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+                let mut bytes = journal_with(&records[..2]);
+                frame_with(&mut bytes, |buf| buf.extend_from_slice(&bad));
+                match decode_journal(&bytes) {
+                    Ok(d) => assert!(d.records.len() == 3 && d.torn.is_none()),
+                    Err(e) => assert!(matches!(e, ExecError::Journal(_)), "{e}"),
+                }
+            }
+        }
+        // A delta naming a bucket or an edge outside the admitted shape
+        // (8 stages, 7 edges) fails the decode, not `try_restore`.
+        let mut bucket = sample_checkpoint();
+        bucket.buckets.to_mut()[1].0 = 8;
+        let mut edge = sample_checkpoint();
+        edge.edge_medium.to_mut()[2].0 = 7;
+        let mut stage = sample_checkpoint();
+        stage.stage = 8;
+        for cp in [bucket, edge, stage] {
+            let mut recs = records[..2].to_vec();
+            recs.push(JournalRecord::StageComplete(Box::new(cp)));
+            let err = decode_journal(&journal_with(&recs)).unwrap_err().to_string();
+            assert!(err.contains("CRC-valid but malformed"), "{err}");
+        }
+        // So does a checkpoint ahead of any admission.
+        let orphan = [JournalRecord::StageComplete(Box::new(sample_checkpoint()))];
+        assert!(decode_journal(&journal_with(&orphan)).is_err());
+        // A second admission would re-shape checked checkpoints: refused.
+        let twice = [records[0].clone(), records[0].clone()];
+        assert!(JournalSession::resume(&journal_with(&twice)).is_err());
     }
 
     #[test]
     fn valid_frame_with_malformed_payload_is_a_hard_error() {
         // CRC-valid garbage payload: the checksum passes, decode must not.
         let mut bytes = journal_with(&[]);
-        frame_into(&mut bytes, &[0xFFu8; 5]);
+        frame_with(&mut bytes, |buf| buf.extend_from_slice(&[0xFFu8; 5]));
         assert!(matches!(
             decode_journal(&bytes),
             Err(ExecError::Journal(_))
@@ -550,6 +629,127 @@ mod tests {
         let _ = rm;
     }
 
+    // -- delta checkpoints ---------------------------------------------
+
+    /// The shared state a checkpoint carries only a delta of, captured
+    /// after every stage in pop order.
+    type Shared = (
+        Vec<FaultStats>,
+        Vec<Option<ditto_storage::Medium>>,
+        std::collections::BTreeMap<(u32, u32), f64>,
+    );
+
+    /// The engine's pass loop (frozen, no failover), returning the shared
+    /// state at every stage boundary.
+    fn drive(
+        dag: &JobDag,
+        schedule: &Schedule,
+        gt: &GroundTruth,
+        plan: &FaultPlan,
+        session: &mut JournalSession,
+    ) -> Result<Vec<Shared>, ExecError> {
+        use crate::faults::{ready_time, sim_stage, SimState};
+        use crate::queue::{ReadyQueue, TieBreak};
+        session.begin(dag, EngineKind::Frozen, schedule, &Recorder::disabled())?;
+        let mut state = SimState::new(dag, plan, schedule);
+        let mut queue = ReadyQueue::new(dag);
+        let mut tie = TieBreak::canonical();
+        let mut boundaries = Vec::new();
+        while let Some((_, s)) = queue.pop(&mut tie) {
+            let mark = state.mark();
+            if !session.try_restore(s, &mut state)? {
+                sim_stage(&mut state, dag, schedule, gt, plan, &RecoveryPolicy::default(), s)?;
+                session.record_stage(dag, s, &state, mark)?;
+            }
+            boundaries.push((
+                state.stage_stats.clone(),
+                state.edge_medium.clone(),
+                state.heal_end.clone(),
+            ));
+            queue.complete(dag, s, |c| ready_time(&state, dag, c));
+        }
+        Ok(boundaries)
+    }
+
+    /// The crash sweep's frozen-ladder fault history — seeded object loss
+    /// plus a mid-job server failure — with two losses pinned so lineage
+    /// charges (to *producer* buckets) and healed objects are certain.
+    fn ladder_plan(base_jct: f64) -> FaultPlan {
+        FaultPlan::from_rates(crate::faults::FaultRates {
+            loss_prob: 0.05,
+            ..crate::faults::FaultRates::none(31)
+        })
+        .and_object_loss(StageId(0), 1)
+        .and_object_loss(StageId(1), 0)
+        .and_server_failure(ServerId(1), base_jct * 0.3)
+    }
+
+    #[test]
+    fn delta_restore_rebuilds_the_absolute_state_at_every_stage_boundary() {
+        let (dag, _, _, schedule, gt) = fixture(&[48; 4]);
+        let (_, base) = crate::sim::simulate(&dag, &schedule, &gt);
+        let plan = ladder_plan(base.jct);
+        let mut clean = JournalSession::fresh(None);
+        let want = drive(&dag, &schedule, &gt, &plan, &mut clean).unwrap();
+        let last = want.last().unwrap();
+        assert!(!last.2.is_empty(), "fixture sanity: an object was healed");
+        let records = decode_journal(clean.durable_bytes()).unwrap().records;
+        assert!(
+            records.iter().any(|r| matches!(r, JournalRecord::StageComplete(cp)
+                if cp.lineage.iter().any(|h| h.src_stage != cp.stage)
+                    && cp.buckets.iter().any(|(s, b)| *s != cp.stage && b.lineage_reexecs > 0))),
+            "fixture sanity: a reader's checkpoint carries its producer's charged bucket"
+        );
+        for k in 0..clean.records_written() {
+            let mut armed = JournalSession::fresh(Some(k));
+            let err = drive(&dag, &schedule, &gt, &plan, &mut armed).unwrap_err();
+            assert!(matches!(err, ExecError::CoordinatorCrash { at_record } if at_record == k));
+            let mut resumed = JournalSession::resume(armed.durable_bytes()).unwrap();
+            let got = drive(&dag, &schedule, &gt, &plan, &mut resumed).unwrap();
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(g == w, "crash at record {k}: shared state differs after stage #{i}");
+            }
+            assert_eq!(resumed.durable_bytes(), clean.durable_bytes(), "crash at record {k}");
+        }
+    }
+
+    #[test]
+    fn reordered_checkpoints_are_a_hard_journal_error() {
+        let (dag, _, _, schedule, gt) = fixture(&[48; 4]);
+        let (_, base) = crate::sim::simulate(&dag, &schedule, &gt);
+        let plan = ladder_plan(base.jct);
+        let mut clean = JournalSession::fresh(None);
+        run_frozen(&dag, &schedule, &gt, &plan, None, &mut clean).unwrap();
+        let records = decode_journal(clean.durable_bytes()).unwrap().records;
+        let cps: Vec<usize> = (0..records.len())
+            .filter(|&i| matches!(records[i], JournalRecord::StageComplete(_)))
+            .collect();
+        // Two checkpoint frames change places: refused at resume, and a
+        // finding of the validator.
+        let mut swapped = records.clone();
+        swapped.swap(cps[0], cps[1]);
+        let bytes = journal_with(&swapped);
+        let err = JournalSession::resume(&bytes).unwrap_err();
+        assert!(matches!(&err, ExecError::Journal(m) if m.contains("out of order")), "{err}");
+        let v = validate_journal(&decode_journal(&bytes).unwrap().records);
+        assert!(v.iter().any(|f| f.contains("has ordinal")), "{v:?}");
+        // The frames stay put but claim each other's place in the order
+        // the run pops stages in: refused when the restore gets there.
+        let mut relabeled = records.clone();
+        for (at, ordinal) in [(cps[0], 0), (cps[1], 1)] {
+            if let JournalRecord::StageComplete(cp) = &mut relabeled[at] {
+                cp.stage = match &records[cps[1 - ordinal as usize]] {
+                    JournalRecord::StageComplete(other) => other.stage,
+                    _ => unreachable!(),
+                };
+            }
+        }
+        let mut resumed = JournalSession::resume(&journal_with(&relabeled)).unwrap();
+        let err = run_frozen(&dag, &schedule, &gt, &plan, None, &mut resumed).unwrap_err();
+        assert!(matches!(&err, ExecError::Journal(m) if m.contains("out of order")), "{err}");
+    }
+
     // -- compaction ----------------------------------------------------
 
     #[test]
@@ -608,10 +808,10 @@ mod tests {
             "first record is the snapshot, starting at admission"
         );
         // Flattened content is byte-identical to the original records.
-        let flat = flatten(&decoded.records);
+        let flat: Vec<&JournalRecord> = flat(&decoded.records).collect();
         let orig = decode_journal(clean.durable_bytes()).unwrap().records;
         assert_eq!(flat.len(), orig.len());
-        for (a, b) in flat.iter().zip(orig.iter()) {
+        for (a, b) in flat.into_iter().zip(orig.iter()) {
             assert_eq!(encode_record(a), encode_record(b));
         }
         let v = validate_journal(&decoded.records);

@@ -13,6 +13,7 @@ use ditto_dag::StageId;
 use ditto_obs::StepTimings;
 use ditto_storage::{checksum64, Medium};
 use ditto_timemodel::StepCorrections;
+use std::borrow::Cow;
 
 /// Seed for the schedule fingerprint recorded by `ScheduleCommit`.
 pub const SCHEDULE_FP_SEED: u64 = 0x00D1_7705_C4ED;
@@ -25,11 +26,11 @@ fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-pub(super) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(super) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -48,35 +49,42 @@ fn put_str(buf: &mut Vec<u8>, v: &str) {
 
 /// Cursor-based payload decoder; every taker errors on underrun.
 struct Dec<'a> {
-    data: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
+    len: usize,
 }
 
 impl<'a> Dec<'a> {
     fn new(data: &'a [u8]) -> Self {
-        Dec { data, pos: 0 }
+        Dec {
+            rest: data,
+            len: data.len(),
+        }
+    }
+
+    #[cold]
+    fn underrun(&self, n: usize) -> String {
+        format!(
+            "payload underrun: need {n} bytes at offset {}, have {}",
+            self.len - self.rest.len(),
+            self.rest.len()
+        )
     }
 
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.data.len() {
-            return Err(format!(
-                "payload underrun: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.data.len() - self.pos
-            ));
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
+        let (out, rest) = self.rest.split_at_checked(n).ok_or_else(|| self.underrun(n))?;
+        self.rest = rest;
         Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.bytes(1)?[0])
     }
 
     /// [`Dec::bytes`] as a fixed-size array.
     fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        <[u8; N]>::try_from(self.bytes(N)?).map_err(|e| e.to_string())
+        let (out, rest) = self.rest.split_first_chunk().ok_or_else(|| self.underrun(N))?;
+        self.rest = rest;
+        Ok(*out)
+    }
+
+    fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.array::<1>()?[0])
     }
 
     fn u32(&mut self) -> Result<u32, String> {
@@ -105,8 +113,31 @@ impl<'a> Dec<'a> {
         String::from_utf8(raw.to_vec()).map_err(|e| format!("bad utf8 string: {e}"))
     }
 
+    /// A `u32` element count followed by that many elements, each at
+    /// least `min_size` encoded bytes. The count is checked against the
+    /// bytes left *before* anything is allocated: the frame checksum's
+    /// seed is public, so a CRC-valid frame can still carry any length.
+    fn seq<T>(
+        &mut self,
+        min_size: usize,
+        mut elem: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let n = self.u32()? as usize;
+        if n > self.rest.len() / min_size {
+            return Err(format!(
+                "length {n} needs {min_size} bytes per element, {} bytes left",
+                self.rest.len()
+            ));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
+
     fn finished(&self) -> bool {
-        self.pos == self.data.len()
+        self.rest.is_empty()
     }
 }
 
@@ -173,16 +204,27 @@ pub struct LineageHit {
     pub reexec_s: f64,
 }
 
-/// Absolute post-state of one completed stage: everything the simulator
-/// wrote into its `SimState` while running it, so recovery can restore the
-/// stage wholesale instead of re-simulating it. Checkpoints form a strict
-/// prefix of the deterministic stage pop order, so whole-vector restores
-/// (fault buckets, edge media, heal map) are safe: every restore happens
-/// before any re-simulation.
+/// Post-state of one completed stage: everything the simulator wrote
+/// into its `SimState` while running it, so recovery can restore the stage
+/// instead of re-simulating it. The stage's own rows are absolute; the
+/// three pieces of state a stage shares with others (fault buckets, edge
+/// media, heal map) are a *delta* — only the entries `sim_stage` can have
+/// written — against the previous checkpoint in journal order. Checkpoints
+/// form a strict prefix of the deterministic stage pop order and every
+/// restore precedes any re-simulation, so applying the deltas in
+/// [`Self::ordinal`] order rebuilds exactly the vectors the crashed run
+/// held; `JournalSession::try_restore` refuses any other order.
+///
+/// Every row sequence is a [`Cow`]: the write path borrows them straight
+/// out of `SimState` (no owned copy between the simulator and the journal
+/// buffer), the decoder owns what it read.
 #[derive(Debug, Clone)]
-pub struct StageCheckpoint {
+pub struct StageCheckpoint<'a> {
     /// Stage index.
     pub stage: u32,
+    /// Position of this checkpoint among the journal's `StageComplete`
+    /// records (0-based): the order its delta must be applied in.
+    pub ordinal: u32,
     /// Stage end (latest task end).
     pub end: f64,
     /// Earliest task write start (the pipelining gate).
@@ -196,25 +238,70 @@ pub struct StageCheckpoint {
     /// Mean clean step durations (the detector's expected side).
     pub clean: StepTimings,
     /// Clean single-attempt duration per task (lineage re-execution cost).
-    pub task_clean: Vec<f64>,
-    /// The *whole* per-edge medium vector at stage completion
-    /// (`medium_code`-encoded, 255 = unset).
-    pub edge_medium: Vec<u8>,
-    /// The whole lineage-healing map: `(stage, task, heal_end)`.
-    pub heal_end: Vec<(u32, u32, f64)>,
-    /// All per-stage fault buckets, absolute (lineage charges hit the
-    /// *producer* stage's bucket, so this stage's completion can mutate
-    /// any earlier bucket).
-    pub buckets: Vec<FaultStats>,
+    pub task_clean: Cow<'a, [f64]>,
+    /// Medium of each in-edge of this stage, `(edge, medium_code)`.
+    pub edge_medium: Cow<'a, [(u32, u8)]>,
+    /// Lineage-healing entries this stage inserted:
+    /// `(stage, task, heal_end)`.
+    pub heal_end: Cow<'a, [(u32, u32, f64)]>,
+    /// Fault buckets of this stage and of its in-edge producers (lineage
+    /// charges hit the *producer* stage's bucket), `(stage, absolute
+    /// bucket at this stage's completion)`.
+    pub buckets: Cow<'a, [(u32, FaultStats)]>,
     /// Lineage re-executions this stage paid for as a reader.
-    pub lineage: Vec<LineageHit>,
+    pub lineage: Cow<'a, [LineageHit]>,
     /// Winning task timelines of this stage.
-    pub tasks: Vec<TaskTrace>,
+    pub tasks: Cow<'a, [TaskTrace]>,
     /// Attempt history of this stage (empty per task when fault-free).
-    pub attempts: Vec<AttemptRecord>,
+    pub attempts: Cow<'a, [AttemptRecord]>,
 }
 
-/// One journaled control-plane decision.
+impl StageCheckpoint<'_> {
+    /// Check every index a restore will use against the admitted job
+    /// shape, so a hostile delta is a decode error and never an
+    /// out-of-bounds write in `try_restore`.
+    pub(super) fn check_shape(&self, stages: u32, edges: u32) -> Result<(), String> {
+        let bad_stage = std::iter::once(self.stage)
+            .chain(self.buckets.iter().map(|&(s, _)| s))
+            .find(|&s| s >= stages);
+        if let Some(s) = bad_stage {
+            return Err(format!("checkpoint names stage {s} of a {stages}-stage job"));
+        }
+        if let Some(&(e, _)) = self.edge_medium.iter().find(|&&(e, _)| e >= edges) {
+            return Err(format!("checkpoint names edge {e} of a {edges}-edge job"));
+        }
+        Ok(())
+    }
+}
+
+/// An adaptive suffix replan decision (applied or rejected).
+#[derive(Debug, Clone)]
+pub struct ReplanDecision {
+    /// The decision record, as it lands on the execution trace.
+    pub record: ReplanRecord,
+    /// Suffix mask at the decision (`true` = stage not yet started).
+    pub suffix: Vec<bool>,
+    /// The spliced schedule, present iff the replan was applied.
+    pub schedule: Option<Schedule>,
+}
+
+/// A failure-aware failover reschedule (frozen engine).
+#[derive(Debug, Clone)]
+pub struct FailoverDecision {
+    /// Monotonic decision sequence number.
+    pub decision_seq: u64,
+    /// Failed server index.
+    pub failed_server: u32,
+    /// Failure instant, sim seconds.
+    pub at_time: f64,
+    /// Suffix mask (`true` = stage had not launched at the failure).
+    pub suffix: Vec<bool>,
+    /// The spliced hybrid schedule the suffix runs under.
+    pub schedule: Schedule,
+}
+
+/// One journaled control-plane decision. The large variants are boxed so
+/// a decoded journal is a dense vector of 40-byte records.
 ///
 /// No `PartialEq`: [`Schedule`] does not compare; tests compare encoded
 /// bytes instead, which is the stronger statement anyway.
@@ -251,29 +338,12 @@ pub enum JournalRecord {
         value: u64,
     },
     /// A stage completed; carries its full restore checkpoint.
-    StageComplete(Box<StageCheckpoint>),
-    /// An adaptive suffix replan decision (applied or rejected).
-    Replan {
-        /// The decision record, as it lands on the execution trace.
-        record: ReplanRecord,
-        /// Suffix mask at the decision (`true` = stage not yet started).
-        suffix: Vec<bool>,
-        /// The spliced schedule, present iff the replan was applied.
-        schedule: Option<Schedule>,
-    },
-    /// A failure-aware failover reschedule (frozen engine).
-    Failover {
-        /// Monotonic decision sequence number.
-        decision_seq: u64,
-        /// Failed server index.
-        failed_server: u32,
-        /// Failure instant, sim seconds.
-        at_time: f64,
-        /// Suffix mask (`true` = stage had not launched at the failure).
-        suffix: Vec<bool>,
-        /// The spliced hybrid schedule the suffix runs under.
-        schedule: Schedule,
-    },
+    StageComplete(Box<StageCheckpoint<'static>>),
+    /// An adaptive suffix replan decision (boxed: it carries a whole
+    /// schedule, and a record should stay a few words).
+    Replan(Box<ReplanDecision>),
+    /// A failure-aware failover reschedule (boxed like `Replan`).
+    Failover(Box<FailoverDecision>),
     /// One physical task attempt (runner engine; wall-clock times).
     TaskAttempt {
         /// Stage index.
@@ -290,10 +360,7 @@ pub enum JournalRecord {
         end: f64,
     },
     /// The job finished with these final metrics.
-    JobComplete {
-        /// Final metrics of the run.
-        metrics: JobMetrics,
-    },
+    JobComplete(Box<JobMetrics>),
     /// A compaction snapshot: the entire durable prefix folded into one
     /// record (see [`compact_journal`](super::compact_journal)).
     Snapshot(Vec<JournalRecord>),
@@ -356,6 +423,9 @@ fn dec_timings(d: &mut Dec<'_>) -> Result<StepTimings, String> {
         write: d.f64()?,
     })
 }
+
+/// Encoded size of a [`FaultStats`].
+const STATS_LEN: usize = 52;
 
 fn enc_stats(buf: &mut Vec<u8>, s: &FaultStats) {
     put_u32(buf, s.extra_attempts);
@@ -512,45 +582,19 @@ fn enc_schedule(buf: &mut Vec<u8>, s: &Schedule) {
 }
 
 fn dec_schedule(d: &mut Dec<'_>) -> Result<Schedule, String> {
-    let scheduler = d.string()?;
-    let dop = (0..d.u32()?).map(|_| d.u32()).collect::<Result<_, _>>()?;
-    let n_groups = d.u32()?;
-    let mut groups = Vec::with_capacity(n_groups as usize);
-    for _ in 0..n_groups {
-        let len = d.u32()?;
-        let mut g = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            g.push(StageId(d.u32()?));
-        }
-        groups.push(g);
-    }
-    let group_of = (0..d.u32()?)
-        .map(|_| d.u32().map(|v| v as usize))
-        .collect::<Result<_, _>>()?;
-    let colocated = dec_bools(d)?;
-    let n_place = d.u32()?;
-    let mut placement = Vec::with_capacity(n_place as usize);
-    for _ in 0..n_place {
-        placement.push(match d.u8()? {
-            0 => TaskPlacement::Single(ServerId(d.u32()?)),
-            1 => {
-                let len = d.u32()?;
-                let mut parts = Vec::with_capacity(len as usize);
-                for _ in 0..len {
-                    parts.push((ServerId(d.u32()?), d.u32()?));
-                }
-                TaskPlacement::Spread(parts)
-            }
-            b => return Err(format!("bad placement tag {b}")),
-        });
-    }
     Ok(Schedule {
-        scheduler,
-        dop,
-        groups,
-        group_of,
-        colocated,
-        placement,
+        scheduler: d.string()?,
+        dop: d.seq(4, Dec::u32)?,
+        groups: d.seq(4, |d| d.seq(4, |d| d.u32().map(StageId)))?,
+        group_of: d.seq(4, |d| d.u32().map(|v| v as usize))?,
+        colocated: dec_bools(d)?,
+        placement: d.seq(5, |d| match d.u8()? {
+            0 => Ok(TaskPlacement::Single(ServerId(d.u32()?))),
+            1 => Ok(TaskPlacement::Spread(
+                d.seq(8, |d| Ok((ServerId(d.u32()?), d.u32()?)))?,
+            )),
+            b => Err(format!("bad placement tag {b}")),
+        })?,
     })
 }
 
@@ -622,11 +666,14 @@ fn enc_bools(buf: &mut Vec<u8>, v: &[bool]) {
 }
 
 fn dec_bools(d: &mut Dec<'_>) -> Result<Vec<bool>, String> {
-    (0..d.u32()?).map(|_| d.boolean()).collect()
+    d.seq(1, Dec::boolean)
 }
 
-fn enc_checkpoint(buf: &mut Vec<u8>, cp: &StageCheckpoint) {
+/// A `StageComplete` payload, also from a checkpoint of borrowed rows.
+pub(super) fn enc_stage_complete(buf: &mut Vec<u8>, cp: &StageCheckpoint<'_>) {
+    put_u8(buf, 4);
     put_u32(buf, cp.stage);
+    put_u32(buf, cp.ordinal);
     put_f64(buf, cp.end);
     put_f64(buf, cp.write_start);
     put_f64(buf, cp.read_end);
@@ -634,73 +681,61 @@ fn enc_checkpoint(buf: &mut Vec<u8>, cp: &StageCheckpoint) {
     enc_timings(buf, &cp.observed);
     enc_timings(buf, &cp.clean);
     put_u32(buf, cp.task_clean.len() as u32);
-    for &t in &cp.task_clean {
+    for &t in cp.task_clean.iter() {
         put_f64(buf, t);
     }
     put_u32(buf, cp.edge_medium.len() as u32);
-    buf.extend_from_slice(&cp.edge_medium);
+    for &(e, code) in cp.edge_medium.iter() {
+        put_u32(buf, e);
+        put_u8(buf, code);
+    }
     put_u32(buf, cp.heal_end.len() as u32);
-    for &(s, t, h) in &cp.heal_end {
+    for &(s, t, h) in cp.heal_end.iter() {
         put_u32(buf, s);
         put_u32(buf, t);
         put_f64(buf, h);
     }
     put_u32(buf, cp.buckets.len() as u32);
-    for b in &cp.buckets {
+    for (s, b) in cp.buckets.iter() {
+        put_u32(buf, *s);
         enc_stats(buf, b);
     }
     put_u32(buf, cp.lineage.len() as u32);
-    for h in &cp.lineage {
+    for h in cp.lineage.iter() {
         enc_lineage(buf, h);
     }
     put_u32(buf, cp.tasks.len() as u32);
-    for t in &cp.tasks {
+    for t in cp.tasks.iter() {
         enc_task(buf, t);
     }
     put_u32(buf, cp.attempts.len() as u32);
-    for a in &cp.attempts {
+    for a in cp.attempts.iter() {
         enc_attempt(buf, a);
     }
 }
 
-fn dec_checkpoint(d: &mut Dec<'_>) -> Result<StageCheckpoint, String> {
-    let stage = d.u32()?;
-    let end = d.f64()?;
-    let write_start = d.f64()?;
-    let read_end = d.f64()?;
-    let launch = d.f64()?;
-    let observed = dec_timings(d)?;
-    let clean = dec_timings(d)?;
-    let task_clean = (0..d.u32()?).map(|_| d.f64()).collect::<Result<_, _>>()?;
-    let n_media = d.u32()? as usize;
-    let edge_medium = d.bytes(n_media)?.to_vec();
-    for &c in &edge_medium {
-        medium_from_code(c)?;
-    }
-    let n_heal = d.u32()?;
-    let mut heal_end = Vec::with_capacity(n_heal as usize);
-    for _ in 0..n_heal {
-        heal_end.push((d.u32()?, d.u32()?, d.f64()?));
-    }
-    let buckets = (0..d.u32()?).map(|_| dec_stats(d)).collect::<Result<_, _>>()?;
-    let lineage = (0..d.u32()?).map(|_| dec_lineage(d)).collect::<Result<_, _>>()?;
-    let tasks = (0..d.u32()?).map(|_| dec_task(d)).collect::<Result<_, _>>()?;
-    let attempts = (0..d.u32()?).map(|_| dec_attempt(d)).collect::<Result<_, _>>()?;
+fn dec_checkpoint(d: &mut Dec<'_>) -> Result<StageCheckpoint<'static>, String> {
     Ok(StageCheckpoint {
-        stage,
-        end,
-        write_start,
-        read_end,
-        launch,
-        observed,
-        clean,
-        task_clean,
-        edge_medium,
-        heal_end,
-        buckets,
-        lineage,
-        tasks,
-        attempts,
+        stage: d.u32()?,
+        ordinal: d.u32()?,
+        end: d.f64()?,
+        write_start: d.f64()?,
+        read_end: d.f64()?,
+        launch: d.f64()?,
+        observed: dec_timings(d)?,
+        clean: dec_timings(d)?,
+        task_clean: d.seq(8, Dec::f64)?.into(),
+        edge_medium: d
+            .seq(5, |d| {
+                let (e, code) = (d.u32()?, d.u8()?);
+                medium_from_code(code).map(|_| (e, code))
+            })?
+            .into(),
+        heal_end: d.seq(16, |d| Ok((d.u32()?, d.u32()?, d.f64()?)))?.into(),
+        buckets: d.seq(4 + STATS_LEN, |d| Ok((d.u32()?, dec_stats(d)?)))?.into(),
+        lineage: d.seq(29, dec_lineage)?.into(),
+        tasks: d.seq(60, dec_task)?.into(),
+        attempts: d.seq(42, dec_attempt)?.into(),
     })
 }
 
@@ -711,6 +746,15 @@ fn dec_checkpoint(d: &mut Dec<'_>) -> Result<StageCheckpoint, String> {
 /// Encode one record's frame payload (tag byte + fields).
 pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
     let mut buf = Vec::new();
+    encode_record_into(&mut buf, rec);
+    buf
+}
+
+/// [`encode_record`] appended to `buf`: the one encoder. The journal
+/// writer calls it (and its three borrowed entry points,
+/// `enc_stage_complete` / `enc_replan_decision` / `enc_failover_decision`)
+/// on its own buffer, right behind the frame head it then patches.
+pub(super) fn encode_record_into(buf: &mut Vec<u8>, rec: &JournalRecord) {
     match rec {
         JournalRecord::JobAdmit {
             stages,
@@ -718,19 +762,19 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             engine,
             scheduler,
         } => {
-            put_u8(&mut buf, 1);
-            put_u32(&mut buf, *stages);
-            put_u32(&mut buf, *edges);
-            put_u8(&mut buf, engine.to_u8());
-            put_str(&mut buf, scheduler);
+            put_u8(buf, 1);
+            put_u32(buf, *stages);
+            put_u32(buf, *edges);
+            put_u8(buf, engine.to_u8());
+            put_str(buf, scheduler);
         }
         JournalRecord::ScheduleCommit {
             decision_seq,
             schedule_fp,
         } => {
-            put_u8(&mut buf, 2);
-            put_u64(&mut buf, *decision_seq);
-            put_u64(&mut buf, *schedule_fp);
+            put_u8(buf, 2);
+            put_u64(buf, *decision_seq);
+            put_u64(buf, *schedule_fp);
         }
         JournalRecord::ObjectCommit {
             stage,
@@ -738,46 +782,17 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             attempt_epoch,
             value,
         } => {
-            put_u8(&mut buf, 3);
-            put_u32(&mut buf, *stage);
-            put_u32(&mut buf, *task);
-            put_u32(&mut buf, *attempt_epoch);
-            put_u64(&mut buf, *value);
+            put_u8(buf, 3);
+            put_u32(buf, *stage);
+            put_u32(buf, *task);
+            put_u32(buf, *attempt_epoch);
+            put_u64(buf, *value);
         }
-        JournalRecord::StageComplete(cp) => {
-            put_u8(&mut buf, 4);
-            enc_checkpoint(&mut buf, cp);
+        JournalRecord::StageComplete(cp) => enc_stage_complete(buf, cp),
+        JournalRecord::Replan(d) => {
+            enc_replan_decision(buf, &d.record, &d.suffix, d.schedule.as_ref())
         }
-        JournalRecord::Replan {
-            record,
-            suffix,
-            schedule,
-        } => {
-            put_u8(&mut buf, 5);
-            enc_replan(&mut buf, record);
-            enc_bools(&mut buf, suffix);
-            match schedule {
-                None => put_u8(&mut buf, 0),
-                Some(s) => {
-                    put_u8(&mut buf, 1);
-                    enc_schedule(&mut buf, s);
-                }
-            }
-        }
-        JournalRecord::Failover {
-            decision_seq,
-            failed_server,
-            at_time,
-            suffix,
-            schedule,
-        } => {
-            put_u8(&mut buf, 6);
-            put_u64(&mut buf, *decision_seq);
-            put_u32(&mut buf, *failed_server);
-            put_f64(&mut buf, *at_time);
-            enc_bools(&mut buf, suffix);
-            enc_schedule(&mut buf, schedule);
-        }
+        JournalRecord::Failover(d) => enc_failover_decision(buf, d),
         JournalRecord::TaskAttempt {
             stage,
             task,
@@ -786,29 +801,60 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             start,
             end,
         } => {
-            put_u8(&mut buf, 7);
-            put_u32(&mut buf, *stage);
-            put_u32(&mut buf, *task);
-            put_u32(&mut buf, *attempt);
-            put_u8(&mut buf, *outcome);
-            put_f64(&mut buf, *start);
-            put_f64(&mut buf, *end);
+            put_u8(buf, 7);
+            put_u32(buf, *stage);
+            put_u32(buf, *task);
+            put_u32(buf, *attempt);
+            put_u8(buf, *outcome);
+            put_f64(buf, *start);
+            put_f64(buf, *end);
         }
-        JournalRecord::JobComplete { metrics } => {
-            put_u8(&mut buf, 8);
-            enc_metrics(&mut buf, metrics);
+        JournalRecord::JobComplete(metrics) => {
+            put_u8(buf, 8);
+            enc_metrics(buf, metrics);
         }
         JournalRecord::Snapshot(inner) => {
-            put_u8(&mut buf, 9);
-            put_u32(&mut buf, inner.len() as u32);
+            put_u8(buf, 9);
+            put_u32(buf, inner.len() as u32);
             for rec in inner {
-                let payload = encode_record(rec);
-                put_u32(&mut buf, payload.len() as u32);
-                buf.extend_from_slice(&payload);
+                // `[len][payload]`, the length patched once it is known.
+                let at = buf.len();
+                put_u32(buf, 0);
+                encode_record_into(buf, rec);
+                let len = (buf.len() - at - 4) as u32;
+                buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
             }
         }
     }
-    buf
+}
+
+/// A `Replan` payload from borrowed parts.
+pub(super) fn enc_replan_decision(
+    buf: &mut Vec<u8>,
+    record: &ReplanRecord,
+    suffix: &[bool],
+    schedule: Option<&Schedule>,
+) {
+    put_u8(buf, 5);
+    enc_replan(buf, record);
+    enc_bools(buf, suffix);
+    match schedule {
+        None => put_u8(buf, 0),
+        Some(s) => {
+            put_u8(buf, 1);
+            enc_schedule(buf, s);
+        }
+    }
+}
+
+/// A `Failover` payload.
+pub(super) fn enc_failover_decision(buf: &mut Vec<u8>, d: &FailoverDecision) {
+    put_u8(buf, 6);
+    put_u64(buf, d.decision_seq);
+    put_u32(buf, d.failed_server);
+    put_f64(buf, d.at_time);
+    enc_bools(buf, &d.suffix);
+    enc_schedule(buf, &d.schedule);
 }
 
 /// Decode one frame payload back into a record. Errors (including
@@ -819,10 +865,7 @@ pub fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
     let mut d = Dec::new(payload);
     let rec = decode_record_inner(&mut d)?;
     if !d.finished() {
-        return Err(format!(
-            "{} trailing bytes after record",
-            payload.len() - d.pos
-        ));
+        return Err(format!("{} trailing bytes after record", d.rest.len()));
     }
     Ok(rec)
 }
@@ -846,27 +889,22 @@ fn decode_record_inner(d: &mut Dec<'_>) -> Result<JournalRecord, String> {
             value: d.u64()?,
         }),
         4 => Ok(JournalRecord::StageComplete(Box::new(dec_checkpoint(d)?))),
-        5 => {
-            let record = dec_replan(d)?;
-            let suffix = dec_bools(d)?;
-            let schedule = match d.u8()? {
+        5 => Ok(JournalRecord::Replan(Box::new(ReplanDecision {
+            record: dec_replan(d)?,
+            suffix: dec_bools(d)?,
+            schedule: match d.u8()? {
                 0 => None,
                 1 => Some(dec_schedule(d)?),
                 b => return Err(format!("bad option tag {b}")),
-            };
-            Ok(JournalRecord::Replan {
-                record,
-                suffix,
-                schedule,
-            })
-        }
-        6 => Ok(JournalRecord::Failover {
+            },
+        }))),
+        6 => Ok(JournalRecord::Failover(Box::new(FailoverDecision {
             decision_seq: d.u64()?,
             failed_server: d.u32()?,
             at_time: d.f64()?,
             suffix: dec_bools(d)?,
             schedule: dec_schedule(d)?,
-        }),
+        }))),
         7 => Ok(JournalRecord::TaskAttempt {
             stage: d.u32()?,
             task: d.u32()?,
@@ -875,32 +913,33 @@ fn decode_record_inner(d: &mut Dec<'_>) -> Result<JournalRecord, String> {
             start: d.f64()?,
             end: d.f64()?,
         }),
-        8 => Ok(JournalRecord::JobComplete {
-            metrics: dec_metrics(d)?,
-        }),
-        9 => {
-            let count = d.u32()?;
-            let mut inner = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let len = d.u32()? as usize;
-                let raw = d.bytes(len)?;
-                inner.push(decode_record(raw)?);
-            }
-            Ok(JournalRecord::Snapshot(inner))
-        }
+        8 => Ok(JournalRecord::JobComplete(Box::new(dec_metrics(d)?))),
+        // Each inner record is `[len: 4][tag: 1]…`, at least 5 bytes.
+        9 => Ok(JournalRecord::Snapshot(d.seq(5, |d| {
+            let len = d.u32()? as usize;
+            decode_record(d.bytes(len)?)
+        })?)),
         b => Err(format!("unknown record tag {b}")),
     }
 }
 
-/// Flatten a record stream: compaction snapshots expand in place.
-pub(super) fn flatten(records: &[JournalRecord]) -> Vec<JournalRecord> {
+/// Walk a record stream with compaction snapshots expanded in place.
+pub(super) fn flat(records: &[JournalRecord]) -> impl Iterator<Item = &JournalRecord> {
+    records.iter().flat_map(|rec| match rec {
+        JournalRecord::Snapshot(inner) => inner.iter(),
+        other => std::slice::from_ref(other).iter(),
+    })
+}
+
+/// [`flat`] by value (a move, not a clone), for the readers that keep
+/// what they walk.
+pub(super) fn into_flat(records: Vec<JournalRecord>) -> Vec<JournalRecord> {
     let mut out = Vec::with_capacity(records.len());
     for rec in records {
         match rec {
-            JournalRecord::Snapshot(inner) => out.extend(inner.iter().cloned()),
-            other => out.push(other.clone()),
+            JournalRecord::Snapshot(inner) => out.extend(inner),
+            other => out.push(other),
         }
     }
     out
 }
-

@@ -2,14 +2,15 @@
 //! [`JournalWriter`], the per-job [`JournalSession`] (write-ahead on the
 //! way out, replay on the way back), [`recover`] and [`compact_journal`].
 
-use super::frame::{decode_journal, frame_into, TornTail, JOURNAL_MAGIC, JOURNAL_VERSION};
+use super::frame::{decode_journal, frame_with, TornTail, JOURNAL_MAGIC, JOURNAL_VERSION};
 use super::record::{
-    encode_record, flatten, medium_code, medium_from_code, outcome_code, schedule_fingerprint,
-    EngineKind, JournalRecord, StageCheckpoint,
+    enc_failover_decision, enc_replan_decision, enc_stage_complete, encode_record_into, into_flat,
+    medium_code, medium_from_code, outcome_code, schedule_fingerprint, EngineKind,
+    FailoverDecision, JournalRecord, ReplanDecision, StageCheckpoint,
 };
 use crate::adaptive::ReplanRecord;
 use crate::error::ExecError;
-use crate::faults::{AttemptOutcome, AttemptRecord, FaultPlan, SimState, StageMark};
+use crate::faults::{AttemptOutcome, AttemptRecord, FaultPlan, FaultStats, SimState, StageMark};
 use crate::metrics::JobMetrics;
 use ditto_core::Schedule;
 use ditto_dag::{JobDag, StageId};
@@ -32,22 +33,20 @@ pub fn compact_journal(bytes: &[u8]) -> Result<Vec<u8>, ExecError> {
             t.at_record
         )));
     }
-    let flat = flatten(&decoded.records);
-    let Some(last_cp) = flat
+    let mut prefix = into_flat(decoded.records);
+    let Some(last_cp) = prefix
         .iter()
         .rposition(|r| matches!(r, JournalRecord::StageComplete(_)))
     else {
         return Ok(bytes.to_vec());
     };
-    let mut out = Vec::with_capacity(bytes.len());
-    out.extend_from_slice(&JOURNAL_MAGIC);
-    out.push(JOURNAL_VERSION);
-    let snapshot = JournalRecord::Snapshot(flat[..=last_cp].to_vec());
-    frame_into(&mut out, &encode_record(&snapshot));
-    for rec in &flat[last_cp + 1..] {
-        frame_into(&mut out, &encode_record(rec));
+    let tail = prefix.split_off(last_cp + 1);
+    let mut out = JournalWriter::new(None);
+    out.buf.reserve(bytes.len());
+    for rec in std::iter::once(&JournalRecord::Snapshot(prefix)).chain(&tail) {
+        out.append(rec)?;
     }
-    Ok(out)
+    Ok(out.buf)
 }
 
 // ---------------------------------------------------------------------
@@ -97,16 +96,20 @@ impl JournalWriter {
     /// of its frame is written (a torn tail) and the append fails with
     /// [`ExecError::CoordinatorCrash`].
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), ExecError> {
-        let payload = encode_record(rec);
+        self.append_with(|buf| encode_record_into(buf, rec))
+    }
+
+    /// [`Self::append`] of the record whose payload `encode` writes: the
+    /// frame is built in the journal's own buffer, and the armed crash
+    /// cuts it back to its first half.
+    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), ExecError> {
+        let start = frame_with(&mut self.buf, encode);
         if self.crash_at == Some(self.records_written) {
-            let mut frame = Vec::with_capacity(12 + payload.len());
-            frame_into(&mut frame, &payload);
-            self.buf.extend_from_slice(&frame[..frame.len() / 2]);
+            self.buf.truncate(start + (self.buf.len() - start) / 2);
             return Err(ExecError::CoordinatorCrash {
                 at_record: self.records_written,
             });
         }
-        frame_into(&mut self.buf, &payload);
         self.records_written += 1;
         Ok(())
     }
@@ -143,16 +146,23 @@ pub struct JournalSession {
     resumed: bool,
     admit: Option<(u32, u32, EngineKind, String)>,
     schedule_fp: Option<u64>,
-    checkpoints: BTreeMap<u32, StageCheckpoint>,
-    replans: VecDeque<(ReplanRecord, Vec<bool>, Option<Schedule>)>,
-    failover: Option<(u64, u32, f64, Vec<bool>, Schedule)>,
+    checkpoints: BTreeMap<u32, Box<StageCheckpoint<'static>>>,
+    replans: VecDeque<Box<ReplanDecision>>,
+    failover: Option<Box<FailoverDecision>>,
     completed: Option<JobMetrics>,
     ledger: CommitLedger,
     torn: Option<TornTail>,
     deduped: u64,
     restored_stages: u32,
+    /// Ordinal of the next checkpoint this run restores or writes.
+    next_ordinal: u32,
     replayed_commits: u64,
     replay_total: usize,
+    /// The delta sections of the checkpoint being written, gathered here
+    /// so a stage costs no allocation once they have grown.
+    delta_media: Vec<(u32, u8)>,
+    delta_heal: Vec<(u32, u32, f64)>,
+    delta_buckets: Vec<(u32, FaultStats)>,
 }
 
 impl JournalSession {
@@ -172,8 +182,12 @@ impl JournalSession {
             torn: None,
             deduped: 0,
             restored_stages: 0,
+            next_ordinal: 0,
             replayed_commits: 0,
             replay_total: 0,
+            delta_media: Vec::new(),
+            delta_heal: Vec::new(),
+            delta_buckets: Vec::new(),
         }
     }
 
@@ -189,7 +203,6 @@ impl JournalSession {
     /// deliberately *not* restored.
     pub fn resume(bytes: &[u8]) -> Result<Self, ExecError> {
         let decoded = decode_journal(bytes)?;
-        let flat = flatten(&decoded.records);
         let mut session = JournalSession {
             writer: JournalWriter::from_durable(
                 bytes[..decoded.durable_len].to_vec(),
@@ -199,14 +212,21 @@ impl JournalSession {
             torn: decoded.torn,
             ..Self::fresh(None)
         };
-        for rec in flat {
+        for rec in into_flat(decoded.records) {
             match rec {
                 JournalRecord::JobAdmit {
                     stages,
                     edges,
                     engine,
                     scheduler,
-                } => session.admit = Some((stages, edges, engine, scheduler)),
+                } => {
+                    // The decoder checked every checkpoint against the
+                    // admission before it; a second one would un-check them.
+                    if session.admit.is_some() {
+                        return Err(ExecError::Journal("journal admits a job twice".into()));
+                    }
+                    session.admit = Some((stages, edges, engine, scheduler));
+                }
                 JournalRecord::ScheduleCommit { schedule_fp, .. } => {
                     session.schedule_fp = Some(schedule_fp)
                 }
@@ -215,37 +235,27 @@ impl JournalSession {
                     task,
                     attempt_epoch,
                     value,
-                } => {
-                    let key = format!("s{stage}.t{task}");
-                    match session.ledger.commit(&key, attempt_epoch, value) {
-                        CommitOutcome::Committed => session.replayed_commits += 1,
-                        CommitOutcome::Duplicate => {}
-                        CommitOutcome::Conflict { expected, actual } => {
-                            return Err(ExecError::Journal(format!(
-                                "journal commits {key}@{attempt_epoch} twice with different values ({expected:#x} vs {actual:#x})"
-                            )));
-                        }
+                } => match session.ledger.commit(stage, task, attempt_epoch, value) {
+                    CommitOutcome::Committed => session.replayed_commits += 1,
+                    CommitOutcome::Duplicate => {}
+                    CommitOutcome::Conflict { expected, actual } => {
+                        return Err(ExecError::Journal(format!(
+                            "journal commits s{stage}.t{task}@{attempt_epoch} twice with different values ({expected:#x} vs {actual:#x})"
+                        )));
                     }
-                }
+                },
                 JournalRecord::StageComplete(cp) => {
-                    session.checkpoints.insert(cp.stage, *cp);
+                    if cp.ordinal as usize != session.checkpoints.len() {
+                        return Err(ExecError::Journal(format!(
+                            "checkpoint of stage {} has ordinal {} but is number {} in the journal: checkpoints are out of order",
+                            cp.stage, cp.ordinal, session.checkpoints.len()
+                        )));
+                    }
+                    session.checkpoints.insert(cp.stage, cp);
                 }
-                JournalRecord::Replan {
-                    record,
-                    suffix,
-                    schedule,
-                } => session.replans.push_back((record, suffix, schedule)),
-                JournalRecord::Failover {
-                    decision_seq,
-                    failed_server,
-                    at_time,
-                    suffix,
-                    schedule,
-                } => {
-                    session.failover =
-                        Some((decision_seq, failed_server, at_time, suffix, schedule))
-                }
-                JournalRecord::JobComplete { metrics } => session.completed = Some(metrics),
+                JournalRecord::Replan(d) => session.replans.push_back(d),
+                JournalRecord::Failover(d) => session.failover = Some(d),
+                JournalRecord::JobComplete(metrics) => session.completed = Some(*metrics),
                 JournalRecord::TaskAttempt { .. } | JournalRecord::Snapshot(_) => {}
             }
         }
@@ -356,15 +366,29 @@ impl JournalSession {
     }
 
     /// If stage `s` has a journaled checkpoint, restore it into `state`
-    /// wholesale (timeline gates, fault buckets, edge media, heal map,
-    /// trace and lineage rows) and return `true`; otherwise return `false`
-    /// and the caller re-simulates. Either way the stage's rows sit past
-    /// the caller's `SimState::mark`, which is all the telemetry emitter
-    /// reads — a restored stage reports exactly what the live one did.
-    pub(crate) fn try_restore(&mut self, s: StageId, state: &mut SimState) -> bool {
+    /// (timeline gates, trace and lineage rows, and the checkpoint's delta
+    /// of fault buckets, edge media and heal entries) and return `true`;
+    /// otherwise return `false` and the caller re-simulates. Either way
+    /// the stage's rows sit past the caller's `SimState::mark`, which is
+    /// all the telemetry emitter reads — a restored stage reports exactly
+    /// what the live one did. Deltas only add up to the crashed run's
+    /// state in the order they were written, so a checkpoint whose ordinal
+    /// is not this run's next one is a hard error.
+    pub(crate) fn try_restore(
+        &mut self,
+        s: StageId,
+        state: &mut SimState,
+    ) -> Result<bool, ExecError> {
         let Some(cp) = self.checkpoints.remove(&s.0) else {
-            return false;
+            return Ok(false);
         };
+        if cp.ordinal != self.next_ordinal {
+            return Err(ExecError::Journal(format!(
+                "checkpoint of stage {} has ordinal {} but the run is at checkpoint {}: journal checkpoints are out of order",
+                s.0, cp.ordinal, self.next_ordinal
+            )));
+        }
+        let cp = *cp;
         let i = s.index();
         state.stage_end[i] = cp.end;
         state.stage_write_start[i] = cp.write_start;
@@ -372,19 +396,24 @@ impl JournalSession {
         state.stage_launch[i] = cp.launch;
         state.stage_observed[i] = cp.observed;
         state.stage_clean[i] = cp.clean;
-        state.task_clean_time[i] = cp.task_clean;
-        state.edge_medium = cp
-            .edge_medium
-            .iter()
-            .map(|&c| medium_from_code(c).unwrap_or(None))
-            .collect();
-        state.heal_end = cp.heal_end.iter().map(|&(a, b, h)| ((a, b), h)).collect();
-        state.stage_stats = cp.buckets;
-        state.lineage_log.extend(cp.lineage);
-        state.trace.tasks.extend(cp.tasks);
-        state.trace.attempts.extend(cp.attempts);
+        state.task_clean_time[i] = cp.task_clean.into_owned();
+        // Indices and codes were range-checked by `decode_journal` against
+        // the admitted shape, and `begin` held that shape to the DAG's.
+        for &(e, code) in cp.edge_medium.iter() {
+            state.edge_medium[e as usize] = medium_from_code(code).unwrap_or(None);
+        }
+        for &(a, b, h) in cp.heal_end.iter() {
+            state.heal_end.insert((a, b), h);
+        }
+        for &(b, stats) in cp.buckets.iter() {
+            state.stage_stats[b as usize] = stats;
+        }
+        state.lineage_log.extend_from_slice(&cp.lineage);
+        state.trace.tasks.extend_from_slice(&cp.tasks);
+        state.trace.attempts.extend_from_slice(&cp.attempts);
         self.restored_stages += 1;
-        true
+        self.next_ordinal += 1;
+        Ok(true)
     }
 
     /// Exactly-once gate for a (re-)delivered object commit: `true` if it
@@ -398,15 +427,14 @@ impl JournalSession {
         epoch: u32,
         value: u64,
     ) -> Result<bool, ExecError> {
-        let key = format!("s{stage}.t{task}");
-        match self.ledger.commit(&key, epoch, value) {
+        match self.ledger.commit(stage, task, epoch, value) {
             CommitOutcome::Committed => Ok(true),
             CommitOutcome::Duplicate => {
                 self.deduped += 1;
                 Ok(false)
             }
             CommitOutcome::Conflict { expected, actual } => Err(ExecError::Journal(format!(
-                "re-executed {key}@{epoch} produced {actual:#x}, journal committed {expected:#x}"
+                "re-executed s{stage}.t{task}@{epoch} produced {actual:#x}, journal committed {expected:#x}"
             ))),
         }
     }
@@ -414,24 +442,26 @@ impl JournalSession {
     /// Journal a just-simulated stage: one exactly-once `ObjectCommit`
     /// per task (re-deliveries against the ledger are deduplicated, value
     /// conflicts are hard errors) followed by its `StageComplete`
-    /// checkpoint, both taken from the stage's rows past `mark`.
-    /// Write-ahead: appends happen before the engine proceeds, so a crash
-    /// can tear at any decision boundary.
+    /// checkpoint, both taken from the stage's rows past `mark` and
+    /// encoded from where they lie. Write-ahead: appends happen before the
+    /// engine proceeds, so a crash can tear at any decision boundary.
     pub(crate) fn record_stage(
         &mut self,
+        dag: &JobDag,
         s: StageId,
         state: &SimState,
         mark: StageMark,
     ) -> Result<(), ExecError> {
-        let tasks = state.trace.tasks[mark.tasks..].to_vec();
-        let attempts = state.trace.attempts[mark.attempts..].to_vec();
-        for tt in &tasks {
-            let epoch = attempts
-                .iter()
-                .filter(|a| a.task == tt.task && a.outcome == AttemptOutcome::Completed)
-                .map(|a| a.attempt)
-                .next_back()
-                .unwrap_or(0);
+        // `sim_stage` appends a stage's attempt rows task by task, in task
+        // order, so one walk finds each task's surviving epoch.
+        let mut attempts = state.trace.attempts[mark.attempts..].iter().peekable();
+        for tt in &state.trace.tasks[mark.tasks..] {
+            let mut epoch = 0;
+            while let Some(a) = attempts.next_if(|a| a.task == tt.task) {
+                if a.outcome == AttemptOutcome::Completed {
+                    epoch = a.attempt;
+                }
+            }
             let value = tt.end.to_bits();
             if self.commit_once(s.0, tt.task, epoch, value)? {
                 self.writer.append(&JournalRecord::ObjectCommit {
@@ -442,29 +472,47 @@ impl JournalSession {
                 })?;
             }
         }
+        // The delta: exactly what `sim_stage(s)` can have written outside
+        // the stage's own rows — the media of its in-edges, its own bucket
+        // and its producers' (lineage charges), one heal entry per
+        // lineage re-execution it paid.
+        let bucket = |b: StageId| (b.0, state.stage_stats[b.index()]);
+        self.delta_media.clear();
+        self.delta_buckets.clear();
+        self.delta_buckets.push(bucket(s));
+        for e in dag.in_edges(s) {
+            self.delta_media
+                .push((e.id.0, medium_code(state.edge_medium[e.id.index()])));
+            self.delta_buckets.push(bucket(e.src));
+        }
+        let lineage = &state.lineage_log[mark.lineage..];
+        self.delta_heal.clear();
+        self.delta_heal.extend(
+            lineage
+                .iter()
+                .map(|h| (h.src_stage, h.src_task, state.heal_end[&(h.src_stage, h.src_task)])),
+        );
         let i = s.index();
         let cp = StageCheckpoint {
             stage: s.0,
+            ordinal: self.next_ordinal,
             end: state.stage_end[i],
             write_start: state.stage_write_start[i],
             read_end: state.stage_read_end[i],
             launch: state.stage_launch[i],
             observed: state.stage_observed[i],
             clean: state.stage_clean[i],
-            task_clean: state.task_clean_time[i].clone(),
-            edge_medium: state.edge_medium.iter().map(|&m| medium_code(m)).collect(),
-            heal_end: state
-                .heal_end
-                .iter()
-                .map(|(&(a, b), &h)| (a, b, h))
-                .collect(),
-            buckets: state.stage_stats.clone(),
-            lineage: state.lineage_log[mark.lineage..].to_vec(),
-            tasks,
-            attempts,
+            task_clean: state.task_clean_time[i].as_slice().into(),
+            edge_medium: self.delta_media.as_slice().into(),
+            heal_end: self.delta_heal.as_slice().into(),
+            buckets: self.delta_buckets.as_slice().into(),
+            lineage: lineage.into(),
+            tasks: state.trace.tasks[mark.tasks..].into(),
+            attempts: state.trace.attempts[mark.attempts..].into(),
         };
-        self.writer
-            .append(&JournalRecord::StageComplete(Box::new(cp)))
+        self.writer.append_with(|buf| enc_stage_complete(buf, &cp))?;
+        self.next_ordinal += 1;
+        Ok(())
     }
 
     /// Journal one *physical* task's outcome (the runner engine): its
@@ -511,10 +559,10 @@ impl JournalSession {
         &mut self,
         at_stage: u32,
         now: f64,
-    ) -> Option<(ReplanRecord, Vec<bool>, Option<Schedule>)> {
-        let front = self.replans.front()?;
-        if front.0.at_stage == at_stage && front.0.sim_time.to_bits() == now.to_bits() {
-            self.replans.pop_front()
+    ) -> Option<ReplanDecision> {
+        let front = &self.replans.front()?.record;
+        if front.at_stage == at_stage && front.sim_time.to_bits() == now.to_bits() {
+            self.replans.pop_front().map(|d| *d)
         } else {
             None
         }
@@ -535,39 +583,24 @@ impl JournalSession {
                 self.replans.len()
             )));
         }
-        self.writer.append(&JournalRecord::Replan {
-            record: *record,
-            suffix: suffix.to_vec(),
-            schedule: schedule.cloned(),
-        })
+        self.writer
+            .append_with(|buf| enc_replan_decision(buf, record, suffix, schedule))
     }
 
     /// Take the journaled failover decision for replay, if any.
-    pub(crate) fn take_failover(&mut self) -> Option<(u64, u32, f64, Vec<bool>, Schedule)> {
-        self.failover.take()
+    pub(crate) fn take_failover(&mut self) -> Option<FailoverDecision> {
+        self.failover.take().map(|d| *d)
     }
 
     /// Journal a live failover decision (frozen engine).
-    pub(crate) fn append_failover(
-        &mut self,
-        decision_seq: u64,
-        failed_server: u32,
-        at_time: f64,
-        suffix: Vec<bool>,
-        schedule: Schedule,
-    ) -> Result<(), ExecError> {
+    pub(crate) fn append_failover(&mut self, decision: &FailoverDecision) -> Result<(), ExecError> {
         if self.failover.is_some() {
             return Err(ExecError::Journal(
                 "resumed run diverged: live failover while a journaled one is unreplayed".into(),
             ));
         }
-        self.writer.append(&JournalRecord::Failover {
-            decision_seq,
-            failed_server,
-            at_time,
-            suffix,
-            schedule,
-        })
+        self.writer
+            .append_with(|buf| enc_failover_decision(buf, decision))
     }
 
     /// Close the job: journals `JobComplete` on a fresh run; on a resumed
@@ -583,7 +616,7 @@ impl JournalSession {
             return Ok(());
         }
         self.writer
-            .append(&JournalRecord::JobComplete { metrics: *metrics })?;
+            .append(&JournalRecord::JobComplete(Box::new(*metrics)))?;
         self.completed = Some(*metrics);
         Ok(())
     }

@@ -129,9 +129,9 @@ impl LocalRuntime {
     /// task's encoded output) *before* the next stage launches. Physical
     /// re-execution after a coordinator crash is at-least-once; the
     /// session's [`CommitLedger`] deduplicates re-delivered commits by
-    /// `(object, attempt_epoch)` — and a same-epoch commit whose checksum
-    /// differs from the journaled one fails the run rather than publish a
-    /// second version of an object.
+    /// `(stage, task, attempt_epoch)` — and a same-epoch commit whose
+    /// checksum differs from the journaled one fails the run rather than
+    /// publish a second version of an object.
     ///
     /// [`checksum64`]: ditto_storage::checksum64
     /// [`CommitLedger`]: ditto_storage::CommitLedger

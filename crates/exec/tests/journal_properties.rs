@@ -1,6 +1,6 @@
 //! Property tests for the control-plane write-ahead journal.
 //!
-//! Two families:
+//! Three families:
 //!
 //! * **Crash/recovery** — for random DAGs, fault histories and crash
 //!   record indices, on both engines: the armed run dies exactly at the
@@ -12,6 +12,12 @@
 //!   CRC byte, or a duplicated commit frame is detected with *exact*
 //!   record-index provenance, checked against an independent re-scan of
 //!   the frame layout.
+//! * **Hostile bytes** — a seeded mutation loop over real journals of both
+//!   engines (bit flips, truncations, length fields inflated *with the CRC
+//!   recomputed*, splices of two journals): `decode_journal` answers `Ok`
+//!   with a torn tail or a typed `Err`, never panics, and never holds more
+//!   heap than a small multiple of its input (a counting allocator local
+//!   to this test binary watches).
 
 use ditto_audit::RaceOptions;
 use ditto_cluster::ResourceManager;
@@ -29,6 +35,55 @@ use ditto_obs::Recorder;
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+// Live heap bytes of the *current thread* and their high-water mark: the
+// test harness runs tests on parallel threads, and a decode allocates and
+// frees on its own thread only. `const` thread-locals of `Cell<usize>` need
+// no lazy initialisation and no destructor, so the allocator may touch them.
+thread_local! {
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn grew(by: usize) {
+    let live = LIVE.get() + by;
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// plain thread-local integers.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.set(LIVE.get().saturating_sub(layout.size()));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.set(LIVE.get().saturating_sub(layout.size()));
+        grew(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Run `f` and return its result with the most heap it held at once,
+/// beyond what the thread held on entry.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.get();
+    PEAK.set(before);
+    let out = f();
+    (out, PEAK.get() - before)
+}
 
 /// Two-server slot capacities shared by the schedule and the race check.
 const SLOTS: &[u32] = &[12, 10];
@@ -85,15 +140,24 @@ fn run(
 
 /// A crash-free journal of a random run, for the corruption properties.
 fn sample_journal(dag_seed: u64) -> Vec<u8> {
+    engine_journal(false, dag_seed)
+}
+
+/// A crash-free journal of a random run of either engine (the adaptive
+/// one under 2x drift, so it carries replan records and their schedules).
+fn engine_journal(adaptive: bool, dag_seed: u64) -> Vec<u8> {
     let (dag, model, rm, schedule) = setup(dag_seed, 6);
     let gt = GroundTruth::new(ExecConfig::default());
-    let plan = FaultPlan::from_rates(FaultRates {
+    let mut plan = FaultPlan::from_rates(FaultRates {
         loss_prob: 0.03,
         ..FaultRates::none(dag_seed.wrapping_add(7))
     });
+    if adaptive {
+        plan = plan.with_drift(2.0);
+    }
     let mut session = JournalSession::fresh(None);
     run(
-        false,
+        adaptive,
         &dag,
         &schedule,
         &gt,
@@ -122,6 +186,160 @@ fn frame_starts(bytes: &[u8]) -> Vec<usize> {
     }
     assert_eq!(pos, bytes.len(), "sample journal must end on a frame boundary");
     starts
+}
+
+/// `decode_journal` on hostile bytes: `Ok` (a torn tail is fine) or the
+/// typed journal error — a panic fails the test by itself — holding at
+/// most a small multiple of the input. The worst honest ratio is a
+/// 40-byte record decoded from a 5-byte snapshot entry.
+fn decode_hostile(bytes: &[u8], what: &str) {
+    let (result, peak) = peak_heap(|| decode_journal(bytes).map(|d| d.records.len()));
+    if let Err(e) = &result {
+        assert!(matches!(e, ExecError::Journal(_)), "{what}: untyped error {e}");
+    }
+    assert!(
+        peak <= 16 * bytes.len() + 4096,
+        "{what}: decoding {} bytes held {peak} bytes of heap ({result:?})",
+        bytes.len()
+    );
+}
+
+/// Rewrite frame `r` of `bytes` in place through `mutate` and recompute
+/// its checksum — the seed is a public constant, so an attacker (or a
+/// version-skewed writer) can always do this.
+fn reseal(bytes: &mut [u8], start: usize, end: usize, mutate: impl FnOnce(&mut [u8])) {
+    let (head, payload) = bytes[start..end].split_at_mut(12);
+    mutate(payload);
+    let crc = ditto_storage::checksum64(payload, ditto_exec::journal::JOURNAL_SEED);
+    head[4..].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn mutated_journals_never_panic_or_over_allocate() {
+    // A tiny deterministic generator: the loop must be reproducible.
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |below: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % below as u64) as usize
+    };
+    let journals: Vec<Vec<u8>> = [(false, 3), (true, 5), (false, 11), (true, 17)]
+        .iter()
+        .map(|&(adaptive, seed)| engine_journal(adaptive, seed))
+        .collect();
+    assert!(
+        journals.iter().any(|j| {
+            let recs = decode_journal(j).unwrap().records;
+            recs.iter().any(|r| matches!(r, JournalRecord::Replan(_)))
+        }),
+        "fixture sanity: an adaptive journal carries a replan (and its schedule)"
+    );
+    for (j, bytes) in journals.iter().enumerate() {
+        decode_hostile(bytes, "unmutated");
+        let starts = frame_starts(bytes);
+        let frame_end = |r: usize| starts.get(r + 1).copied().unwrap_or(bytes.len());
+        // Truncation at every offset of the last three frames.
+        for cut in starts[starts.len() - 3]..bytes.len() {
+            decode_hostile(&bytes[..cut], &format!("journal {j} cut at {cut}"));
+        }
+        // Bit flips anywhere, header included.
+        for _ in 0..2000 {
+            let mut bad = bytes.clone();
+            let at = next(bad.len());
+            bad[at] ^= 1 << next(8);
+            decode_hostile(&bad, &format!("journal {j} bit flip at {at}"));
+        }
+        // Every 4-byte window of every frame's payload overwritten with a
+        // huge count and the frame resealed: this hits each length field
+        // of each record kind with a CRC that still passes. Same for the
+        // frame's own length field (not resealed: it is outside the CRC).
+        for (r, &start) in starts.iter().enumerate() {
+            let end = frame_end(r);
+            for huge in [u32::MAX, 0x1000_0000, 0x0001_0000] {
+                let mut bad = bytes.clone();
+                bad[start..start + 4].copy_from_slice(&huge.to_le_bytes());
+                decode_hostile(&bad, &format!("journal {j} frame {r} len {huge:#x}"));
+                for at in 0..(end - start - 12).saturating_sub(3) {
+                    let mut bad = bytes.clone();
+                    reseal(&mut bad, start, end, |payload| {
+                        payload[at..at + 4].copy_from_slice(&huge.to_le_bytes())
+                    });
+                    decode_hostile(&bad, &format!("journal {j} frame {r}+{at} = {huge:#x}"));
+                }
+            }
+        }
+        // Splices: a prefix of this journal (cut on or off a frame
+        // boundary) followed by a suffix of another.
+        for _ in 0..500 {
+            let other = &journals[next(journals.len())];
+            let other_starts = frame_starts(other);
+            let head = if next(2) == 0 { starts[next(starts.len())] } else { next(bytes.len()) };
+            let tail = if next(2) == 0 { other_starts[next(other_starts.len())] } else { next(other.len()) };
+            let spliced = [&bytes[..head], &other[tail..]].concat();
+            decode_hostile(&spliced, &format!("journal {j} splice {head}+{tail}"));
+        }
+    }
+}
+
+/// The benchmark's wide shape: one 192-stage random DAG on eight 48-slot
+/// servers under its 2 % crash / straggler / loss mix. A checkpoint here
+/// is a delta against up to 191 earlier ones, so this is where a delta
+/// applied against the wrong base would show.
+#[test]
+fn crash_resume_is_bit_identical_at_the_wide_shape() {
+    const WIDE_SLOTS: [u32; 8] = [48; 8];
+    let dag = random_dag(100, &RandomDagConfig::sized(192));
+    let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
+    let rm = ResourceManager::from_free_slots(WIDE_SLOTS.to_vec());
+    let schedule = DittoScheduler::new().schedule(&SchedulingContext {
+        dag: &dag,
+        model: &model,
+        resources: &rm,
+        objective: Objective::Cost,
+    });
+    let gt = GroundTruth::new(ExecConfig::default());
+    let plan = FaultPlan::from_rates(FaultRates {
+        crash_prob: 0.02,
+        straggler_prob: 0.02,
+        straggler_slowdown: 4.0,
+        loss_prob: 0.02,
+        ..FaultRates::none(100)
+    });
+    let policy = RecoveryPolicy::default();
+    let go = |session: &mut JournalSession| {
+        Engine::new(&dag, &schedule, &gt)
+            .faults(&plan, &policy)
+            .journal(session)
+            .run()
+    };
+    let mut clean = JournalSession::fresh(None);
+    let (bt, bm) = go(&mut clean).expect("crash-free journaled run");
+    let total = clean.records_written();
+    assert!(total > 192 + 2, "one checkpoint a stage, and commits: {total}");
+    assert!(
+        clean.durable_bytes().len() < 1024 * total as usize,
+        "a delta journal stays under 1 KB a record: {} bytes / {total} records",
+        clean.durable_bytes().len()
+    );
+    for k in (0..total).step_by(total as usize / 24).chain([total - 1]) {
+        let mut armed = JournalSession::fresh(Some(k));
+        let err = go(&mut armed).expect_err("armed crash must kill the run");
+        assert!(matches!(err, ExecError::CoordinatorCrash { at_record } if at_record == k));
+        let mut resumed = JournalSession::resume(armed.durable_bytes()).expect("resume");
+        let (rt, rm2) = go(&mut resumed).expect("recovery must terminate");
+        assert!(rm2 == bm, "crash at record {k}: metrics diverged");
+        assert!(rt.tasks == bt.tasks, "crash at record {k}: task timelines diverged");
+        assert!(rt.attempts == bt.attempts, "crash at record {k}: attempts diverged");
+        assert_eq!(
+            resumed.durable_bytes(),
+            clean.durable_bytes(),
+            "crash at record {k}: the resumed journal is the crash-free journal"
+        );
+        let decoded = decode_journal(resumed.durable_bytes()).expect("decodes");
+        let findings = validate_journal(&decoded.records);
+        assert!(decoded.torn.is_none() && findings.is_empty(), "crash at {k}: {findings:?}");
+    }
 }
 
 /// Map a fraction in [0, 1) onto an index of `len` items.

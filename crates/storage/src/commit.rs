@@ -6,20 +6,24 @@
 //! object commits were durable but whose completion record was torn off
 //! the journal tail runs again and re-delivers the same objects. The
 //! [`CommitLedger`] turns that into *exactly-once commit* semantics: each
-//! object commit is keyed by `(object, attempt_epoch)` and carries the
-//! 64-bit value fingerprint of what was committed. A re-delivered commit
-//! with the same fingerprint is a [`CommitOutcome::Duplicate`] (counted,
-//! not re-journaled); the same key with a *different* fingerprint is a
-//! [`CommitOutcome::Conflict`] — determinism was violated and recovery
-//! must fail loudly rather than silently pick a side.
+//! object commit is keyed by the integers `(stage, task, attempt_epoch)`
+//! — the same triple an `ObjectCommit` journal record carries, so the hot
+//! path builds no key — and holds the 64-bit value fingerprint of what
+//! was committed. A re-delivered commit with the same fingerprint is a
+//! [`CommitOutcome::Duplicate`] (counted, not re-journaled); the same key
+//! with a *different* fingerprint is a [`CommitOutcome::Conflict`] —
+//! determinism was violated and recovery must fail loudly rather than
+//! silently pick a side.
 //!
 //! Both engines use it: the simulator fingerprints an object by the bit
 //! pattern of its commit instant (the simulation is deterministic, so the
 //! instant names the object's content), the physical runtime by the
-//! [`checksum64`](crate::checksum64) of the encoded output table.
+//! [`checksum64`](crate::checksum64) of the encoded output table. A
+//! ledger belongs to one journal session, so it takes `&mut self` and
+//! needs no lock; it is an ordered map of per-stage sorted tables (DET01:
+//! no hash iteration order).
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// What happened when a commit was offered to the ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +44,14 @@ pub enum CommitOutcome {
     },
 }
 
-/// Thread-safe exactly-once commit ledger keyed by
-/// `(object key, attempt epoch)`.
+/// Exactly-once commit ledger keyed by `(stage, task, attempt epoch)`.
 #[derive(Debug, Default)]
 pub struct CommitLedger {
-    entries: Mutex<BTreeMap<(String, u32), u64>>,
+    /// Per stage, its commits as `(task, epoch, value)` sorted by
+    /// `(task, epoch)`. A stage's tasks commit in ascending order, so an
+    /// insert is a short search that ends at the tail.
+    stages: BTreeMap<u32, Vec<(u32, u32, u64)>>,
+    len: usize,
 }
 
 impl CommitLedger {
@@ -53,41 +60,42 @@ impl CommitLedger {
         Self::default()
     }
 
-    /// Offer a commit of `key` at `epoch` with value fingerprint
-    /// `value`. See [`CommitOutcome`] for the three possible answers.
-    pub fn commit(&self, key: &str, epoch: u32, value: u64) -> CommitOutcome {
-        let mut entries = self.entries.lock().expect("commit ledger poisoned");
-        match entries.get(&(key.to_string(), epoch)) {
-            Some(&expected) if expected == value => CommitOutcome::Duplicate,
-            Some(&expected) => CommitOutcome::Conflict {
-                expected,
-                actual: value,
-            },
-            None => {
-                entries.insert((key.to_string(), epoch), value);
+    /// Offer a commit of object `(stage, task)` at `epoch` with value
+    /// fingerprint `value`. See [`CommitOutcome`] for the three possible
+    /// answers.
+    pub fn commit(&mut self, stage: u32, task: u32, epoch: u32, value: u64) -> CommitOutcome {
+        let commits = self.stages.entry(stage).or_default();
+        match commits.binary_search_by_key(&(task, epoch), |&(t, e, _)| (t, e)) {
+            Err(at) => {
+                commits.insert(at, (task, epoch, value));
+                self.len += 1;
                 CommitOutcome::Committed
             }
+            Ok(at) if commits[at].2 == value => CommitOutcome::Duplicate,
+            Ok(at) => CommitOutcome::Conflict {
+                expected: commits[at].2,
+                actual: value,
+            },
         }
     }
 
-    /// Highest committed attempt epoch of `key`, if any commit exists.
-    pub fn latest_epoch(&self, key: &str) -> Option<u32> {
-        let entries = self.entries.lock().expect("commit ledger poisoned");
-        entries
-            .keys()
-            .filter(|(k, _)| k == key)
-            .map(|&(_, e)| e)
-            .max()
+    /// Highest committed attempt epoch of object `(stage, task)`, if any
+    /// commit exists.
+    pub fn latest_epoch(&self, stage: u32, task: u32) -> Option<u32> {
+        let commits = self.stages.get(&stage)?;
+        let end = commits.partition_point(|&(t, _, _)| t <= task);
+        let &(t, epoch, _) = commits[..end].last()?;
+        (t == task).then_some(epoch)
     }
 
-    /// Number of distinct committed `(object, epoch)` entries.
+    /// Number of distinct committed `(stage, task, epoch)` entries.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("commit ledger poisoned").len()
+        self.len
     }
 
     /// Whether no commits have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 
@@ -97,11 +105,11 @@ mod tests {
 
     #[test]
     fn first_commit_then_duplicate_then_conflict() {
-        let ledger = CommitLedger::new();
-        assert_eq!(ledger.commit("s0.t0", 0, 42), CommitOutcome::Committed);
-        assert_eq!(ledger.commit("s0.t0", 0, 42), CommitOutcome::Duplicate);
+        let mut ledger = CommitLedger::new();
+        assert_eq!(ledger.commit(0, 0, 0, 42), CommitOutcome::Committed);
+        assert_eq!(ledger.commit(0, 0, 0, 42), CommitOutcome::Duplicate);
         assert_eq!(
-            ledger.commit("s0.t0", 0, 43),
+            ledger.commit(0, 0, 0, 43),
             CommitOutcome::Conflict {
                 expected: 42,
                 actual: 43
@@ -112,11 +120,37 @@ mod tests {
 
     #[test]
     fn epochs_are_independent_commits() {
-        let ledger = CommitLedger::new();
-        assert_eq!(ledger.commit("s1.t2", 0, 7), CommitOutcome::Committed);
-        assert_eq!(ledger.commit("s1.t2", 1, 9), CommitOutcome::Committed);
-        assert_eq!(ledger.latest_epoch("s1.t2"), Some(1));
-        assert_eq!(ledger.latest_epoch("s9.t9"), None);
+        let mut ledger = CommitLedger::new();
+        assert_eq!(ledger.commit(1, 2, 0, 7), CommitOutcome::Committed);
+        assert_eq!(ledger.commit(1, 2, 1, 9), CommitOutcome::Committed);
+        assert_eq!(ledger.latest_epoch(1, 2), Some(1));
+        assert_eq!(ledger.latest_epoch(9, 9), None);
         assert_eq!(ledger.len(), 2);
+    }
+
+    #[test]
+    fn integer_keys_do_not_alias_across_stage_task_or_epoch() {
+        // The old string key `s{stage}.t{task}` could not confuse (1, 23)
+        // with (12, 3); neither may the integer triple, and `latest_epoch`
+        // must not read a neighbouring object's epochs.
+        let mut ledger = CommitLedger::new();
+        assert_eq!(ledger.commit(1, 23, 0, 5), CommitOutcome::Committed);
+        assert_eq!(ledger.commit(12, 3, 0, 6), CommitOutcome::Committed);
+        assert_eq!(ledger.commit(1, 23, 4, 5), CommitOutcome::Committed);
+        assert_eq!(ledger.commit(1, 24, 9, 5), CommitOutcome::Committed);
+        assert_eq!(ledger.commit(1, 22, u32::MAX, 5), CommitOutcome::Committed);
+        assert_eq!(ledger.commit(12, 3, 0, 6), CommitOutcome::Duplicate);
+        assert_eq!(
+            ledger.commit(1, 23, 4, 6),
+            CommitOutcome::Conflict {
+                expected: 5,
+                actual: 6
+            }
+        );
+        assert_eq!(ledger.latest_epoch(1, 23), Some(4));
+        assert_eq!(ledger.latest_epoch(1, 22), Some(u32::MAX));
+        assert_eq!(ledger.latest_epoch(12, 3), Some(0));
+        assert_eq!(ledger.latest_epoch(1, 25), None);
+        assert_eq!(ledger.len(), 5);
     }
 }

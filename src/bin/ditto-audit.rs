@@ -223,10 +223,10 @@ fn journal_main(mut args: Vec<String>) -> ! {
             R::ScheduleCommit { .. } => "schedule_commit",
             R::ObjectCommit { .. } => "object_commit",
             R::StageComplete(_) => "stage_complete",
-            R::Replan { .. } => "replan",
-            R::Failover { .. } => "failover",
+            R::Replan(_) => "replan",
+            R::Failover(_) => "failover",
             R::TaskAttempt { .. } => "task_attempt",
-            R::JobComplete { .. } => "job_complete",
+            R::JobComplete(_) => "job_complete",
             R::Snapshot(_) => "snapshot",
         };
         *census.entry(kind).or_insert(0) += 1;
