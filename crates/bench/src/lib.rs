@@ -13,9 +13,8 @@
 //!    directly — only this honest fit, as in the paper),
 //! 4. schedule with Ditto and the baselines, simulate, and report.
 //!
-//! The `figures` binary renders any experiment as an ASCII table and JSON;
-//! the Criterion benches measure scheduling and model-building overhead
-//! (Tables 1 and 2).
+//! The `figures` binary renders any experiment as an ASCII table and JSON,
+//! scheduling and model-building overhead (Tables 1 and 2) included.
 
 pub mod ablations;
 pub mod adapt;

@@ -97,15 +97,16 @@ pub enum GroupOrderPolicy {
     Random(u64),
 }
 
+/// Upper bound on commit iterations, shared with the reference optimizer
+/// (defensive; the loop naturally terminates after at most `|E|` commits).
+pub(crate) const MAX_ITERATIONS: usize = 4096;
+
 /// Options for the joint optimizer.
 #[derive(Debug, Clone)]
 pub struct JointOptions {
     /// Allow decomposing gather-only stage groups into task groups when a
     /// whole group fits no single server (§4.5). On by default.
     pub gather_decomposition: bool,
-    /// Upper bound on commit iterations (defensive; the loop naturally
-    /// terminates after at most `|E|` commits).
-    pub max_iterations: usize,
     /// Edge-ordering policy (ablation knob).
     pub order_policy: GroupOrderPolicy,
     /// Server-fit strategy for the placement check (ablation knob; Ditto
@@ -117,7 +118,6 @@ impl Default for JointOptions {
     fn default() -> Self {
         JointOptions {
             gather_decomposition: true,
-            max_iterations: 4096,
             order_policy: GroupOrderPolicy::Greedy,
             fit_strategy: crate::placement::FitStrategy::BestFit,
         }
@@ -279,7 +279,7 @@ pub fn joint_optimize_with_stats(
     let mut ungrouped: Vec<bool> = vec![true; ne];
     let mut ungrouped_count = ne;
     let mut iterations = 0usize;
-    while ungrouped_count > 0 && iterations < opts.max_iterations {
+    while ungrouped_count > 0 && iterations < MAX_ITERATIONS {
         iterations += 1;
         let round_span = obs.begin(
             "sched.round",

@@ -21,7 +21,7 @@
 
 use crate::dop::DopAssignment;
 use crate::grouping::{greedy_group_order, sort_edges_by_weight_desc, StageGroups};
-use crate::joint::{GroupOrderPolicy, JointOptions, JointStats};
+use crate::joint::{GroupOrderPolicy, JointOptions, JointStats, MAX_ITERATIONS};
 use crate::objective::Objective;
 use crate::placement::can_place_with;
 use crate::schedule::Schedule;
@@ -101,7 +101,7 @@ pub fn joint_optimize_reference_with_stats(
 
     let mut ungrouped: Vec<EdgeId> = dag.edges().iter().map(|e| e.id).collect();
     let mut iterations = 0usize;
-    while !ungrouped.is_empty() && iterations < opts.max_iterations {
+    while !ungrouped.is_empty() && iterations < MAX_ITERATIONS {
         iterations += 1;
         let round_span = obs.begin(
             "sched.round",

@@ -45,6 +45,22 @@ use ditto_dag::{JobDag, StageId};
 use ditto_obs::{Recorder, StepTimings, Track};
 use ditto_timemodel::{ModelCorrections, StepCorrections};
 
+/// Re-arm threshold: after a replan decision, the next one requires the
+/// smoothed drift factor to have moved by at least this relative amount
+/// *or* further stages to have completed since — a constant drift must not
+/// re-trigger on every task of the same front, but job progress at a flat
+/// factor is still new information (the last evaluation priced a splice
+/// over stages that are now pinned).
+const RE_ARM: f64 = 0.15;
+
+/// Minimum *relative* predicted-JCT improvement before a replan is
+/// applied. The corrected model is still a model: its own error under
+/// drift is easily a few percent, so a predicted gain inside that noise
+/// floor is as likely to hurt as help once splice costs (the
+/// conservatively-externalized seam edges) are realized. Replans below the
+/// margin are recorded but not applied.
+const MIN_GAIN: f64 = 0.1;
+
 /// Configuration of the adaptive execution loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
@@ -55,23 +71,6 @@ pub struct AdaptiveConfig {
     /// Maximum suffix replans per run (each one re-runs the joint
     /// optimizer; unbounded replanning on a noisy signal would thrash).
     pub max_replans: u32,
-    /// Re-arm threshold: after a replan decision, the next one requires
-    /// the smoothed drift factor to have moved by at least this relative
-    /// amount *or* further stages to have completed since — a constant
-    /// drift must not re-trigger on every task of the same front, but
-    /// job progress at a flat factor is still new information (the last
-    /// evaluation priced a splice over stages that are now pinned).
-    pub re_arm: f64,
-    /// Minimum *relative* predicted-JCT improvement before a replan is
-    /// applied. The corrected model is still a model: its own error under
-    /// drift is easily a few percent, so a predicted gain inside that
-    /// noise floor is as likely to hurt as help once splice costs (the
-    /// conservatively-externalized seam edges) are realized. Replans
-    /// below the margin are recorded but not applied.
-    pub min_gain: f64,
-    /// Run the `ditto-audit` feasibility certificate on every spliced
-    /// schedule and fail the run if it is not clean.
-    pub audit_splices: bool,
 }
 
 impl Default for AdaptiveConfig {
@@ -82,9 +81,6 @@ impl Default for AdaptiveConfig {
                 ..Default::default()
             },
             max_replans: 4,
-            re_arm: 0.15,
-            min_gain: 0.1,
-            audit_splices: true,
         }
     }
 }
@@ -127,7 +123,8 @@ pub struct ReplanRecord {
     /// no losses have been observed.
     pub risk_penalty: f64,
     /// Whether the feasibility certificate on the spliced schedule came
-    /// back clean (always true for applied replans when auditing is on).
+    /// back clean: always true in a fresh record (an unclean splice fails
+    /// the run instead); kept because it is journaled.
     pub audit_clean: bool,
     /// Whether the splice replaced the running schedule (a replan whose
     /// corrected-model prediction does not beat the current plan is
@@ -242,7 +239,7 @@ impl<'a> Replanner<'a> {
             let simulated = &self.simulated;
             let remaining = simulated.iter().filter(|&&b| !b).count();
             if let Some((lf, ln)) = self.last_decision {
-                if ((ev.factor - lf) / lf).abs() < cfg.re_arm && remaining == ln {
+                if ((ev.factor - lf) / lf).abs() < RE_ARM && remaining == ln {
                     continue;
                 }
             }
@@ -377,15 +374,10 @@ impl<'a> Replanner<'a> {
                 // Feasibility certificate: the optimizer planned against the
                 // deducted snapshot, but the splice mixes in prefix placements it
                 // never saw — re-count the suffix before trusting it.
-                let audit_clean = if cfg.audit_splices {
-                    let report = ditto_audit::audit_splice(dag, &rm, &spliced, &suffix);
-                    if !report.is_clean() {
-                        return Err(ExecError::InvalidSchedule(report.render()));
-                    }
-                    true
-                } else {
-                    false
-                };
+                let report = ditto_audit::audit_splice(dag, &rm, &spliced, &suffix);
+                if !report.is_clean() {
+                    return Err(ExecError::InvalidSchedule(report.render()));
+                }
                 let dop_f = |sc: &Schedule| sc.dop.iter().map(|&d| d as f64).collect::<Vec<f64>>();
                 let old_predicted_jct = predicted_jct(dag, &corrected, &dop_f(cur), &cur.colocated);
                 let new_predicted_jct =
@@ -418,7 +410,7 @@ impl<'a> Replanner<'a> {
                     (0.0, 0.0)
                 };
                 let applied = new_predicted_jct + new_risk
-                    < (old_predicted_jct + old_risk) * (1.0 - cfg.min_gain) - 1e-12;
+                    < (old_predicted_jct + old_risk) * (1.0 - MIN_GAIN) - 1e-12;
                 let record = ReplanRecord {
                     trigger: if new_reexecs > 0 && ev.step_factors.read > ev.step_factors.compute {
                         ReplanTrigger::ObjectRecovery
@@ -433,7 +425,7 @@ impl<'a> Replanner<'a> {
                     old_predicted_jct,
                     new_predicted_jct,
                     risk_penalty: new_risk - old_risk,
-                    audit_clean,
+                    audit_clean: true,
                     applied,
                     // Decision 0 is the schedule commit; replans continue the
                     // shared monotonic sequence (replayed decisions included

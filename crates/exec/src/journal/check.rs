@@ -1,7 +1,7 @@
 //! Journal certification (`ditto-audit journal`): structural validation
 //! of a record stream and the journal ↔ trace cross-check.
 
-use super::record::{flat, JournalRecord};
+use super::record::JournalRecord;
 use ditto_obs::TraceData;
 use ditto_storage::{CommitLedger, CommitOutcome};
 use std::collections::BTreeMap;
@@ -16,22 +16,11 @@ use std::collections::BTreeMap;
 /// monotonic decision sequence shared by replans and failovers.
 pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
     let mut findings = Vec::new();
-    for (i, rec) in records.iter().enumerate() {
-        if let JournalRecord::Snapshot(inner) = rec {
-            if i != 0 {
-                findings.push(format!("record {i}: snapshot not at journal head"));
-            }
-            if inner.iter().any(|r| matches!(r, JournalRecord::Snapshot(_))) {
-                findings.push(format!("record {i}: nested snapshot"));
-            }
-        }
-    }
-    let flat: Vec<&JournalRecord> = flat(records).collect();
-    if flat.is_empty() {
+    if records.is_empty() {
         findings.push("journal holds no records".into());
         return findings;
     }
-    if !matches!(flat[0], JournalRecord::JobAdmit { .. }) {
+    if !matches!(records[0], JournalRecord::JobAdmit { .. }) {
         findings.push("record 0 is not job-admit".into());
     }
     let mut admits = 0u32;
@@ -42,7 +31,7 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
     let mut completed: BTreeMap<u32, (usize, usize)> = BTreeMap::new(); // stage -> (index, tasks)
     let mut last_seq = 0u64;
     let mut complete_at: Option<usize> = None;
-    for (i, &rec) in flat.iter().enumerate() {
+    for (i, rec) in records.iter().enumerate() {
         let needs_schedule = matches!(
             rec,
             JournalRecord::ObjectCommit { .. }
@@ -128,7 +117,7 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
                 }
                 complete_at = Some(i);
             }
-            JournalRecord::TaskAttempt { .. } | JournalRecord::Snapshot(_) => {}
+            JournalRecord::TaskAttempt { .. } => {}
         }
     }
     if admits > 1 {
@@ -138,7 +127,7 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
         findings.push(format!("{schedule_commits} schedule commits (expected 1)"));
     }
     if let Some(at) = complete_at {
-        if at != flat.len() - 1 {
+        if at != records.len() - 1 {
             findings.push(format!(
                 "job-complete at record {at} is not the last record"
             ));
@@ -162,13 +151,14 @@ pub fn validate_journal(records: &[JournalRecord]) -> Vec<String> {
 /// in emission order. Returns findings (empty = consistent).
 pub fn cross_check(records: &[JournalRecord], trace: &TraceData) -> Vec<String> {
     let mut findings = Vec::new();
-    let completed: std::collections::BTreeSet<u32> = flat(records)
+    let completed: std::collections::BTreeSet<u32> = records
+        .iter()
         .filter_map(|r| match r {
             JournalRecord::StageComplete(cp) => Some(cp.stage),
             _ => None,
         })
         .collect();
-    for (i, rec) in flat(records).enumerate() {
+    for (i, rec) in records.iter().enumerate() {
         if let JournalRecord::ObjectCommit {
             stage,
             task,
@@ -193,12 +183,12 @@ pub fn cross_check(records: &[JournalRecord], trace: &TraceData) -> Vec<String> 
             }
         }
     }
-    let replans = flat(records).filter_map(|r| match r {
+    let replans = records.iter().filter_map(|r| match r {
         JournalRecord::Replan(d) => Some(d.record.decision_seq),
         _ => None,
     });
     align_seqs(&mut findings, "sched.replan", &replans.collect::<Vec<_>>(), trace);
-    let failovers = flat(records).filter_map(|r| match r {
+    let failovers = records.iter().filter_map(|r| match r {
         JournalRecord::Failover(d) => Some(d.decision_seq),
         _ => None,
     });

@@ -87,11 +87,6 @@ fn check_shape(rec: &JournalRecord, shape: &mut (u32, u32)) -> Result<(), String
     match rec {
         JournalRecord::JobAdmit { stages, edges, .. } => *shape = (*stages, *edges),
         JournalRecord::StageComplete(cp) => cp.check_shape(shape.0, shape.1)?,
-        JournalRecord::Snapshot(inner) => {
-            for rec in inner {
-                check_shape(rec, shape)?;
-            }
-        }
         _ => {}
     }
     Ok(())

@@ -35,8 +35,8 @@
 //!
 //! Layout: `frame` (header, framing, torn-tail decode) · `record`
 //! ([`JournalRecord`] and its `enc_*`/`dec_*` codec) · `session`
-//! ([`JournalWriter`], [`JournalSession`], [`recover`],
-//! [`compact_journal`]) · `check` ([`validate_journal`], [`cross_check`]).
+//! ([`JournalWriter`], [`JournalSession`], [`recover`]) · `check`
+//! ([`validate_journal`], [`cross_check`]).
 //!
 //! Recovery invariants (DESIGN.md §6k):
 //!
@@ -71,12 +71,12 @@ pub use record::{
     decode_record, encode_record, schedule_fingerprint, EngineKind, FailoverDecision,
     JournalRecord, LineageHit, ReplanDecision, StageCheckpoint, SCHEDULE_FP_SEED,
 };
-pub use session::{compact_journal, recover, JournalSession, JournalWriter, ResumedJob};
+pub use session::{recover, JournalSession, JournalWriter, ResumedJob};
 
 #[cfg(test)]
 mod tests {
     use super::frame::frame_with;
-    use super::record::{flat, outcome_code};
+    use super::record::outcome_code;
     use super::*;
     use crate::adaptive::{ReplanRecord, ReplanTrigger};
     use crate::engine::Engine;
@@ -268,10 +268,7 @@ mod tests {
     #[test]
     fn record_codec_roundtrips_every_variant() {
         let (_, _, _, schedule, _) = fixture(&[12, 10]);
-        let mut records = sample_records(&schedule);
-        // A snapshot wrapping everything exercises the nested codec too.
-        let snap = JournalRecord::Snapshot(records.clone());
-        records.push(snap);
+        let records = sample_records(&schedule);
         // The schedule- and checkpoint-carrying variants are boxed: a
         // decoded journal is a dense vector of few-word records.
         assert!(std::mem::size_of::<JournalRecord>() <= 40);
@@ -465,6 +462,15 @@ mod tests {
             decode_journal(&bytes),
             Err(ExecError::Journal(_))
         ));
+        // Tag 9 is unassigned (no record nests other records): a well-formed
+        // count behind it is the same typed error, naming the tag.
+        let mut bytes = journal_with(&[]);
+        frame_with(&mut bytes, |buf| buf.extend_from_slice(&[9, 0, 0, 0, 0]));
+        let err = decode_journal(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Journal(m) if m.contains("unknown record tag 9")),
+            "{err}"
+        );
     }
 
     // -- validate: duplicated frame -----------------------------------
@@ -748,78 +754,6 @@ mod tests {
         let mut resumed = JournalSession::resume(&journal_with(&relabeled)).unwrap();
         let err = run_frozen(&dag, &schedule, &gt, &plan, None, &mut resumed).unwrap_err();
         assert!(matches!(&err, ExecError::Journal(m) if m.contains("out of order")), "{err}");
-    }
-
-    // -- compaction ----------------------------------------------------
-
-    #[test]
-    fn snapshot_plus_tail_recovery_equals_full_journal_recovery() {
-        let (dag, model, rm, schedule, gt) = fixture(&[48; 4]);
-        let (_, base) = crate::sim::simulate(&dag, &schedule, &gt);
-        let plan = FaultPlan::none()
-            .and_object_loss(StageId(0), 0)
-            .and_server_failure(ServerId(1), base.jct * 0.4);
-        let ctx = ctx(&model, &rm);
-        let mut clean = JournalSession::fresh(None);
-        let (_, bm) = run_frozen(&dag, &schedule, &gt, &plan, Some(&ctx), &mut clean).unwrap();
-        let total = clean.records_written();
-        for k in 2..total {
-            let mut armed = JournalSession::fresh(Some(k));
-            run_frozen(&dag, &schedule, &gt, &plan, Some(&ctx), &mut armed).unwrap_err();
-            let compacted = compact_journal(
-                &armed.durable_bytes()[..decode_journal(armed.durable_bytes())
-                    .unwrap()
-                    .durable_len],
-            )
-            .unwrap();
-            let mut from_full = JournalSession::resume(armed.durable_bytes()).unwrap();
-            let mut from_snap = JournalSession::resume(&compacted).unwrap();
-            assert_eq!(
-                from_full.replayed_commits(),
-                from_snap.replayed_commits(),
-                "crash {k}: the snapshot preserves the commit ledger"
-            );
-            let (ft, fm) =
-                run_frozen(&dag, &schedule, &gt, &plan, Some(&ctx), &mut from_full).unwrap();
-            let (st, sm) =
-                run_frozen(&dag, &schedule, &gt, &plan, Some(&ctx), &mut from_snap).unwrap();
-            assert_eq!(fm, bm, "crash {k}: full-journal recovery");
-            assert_eq!(sm, bm, "crash {k}: snapshot+tail recovery");
-            assert_eq!(ft.tasks, st.tasks, "crash {k}");
-            assert_eq!(ft.attempts, st.attempts, "crash {k}");
-        }
-        // Compacting a checkpoint-free journal is the identity.
-        let head = journal_with(&decode_journal(clean.durable_bytes()).unwrap().records[..2]);
-        assert_eq!(compact_journal(&head).unwrap(), head);
-    }
-
-    #[test]
-    fn compaction_folds_the_prefix_into_one_snapshot() {
-        let (dag, _, _, schedule, gt) = fixture(&[48; 4]);
-        let plan = FaultPlan::none();
-        let mut clean = JournalSession::fresh(None);
-        run_frozen(&dag, &schedule, &gt, &plan, None, &mut clean).unwrap();
-        let compacted = compact_journal(clean.durable_bytes()).unwrap();
-        let decoded = decode_journal(&compacted).unwrap();
-        assert!(decoded.torn.is_none());
-        assert!(
-            matches!(&decoded.records[0], JournalRecord::Snapshot(inner)
-                if matches!(inner.first(), Some(JournalRecord::JobAdmit { .. }))),
-            "first record is the snapshot, starting at admission"
-        );
-        // Flattened content is byte-identical to the original records.
-        let flat: Vec<&JournalRecord> = flat(&decoded.records).collect();
-        let orig = decode_journal(clean.durable_bytes()).unwrap().records;
-        assert_eq!(flat.len(), orig.len());
-        for (a, b) in flat.into_iter().zip(orig.iter()) {
-            assert_eq!(encode_record(a), encode_record(b));
-        }
-        let v = validate_journal(&decoded.records);
-        assert!(v.is_empty(), "compacted journal validates clean: {v:?}");
-        // Compacting a torn journal is refused.
-        let mut torn = clean.durable_bytes().to_vec();
-        torn.extend_from_slice(&[9, 9, 9]);
-        assert!(compact_journal(&torn).is_err());
     }
 
     // -- adaptive engine: crash / resume ------------------------------

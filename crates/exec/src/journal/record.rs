@@ -361,9 +361,6 @@ pub enum JournalRecord {
     },
     /// The job finished with these final metrics.
     JobComplete(Box<JobMetrics>),
-    /// A compaction snapshot: the entire durable prefix folded into one
-    /// record (see [`compact_journal`](super::compact_journal)).
-    Snapshot(Vec<JournalRecord>),
 }
 
 // ---------------------------------------------------------------------
@@ -813,18 +810,6 @@ pub(super) fn encode_record_into(buf: &mut Vec<u8>, rec: &JournalRecord) {
             put_u8(buf, 8);
             enc_metrics(buf, metrics);
         }
-        JournalRecord::Snapshot(inner) => {
-            put_u8(buf, 9);
-            put_u32(buf, inner.len() as u32);
-            for rec in inner {
-                // `[len][payload]`, the length patched once it is known.
-                let at = buf.len();
-                put_u32(buf, 0);
-                encode_record_into(buf, rec);
-                let len = (buf.len() - at - 4) as u32;
-                buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-            }
-        }
     }
 }
 
@@ -914,32 +899,7 @@ fn decode_record_inner(d: &mut Dec<'_>) -> Result<JournalRecord, String> {
             end: d.f64()?,
         }),
         8 => Ok(JournalRecord::JobComplete(Box::new(dec_metrics(d)?))),
-        // Each inner record is `[len: 4][tag: 1]…`, at least 5 bytes.
-        9 => Ok(JournalRecord::Snapshot(d.seq(5, |d| {
-            let len = d.u32()? as usize;
-            decode_record(d.bytes(len)?)
-        })?)),
         b => Err(format!("unknown record tag {b}")),
     }
 }
 
-/// Walk a record stream with compaction snapshots expanded in place.
-pub(super) fn flat(records: &[JournalRecord]) -> impl Iterator<Item = &JournalRecord> {
-    records.iter().flat_map(|rec| match rec {
-        JournalRecord::Snapshot(inner) => inner.iter(),
-        other => std::slice::from_ref(other).iter(),
-    })
-}
-
-/// [`flat`] by value (a move, not a clone), for the readers that keep
-/// what they walk.
-pub(super) fn into_flat(records: Vec<JournalRecord>) -> Vec<JournalRecord> {
-    let mut out = Vec::with_capacity(records.len());
-    for rec in records {
-        match rec {
-            JournalRecord::Snapshot(inner) => out.extend(inner),
-            other => out.push(other),
-        }
-    }
-    out
-}

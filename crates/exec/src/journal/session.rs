@@ -1,10 +1,10 @@
 //! Writing and resuming a journal: the batched crash-armed
 //! [`JournalWriter`], the per-job [`JournalSession`] (write-ahead on the
-//! way out, replay on the way back), [`recover`] and [`compact_journal`].
+//! way out, replay on the way back) and [`recover`].
 
 use super::frame::{decode_journal, frame_with, TornTail, JOURNAL_MAGIC, JOURNAL_VERSION};
 use super::record::{
-    enc_failover_decision, enc_replan_decision, enc_stage_complete, encode_record_into, into_flat,
+    enc_failover_decision, enc_replan_decision, enc_stage_complete, encode_record_into,
     medium_code, medium_from_code, outcome_code, schedule_fingerprint, EngineKind,
     FailoverDecision, JournalRecord, ReplanDecision, StageCheckpoint,
 };
@@ -17,37 +17,6 @@ use ditto_dag::{JobDag, StageId};
 use ditto_obs::{Recorder, Track};
 use ditto_storage::{CommitLedger, CommitOutcome};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Compact a journal: fold everything up to (and including) the last
-/// `StageComplete` into one `Snapshot` record and keep the tail verbatim,
-/// bounding replay work without losing any decision. Recovery from the
-/// compacted journal is byte-for-byte equivalent to recovery from the
-/// full one (`snapshot_tail_recovery_equals_full` pins it). Errors on a
-/// torn journal — compact only after clean decode.
-pub fn compact_journal(bytes: &[u8]) -> Result<Vec<u8>, ExecError> {
-    let decoded = decode_journal(bytes)?;
-    if let Some(t) = decoded.torn {
-        return Err(ExecError::Journal(format!(
-            "cannot compact a torn journal ({} at record {})",
-            t.reason.label(),
-            t.at_record
-        )));
-    }
-    let mut prefix = into_flat(decoded.records);
-    let Some(last_cp) = prefix
-        .iter()
-        .rposition(|r| matches!(r, JournalRecord::StageComplete(_)))
-    else {
-        return Ok(bytes.to_vec());
-    };
-    let tail = prefix.split_off(last_cp + 1);
-    let mut out = JournalWriter::new(None);
-    out.buf.reserve(bytes.len());
-    for rec in std::iter::once(&JournalRecord::Snapshot(prefix)).chain(&tail) {
-        out.append(rec)?;
-    }
-    Ok(out.buf)
-}
 
 // ---------------------------------------------------------------------
 // Batched crash-armed writer
@@ -119,7 +88,7 @@ impl JournalWriter {
         &self.buf
     }
 
-    /// Records successfully appended (a `Snapshot` counts as one).
+    /// Records successfully appended.
     pub fn records_written(&self) -> u64 {
         self.records_written
     }
@@ -212,7 +181,7 @@ impl JournalSession {
             torn: decoded.torn,
             ..Self::fresh(None)
         };
-        for rec in into_flat(decoded.records) {
+        for rec in decoded.records {
             match rec {
                 JournalRecord::JobAdmit {
                     stages,
@@ -256,7 +225,7 @@ impl JournalSession {
                 JournalRecord::Replan(d) => session.replans.push_back(d),
                 JournalRecord::Failover(d) => session.failover = Some(d),
                 JournalRecord::JobComplete(metrics) => session.completed = Some(*metrics),
-                JournalRecord::TaskAttempt { .. } | JournalRecord::Snapshot(_) => {}
+                JournalRecord::TaskAttempt { .. } => {}
             }
         }
         session.replay_total = session.replans.len();

@@ -89,7 +89,7 @@ pub use faults::{
 };
 pub use groundtruth::{ExecConfig, GroundTruth};
 pub use journal::{
-    compact_journal, cross_check, decode_journal, recover, schedule_fingerprint, validate_journal,
+    cross_check, decode_journal, recover, schedule_fingerprint, validate_journal,
     DecodedJournal, EngineKind, JournalRecord, JournalSession, JournalWriter, LineageHit,
     ResumedJob, StageCheckpoint, TornReason, TornTail,
 };

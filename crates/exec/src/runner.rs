@@ -20,25 +20,42 @@
 //! * **AllGather** — every consumer task receives a full copy.
 
 use crate::error::ExecError;
-use crate::faults::{AttemptOutcome, AttemptRecord, FaultPlan, FaultStats, RecoveryPolicy};
+use crate::faults::{
+    AttemptOutcome, AttemptRecord, FaultPlan, FaultStats, ObjectFaultKind, RecoveryPolicy,
+};
 use crate::journal::{EngineKind, JournalSession, JOURNAL_SEED};
-use ditto_cluster::{RuntimeMonitor, TaskRecord};
+use ditto_cluster::{RuntimeMonitor, ServerId, TaskRecord};
 use ditto_core::Schedule;
-use ditto_dag::{EdgeKind, StageId};
+use ditto_dag::{EdgeKind, JobDag, StageId};
 use ditto_sql::{Database, QueryPlan, StageOp, Table};
 use ditto_storage::{partition_key, DataPlane, ReadRetryPolicy, StoreError, TransferLedger};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Receive timeout per partition.
+const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Inputs gathered for one task: tables keyed by upstream stage name,
 /// total bytes read, and the external partition keys read (the task's
 /// lineage).
 type GatheredInputs = (BTreeMap<String, Table>, u64, Vec<String>);
-/// One task's outcome: the final-stage partial (if any), the winning
-/// attempt epoch, and the output checksum that names its object commit.
-type TaskOutcome = (Option<Table>, u32, u64);
+
+/// What one task hands the stage barrier, which folds the reports in task
+/// order — a task shares no mutable state with its siblings.
+struct TaskReport {
+    /// The output table, kept for final-stage tasks only.
+    partial: Option<Table>,
+    /// The winning attempt epoch.
+    epoch: u32,
+    /// Checksum of the encoded output: names the task's object commit.
+    value: u64,
+    record: TaskRecord,
+    /// Failed attempts plus the completed one; empty when un-faulted.
+    attempts: Vec<AttemptRecord>,
+    stats: FaultStats,
+    retries: u64,
+}
 
 /// Result of a local run.
 #[derive(Debug)]
@@ -54,7 +71,8 @@ pub struct RunOutput {
     /// Task attempts that crashed and were retried (fault injection).
     pub retries: u64,
     /// Attempt-level history of every faulted task (failed attempts plus
-    /// their final completed one); empty for fault-free runs.
+    /// their final completed one), ordered by (stage, task, attempt);
+    /// empty for fault-free runs.
     pub attempts: Vec<AttemptRecord>,
     /// Aggregated fault and recovery accounting.
     pub fault_stats: FaultStats,
@@ -69,12 +87,12 @@ pub struct RunOutput {
 /// real serverless shuffle layers rely on. Injected stragglers slow a
 /// task down; with [`RecoveryPolicy::speculation`] enabled the runtime
 /// launches a clean backup copy whose output supersedes the straggler.
+/// Object faults are applied by the coordinator between stages and
+/// healed by the reader that finds them.
 /// Whole-server failures are a simulation-only concern (threads on one
 /// machine don't lose servers) and are ignored here.
 #[derive(Debug, Clone, Default)]
 pub struct LocalRuntime {
-    /// Receive timeout per partition (generous default: 30 s).
-    pub recv_timeout: Option<Duration>,
     /// Fault injection plan (empty = no faults).
     pub faults: FaultPlan,
     /// Reaction to injected faults. Backoff waits are capped at 5 ms of
@@ -86,10 +104,6 @@ impl LocalRuntime {
     /// A runtime with defaults.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn timeout(&self) -> Duration {
-        self.recv_timeout.unwrap_or(Duration::from_secs(30))
     }
 
     /// Execute `plan` under `schedule`, moving intermediates through
@@ -169,83 +183,68 @@ impl LocalRuntime {
             ..ReadRetryPolicy::default()
         });
         let read_base = dataplane.read_stats();
-        let monitor = Arc::new(RuntimeMonitor::new());
-        let retries = AtomicU64::new(0);
-        let attempts: Mutex<Vec<AttemptRecord>> = Mutex::new(Vec::new());
-        let stats: Mutex<FaultStats> = Mutex::new(FaultStats::default());
-        let recovered: Mutex<BTreeSet<(u32, u32)>> = Mutex::new(BTreeSet::new());
-        let started = Instant::now();
+        let cx = &TaskCtx {
+            plan,
+            db,
+            schedule,
+            dataplane,
+            job_start: Instant::now(),
+        };
+        let monitor = RuntimeMonitor::new();
+        let mut retries = 0u64;
+        let mut attempts: Vec<AttemptRecord> = Vec::new();
+        let mut fault_stats = FaultStats::default();
+        let mut faulted_objects = BTreeSet::new();
         let mut final_partials: Vec<Table> = Vec::new();
-        let timeout = self.timeout();
 
         let order = dag.topo_order().map_err(|_| ExecError::CyclicDag)?;
         for s in order {
-            let d = schedule.dop[s.index()];
-            let is_final = dag.out_degree(s) == 0;
-            let scan_slices: Option<Vec<Table>> = match &plan.stages[s.index()].op {
-                StageOp::Scan { table, .. } => Some(db.table(table).split(d as usize)),
-                _ => None,
-            };
-
-            let retries_ref = &retries;
-            let attempts_ref = &attempts;
-            let stats_ref = &stats;
-            let recovered_ref = &recovered;
-            let results: Vec<Result<TaskOutcome, ExecError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..d)
-                        .map(|t| {
-                            // Borrow, don't clone: the slices outlive the scope.
-                            let scan_slice = scan_slices.as_ref().map(|v| &v[t as usize]);
-                            let monitor = monitor.clone();
-                            scope.spawn(move || {
-                                self.run_task(
-                                    plan, db, schedule, dataplane, s, t, scan_slice, is_final,
-                                    timeout, started, &monitor, retries_ref, attempts_ref,
-                                    stats_ref, recovered_ref,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .unwrap_or(Err(ExecError::TaskPanicked { stage: s.0 }))
-                        })
-                        .collect()
-                });
-            let mut partials = Vec::new();
-            let mut commits: Vec<(u32, u64)> = Vec::with_capacity(d as usize);
-            for r in results {
-                let (table, epoch, value) = r?;
-                commits.push((epoch, value));
-                if let Some(table) = table {
-                    partials.push(table);
+            let scan_slices = cx.scan_slices(s);
+            for (key, kind) in
+                object_fault_targets(&self.faults, dag, schedule, s, &mut faulted_objects)
+            {
+                // Every producer of `s` has passed its barrier, so the
+                // object is stored; a missing one still lands as a loss.
+                let store = dataplane.external_store();
+                if kind == ObjectFaultKind::Corruption && store.tamper(&key) {
+                    fault_stats.object_corruptions += 1;
+                } else {
+                    store.delete(&key);
+                    fault_stats.object_losses += 1;
                 }
             }
-            if let Some(j) = session.as_deref_mut() {
-                // Write-ahead at the stage barrier: the journal holds this
-                // stage's attempts and commits before the next launches.
-                let stage_attempts: Vec<AttemptRecord> = attempts
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .iter()
-                    .filter(|a| a.stage == s.0)
-                    .copied()
+            let reports: Vec<TaskReport> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..schedule.dop[s.index()])
+                    .map(|t| {
+                        // Borrow, don't clone: the slices outlive the scope.
+                        let scan_slice = scan_slices.as_ref().map(|v| &v[t as usize]);
+                        scope.spawn(move || self.run_task(cx, s, t, scan_slice))
+                    })
                     .collect();
-                for (t, &(epoch, value)) in commits.iter().enumerate() {
-                    j.record_physical_task(s.0, t as u32, epoch, value, &stage_attempts)?;
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or(Err(ExecError::TaskPanicked { stage: s.0 })))
+                    .collect::<Result<_, _>>()
+            })?;
+            // The barrier folds the reports in task order; journaled, it is
+            // also the write-ahead point: this stage's attempts and commits
+            // are durable before the next stage launches.
+            let mut partials = Vec::new();
+            for (t, r) in reports.into_iter().enumerate() {
+                monitor.record(r.record);
+                if let Some(j) = session.as_deref_mut() {
+                    j.record_physical_task(s.0, t as u32, r.epoch, r.value, &r.attempts)?;
                 }
+                attempts.extend(r.attempts);
+                fault_stats.absorb(&r.stats);
+                retries += r.retries;
+                partials.extend(r.partial);
             }
-            if is_final {
+            if dag.out_degree(s) == 0 {
                 final_partials = partials;
             }
         }
 
-        let mut attempts = attempts.into_inner().unwrap_or_else(|p| p.into_inner());
-        attempts.sort_by_key(|a| (a.stage, a.task, a.attempt));
-        let mut fault_stats = stats.into_inner().unwrap_or_else(|p| p.into_inner());
         // Surface the (formerly invisible) storage read-retry accounting
         // alongside the task-level fault accounting.
         fault_stats.storage_retries = dataplane
@@ -254,93 +253,79 @@ impl LocalRuntime {
             .saturating_sub(read_base.extra_attempts);
         Ok(RunOutput {
             result: plan.combine_final(&final_partials),
-            wall_seconds: started.elapsed().as_secs_f64(),
+            wall_seconds: cx.job_start.elapsed().as_secs_f64(),
             ledger: dataplane.ledger(),
-            monitor,
-            retries: retries.load(Ordering::Relaxed),
+            monitor: Arc::new(monitor),
+            retries,
             attempts,
             fault_stats,
         })
     }
 
     /// One task: gather inputs, evaluate the stage operator (under fault
-    /// injection and recovery), scatter outputs. Returns the output table
-    /// for final-stage tasks, the winning attempt epoch, and the commit
-    /// checksum of the encoded output (the journal's object-commit value).
-    #[allow(clippy::too_many_arguments)]
+    /// injection and recovery), scatter outputs, and report — the output
+    /// table for final-stage tasks, the winning attempt epoch, the commit
+    /// checksum of the encoded output (the journal's object-commit value)
+    /// and everything the run accounts per task.
     fn run_task(
         &self,
-        plan: &QueryPlan,
-        db: &Database,
-        schedule: &Schedule,
-        dataplane: &DataPlane,
+        cx: &TaskCtx<'_>,
         s: StageId,
         t: u32,
         scan_slice: Option<&Table>,
-        is_final: bool,
-        timeout: Duration,
-        job_start: Instant,
-        monitor: &RuntimeMonitor,
-        retries: &AtomicU64,
-        attempts_log: &Mutex<Vec<AttemptRecord>>,
-        stats: &Mutex<FaultStats>,
-        recovered: &Mutex<BTreeSet<(u32, u32)>>,
-    ) -> Result<TaskOutcome, ExecError> {
+    ) -> Result<TaskReport, ExecError> {
+        let (plan, db, job_start) = (cx.plan, cx.db, cx.job_start);
         let launch = job_start.elapsed().as_secs_f64();
-        let my_server = schedule.placement[s.index()].server_of_task(t).index();
-        let server = ditto_cluster::ServerId(my_server as u32);
-        let cx = TaskCtx {
-            plan,
-            db,
-            schedule,
-            dataplane,
-            timeout,
-            stats,
-            recovered,
-        };
-        let push_attempt = |rec: AttemptRecord| {
-            attempts_log
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(rec);
-        };
+        let server = ServerId(cx.server(s, t) as u32);
+        let mut attempts: Vec<AttemptRecord> = Vec::new();
+        let mut stats = FaultStats::default();
+        let mut retries = 0u64;
 
-        // ---- gather inputs (with object-fault injection + recovery) ----
+        // ---- gather inputs (healing injected object faults) ----
         let read_t0 = Instant::now();
-        let (inputs, bytes_read, input_keys) = self.gather_inputs(&cx, s, t, true)?;
+        let (inputs, bytes_read, input_keys) = self.gather_inputs(cx, s, t, Some(&mut stats))?;
         let read_secs = read_t0.elapsed().as_secs_f64();
 
         // Nominal function footprint for wasted-work billing, mirroring
         // the ground-truth memory model (base footprint + bytes handled).
         let mem_gb = 0.125 + bytes_read as f64 * 2.0e-9;
+        // A failed attempt: one history row, its wasted work billed.
+        let mut fail = |attempt: u32, start: f64, outcome: AttemptOutcome, backoff: f64| {
+            let end = job_start.elapsed().as_secs_f64();
+            let wasted_gb_s = mem_gb * (end - start);
+            attempts.push(AttemptRecord {
+                stage: s.0,
+                task: t,
+                attempt,
+                server,
+                start,
+                end,
+                outcome,
+                wasted_gb_s,
+                speculative: false,
+            });
+            stats.extra_attempts += 1;
+            stats.wasted_gb_s += wasted_gb_s;
+            stats.recovery_delay_s += (end - start) + backoff;
+        };
 
         // ---- evaluate (crash-and-retry fault injection) ----
         let compute_t0 = Instant::now();
         let mut attempt = 0u32;
         let mut attempt_start;
-        let mut faulted = false;
         let mut spec_won = false;
         let mut out = loop {
             attempt_start = job_start.elapsed().as_secs_f64();
             let attempt_out = plan.execute_stage(s, db, &inputs, scan_slice);
             if self.faults.crash_point(s, t, attempt).is_some() {
                 // The attempt crashed before publishing: discard its
-                // output, back off, re-execute.
+                // output, back off, re-execute. The physical wait is
+                // capped so fault tests stay fast; the modeled backoff
+                // lives in the simulator.
                 drop(attempt_out);
-                let now = job_start.elapsed().as_secs_f64();
-                let wasted = mem_gb * (now - attempt_start);
-                push_attempt(AttemptRecord {
-                    stage: s.0,
-                    task: t,
-                    attempt,
-                    server,
-                    start: attempt_start,
-                    end: now,
-                    outcome: AttemptOutcome::Crashed,
-                    wasted_gb_s: wasted,
-                    speculative: false,
-                });
-                retries.fetch_add(1, Ordering::Relaxed);
+                let backoff = self.recovery.backoff(attempt).min(0.005);
+                fail(attempt, attempt_start, AttemptOutcome::Crashed, backoff);
+                retries += 1;
                 if attempt >= self.recovery.max_retries {
                     return Err(ExecError::RetriesExhausted {
                         stage: s.0,
@@ -348,18 +333,8 @@ impl LocalRuntime {
                         attempts: attempt + 1,
                     });
                 }
-                // Cap the physical wait so fault tests stay fast; the
-                // modeled backoff lives in the simulator.
-                let backoff = self.recovery.backoff(attempt).min(0.005);
-                {
-                    let mut st = stats.lock().unwrap_or_else(|p| p.into_inner());
-                    st.extra_attempts += 1;
-                    st.wasted_gb_s += wasted;
-                    st.recovery_delay_s += (now - attempt_start) + backoff;
-                }
                 std::thread::sleep(Duration::from_secs_f64(backoff));
                 attempt += 1;
-                faulted = true;
                 continue;
             }
             break attempt_out;
@@ -374,30 +349,11 @@ impl LocalRuntime {
                 // A clean backup copy supersedes the stalled original —
                 // identical output (evaluation is deterministic), so the
                 // handoff is transparent to downstream consumers.
-                let now = job_start.elapsed().as_secs_f64();
-                let wasted = mem_gb * (now - attempt_start);
-                push_attempt(AttemptRecord {
-                    stage: s.0,
-                    task: t,
-                    attempt,
-                    server,
-                    start: attempt_start,
-                    end: now,
-                    outcome: AttemptOutcome::Superseded,
-                    wasted_gb_s: wasted,
-                    speculative: false,
-                });
-                {
-                    let mut st = stats.lock().unwrap_or_else(|p| p.into_inner());
-                    st.extra_attempts += 1;
-                    st.wasted_gb_s += wasted;
-                    st.recovery_delay_s += now - attempt_start;
-                    st.speculative_copies += 1;
-                }
+                fail(attempt, attempt_start, AttemptOutcome::Superseded, 0.0);
+                stats.speculative_copies += 1;
                 attempt += 1;
                 attempt_start = job_start.elapsed().as_secs_f64();
                 out = plan.execute_stage(s, db, &inputs, scan_slice);
-                faulted = true;
                 spec_won = true;
             }
         }
@@ -405,23 +361,13 @@ impl LocalRuntime {
 
         // ---- scatter outputs ----
         let write_t0 = Instant::now();
-        let bytes_written = self.scatter_outputs(&cx, s, t, &out, &input_keys, false)?;
+        let bytes_written = self.scatter_outputs(cx, s, t, &out, &input_keys, false)?;
         let write_secs = write_t0.elapsed().as_secs_f64();
 
         let end = job_start.elapsed().as_secs_f64();
-        monitor.record(TaskRecord {
-            stage: s.0,
-            task: t,
-            server,
-            start: launch,
-            end,
-            steps: ditto_obs::StepTimings::new(0.0, read_secs, compute_secs, write_secs),
-            bytes_read,
-            bytes_written,
-        });
-        if faulted {
+        if !attempts.is_empty() {
             // Close the attempt sequence with the winning execution.
-            push_attempt(AttemptRecord {
+            attempts.push(AttemptRecord {
                 stage: s.0,
                 task: t,
                 attempt,
@@ -434,23 +380,38 @@ impl LocalRuntime {
             });
         }
 
-        // Evaluation is deterministic, so the encoded output — and its
-        // commit checksum — is identical across re-executions: the
-        // journal's exactly-once conflict check has teeth.
-        let value = ditto_storage::checksum64(&out.encode(), JOURNAL_SEED);
-        Ok((is_final.then_some(out), attempt, value))
+        Ok(TaskReport {
+            // Evaluation is deterministic, so the encoded output — and its
+            // commit checksum — is identical across re-executions: the
+            // journal's exactly-once conflict check has teeth.
+            value: ditto_storage::checksum64(&out.encode(), JOURNAL_SEED),
+            partial: (plan.dag.out_degree(s) == 0).then_some(out),
+            epoch: attempt,
+            record: TaskRecord {
+                stage: s.0,
+                task: t,
+                server,
+                start: launch,
+                end,
+                steps: ditto_obs::StepTimings::new(0.0, read_secs, compute_secs, write_secs),
+                bytes_read,
+                bytes_written,
+            },
+            attempts,
+            stats,
+            retries,
+        })
     }
 
     /// Gather every input partition of task `(s, t)`.
     ///
-    /// With `recover` set this is the fault-bearing first-read path: the
-    /// [`FaultPlan`]'s object faults are injected physically (the stored
-    /// partition is deleted or tampered, first reader pays), and a read
-    /// that comes back lost or corrupt triggers a bounded *one-level*
-    /// lineage re-execution of the producing task before the read is
-    /// retried — the physical half of the escalation ladder. With
-    /// `recover` clear (inside a re-execution) failures surface directly:
-    /// deeper loss escalates as a typed error instead of recursing.
+    /// With `heal` set this is the first-read path: a read that comes back
+    /// lost or corrupt (an object fault the coordinator applied) triggers
+    /// a bounded *one-level* lineage re-execution of the producing task,
+    /// counted into `heal`, before the read is retried — the physical half
+    /// of the escalation ladder. With `heal` unset (inside a re-execution)
+    /// failures surface directly: deeper loss escalates as a typed error
+    /// instead of recursing.
     ///
     /// Returns `(inputs by upstream stage name, bytes read, external
     /// partition keys read)` — the key list is this task's lineage.
@@ -459,10 +420,10 @@ impl LocalRuntime {
         cx: &TaskCtx<'_>,
         s: StageId,
         t: u32,
-        recover: bool,
+        mut heal: Option<&mut FaultStats>,
     ) -> Result<GatheredInputs, ExecError> {
         let dag = &cx.plan.dag;
-        let my_server = cx.schedule.placement[s.index()].server_of_task(t).index();
+        let my_server = cx.server(s, t);
         let mut inputs: BTreeMap<String, Table> = BTreeMap::new();
         let mut bytes_read = 0u64;
         let mut input_keys: Vec<String> = Vec::new();
@@ -475,28 +436,28 @@ impl LocalRuntime {
             let du = cx.schedule.dop[e.src.index()];
             let mut parts = Vec::new();
             for ut in 0..du {
-                let src_server = cx.schedule.placement[e.src.index()].server_of_task(ut).index();
+                let src_server = cx.server(e.src, ut);
                 let external = src_server != my_server;
-                if external && recover {
-                    self.inject_object_fault(cx, e.src, ut, e.id.0, t);
-                }
                 let recv = || {
                     cx.dataplane
-                        .recv_partition(e.id.0, ut, t, src_server, my_server, cx.timeout)
+                        .recv_partition(e.id.0, ut, t, src_server, my_server, RECV_TIMEOUT)
                 };
-                let data = match recv() {
-                    Ok(d) => d,
-                    Err(err @ (StoreError::NotFound(_) | StoreError::Corrupted { .. }))
-                        if external && recover =>
-                    {
-                        // The object is gone or fails verification; heal it
-                        // through the lineage index, then read again.
+                let data = match (recv(), heal.as_deref_mut()) {
+                    (Ok(d), _) => d,
+                    (
+                        Err(err @ (StoreError::NotFound(_) | StoreError::Corrupted { .. })),
+                        Some(stats),
+                    ) if external => {
+                        // The object is gone or fails verification; re-run
+                        // the producer this edge reads from, then read again.
                         self.reexec_producer(cx, e.src, ut).map_err(|e2| {
                             missing(format!(
                                 "{}: edge {}: {err}; lineage re-execution failed: {e2}",
                                 cx.plan.name, e.id
                             ))
                         })?;
+                        stats.lineage_reexecs += 1;
+                        stats.extra_attempts += 1;
                         recv().map_err(|err| {
                             missing(format!(
                                 "{}: edge {}: still unreadable after lineage re-execution: {err}",
@@ -504,7 +465,7 @@ impl LocalRuntime {
                             ))
                         })?
                     }
-                    Err(err) => {
+                    (Err(err), _) => {
                         return Err(missing(format!("{}: edge {}: {err}", cx.plan.name, e.id)))
                     }
                 };
@@ -525,43 +486,6 @@ impl LocalRuntime {
         Ok((inputs, bytes_read, input_keys))
     }
 
-    /// Physically apply a planned object fault to one stored partition of
-    /// producer `(src, ut)` — delete on loss, checksum-tamper on
-    /// corruption. First reader pays: each faulted producer is applied
-    /// (and later healed) exactly once per run.
-    fn inject_object_fault(&self, cx: &TaskCtx<'_>, src: StageId, ut: u32, edge: u32, t: u32) {
-        let Some(kind) = self.faults.object_fault(src, ut) else {
-            return;
-        };
-        if !cx
-            .recovered
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert((src.0, ut))
-        {
-            return; // already applied and healed; the regenerated object stands
-        }
-        let key = partition_key(edge, ut, t);
-        let store = cx.dataplane.external_store();
-        let mut st = cx.stats.lock().unwrap_or_else(|p| p.into_inner());
-        match kind {
-            crate::faults::ObjectFaultKind::Loss => {
-                store.delete(&key);
-                st.object_losses += 1;
-            }
-            crate::faults::ObjectFaultKind::Corruption => {
-                if store.tamper(&key) {
-                    st.object_corruptions += 1;
-                } else {
-                    // Nothing stored to corrupt (e.g. raced with deletion):
-                    // degrade to a loss so the fault still lands.
-                    store.delete(&key);
-                    st.object_losses += 1;
-                }
-            }
-        }
-    }
-
     /// Bounded lineage re-execution: re-run producer task `(src, ut)` and
     /// republish its *external* output partitions (idempotent puts; the
     /// regenerated bytes are identical because evaluation is
@@ -571,23 +495,11 @@ impl LocalRuntime {
     /// producer with co-located inputs escalates as a typed error (the
     /// simulator models the general case).
     fn reexec_producer(&self, cx: &TaskCtx<'_>, src: StageId, ut: u32) -> Result<(), ExecError> {
-        let (inputs, _, input_keys) = self.gather_inputs(cx, src, ut, false)?;
-        let scan_slices = match &cx.plan.stages[src.index()].op {
-            StageOp::Scan { table, .. } => {
-                Some(cx.db.table(table).split(cx.schedule.dop[src.index()] as usize))
-            }
-            _ => None,
-        };
-        let out = cx.plan.execute_stage(
-            src,
-            cx.db,
-            &inputs,
-            scan_slices.as_ref().map(|v| &v[ut as usize]),
-        );
+        let (inputs, _, input_keys) = self.gather_inputs(cx, src, ut, None)?;
+        let scan_slices = cx.scan_slices(src);
+        let scan_slice = scan_slices.as_ref().map(|v| &v[ut as usize]);
+        let out = cx.plan.execute_stage(src, cx.db, &inputs, scan_slice);
         self.scatter_outputs(cx, src, ut, &out, &input_keys, true)?;
-        let mut st = cx.stats.lock().unwrap_or_else(|p| p.into_inner());
-        st.lineage_reexecs += 1;
-        st.extra_attempts += 1;
         Ok(())
     }
 
@@ -607,7 +519,7 @@ impl LocalRuntime {
         external_only: bool,
     ) -> Result<u64, ExecError> {
         let dag = &cx.plan.dag;
-        let my_server = cx.schedule.placement[s.index()].server_of_task(t).index();
+        let my_server = cx.server(s, t);
         let mut bytes_written = 0u64;
         for e in dag.out_edges(s) {
             let dv = cx.schedule.dop[e.dst.index()];
@@ -644,9 +556,7 @@ impl LocalRuntime {
                 }
             };
             for (vt, (data, logical)) in frames.into_iter().enumerate() {
-                let dst_server = cx.schedule.placement[e.dst.index()]
-                    .server_of_task(vt as u32)
-                    .index();
+                let dst_server = cx.server(e.dst, vt as u32);
                 if external_only && dst_server == my_server {
                     continue;
                 }
@@ -675,17 +585,64 @@ impl LocalRuntime {
     }
 }
 
-/// Shared references threaded through one task's data-path helpers.
+/// The stored partitions the plan's object faults hit before consumer
+/// stage `s` launches: for each in-edge and each producer task with a
+/// planned fault not yet in `applied`, the partition read by the
+/// lowest-numbered task of `s` on another server. First reader pays, each
+/// faulted producer is applied (and later healed) once per run — decided
+/// by (plan, schedule), not by which reader thread arrives first. A
+/// producer co-located with every task of `s` has no stored object here
+/// and is left for a later consumer stage.
+fn object_fault_targets(
+    faults: &FaultPlan,
+    dag: &JobDag,
+    schedule: &Schedule,
+    s: StageId,
+    applied: &mut BTreeSet<(u32, u32)>,
+) -> Vec<(String, ObjectFaultKind)> {
+    let mut targets = Vec::new();
+    let readers = &schedule.placement[s.index()];
+    for e in dag.in_edges(s) {
+        let producers = &schedule.placement[e.src.index()];
+        for ut in 0..schedule.dop[e.src.index()] {
+            let Some(kind) = faults.object_fault(e.src, ut) else {
+                continue;
+            };
+            let first_external = (0..schedule.dop[s.index()])
+                .find(|&t| readers.server_of_task(t) != producers.server_of_task(ut));
+            if let Some(t) = first_external {
+                if applied.insert((e.src.0, ut)) {
+                    targets.push((partition_key(e.id.0, ut, t), kind));
+                }
+            }
+        }
+    }
+    targets
+}
+
+/// What is constant for one run, shared by every task and data-path helper.
 struct TaskCtx<'a> {
     plan: &'a QueryPlan,
     db: &'a Database,
     schedule: &'a Schedule,
     dataplane: &'a DataPlane,
-    timeout: Duration,
-    stats: &'a Mutex<FaultStats>,
-    /// Producer tasks whose object fault has been applied (and healed):
-    /// first reader pays, everyone else reads the regenerated object.
-    recovered: &'a Mutex<BTreeSet<(u32, u32)>>,
+    job_start: Instant,
+}
+
+impl TaskCtx<'_> {
+    /// Index of the server task `(s, t)` is placed on.
+    fn server(&self, s: StageId, t: u32) -> usize {
+        self.schedule.placement[s.index()].server_of_task(t).index()
+    }
+
+    /// A scan stage's base table cut into one slice per task.
+    fn scan_slices(&self, s: StageId) -> Option<Vec<Table>> {
+        let d = self.schedule.dop[s.index()] as usize;
+        match &self.plan.stages[s.index()].op {
+            StageOp::Scan { table, .. } => Some(self.db.table(table).split(d)),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -818,7 +775,6 @@ mod tests {
                 max_retries: 8,
                 ..RecoveryPolicy::retry_only()
             },
-            ..Default::default()
         };
         let out = runtime.execute(&plan, &db, &schedule, &dataplane);
         assert!(out.retries > 0, "30% failure rate must trigger retries");
@@ -860,7 +816,6 @@ mod tests {
                     max_retries: 32,
                     ..RecoveryPolicy::retry_only()
                 },
-                ..Default::default()
             }
             .execute(&plan, &db, &schedule, &dataplane)
             .retries
@@ -902,7 +857,6 @@ mod tests {
                 },
             ]),
             recovery: RecoveryPolicy::default(),
-            ..Default::default()
         }
         .try_run(&plan, &db, &schedule, &DataPlane::new(Medium::S3, free.len()))
         .unwrap();
@@ -961,7 +915,6 @@ mod tests {
                 FaultEvent::ObjectCorruption { stage: StageId(0), task: 1 },
             ]),
             recovery: RecoveryPolicy::default(),
-            ..Default::default()
         }
         .try_run(&plan, &db, &schedule, &dataplane)
         .unwrap();
@@ -1035,7 +988,6 @@ mod tests {
                 max_retries: 2,
                 ..RecoveryPolicy::retry_only()
             },
-            ..Default::default()
         }
         .try_run(&plan, &db, &schedule, &DataPlane::new(Medium::S3, 1))
         .unwrap_err();
@@ -1071,7 +1023,6 @@ mod tests {
                 at_fraction: 0.5,
             }]),
             recovery: RecoveryPolicy::default(),
-            ..Default::default()
         };
         let mut clean = JournalSession::fresh(None);
         let base = runtime
@@ -1145,6 +1096,146 @@ mod tests {
             let v = validate_journal(&recs);
             assert!(v.is_empty(), "crash at record {k}: {v:?}");
         }
+    }
+
+    /// Q1 at sf 0.2 under EvenSplit on two 8-slot servers.
+    fn q1_two_servers() -> (Database, QueryPlan, Schedule) {
+        let db = Database::generate(ScaleConfig::with_sf(0.2));
+        let plan = Query::Q1.prepared_plan(&db);
+        let model = JobTimeModel::from_rates(&plan.dag, &RateConfig::default());
+        let rm = ResourceManager::from_free_slots(vec![8, 8]);
+        let schedule = EvenSplitScheduler.schedule(&SchedulingContext {
+            dag: &plan.dag,
+            model: &model,
+            resources: &rm,
+            objective: Objective::Jct,
+        });
+        (db, plan, schedule)
+    }
+
+    #[test]
+    fn object_fault_lands_on_the_lowest_external_reader_once_per_run() {
+        use ditto_core::TaskPlacement::{Single, Spread};
+        use ditto_dag::{DagBuilder, StageKind};
+        // p (server 0) feeds c1 (task 0 on server 0, tasks 1-2 on server 1)
+        // and c2 (server 1); q (server 1) feeds only c2, co-located.
+        let dag = DagBuilder::new("fan")
+            .stage("p", StageKind::Map, 0, 0)
+            .stage("q", StageKind::Map, 0, 0)
+            .stage("c1", StageKind::Reduce, 0, 0)
+            .stage("c2", StageKind::Reduce, 0, 0)
+            .edge("p", "c1", EdgeKind::Shuffle, 1)
+            .edge("p", "c2", EdgeKind::Shuffle, 1)
+            .edge("q", "c2", EdgeKind::Shuffle, 1)
+            .build()
+            .unwrap();
+        let (s0, s1) = (ServerId(0), ServerId(1));
+        let schedule = Schedule {
+            scheduler: "hand".into(),
+            dop: vec![2, 1, 3, 2],
+            groups: (0..4).map(|i| vec![StageId(i)]).collect(),
+            group_of: (0..4).collect(),
+            colocated: vec![false; 3],
+            placement: vec![
+                Single(s0),
+                Single(s1),
+                Spread(vec![(s0, 1), (s1, 2)]),
+                Single(s1),
+            ],
+        };
+        schedule.validate(&dag).unwrap();
+        let faults = FaultPlan::default()
+            .and_object_loss(StageId(0), 0)
+            .and_object_corruption(StageId(1), 0);
+        let mut applied = BTreeSet::new();
+        // c1's task 0 shares p's server; task 1 is the first reader that
+        // goes through the object store, so its partition pays.
+        assert_eq!(
+            object_fault_targets(&faults, &dag, &schedule, StageId(2), &mut applied),
+            vec![(partition_key(0, 0, 1), ObjectFaultKind::Loss)]
+        );
+        // c2 reads p too, but p's fault is spent; q's consumers are all
+        // co-located, so its fault has no stored object to hit.
+        assert!(object_fault_targets(&faults, &dag, &schedule, StageId(3), &mut applied).is_empty());
+        assert_eq!(applied, BTreeSet::from([(0, 0)]));
+        // Had c2 launched first, its task 0 would have paid instead.
+        assert_eq!(
+            object_fault_targets(&faults, &dag, &schedule, StageId(3), &mut BTreeSet::new()),
+            vec![(partition_key(1, 0, 0), ObjectFaultKind::Loss)]
+        );
+    }
+
+    #[test]
+    fn faulted_runs_report_ordered_attempts_and_equal_counters() {
+        use crate::faults::FaultEvent;
+        let (db, plan, schedule) = q1_two_servers();
+        // The plan of `explicit_faults_leave_answer_byte_identical`.
+        let runtime = LocalRuntime {
+            faults: FaultPlan::from_events(vec![
+                FaultEvent::TaskCrash {
+                    stage: StageId(0),
+                    task: 0,
+                    attempt: 0,
+                    at_fraction: 0.5,
+                },
+                FaultEvent::Straggler {
+                    stage: StageId(1),
+                    task: 0,
+                    slowdown: 5.0,
+                },
+            ]),
+            recovery: RecoveryPolicy::default(),
+        };
+        let run = || {
+            let out = runtime
+                .try_run(&plan, &db, &schedule, &DataPlane::new(Medium::S3, 2))
+                .unwrap();
+            let rows: Vec<_> = out
+                .attempts
+                .iter()
+                .map(|a| (a.stage, a.task, a.attempt, a.outcome, a.speculative))
+                .collect();
+            let f = out.fault_stats;
+            let counters = [
+                f.extra_attempts,
+                f.server_failures,
+                f.rescheduled_stages,
+                f.speculative_copies,
+                f.object_losses,
+                f.object_corruptions,
+                f.lineage_reexecs,
+            ];
+            (rows, counters, f.storage_retries, out.retries)
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a, b, "attempt history and integer counters repeat exactly");
+        assert!(
+            a.0.windows(2).all(|w| (w[0].0, w[0].1, w[0].2) < (w[1].0, w[1].1, w[1].2)),
+            "attempts arrive ordered by (stage, task, attempt): {:?}",
+            a.0
+        );
+        assert_eq!(a.0.len(), 4, "crash + retry, superseded + backup");
+    }
+
+    #[test]
+    fn fault_free_journaled_run_writes_the_same_bytes_twice() {
+        let (db, plan, schedule) = q1_two_servers();
+        let journal = || {
+            let mut session = JournalSession::fresh(None);
+            LocalRuntime::new()
+                .try_run_journaled(
+                    &plan,
+                    &db,
+                    &schedule,
+                    &DataPlane::new(Medium::S3, 2),
+                    &mut session,
+                )
+                .unwrap();
+            session.durable_bytes().to_vec()
+        };
+        let first = journal();
+        assert!(!first.is_empty());
+        assert_eq!(first, journal());
     }
 
     #[test]

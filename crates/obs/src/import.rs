@@ -1,11 +1,11 @@
-//! Re-import exported traces as event streams.
+//! Re-import an exported trace as an event stream.
 //!
 //! The race checker (`ditto-audit`) consumes a [`TraceData`] event
 //! stream. In-process callers hand it a live [`crate::Recorder`] finish;
-//! offline callers only have a `--trace-out` artifact — Chrome JSON or
-//! JSONL. [`events_from_chrome`] and [`events_from_jsonl`] parse those
-//! back into [`TraceData`] *events* (spans, counters and metrics are not
-//! round-tripped: the hb analysis only reads instant events).
+//! offline callers only have a `--trace-out` artifact — Chrome JSON.
+//! [`events_from_chrome`] parses it back into [`TraceData`] *events*
+//! (spans, counters and metrics are not round-tripped: the hb analysis
+//! only reads instant events).
 //!
 //! [`EventRecord`] keys its name and attribute keys as `&'static str`,
 //! so the importer interns against the stack's known event vocabulary
@@ -154,55 +154,10 @@ pub fn events_from_chrome(json: &str) -> Result<(TraceData, ImportStats), String
     Ok((data, stats))
 }
 
-/// Re-import the `kind == "event"` lines of a JSONL export (lossless
-/// timestamps — the race checker's preferred artifact format). Lines of
-/// other kinds are ignored; malformed lines count as skipped.
-pub fn events_from_jsonl(text: &str) -> Result<(TraceData, ImportStats), String> {
-    let mut data = TraceData::default();
-    let mut stats = ImportStats::default();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v: Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {}: invalid JSON: {e}", lineno + 1))?;
-        if v.get("kind").and_then(Value::as_str) != Some("event") {
-            continue;
-        }
-        let name = v.get("name").and_then(Value::as_str).unwrap_or("");
-        let Some(name) = intern(name, KNOWN_EVENTS) else {
-            stats.skipped_events += 1;
-            continue;
-        };
-        let ts = v.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        let wall = v.get("wall").and_then(Value::as_f64).unwrap_or(0.0);
-        let track = v.get("track");
-        let group = track
-            .and_then(|t| t.get("group"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as u32;
-        let lane = track
-            .and_then(|t| t.get("lane"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as u32;
-        let attrs = import_attrs(v.get("attrs"), &mut stats);
-        data.events.push(EventRecord {
-            name,
-            track: Track { group, lane },
-            ts,
-            wall,
-            attrs,
-        });
-        stats.events += 1;
-    }
-    Ok((data, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chrome::to_chrome_trace;
-    use crate::jsonl::to_jsonl;
     use crate::span::Recorder;
 
     fn sample_trace() -> TraceData {
@@ -233,22 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_events_losslessly() {
-        let orig = sample_trace();
-        let (back, stats) = events_from_jsonl(&to_jsonl(&orig)).unwrap();
-        assert_eq!(stats.events, 2);
-        assert_eq!(stats.skipped_events, 0);
-        assert_eq!(stats.skipped_attrs, 0);
-        assert_eq!(back.events.len(), orig.events.len());
-        for (a, b) in orig.events.iter().zip(back.events.iter()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.ts, b.ts, "jsonl must preserve exact timestamps");
-            assert_eq!(a.track.group, b.track.group);
-            assert_eq!(a.attrs.len(), b.attrs.len());
-        }
-    }
-
-    #[test]
     fn chrome_round_trips_events_to_microsecond_precision() {
         let orig = sample_trace();
         let (back, stats) = events_from_chrome(&to_chrome_trace(&orig)).unwrap();
@@ -263,17 +202,19 @@ mod tests {
     #[test]
     fn unknown_events_and_attrs_are_counted_not_fatal() {
         let text = concat!(
-            r#"{"kind":"event","name":"totally.unknown","track":{"group":0,"lane":0},"ts":1.0,"wall":0.0,"attrs":{}}"#,
-            "\n",
-            r#"{"kind":"event","name":"hb.seam","track":{"group":0,"lane":0},"ts":1.0,"wall":0.0,"attrs":{"edge":1,"src_stage":0,"dst_stage":2,"mystery":9}}"#,
-            "\n",
-            r#"{"kind":"span","name":"task","track":{"group":0,"lane":0},"ts":0.0}"#,
-            "\n",
+            r#"{"traceEvents":["#,
+            r#"{"ph":"i","name":"totally.unknown","pid":0,"tid":0,"ts":1,"args":{}},"#,
+            r#"{"ph":"i","name":"hb.seam","pid":0,"tid":0,"ts":1,"#,
+            r#""args":{"edge":1,"src_stage":0,"dst_stage":2,"mystery":9}},"#,
+            r#"{"ph":"X","name":"task","pid":0,"tid":0,"ts":0,"dur":1}"#,
+            r#"]}"#,
         );
-        let (data, stats) = events_from_jsonl(text).unwrap();
+        let (data, stats) = events_from_chrome(text).unwrap();
         assert_eq!(data.events.len(), 1);
         assert_eq!(stats.skipped_events, 1);
         assert_eq!(stats.skipped_attrs, 1);
-        assert!(events_from_jsonl("not json\n").is_err());
+        // Anything but one object with a `traceEvents` array is refused.
+        assert!(events_from_chrome("not json\n").is_err());
+        assert!(events_from_chrome(r#"{"kind":"event","name":"hb.seam"}"#).is_err());
     }
 }

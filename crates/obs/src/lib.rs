@@ -14,8 +14,9 @@
 //!   loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev):
 //!   a Gantt of stages, tasks and attempts per server track, scheduler
 //!   decisions on their own track, per-medium byte counters below.
-//! * [`jsonl`] — the same stream as flat JSONL (one event per line) plus a
-//!   human-readable end-of-run summary table.
+//! * [`import`] — read that export back as an event stream (what
+//!   `ditto-audit race|journal --trace` consume).
+//! * [`summary`] — a human-readable end-of-run summary table.
 //! * [`mod@critical_path`] — walk a finished trace backwards from the last
 //!   task end and attribute every second of JCT to a (stage, step) pair or
 //!   to scheduling gaps — the paper's Fig. 14 breakdown regenerated from
@@ -30,8 +31,6 @@
 //!   same DAG and attribute the JCT delta to (stage, step, medium)
 //!   buckets, classified as shared-path slowdown / path shift /
 //!   structural (replans, faults, lineage recovery).
-//! * [`folded`] — inferno-compatible collapsed-stack export, one
-//!   `flamegraph.pl` invocation away from an SVG of where the run went.
 //! * [`scorecard`] — a standing Fig.-11-style predictor-accuracy report
 //!   (error CDF, per-step bias, drift annotations) built from
 //!   `predictor.sample` and `drift.detected` events.
@@ -42,24 +41,22 @@
 pub mod chrome;
 pub mod critical_path;
 pub mod diff;
-pub mod folded;
 pub mod import;
-pub mod jsonl;
 pub mod metrics;
 pub mod schema;
 pub mod scorecard;
 pub mod span;
+pub mod summary;
 pub mod timings;
 
 pub use chrome::to_chrome_trace;
 pub use critical_path::{critical_path, CriticalPathReport, StageAttribution};
 pub use diff::{diff_traces, DeltaKind, StageDelta, StructuralSummary, TraceDiff};
-pub use folded::to_folded;
-pub use import::{events_from_chrome, events_from_jsonl, ImportStats};
-pub use jsonl::{summary_table, to_jsonl};
+pub use import::{events_from_chrome, ImportStats};
 pub use scorecard::{DriftMark, PredictorSample, PredictorScorecard};
 pub use metrics::{LogHistogram, MetricKind, MetricSnapshot, MetricsRegistry};
 pub use schema::{validate_chrome_trace, ChromeTraceStats};
+pub use summary::summary_table;
 pub use span::{
     AttrValue, CounterSample, EventRecord, Recorder, SpanId, SpanRecord, TraceData, Track,
 };

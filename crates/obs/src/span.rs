@@ -14,7 +14,7 @@
 //! Timestamps are *trace seconds*: the simulator records sim-clock
 //! seconds; wall-clock instrumentation (the scheduler) records seconds
 //! since the recorder's epoch via [`Recorder::wall_now`]. Every record
-//! additionally notes the wall-clock capture time for the JSONL stream.
+//! additionally notes its wall-clock capture time.
 //!
 //! A recorder built with [`Recorder::disabled`] rejects every operation
 //! after a single branch — no lock is taken, nothing allocates — so

@@ -127,14 +127,7 @@ impl QueryPlan {
                 projection,
                 predicate,
             } => {
-                let full;
-                let src = match scan_override {
-                    Some(t) => t,
-                    None => {
-                        full = db.table(table).clone();
-                        &full
-                    }
-                };
+                let src = scan_override.unwrap_or_else(|| db.table(table));
                 // Fused filter+project through a selection vector: the
                 // unprojected filtered intermediate is never materialized.
                 let sel = match predicate {
@@ -193,9 +186,9 @@ impl QueryPlan {
         }
     }
 
-    /// Run the full plan single-threaded: the correctness oracle.
-    /// Returns the final stage's output (plans here have a single sink).
-    pub fn execute_reference(&self, db: &Database) -> Table {
+    /// The single-threaded plan walk: every stage in topological order
+    /// over its parents' whole outputs. Returns every stage's output.
+    fn walk(&self, db: &Database) -> BTreeMap<StageId, Table> {
         let order = self.dag.topo_order().expect("plan DAG is valid");
         let mut outputs: BTreeMap<StageId, Table> = BTreeMap::new();
         for s in order {
@@ -207,8 +200,14 @@ impl QueryPlan {
             let out = self.execute_stage(s, db, &inputs, None);
             outputs.insert(s, out);
         }
+        outputs
+    }
+
+    /// Run the full plan single-threaded: the correctness oracle.
+    /// Returns the final stage's output (plans here have a single sink).
+    pub fn execute_reference(&self, db: &Database) -> Table {
         let sink = self.dag.final_stages()[0];
-        outputs.remove(&sink).expect("sink executed")
+        self.walk(db).remove(&sink).expect("sink executed")
     }
 
     /// Execute the plan once and stamp the observed byte volumes onto the
@@ -216,21 +215,13 @@ impl QueryPlan {
     /// the "recurring job profile" stand-in: schedulers and simulators read
     /// these volumes.
     pub fn measure_volumes(&mut self, db: &Database) {
-        let order = self.dag.topo_order().expect("plan DAG is valid");
-        let mut outputs: BTreeMap<StageId, Table> = BTreeMap::new();
-        for s in order {
-            let inputs: BTreeMap<String, Table> = self
-                .dag
-                .parents_of(s)
-                .map(|p| (self.dag.stage(p).name.clone(), outputs[&p].clone()))
-                .collect();
-            let out = self.execute_stage(s, db, &inputs, None);
+        let outputs = self.walk(db);
+        for (&s, out) in &outputs {
             // External input: base table bytes for scans.
             if let StageOp::Scan { table, .. } = &self.stages[s.index()].op {
                 self.dag.stage_mut(s).input_bytes = db.table(table).byte_size();
             }
             self.dag.stage_mut(s).output_bytes = out.byte_size();
-            outputs.insert(s, out);
         }
         // Edge volume = producing stage's output (each consumer reads it).
         let edges: Vec<(ditto_dag::EdgeId, StageId)> =
@@ -406,6 +397,32 @@ mod tests {
         assert!(scan.output_bytes > 0);
         assert!(plan.dag.edges()[0].bytes > 0);
         assert!(scan.output_bytes < scan.input_bytes, "TN filter is selective");
+    }
+
+    #[test]
+    fn one_walk_feeds_the_oracle_and_the_stamped_volumes() {
+        use crate::queries::Query;
+        let db = Database::generate(ScaleConfig::with_sf(0.05));
+        // Edge bytes `measure_volumes` stamps, pinned: every schedule
+        // (and `sim_jct_s` / `sim_cost_gbs`) is computed from them.
+        let pinned: [(Query, &[u64]); 5] = [
+            (Query::Q1, &[1392, 1248, 1248, 272, 2080, 304, 48, 128]),
+            (Query::Q3, &[8640, 48, 352, 48]),
+            (Query::Q16, &[13480, 96, 280, 48, 280, 568, 280, 48, 24]),
+            (Query::Q94, &[10800, 160, 2040, 72, 800, 344, 800, 216, 24]),
+            (Query::Q95, &[24000, 1216, 41680, 8280, 2920, 1720, 560, 560]),
+        ];
+        for (q, edge_bytes) in pinned {
+            let plan = q.prepared_plan(&db);
+            let stamped: Vec<u64> = plan.dag.edges().iter().map(|e| e.bytes).collect();
+            assert_eq!(stamped, edge_bytes, "{q}");
+            // The sink output the walk hands `measure_volumes` is the
+            // oracle's answer.
+            let sink = plan.dag.final_stages()[0];
+            let answer = plan.execute_reference(&db);
+            assert_eq!(plan.walk(&db)[&sink], answer, "{q}");
+            assert_eq!(plan.dag.stage(sink).output_bytes, answer.byte_size(), "{q}");
+        }
     }
 
     #[test]

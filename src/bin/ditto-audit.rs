@@ -6,7 +6,7 @@
 //! ditto-audit --json job.json             # machine-readable report
 //! ditto-audit --deadline 120 job.json     # also check a JCT deadline
 //! ditto-audit --cost-budget 5e6 job.json  # also check a GB·s budget
-//! ditto-audit race trace.jsonl            # race-check a trace artifact
+//! ditto-audit race trace.json             # race-check a trace artifact
 //! ditto-audit race --json --capacities 12,10 trace.json
 //! ditto-audit journal run.wal             # certify a crash-recovery journal
 //! ditto-audit journal --trace trace.json run.wal   # + cross-check vs trace
@@ -20,9 +20,9 @@
 //! 1 on audit errors, 2 on a malformed spec or bad flags.
 //!
 //! The `race` subcommand instead re-imports a recorded `--trace-out`
-//! artifact (JSONL or Chrome JSON, auto-detected), rebuilds the
-//! happens-before graph from its `hb.*` events, and reports ordering
-//! violations — same exit-code contract.
+//! artifact (Chrome `traceEvents` JSON), rebuilds the happens-before
+//! graph from its `hb.*` events, and reports ordering violations — same
+//! exit-code contract.
 //!
 //! The `journal` subcommand decodes a control-plane write-ahead journal
 //! (`DITTOWAL`), reports its record census and any torn tail with exact
@@ -127,7 +127,7 @@ fn race_main(mut args: Vec<String>) -> ! {
     let eps = take_value(&mut args, "--eps");
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: ditto-audit race [--json] [--capacities N,N,..] [--eps SECS] <trace.jsonl|trace.json>"
+            "usage: ditto-audit race [--json] [--capacities N,N,..] [--eps SECS] <trace.json>"
         );
         std::process::exit(2);
     }
@@ -148,21 +148,7 @@ fn race_main(mut args: Vec<String>) -> ! {
             buf
         }
     };
-    // Chrome exports are a single object with `traceEvents`; everything
-    // else is treated as JSONL (one object per line).
-    let chrome = text.trim_start().starts_with('{') && text.contains("\"traceEvents\"");
-    let imported = if chrome {
-        ditto_obs::events_from_chrome(&text)
-    } else {
-        ditto_obs::events_from_jsonl(&text)
-    };
-    let (trace, stats) = match imported {
-        Ok(parts) => parts,
-        Err(e) => {
-            eprintln!("ditto-audit race: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (trace, stats) = import_trace("race", &text);
     let mut opts = RaceOptions {
         capacities,
         ..Default::default()
@@ -185,6 +171,15 @@ fn race_main(mut args: Vec<String>) -> ! {
     std::process::exit(if report.is_clean() { 0 } else { 1 });
 }
 
+/// Re-import a `--trace-out` artifact, or exit 2 naming the one format
+/// accepted.
+fn import_trace(cmd: &str, text: &str) -> (ditto_obs::TraceData, ditto_obs::ImportStats) {
+    ditto_obs::events_from_chrome(text).unwrap_or_else(|e| {
+        eprintln!("ditto-audit {cmd}: not a Chrome `traceEvents` JSON trace (what --trace-out writes): {e}");
+        std::process::exit(2);
+    })
+}
+
 /// `ditto-audit journal [--json] [--trace FILE] <journal.wal>` — never
 /// returns. Certifies a control-plane write-ahead journal: decode +
 /// torn-tail provenance, structural invariants, and (with `--trace`) the
@@ -193,7 +188,7 @@ fn journal_main(mut args: Vec<String>) -> ! {
     let json = take_flag(&mut args, "--json");
     let trace_path = take_raw(&mut args, "--trace");
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: ditto-audit journal [--json] [--trace trace.jsonl|trace.json] <journal.wal>");
+        eprintln!("usage: ditto-audit journal [--json] [--trace trace.json] <journal.wal>");
         std::process::exit(2);
     }
     let Some(path) = args.first() else {
@@ -227,7 +222,6 @@ fn journal_main(mut args: Vec<String>) -> ! {
             R::Failover(_) => "failover",
             R::TaskAttempt { .. } => "task_attempt",
             R::JobComplete(_) => "job_complete",
-            R::Snapshot(_) => "snapshot",
         };
         *census.entry(kind).or_insert(0) += 1;
     }
@@ -239,21 +233,8 @@ fn journal_main(mut args: Vec<String>) -> ! {
                 std::process::exit(2);
             }
         };
-        let chrome = text.trim_start().starts_with('{') && text.contains("\"traceEvents\"");
-        let imported = if chrome {
-            ditto_obs::events_from_chrome(&text)
-        } else {
-            ditto_obs::events_from_jsonl(&text)
-        };
-        match imported {
-            Ok((trace, _)) => {
-                findings.extend(ditto_exec::cross_check(&decoded.records, &trace));
-            }
-            Err(e) => {
-                eprintln!("ditto-audit journal: {e}");
-                std::process::exit(2);
-            }
-        }
+        let (trace, _) = import_trace("journal", &text);
+        findings.extend(ditto_exec::cross_check(&decoded.records, &trace));
     }
     let clean = findings.is_empty();
     if json {

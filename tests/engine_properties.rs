@@ -207,7 +207,6 @@ proptest! {
                 },
             ]),
             recovery: RecoveryPolicy::default(),
-            ..Default::default()
         }
         .try_run(&plan, &db, &schedule, &DataPlane::new(Medium::S3, 2))
         .unwrap();
