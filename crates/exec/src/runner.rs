@@ -1,13 +1,28 @@
 //! The local runtime: physically execute a query plan under a schedule.
 //!
 //! This is the "execution engine atop SPRIGHT" of the paper's §5, scaled
-//! to one machine: every task runs on its own worker thread, intermediate
-//! tables are encoded with the `ditto-sql` codec and move through the
-//! `ditto-storage` [`DataPlane`] — the zero-copy shared-memory bus when
-//! the schedule co-locates producer and consumer, the external object
-//! store otherwise. Stages run in topological order with a barrier in
-//! between (launch-time overlap is a *timing* concern handled by the
-//! simulator; the runtime's job is correctness and byte accounting).
+//! to one machine: intermediate tables are encoded with the `ditto-sql`
+//! codec and move through the `ditto-storage` [`DataPlane`] — the
+//! zero-copy shared-memory bus when the schedule co-locates producer and
+//! consumer, the external object store otherwise.
+//!
+//! Tasks run on one worker pool per run: `W = min(CPUs this thread may
+//! use, largest DoP)` workers, of which the calling thread is one (it
+//! runs tasks whenever it has no report to collect) and `W − 1` are
+//! helpers in a single `thread::scope`. Stages run in topological order
+//! with a barrier in between: the calling thread hands a stage's tasks to
+//! the pool, collects every report, folds them, and only then starts the
+//! next stage. A schedule slot is what the schedule places and accounts
+//! (server, [`TaskRecord`], medium per edge) — not an OS thread. Any
+//! `W ≥ 1` is deadlock-free: a task launches only after its inputs are
+//! committed and sends never block, so no task waits on a sibling.
+//!
+//! Reports fold in task order whichever worker finished first, so the
+//! answer, the monitor rows, the attempt log and the journal do not
+//! depend on `W`. The barrier is the write-ahead point: a stage's
+//! attempts and commits are journaled before the next stage launches.
+//! (Launch-time overlap is a *timing* concern modeled by the simulator;
+//! the runtime's job is correctness and byte accounting.)
 //!
 //! Communication patterns per edge kind:
 //!
@@ -30,7 +45,8 @@ use ditto_dag::{EdgeKind, JobDag, StageId};
 use ditto_sql::{Database, QueryPlan, StageOp, Table};
 use ditto_storage::{partition_key, DataPlane, ReadRetryPolicy, StoreError, TransferLedger};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Receive timeout per partition.
@@ -57,6 +73,8 @@ struct TaskReport {
     retries: u64,
 }
 
+type TaskResult = Result<TaskReport, ExecError>;
+
 /// Result of a local run.
 #[derive(Debug)]
 pub struct RunOutput {
@@ -78,7 +96,11 @@ pub struct RunOutput {
     pub fault_stats: FaultStats,
 }
 
-/// The multi-threaded local executor.
+/// The local executor: one worker pool per run, sized to the CPUs the
+/// calling thread may use and capped at the schedule's largest DoP, fed
+/// one stage at a time in topological order (see the module docs).
+/// Everything it reports — answer, monitor rows, attempt log, journal —
+/// is folded in (stage, task) order and does not depend on the pool size.
 ///
 /// Fault injection follows the shared [`FaultPlan`] vocabulary. An
 /// injected crash happens after the task's evaluation but *before it
@@ -133,7 +155,7 @@ impl LocalRuntime {
         schedule: &Schedule,
         dataplane: &DataPlane,
     ) -> Result<RunOutput, ExecError> {
-        self.try_run_inner(plan, db, schedule, dataplane, None)
+        self.try_run_inner(plan, db, schedule, dataplane, None, pool_size(schedule))
     }
 
     /// [`Self::try_run`] with a control-plane write-ahead journal: job
@@ -157,16 +179,26 @@ impl LocalRuntime {
         dataplane: &DataPlane,
         session: &mut JournalSession,
     ) -> Result<RunOutput, ExecError> {
-        self.try_run_inner(plan, db, schedule, dataplane, Some(session))
+        self.try_run_inner(
+            plan,
+            db,
+            schedule,
+            dataplane,
+            Some(session),
+            pool_size(schedule),
+        )
     }
 
-    fn try_run_inner(
+    /// The run on a pool of `workers` (≥ 1; the calling thread is one of
+    /// them). Crate-private so tests can pin the pool size.
+    pub(crate) fn try_run_inner(
         &self,
         plan: &QueryPlan,
         db: &Database,
         schedule: &Schedule,
         dataplane: &DataPlane,
         mut session: Option<&mut JournalSession>,
+        workers: usize,
     ) -> Result<RunOutput, ExecError> {
         let dag = &plan.dag;
         schedule.validate(dag).map_err(ExecError::InvalidSchedule)?;
@@ -198,52 +230,47 @@ impl LocalRuntime {
         let mut final_partials: Vec<Table> = Vec::new();
 
         let order = dag.topo_order().map_err(|_| ExecError::CyclicDag)?;
-        for s in order {
-            let scan_slices = cx.scan_slices(s);
-            for (key, kind) in
-                object_fault_targets(&self.faults, dag, schedule, s, &mut faulted_objects)
-            {
-                // Every producer of `s` has passed its barrier, so the
-                // object is stored; a missing one still lands as a loss.
-                let store = dataplane.external_store();
-                if kind == ObjectFaultKind::Corruption && store.tamper(&key) {
-                    fault_stats.object_corruptions += 1;
-                } else {
-                    store.delete(&key);
-                    fault_stats.object_losses += 1;
+        let pool = Pool::default();
+        std::thread::scope(|scope| {
+            let _stop = StopOnDrop(&pool);
+            for _ in 1..workers {
+                scope.spawn(|| pool.help(self, cx));
+            }
+            for s in order {
+                for (key, kind) in
+                    object_fault_targets(&self.faults, dag, schedule, s, &mut faulted_objects)
+                {
+                    // Every producer of `s` has passed its barrier, so the
+                    // object is stored; a missing one still lands as a loss.
+                    let store = dataplane.external_store();
+                    if kind == ObjectFaultKind::Corruption && store.tamper(&key) {
+                        fault_stats.object_corruptions += 1;
+                    } else {
+                        store.delete(&key);
+                        fault_stats.object_losses += 1;
+                    }
+                }
+                let reports = pool.run_stage(self, cx, s)?;
+                // The barrier folds the reports in task order; journaled, it
+                // is also the write-ahead point: this stage's attempts and
+                // commits are durable before the next stage launches.
+                let mut partials = Vec::new();
+                for (t, r) in reports.into_iter().enumerate() {
+                    monitor.record(r.record);
+                    if let Some(j) = session.as_deref_mut() {
+                        j.record_physical_task(s.0, t as u32, r.epoch, r.value, &r.attempts)?;
+                    }
+                    attempts.extend(r.attempts);
+                    fault_stats.absorb(&r.stats);
+                    retries += r.retries;
+                    partials.extend(r.partial);
+                }
+                if dag.out_degree(s) == 0 {
+                    final_partials = partials;
                 }
             }
-            let reports: Vec<TaskReport> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..schedule.dop[s.index()])
-                    .map(|t| {
-                        // Borrow, don't clone: the slices outlive the scope.
-                        let scan_slice = scan_slices.as_ref().map(|v| &v[t as usize]);
-                        scope.spawn(move || self.run_task(cx, s, t, scan_slice))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or(Err(ExecError::TaskPanicked { stage: s.0 })))
-                    .collect::<Result<_, _>>()
-            })?;
-            // The barrier folds the reports in task order; journaled, it is
-            // also the write-ahead point: this stage's attempts and commits
-            // are durable before the next stage launches.
-            let mut partials = Vec::new();
-            for (t, r) in reports.into_iter().enumerate() {
-                monitor.record(r.record);
-                if let Some(j) = session.as_deref_mut() {
-                    j.record_physical_task(s.0, t as u32, r.epoch, r.value, &r.attempts)?;
-                }
-                attempts.extend(r.attempts);
-                fault_stats.absorb(&r.stats);
-                retries += r.retries;
-                partials.extend(r.partial);
-            }
-            if dag.out_degree(s) == 0 {
-                final_partials = partials;
-            }
-        }
+            Ok::<_, ExecError>(())
+        })?;
 
         // Surface the (formerly invisible) storage read-retry accounting
         // alongside the task-level fault accounting.
@@ -260,6 +287,17 @@ impl LocalRuntime {
             attempts,
             fault_stats,
         })
+    }
+
+    /// Run one handed-out task. A panic inside it becomes
+    /// [`ExecError::TaskPanicked`] on whichever worker ran it, so no worker
+    /// dies and the run still fails with a typed error.
+    fn run_job(&self, cx: &TaskCtx<'_>, job: Job) -> TaskResult {
+        catch_unwind(AssertUnwindSafe(|| {
+            let scan_slice = job.scan.as_ref().map(|v| &v[job.task as usize]);
+            self.run_task(cx, job.stage, job.task, scan_slice)
+        }))
+        .unwrap_or(Err(ExecError::TaskPanicked { stage: job.stage.0 }))
     }
 
     /// One task: gather inputs, evaluate the stage operator (under fault
@@ -582,6 +620,168 @@ impl LocalRuntime {
             }
         }
         Ok(bytes_written)
+    }
+}
+
+/// `W`: the CPUs the calling thread may use, capped at the schedule's
+/// largest DoP — with a barrier between stages no more tasks are ever
+/// ready at once. Asked once per run, and not at all when every stage
+/// has one task.
+fn pool_size(schedule: &Schedule) -> usize {
+    let widest = schedule.dop.iter().copied().max().unwrap_or(1) as usize;
+    if widest <= 1 {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(widest))
+}
+
+/// One task handed to a worker.
+struct Job {
+    stage: StageId,
+    task: u32,
+    /// The stage's base-table slices, one per task, if it scans.
+    scan: Option<Arc<Vec<Table>>>,
+}
+
+/// The running stage's tasks not yet handed out: `next..end`.
+struct StageTasks {
+    stage: StageId,
+    next: u32,
+    end: u32,
+    scan: Option<Arc<Vec<Table>>>,
+}
+
+/// What the calling thread and the helpers share.
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Idle helpers wait here for a task or the stop.
+    work: Condvar,
+    /// The calling thread waits here for a helper's report.
+    done: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    /// The running stage's tasks; `None` once the last is handed out.
+    tasks: Option<StageTasks>,
+    /// Helper reports of the running stage not yet collected, by task.
+    finished: Vec<(u32, TaskResult)>,
+    /// Helpers parked on `work`.
+    idle: usize,
+    /// The calling thread is parked on `done`.
+    coordinator_waiting: bool,
+    /// The run is over; helpers exit at their next look.
+    shutdown: bool,
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // Tasks run outside the lock and every update completes before it
+        // is released, so a poisoned state is still consistent.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Worker 0: hand stage `s`'s tasks to the pool, run them whenever no
+    /// helper report waits to be collected, and return every report in
+    /// task order once all are in — the first failure fails the run.
+    fn run_stage(
+        &self,
+        rt: &LocalRuntime,
+        cx: &TaskCtx<'_>,
+        s: StageId,
+    ) -> Result<Vec<TaskReport>, ExecError> {
+        let dop = cx.schedule.dop[s.index()];
+        let scan = cx.scan_slices(s).map(Arc::new);
+        let mut reports: Vec<Option<TaskResult>> = (0..dop).map(|_| None).collect();
+        let mut outstanding = dop;
+        let mut st = self.lock();
+        st.tasks = Some(StageTasks {
+            stage: s,
+            next: 0,
+            end: dop,
+            scan,
+        });
+        if st.idle > 0 {
+            self.work.notify_all();
+        }
+        while outstanding > 0 {
+            if st.finished.is_empty() {
+                if let Some(job) = st.pop() {
+                    drop(st);
+                    let t = job.task as usize;
+                    reports[t] = Some(rt.run_job(cx, job));
+                    outstanding -= 1;
+                    st = self.lock();
+                    continue;
+                }
+                // Every task is handed out and a report is still missing,
+                // so a helper is running that task: its report will arrive.
+                st.coordinator_waiting = true;
+                while st.finished.is_empty() {
+                    st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
+                st.coordinator_waiting = false;
+            }
+            for (t, report) in st.finished.drain(..) {
+                reports[t as usize] = Some(report);
+                outstanding -= 1;
+            }
+        }
+        drop(st);
+        reports.into_iter().flatten().collect()
+    }
+
+    /// A helper worker: run handed-out tasks and return their reports
+    /// until the run stops the pool.
+    fn help(&self, rt: &LocalRuntime, cx: &TaskCtx<'_>) {
+        let mut st = self.lock();
+        while !st.shutdown {
+            let Some(job) = st.pop() else {
+                st.idle += 1;
+                st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.idle -= 1;
+                continue;
+            };
+            drop(st);
+            let t = job.task;
+            let report = rt.run_job(cx, job);
+            st = self.lock();
+            st.finished.push((t, report));
+            if st.coordinator_waiting {
+                self.done.notify_one();
+            }
+        }
+    }
+}
+
+impl PoolState {
+    /// The running stage's next task. The last one takes the pool's hold
+    /// on the scan slices, so they are freed with the stage's last job.
+    fn pop(&mut self) -> Option<Job> {
+        let tasks = self.tasks.as_mut()?;
+        let (stage, task) = (tasks.stage, tasks.next);
+        tasks.next += 1;
+        let scan = if tasks.next == tasks.end {
+            self.tasks.take().and_then(|t| t.scan)
+        } else {
+            tasks.scan.clone()
+        };
+        Some(Job { stage, task, scan })
+    }
+}
+
+/// Stops the pool when the calling thread leaves the scope by any path,
+/// unwinding included, so the scope's join never waits on a parked helper.
+struct StopOnDrop<'p>(&'p Pool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.lock();
+        st.shutdown = true;
+        if st.idle > 0 {
+            self.0.work.notify_all();
+        }
     }
 }
 
@@ -1024,78 +1224,86 @@ mod tests {
             }]),
             recovery: RecoveryPolicy::default(),
         };
-        let mut clean = JournalSession::fresh(None);
-        let base = runtime
-            .try_run_journaled(
-                &plan,
-                &db,
-                &schedule,
-                &DataPlane::new(Medium::S3, free.len()),
-                &mut clean,
-            )
-            .unwrap();
-        let records = decode_journal(clean.durable_bytes()).unwrap().records;
-        let v = validate_journal(&records);
-        assert!(v.is_empty(), "runner journal validates clean: {v:?}");
-        let n_commits = records
-            .iter()
-            .filter(|r| matches!(r, JournalRecord::ObjectCommit { .. }))
-            .count() as u32;
-        let total_tasks: u32 = schedule.dop.iter().sum();
-        assert_eq!(n_commits, total_tasks, "one commit per task");
-        assert!(
-            records
-                .iter()
-                .any(|r| matches!(r, JournalRecord::TaskAttempt { .. })),
-            "the injected crash's attempt history is journaled"
-        );
-        // Crash the coordinator mid-journal; the resumed run re-executes
-        // physically but every re-delivered commit deduplicates.
-        let total = clean.records_written();
-        for k in [2, total / 2, total - 1] {
-            let mut armed = JournalSession::fresh(Some(k));
-            let err = runtime
-                .try_run_journaled(
-                    &plan,
-                    &db,
-                    &schedule,
-                    &DataPlane::new(Medium::S3, free.len()),
-                    &mut armed,
-                )
-                .unwrap_err();
-            assert!(matches!(err, ExecError::CoordinatorCrash { at_record } if at_record == k));
-            let mut resumed = JournalSession::resume(armed.durable_bytes()).unwrap();
-            let out = runtime
-                .try_run_journaled(
-                    &plan,
-                    &db,
-                    &schedule,
-                    &DataPlane::new(Medium::S3, free.len()),
-                    &mut resumed,
-                )
-                .unwrap();
-            assert_eq!(
-                out.result.encode(),
-                base.result.encode(),
-                "crash at record {k}: the answer is byte-identical"
-            );
-            let recs = decode_journal(resumed.durable_bytes()).unwrap().records;
-            let final_commits = recs
+        let run = |session: &mut JournalSession, workers: usize| {
+            let dataplane = DataPlane::new(Medium::S3, free.len());
+            runtime.try_run_inner(&plan, &db, &schedule, &dataplane, Some(session), workers)
+        };
+        let mut resumed_journals = Vec::new();
+        for workers in [1, 4] {
+            let mut clean = JournalSession::fresh(None);
+            let base = run(&mut clean, workers).unwrap();
+            let records = decode_journal(clean.durable_bytes()).unwrap().records;
+            let v = validate_journal(&records);
+            assert!(v.is_empty(), "runner journal validates clean: {v:?}");
+            let n_commits = records
                 .iter()
                 .filter(|r| matches!(r, JournalRecord::ObjectCommit { .. }))
                 .count() as u32;
-            assert_eq!(
-                final_commits, total_tasks,
-                "crash at record {k}: every task commits exactly once"
+            let total_tasks: u32 = schedule.dop.iter().sum();
+            assert_eq!(n_commits, total_tasks, "one commit per task");
+            assert!(
+                records
+                    .iter()
+                    .any(|r| matches!(r, JournalRecord::TaskAttempt { .. })),
+                "the injected crash's attempt history is journaled"
             );
-            assert_eq!(
-                resumed.deduped(),
-                resumed.replayed_commits(),
-                "crash at record {k}: every durable commit deduplicated on re-delivery"
-            );
-            let v = validate_journal(&recs);
-            assert!(v.is_empty(), "crash at record {k}: {v:?}");
+            // Crash the coordinator mid-journal; the resumed run re-executes
+            // physically but every re-delivered commit deduplicates.
+            let total = clean.records_written();
+            let mut journals = Vec::new();
+            for k in [2, total / 2, total - 1] {
+                let mut armed = JournalSession::fresh(Some(k));
+                let err = run(&mut armed, workers).unwrap_err();
+                assert!(matches!(err, ExecError::CoordinatorCrash { at_record } if at_record == k));
+                let mut resumed = JournalSession::resume(armed.durable_bytes()).unwrap();
+                let out = run(&mut resumed, workers).unwrap();
+                assert_eq!(
+                    out.result.encode(),
+                    base.result.encode(),
+                    "crash at record {k}: the answer is byte-identical"
+                );
+                let recs = decode_journal(resumed.durable_bytes()).unwrap().records;
+                let final_commits = recs
+                    .iter()
+                    .filter(|r| matches!(r, JournalRecord::ObjectCommit { .. }))
+                    .count() as u32;
+                assert_eq!(
+                    final_commits, total_tasks,
+                    "crash at record {k}: every task commits exactly once"
+                );
+                assert_eq!(
+                    resumed.deduped(),
+                    resumed.replayed_commits(),
+                    "crash at record {k}: every durable commit deduplicated on re-delivery"
+                );
+                let v = validate_journal(&recs);
+                assert!(v.is_empty(), "crash at record {k}: {v:?}");
+                journals.push(journal_sans_wall_clock(resumed.durable_bytes()));
+            }
+            resumed_journals.push(journals);
         }
+        assert_eq!(
+            resumed_journals[0], resumed_journals[1],
+            "resumed journals do not depend on the pool size"
+        );
+    }
+
+    /// A journal's records with `TaskAttempt`'s two wall-clock fields
+    /// zeroed. They are the only wall-clock bytes a runner journal holds,
+    /// so not even two runs on one pool size repeat them.
+    fn journal_sans_wall_clock(bytes: &[u8]) -> Vec<String> {
+        use crate::journal::{decode_journal, JournalRecord};
+        decode_journal(bytes)
+            .unwrap()
+            .records
+            .into_iter()
+            .map(|mut r| {
+                if let JournalRecord::TaskAttempt { start, end, .. } = &mut r {
+                    (*start, *end) = (0.0, 0.0);
+                }
+                format!("{r:?}")
+            })
+            .collect()
     }
 
     /// Q1 at sf 0.2 under EvenSplit on two 8-slot servers.
@@ -1245,5 +1453,214 @@ mod tests {
         let (gn, _, _) = q95::result_triple(&out.result);
         assert_eq!(gn, n);
         assert!(out.ledger.redis.transfers > 0);
+    }
+
+    /// Everything a run reports that must not depend on the pool size:
+    /// the answer, the attempt log and the integer fault counters (their
+    /// wall-clock fields dropped), the ledger, the monitor rows and the
+    /// journal.
+    #[derive(Debug, PartialEq)]
+    struct RunDigest {
+        result: bytes::Bytes,
+        attempts: Vec<(u32, u32, u32, ServerId, AttemptOutcome, bool)>,
+        counters: [u64; 9],
+        ledger: TransferLedger,
+        rows: Vec<(u32, u32, ServerId, u64, u64)>,
+        journal: Vec<String>,
+    }
+
+    /// Run journaled on `workers` workers; check that every task launched
+    /// after its producer stages' last task ended.
+    fn digest(
+        runtime: &LocalRuntime,
+        (db, plan, schedule): (&Database, &QueryPlan, &Schedule),
+        servers: usize,
+        workers: usize,
+    ) -> (RunDigest, Vec<u8>) {
+        let mut session = JournalSession::fresh(None);
+        let out = runtime
+            .try_run_inner(
+                plan,
+                db,
+                schedule,
+                &DataPlane::new(Medium::S3, servers),
+                Some(&mut session),
+                workers,
+            )
+            .unwrap();
+        let records = out.monitor.records();
+        for r in &records {
+            for p in plan.dag.parents_of(StageId(r.stage)) {
+                let ready = records
+                    .iter()
+                    .filter(|q| q.stage == p.0)
+                    .map(|q| q.end)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert!(
+                    r.start >= ready,
+                    "task {}.{} launched before stage {p} ended",
+                    r.stage,
+                    r.task
+                );
+            }
+        }
+        let f = out.fault_stats;
+        let digest = RunDigest {
+            result: out.result.encode(),
+            attempts: out
+                .attempts
+                .iter()
+                .map(|a| {
+                    (
+                        a.stage,
+                        a.task,
+                        a.attempt,
+                        a.server,
+                        a.outcome,
+                        a.speculative,
+                    )
+                })
+                .collect(),
+            counters: [
+                f.extra_attempts.into(),
+                f.server_failures.into(),
+                f.rescheduled_stages.into(),
+                f.speculative_copies.into(),
+                f.object_losses.into(),
+                f.object_corruptions.into(),
+                f.lineage_reexecs.into(),
+                f.storage_retries,
+                out.retries,
+            ],
+            ledger: out.ledger,
+            rows: records
+                .iter()
+                .map(|r| (r.stage, r.task, r.server, r.bytes_read, r.bytes_written))
+                .collect(),
+            journal: journal_sans_wall_clock(session.durable_bytes()),
+        };
+        (digest, session.durable_bytes().to_vec())
+    }
+
+    #[test]
+    fn pool_size_never_changes_what_a_run_reports() {
+        use crate::faults::FaultEvent;
+        let db = Database::generate(ScaleConfig::with_sf(0.2));
+        let ditto = DittoScheduler::new();
+        // Small servers spread each query, so scan outputs cross the
+        // object store and object faults have something to hit.
+        let cases: [(Query, &dyn Scheduler, &[u32]); 4] = [
+            (Query::Q1, &ditto, &[4, 4, 4, 4]),
+            (Query::Q1, &EvenSplitScheduler, &[4, 4, 4, 4]),
+            (Query::Q95, &ditto, &[6, 6, 6]),
+            (Query::Q95, &EvenSplitScheduler, &[6, 6, 6]),
+        ];
+        for (q, scheduler, free) in cases {
+            let plan = q.prepared_plan(&db);
+            let model = JobTimeModel::from_rates(&plan.dag, &RateConfig::default());
+            let rm = ResourceManager::from_free_slots(free.to_vec());
+            let schedule = scheduler.schedule(&SchedulingContext {
+                dag: &plan.dag,
+                model: &model,
+                resources: &rm,
+                objective: Objective::Jct,
+            });
+            // A crash, a superseded straggler, and lost and corrupt scan
+            // outputs (scans are what lineage re-execution can always
+            // regenerate).
+            let scans: Vec<StageId> = plan
+                .dag
+                .stages()
+                .iter()
+                .map(|st| st.id)
+                .filter(|s| matches!(plan.stages[s.index()].op, StageOp::Scan { .. }))
+                .collect();
+            let last = StageId(plan.dag.num_stages() as u32 - 1);
+            let mut faults = FaultPlan::from_events(vec![
+                FaultEvent::TaskCrash {
+                    stage: StageId(0),
+                    task: 0,
+                    attempt: 0,
+                    at_fraction: 0.5,
+                },
+                FaultEvent::Straggler {
+                    stage: last,
+                    task: 0,
+                    slowdown: 3.0,
+                },
+            ]);
+            for s in scans {
+                faults = faults.and_object_loss(s, 0).and_object_corruption(s, 1);
+            }
+            let faulted = LocalRuntime {
+                faults,
+                recovery: RecoveryPolicy::default(),
+            };
+            let case = format!("{} under {}", plan.name, scheduler.name());
+            let inputs = (&db, &plan, &schedule);
+            let (clean, clean_journal) = digest(&LocalRuntime::new(), inputs, free.len(), 1);
+            let (fault, _) = digest(&faulted, inputs, free.len(), 1);
+            assert!(!fault.attempts.is_empty(), "{case}: task faults fired");
+            assert!(fault.counters[6] > 0, "{case}: object faults were healed");
+            for workers in [2, 4, 8] {
+                let (d, journal) = digest(&LocalRuntime::new(), inputs, free.len(), workers);
+                assert_eq!(d, clean, "{case}, fault-free, W = {workers}");
+                assert_eq!(
+                    journal, clean_journal,
+                    "{case}: journal bytes, W = {workers}"
+                );
+                let (d, _) = digest(&faulted, inputs, free.len(), workers);
+                assert_eq!(d, fault, "{case}, faulted, W = {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_is_a_typed_error_on_any_pool_size() {
+        use ditto_core::TaskPlacement::Single;
+        use ditto_dag::{DagBuilder, StageKind};
+        use ditto_sql::StageSpec;
+        // One scan stage whose projection names a column its table lacks:
+        // every task panics inside the SQL kernel.
+        let dag = DagBuilder::new("boom")
+            .stage("scan", StageKind::Map, 0, 0)
+            .build()
+            .unwrap();
+        let plan = QueryPlan {
+            name: "boom".into(),
+            dag,
+            stages: vec![StageSpec {
+                op: StageOp::Scan {
+                    table: "store".into(),
+                    projection: vec!["no_such_column".into()],
+                    predicate: None,
+                },
+                output_key: None,
+            }],
+        };
+        let schedule = Schedule {
+            scheduler: "hand".into(),
+            dop: vec![4],
+            groups: vec![vec![StageId(0)]],
+            group_of: vec![0],
+            colocated: vec![],
+            placement: vec![Single(ServerId(0))],
+        };
+        let db = Database::generate(ScaleConfig::with_sf(0.05));
+        for workers in [1, 2, 4] {
+            // The coordinator and the helpers alike catch the panic; the
+            // scope joins every helper before the error is returned.
+            let err = LocalRuntime::new()
+                .try_run_inner(
+                    &plan,
+                    &db,
+                    &schedule,
+                    &DataPlane::new(Medium::S3, 1),
+                    None,
+                    workers,
+                )
+                .unwrap_err();
+            assert_eq!(err, ExecError::TaskPanicked { stage: 0 }, "W = {workers}");
+        }
     }
 }

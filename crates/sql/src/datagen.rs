@@ -160,9 +160,18 @@ impl Database {
     }
 }
 
-fn zipf_key(rng: &mut StdRng, n: usize, skew: f64) -> i64 {
-    let z = Zipf::new(n as u64, skew).expect("valid zipf");
-    z.sample(rng) as i64
+/// Zipf-skewed foreign keys over `1..=n`. Building one walks an O(n)
+/// CDF, so each column builds its own once rather than once per row;
+/// construction draws nothing from the RNG, so where it happens does not
+/// change the bytes.
+fn zipf(n: usize, skew: f64) -> Zipf {
+    Zipf::new(n as u64, skew).expect("valid zipf")
+}
+
+/// A column of `rows` Zipf-skewed keys over `1..=n`.
+fn zipf_column(rows: usize, n: usize, skew: f64, rng: &mut StdRng) -> Vec<i64> {
+    let keys = zipf(n, skew);
+    (0..rows).map(|_| keys.sample(rng) as i64).collect()
 }
 
 fn gen_date_dim(n: usize) -> Table {
@@ -276,13 +285,14 @@ fn gen_web_sales(
     let mut site = Vec::with_capacity(n);
     let mut cost = Vec::with_capacity(n);
     let mut profit = Vec::with_capacity(n);
+    let (wh_keys, addr_keys) = (zipf(n_wh, skew), zipf(n_addr, skew));
     let mut next_order = 1i64;
     while order.len() < n {
         let items = rng.gen_range(1..=6).min(n - order.len());
         let multi_wh = rng.gen_bool(0.25);
-        let base_wh = zipf_key(rng, n_wh, skew);
+        let base_wh = wh_keys.sample(rng) as i64;
         let o_date = rng.gen_range(1..=n_dates as i64);
-        let o_addr = zipf_key(rng, n_addr, skew);
+        let o_addr = addr_keys.sample(rng) as i64;
         let o_site = rng.gen_range(1..=n_sites as i64);
         for item in 0..items {
             order.push(next_order);
@@ -338,18 +348,19 @@ fn gen_catalog_sales(
     let mut wh = Vec::with_capacity(n);
     let mut cost = Vec::with_capacity(n);
     let mut profit = Vec::with_capacity(n);
+    let (wh_keys, addr_keys) = (zipf(n_wh, skew), zipf(n_addr, skew));
     let mut next_order = 1i64;
     while order.len() < n {
         let items = rng.gen_range(1..=4).min(n - order.len());
         let o_date = rng.gen_range(1..=n_dates as i64);
-        let o_addr = zipf_key(rng, n_addr, skew);
+        let o_addr = addr_keys.sample(rng) as i64;
         let o_cc = rng.gen_range(1..=n_cc as i64);
         for _ in 0..items {
             order.push(next_order);
             date.push(o_date);
             addr.push(o_addr);
             cc.push(o_cc);
-            wh.push(zipf_key(rng, n_wh, skew));
+            wh.push(wh_keys.sample(rng) as i64);
             cost.push(rng.gen_range(1.0..400.0));
             profit.push(rng.gen_range(-80.0..300.0));
         }
@@ -406,9 +417,9 @@ fn gen_store_sales(
     rng: &mut StdRng,
 ) -> Table {
     let date: Vec<i64> = (0..n).map(|_| rng.gen_range(1..=n_dates as i64)).collect();
-    let cust: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_cust, skew)).collect();
-    let store: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_stores, skew)).collect();
-    let item: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_items, skew)).collect();
+    let cust = zipf_column(n, n_cust, skew, rng);
+    let store = zipf_column(n, n_stores, skew, rng);
+    let item = zipf_column(n, n_items, skew, rng);
     let paid: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..300.0)).collect();
     Table::new(
         Schema::new(&[
@@ -455,8 +466,8 @@ fn gen_store_returns(
     rng: &mut StdRng,
 ) -> Table {
     let date: Vec<i64> = (0..n).map(|_| rng.gen_range(1..=n_dates as i64)).collect();
-    let cust: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_cust, skew)).collect();
-    let store: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_stores, skew)).collect();
+    let cust = zipf_column(n, n_cust, skew, rng);
+    let store = zipf_column(n, n_stores, skew, rng);
     let amt: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..200.0)).collect();
     Table::new(
         Schema::new(&[
@@ -593,6 +604,23 @@ mod tests {
         }
         let max = *counts.values().max().unwrap();
         assert!(max as f64 > 2.0 * wh.len() as f64 / 10.0, "no skew detected");
+    }
+
+    #[test]
+    fn generated_bytes_are_pinned() {
+        // FNV-1a over every table's name and wire encoding, in name order:
+        // the value the per-row `Zipf` construction generated, which the
+        // per-column one must repeat draw for draw.
+        let db = Database::generate(ScaleConfig {
+            seed: 7,
+            ..ScaleConfig::with_sf(0.1)
+        });
+        let mut bytes = Vec::new();
+        for name in db.table_names() {
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.extend_from_slice(&db.table(name).encode());
+        }
+        assert_eq!(crate::hash::fnv1a_bytes(&bytes), 15_694_342_859_620_136_263);
     }
 
     #[test]

@@ -544,8 +544,10 @@ impl Table {
         // panicking fast path below can never be reached on bad input.
         let buf = &data[..];
         let mut pos = 0usize;
+        // `pos <= buf.len()` throughout, and `n` can be anything a hostile
+        // length field makes it: compare without adding.
         let need = |pos: usize, n: usize, what: &str| -> Result<(), String> {
-            if pos + n > buf.len() {
+            if n > buf.len() - pos {
                 Err(format!("truncated table buffer while reading {what}"))
             } else {
                 Ok(())
@@ -557,6 +559,7 @@ impl Table {
         if ncols > 4096 {
             return Err(format!("implausible column count {ncols}"));
         }
+        let mut table_rows = None;
         for _ in 0..ncols {
             need(pos, 4, "name length")?;
             let name_len =
@@ -572,6 +575,10 @@ impl Table {
             let nrows =
                 u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap()) as usize;
             pos += 8;
+            let rows = *table_rows.get_or_insert(nrows);
+            if nrows != rows {
+                return Err(format!("column of {nrows} rows in a table of {rows}"));
+            }
             match tag {
                 0 | 1 => {
                     need(pos, nrows.checked_mul(8).ok_or("row count overflow")?, "numeric data")?;

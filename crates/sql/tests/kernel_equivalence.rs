@@ -14,6 +14,55 @@ use ditto_sql::ops::{distinct, group_by, hash_join, sort_limit, JoinKind, SortOr
 use ditto_sql::reference as refimpl;
 use ditto_sql::{CmpOp, Pred, Schema, Table};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+// Live heap bytes of the *current thread* and their high-water mark: the
+// test harness runs tests on parallel threads, and a decode allocates and
+// frees on its own thread only. `const` thread-locals of `Cell<usize>` need
+// no lazy initialisation and no destructor, so the allocator may touch them.
+thread_local! {
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn grew(by: usize) {
+    let live = LIVE.get() + by;
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// plain thread-local integers.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.set(LIVE.get().saturating_sub(layout.size()));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.set(LIVE.get().saturating_sub(layout.size()));
+        grew(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Run `f` and return its result with the most heap it held at once,
+/// beyond what the thread held on entry.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.get();
+    PEAK.set(before);
+    let out = f();
+    (out, PEAK.get() - before)
+}
 
 /// Strategy: a table with an i64 key, a string key, an i64 payload and an
 /// f64 payload. Keys are drawn from small ranges so joins and group-bys
@@ -233,4 +282,148 @@ fn codec_empty_edge_cases() {
 fn prop_assert_roundtrip(t: &Table, bytes: &bytes::Bytes) {
     assert_eq!(&Table::decode(bytes.clone()), t);
     assert_eq!(&Table::try_decode(bytes.clone()).expect("valid frame"), t);
+}
+
+/// Frames of the shapes the runtime ships: numeric and dictionary-string
+/// columns, whole tables, shuffle buckets and an empty table.
+fn sample_frames() -> Vec<Vec<u8>> {
+    use ditto_sql::datagen::{Database, ScaleConfig};
+    let db = Database::generate(ScaleConfig::with_sf(0.05));
+    let head = |name: &str, rows: usize| db.table(name).take(&(0..rows).collect::<Vec<_>>());
+    let mut tables = vec![
+        db.table("store").clone(),
+        head("web_sales", 24),
+        head("customer_address", 40),
+        Table::empty(db.table("item").schema.clone()),
+    ];
+    let item = head("item", 30);
+    let mut frames: Vec<Vec<u8>> = item
+        .encode_partitions("i_item_sk", 3)
+        .into_iter()
+        .map(|p| p.data.to_vec())
+        .collect();
+    tables.push(item);
+    frames.extend(tables.iter().map(|t| t.encode().to_vec()));
+    frames
+}
+
+/// Offsets of every length field of a well-formed frame: the column
+/// count, each name length, the low word of each row count, each
+/// dictionary size and each dictionary entry length.
+fn length_fields(f: &[u8]) -> Vec<usize> {
+    let u32_at = |p: usize| u32::from_le_bytes(f[p..p + 4].try_into().unwrap()) as usize;
+    let mut fields = vec![0];
+    let mut pos = 4;
+    for _ in 0..u32_at(0) {
+        fields.push(pos);
+        pos += 4 + u32_at(pos);
+        let tag = f[pos];
+        let rows = u64::from_le_bytes(f[pos + 1..pos + 9].try_into().unwrap()) as usize;
+        fields.push(pos + 1);
+        pos += 9;
+        if tag == 3 {
+            let ndict = u32_at(pos);
+            fields.push(pos);
+            pos += 4;
+            for _ in 0..ndict {
+                fields.push(pos);
+                pos += 4 + u32_at(pos);
+            }
+            pos += rows * 4;
+        } else {
+            pos += rows * 8;
+        }
+    }
+    assert_eq!(pos, f.len(), "sample frame must parse to its end");
+    fields
+}
+
+/// `try_decode` on hostile bytes: never a panic, at most 16× the input
+/// plus 4 KB of heap held at once, and a table it accepts is well formed
+/// (its encoding decodes to the same bytes). Returns whether it accepted.
+fn decode_hostile(bytes: &[u8], what: &str) -> bool {
+    let frame = bytes::Bytes::copy_from_slice(bytes);
+    let (result, peak) = peak_heap(move || {
+        Table::try_decode(frame).map(|t| {
+            let wire = t.encode();
+            let again = Table::try_decode(wire.clone()).map(|t| t.encode());
+            (again.as_ref() == Ok(&wire), t.num_rows())
+        })
+    });
+    assert!(
+        peak <= 16 * bytes.len() + 4096,
+        "{what}: decoding {} bytes held {peak} bytes of heap ({result:?})",
+        bytes.len()
+    );
+    if let Ok((well_formed, _)) = result {
+        assert!(
+            well_formed,
+            "{what}: accepted a table that does not round-trip"
+        );
+    }
+    result.is_ok()
+}
+
+#[test]
+fn mutated_frames_never_panic_or_over_allocate() {
+    // A tiny deterministic generator: the loop must be reproducible.
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |below: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % below as u64) as usize
+    };
+    let frames = sample_frames();
+    for (f, bytes) in frames.iter().enumerate() {
+        assert!(decode_hostile(bytes, "unmutated"), "frame {f} decodes");
+        // Truncation at every offset: a strict prefix is never a frame.
+        for cut in 0..bytes.len() {
+            assert!(!decode_hostile(
+                &bytes[..cut],
+                &format!("frame {f} cut at {cut}")
+            ));
+        }
+        // Every length field inflated is rejected; every other 4-byte
+        // window overwritten the same way must at least not panic.
+        let fields = length_fields(bytes);
+        // Widened to 8 bytes, the largest row count whose byte size still
+        // fits a `usize` — which an unchecked offset sum would wrap.
+        for &at in fields.iter().filter(|&&at| at + 8 <= bytes.len()) {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&(u64::MAX / 8).to_le_bytes());
+            let what = format!("frame {f} bytes {at}..{} = {:#x}", at + 8, u64::MAX / 8);
+            assert!(
+                !decode_hostile(&bad, &what),
+                "{what}: inflated length accepted"
+            );
+        }
+        for huge in [u32::MAX, 0x1000_0000, 0x0001_0000] {
+            for at in 0..bytes.len().saturating_sub(3) {
+                let mut bad = bytes.clone();
+                bad[at..at + 4].copy_from_slice(&huge.to_le_bytes());
+                let what = format!("frame {f} bytes {at}..{} = {huge:#x}", at + 4);
+                let accepted = decode_hostile(&bad, &what);
+                assert!(
+                    !(accepted && fields.contains(&at)),
+                    "{what}: inflated length accepted"
+                );
+            }
+        }
+        // Bit flips anywhere.
+        for _ in 0..2000 {
+            let mut bad = bytes.clone();
+            let at = next(bad.len());
+            bad[at] ^= 1 << next(8);
+            decode_hostile(&bad, &format!("frame {f} bit flip at {at}"));
+        }
+        // Splices: a prefix of this frame followed by a suffix of another,
+        // cut anywhere.
+        for _ in 0..500 {
+            let other = &frames[next(frames.len())];
+            let (head, tail) = (next(bytes.len() + 1), next(other.len() + 1));
+            let spliced = [&bytes[..head], &other[tail..]].concat();
+            decode_hostile(&spliced, &format!("frame {f} splice {head}+{tail}"));
+        }
+    }
 }
