@@ -485,7 +485,8 @@ impl JournalSession {
     }
 
     /// Journal one *physical* task's outcome (the runner engine): its
-    /// faulted-attempt history plus the object commit of its output
+    /// faulted-attempt history (`attempts` holds this task's attempts
+    /// only) plus the object commit of its output
     /// checksum, deduplicated through the ledger. Returns whether the
     /// commit was fresh — `false` means the durable journal already holds
     /// this task's output (re-execution after a crash) and nothing was
@@ -502,7 +503,11 @@ impl JournalSession {
         if !self.commit_once(stage, task, attempt_epoch, value)? {
             return Ok(false);
         }
-        for a in attempts.iter().filter(|a| a.stage == stage && a.task == task) {
+        debug_assert!(
+            attempts.iter().all(|a| a.stage == stage && a.task == task),
+            "record_physical_task takes only task ({stage}, {task})'s own attempts"
+        );
+        for a in attempts {
             self.writer.append(&JournalRecord::TaskAttempt {
                 stage,
                 task,

@@ -21,10 +21,11 @@
 
 use crate::column::{Column, DataType};
 use crate::table::{Schema, Table};
+use crate::{plan::Volumes, queries::Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Zipf};
-use std::collections::HashMap;
+use std::{collections::HashMap, sync::OnceLock};
 
 /// US state mnemonics used for dimension attributes.
 const STATES: &[&str] = &[
@@ -78,10 +79,15 @@ impl ScaleConfig {
     }
 }
 
-/// The generated database: named tables.
+/// The generated database: named tables, plus each query's plan volumes
+/// over them, kept by its first [`Query::prepared_plan`] call. Invariant:
+/// the tables never change after [`Database::generate`], so those volumes
+/// hold for later calls and clones; a `&mut` table accessor must clear them.
 #[derive(Debug, Clone)]
 pub struct Database {
     tables: HashMap<String, Table>,
+    /// One slot per query (`Query as usize`), filled on first use.
+    volumes: [OnceLock<Volumes>; Query::all_extended().len()],
     /// The config used to generate it.
     pub config: ScaleConfig,
 }
@@ -133,8 +139,14 @@ impl Database {
 
         Database {
             tables,
+            volumes: Default::default(),
             config,
         }
+    }
+
+    /// The slot keeping `q`'s measured volumes over these tables.
+    pub(crate) fn volumes(&self, q: Query) -> &OnceLock<Volumes> {
+        &self.volumes[q as usize]
     }
 
     /// A table by name.

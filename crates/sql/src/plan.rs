@@ -9,11 +9,11 @@
 //!   gathered) upstream inputs — what each task of the local runtime in
 //!   `ditto-exec` evaluates over its partition.
 //!
-//! [`QueryPlan::measure_volumes`] executes the plan once and stamps the
-//! observed intermediate byte sizes onto the DAG's stages and edges (the
-//! role job profiles play for recurring jobs in the paper), and
-//! [`QueryPlan::scale_volumes`] inflates those volumes to paper-scale
-//! magnitudes for the simulator.
+//! [`QueryPlan::measure_volumes`] executes the plan and stamps the observed
+//! intermediate byte sizes onto the DAG's stages and edges: the recurring-job
+//! profile, which `Query::prepared_plan` takes once per [`Database`] (its
+//! tables never change). [`QueryPlan::scale_volumes`] inflates those volumes
+//! to paper-scale magnitudes for the simulator.
 
 use crate::datagen::Database;
 use crate::expr::Pred;
@@ -303,6 +303,31 @@ impl QueryPlan {
         for i in 0..self.dag.num_edges() {
             let e = self.dag.edge_mut(ditto_dag::EdgeId(i as u32));
             e.bytes = ((e.bytes as f64 * factor) as u64).max(1);
+        }
+    }
+}
+
+/// What [`QueryPlan::measure_volumes`] stamps, index-aligned with the DAG:
+/// `(input_bytes, output_bytes)` per stage, then `bytes` per edge.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Volumes(Vec<(u64, u64)>, Vec<u64>);
+
+impl Volumes {
+    /// Walk `plan` over `db` (the uncached `measure_volumes`) and keep them.
+    pub(crate) fn measured(mut plan: QueryPlan, db: &Database) -> Volumes {
+        plan.measure_volumes(db);
+        let stages = plan.dag.stages().iter().map(|s| (s.input_bytes, s.output_bytes));
+        Volumes(stages.collect(), plan.dag.edges().iter().map(|e| e.bytes).collect())
+    }
+
+    /// Stamp them onto a fresh build of the measured plan's DAG.
+    pub(crate) fn stamp(&self, dag: &mut JobDag) {
+        for (i, &(input, output)) in self.0.iter().enumerate() {
+            let s = dag.stage_mut(StageId(i as u32));
+            (s.input_bytes, s.output_bytes) = (input, output);
+        }
+        for (i, &bytes) in self.1.iter().enumerate() {
+            dag.edge_mut(ditto_dag::EdgeId(i as u32)).bytes = bytes;
         }
     }
 }

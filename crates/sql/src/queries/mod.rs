@@ -23,7 +23,7 @@ pub mod q3;
 pub mod q94;
 pub mod q95;
 
-use crate::plan::QueryPlan;
+use crate::{datagen::Database, plan::{QueryPlan, Volumes}};
 
 /// The implemented queries.
 ///
@@ -61,7 +61,7 @@ impl Query {
     }
 
     /// Every implemented query, including the extras beyond the paper.
-    pub fn all_extended() -> [Query; 5] {
+    pub const fn all_extended() -> [Query; 5] {
         [Query::Q1, Query::Q3, Query::Q16, Query::Q94, Query::Q95]
     }
 
@@ -88,11 +88,14 @@ impl Query {
         }
     }
 
-    /// Build the plan and stamp measured volumes from the database.
-    pub fn prepared_plan(&self, db: &crate::datagen::Database) -> QueryPlan {
-        let mut p = self.plan();
-        p.measure_volumes(db);
-        p
+    /// Build the plan and stamp measured volumes from the database: walked
+    /// once per (query, `db`), then kept by `db` (see [`Database`]). The
+    /// returned plan is the caller's own to change.
+    pub fn prepared_plan(&self, db: &Database) -> QueryPlan {
+        let mut plan = self.plan();
+        let volumes = db.volumes(*self).get_or_init(|| Volumes::measured(plan.clone(), db));
+        volumes.stamp(&mut plan.dag);
+        plan
     }
 }
 
@@ -135,6 +138,52 @@ mod tests {
                 .all(|s| s.input_bytes > 0);
             assert!(scans_have_input, "{q}: initial stages scan base tables");
         }
+    }
+
+    /// The byte volumes stamped on `plan`'s DAG.
+    fn stamped(plan: &QueryPlan) -> (Vec<(u64, u64)>, Vec<u64>) {
+        let stages = plan.dag.stages().iter().map(|s| (s.input_bytes, s.output_bytes));
+        (stages.collect(), plan.dag.edges().iter().map(|e| e.bytes).collect())
+    }
+
+    /// `prepared_plan` walks each plan once per database and stamps the
+    /// kept volumes afterwards; what it returns always equals a fresh
+    /// `plan()` + `measure_volumes` over that database.
+    #[test]
+    fn prepared_plan_measures_once_per_database() {
+        let dbs = [7, 8].map(|seed| {
+            Database::generate(ScaleConfig {
+                seed,
+                ..ScaleConfig::with_sf(0.05)
+            })
+        });
+        let mut seeds_differ = false;
+        for q in Query::all_extended() {
+            let measured: Vec<_> = dbs
+                .iter()
+                .map(|db| {
+                    let mut p = q.plan();
+                    p.measure_volumes(db);
+                    stamped(&p)
+                })
+                .collect();
+            seeds_differ |= measured[0] != measured[1];
+            for (db, want) in dbs.iter().zip(&measured) {
+                assert!(db.volumes(q).get().is_none(), "{q}: filled before its first call");
+                let kept = Volumes::measured(q.plan(), db);
+                for call in 1..=2 {
+                    assert_eq!(stamped(&q.prepared_plan(db)), *want, "{q}: call {call}");
+                    assert_eq!(db.volumes(q).get(), Some(&kept), "{q}: slot after call {call}");
+                }
+                let clone = db.clone();
+                assert_eq!(clone.volumes(q).get(), Some(&kept), "{q}: clone");
+                assert_eq!(stamped(&q.prepared_plan(&clone)), *want, "{q}: clone");
+                // Scaling a returned plan changes that copy only.
+                q.prepared_plan(db).scale_volumes(1000.0);
+                assert_eq!(stamped(&q.prepared_plan(db)), *want, "{q}: after scaling");
+            }
+        }
+        assert!(seeds_differ, "the two seeds must produce different volumes");
     }
 
     #[test]

@@ -45,8 +45,15 @@ pub struct StepSpec {
 }
 
 impl StepSpec {
-    fn to_step(self, kind: StepKind) -> Step {
-        Step::new(kind, self.alpha, self.beta)
+    fn to_step(self, kind: StepKind) -> Result<Step, SpecError> {
+        if self.alpha >= 0.0 && self.beta >= 0.0 {
+            Ok(Step::new(kind, self.alpha, self.beta))
+        } else {
+            Err(SpecError::Invalid(format!(
+                "{kind} step: alpha and beta must be >= 0 (alpha={}, beta={})",
+                self.alpha, self.beta
+            )))
+        }
     }
 }
 
@@ -218,29 +225,42 @@ impl JobSpec {
             }
         }
 
-        let stages: Vec<StageSteps> = self
+        let stages = self
             .stages
             .iter()
-            .map(|s| StageSteps {
-                compute: s.compute.to_step(StepKind::Compute),
-                external_read: s.external_read.to_step(StepKind::Read),
-                external_write: s.external_write.to_step(StepKind::Write),
+            .map(|s| {
+                Ok(StageSteps {
+                    compute: s.compute.to_step(StepKind::Compute)?,
+                    external_read: s.external_read.to_step(StepKind::Read)?,
+                    external_write: s.external_write.to_step(StepKind::Write)?,
+                })
             })
-            .collect();
-        let edges: Vec<EdgeIo> = self
+            .collect::<Result<Vec<_>, SpecError>>()?;
+        let edges = self
             .edges
             .iter()
-            .map(|e| EdgeIo {
-                write: e.write.to_step(StepKind::Write),
-                read: e.read.to_step(StepKind::Read),
-                pipelined: e.pipelined,
+            .map(|e| {
+                Ok(EdgeIo {
+                    write: e.write.to_step(StepKind::Write)?,
+                    read: e.read.to_step(StepKind::Read)?,
+                    pipelined: e.pipelined,
+                })
             })
-            .collect();
-        let resources: Vec<ResourceModel> = self
+            .collect::<Result<Vec<_>, SpecError>>()?;
+        let resources = self
             .stages
             .iter()
-            .map(|s| ResourceModel::new(s.rho, s.sigma))
-            .collect();
+            .map(|s| {
+                if s.rho >= 0.0 && s.sigma >= 0.0 {
+                    Ok(ResourceModel::new(s.rho, s.sigma))
+                } else {
+                    Err(SpecError::Invalid(format!(
+                        "stage {:?}: rho and sigma must be >= 0",
+                        s.name
+                    )))
+                }
+            })
+            .collect::<Result<Vec<_>, SpecError>>()?;
         let mut model = JobTimeModel::new(&dag, stages, edges, resources);
         for (i, s) in self.stages.iter().enumerate() {
             if s.scaling < 1.0 {
@@ -453,6 +473,88 @@ mod tests {
         let (_, jct, cost) = spec.simulate().unwrap();
         assert!(jct > 0.0);
         assert!(cost > 0.0);
+    }
+
+    /// `from_json` then `lower()` on hostile text: a value or a
+    /// `SpecError`, never a panic. Returns whether it lowered.
+    fn lower_hostile(bytes: &[u8], what: &str) -> bool {
+        let text = String::from_utf8_lossy(bytes);
+        let lowered = std::panic::catch_unwind(|| {
+            JobSpec::from_json(&text).and_then(|spec| spec.lower().map(|_| ()))
+        });
+        match lowered {
+            Ok(result) => result.is_ok(),
+            Err(_) => panic!("{what}: panicked on {text:?}"),
+        }
+    }
+
+    /// Byte ranges of every number token (a digit or `-`, then number
+    /// characters), digits inside strings included.
+    fn number_tokens(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut tokens = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i].is_ascii_digit() || bytes[i] == b'-' {
+                let start = i;
+                while i < bytes.len() && b"0123456789.eE+-".contains(&bytes[i]) {
+                    i += 1;
+                }
+                tokens.push(start..i);
+            } else {
+                i += 1;
+            }
+        }
+        tokens
+    }
+
+    /// Negative, infinite and out-of-range replacements for a number.
+    const HOSTILE_NUMBERS: [&str; 7] =
+        ["-1", "-0.5", "1e999", "-1e999", "0", "4294967296", "18446744073709551616"];
+
+    #[test]
+    fn mutated_specs_never_panic() {
+        // A tiny deterministic generator: the loop must be reproducible.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |below: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % below as u64) as usize
+        };
+        let specs = [sample_spec(), include_str!("../examples/job_spec.json")];
+        for (s, spec) in specs.iter().enumerate() {
+            let bytes = spec.as_bytes();
+            assert!(lower_hostile(bytes, "unmutated"), "spec {s} lowers");
+            // Truncation at every offset: a strict prefix of the object
+            // is never JSON.
+            let end = bytes.trim_ascii_end().len();
+            for cut in 0..end {
+                assert!(!lower_hostile(&bytes[..cut], &format!("spec {s} cut at {cut}")));
+            }
+            // Bit flips anywhere.
+            for _ in 0..2000 {
+                let mut bad = bytes.to_vec();
+                let at = next(bad.len());
+                bad[at] ^= 1 << next(8);
+                lower_hostile(&bad, &format!("spec {s} bit flip at {at}"));
+            }
+            // Every number replaced by a negative, infinite or
+            // out-of-range one.
+            for token in number_tokens(bytes) {
+                for hostile in HOSTILE_NUMBERS {
+                    let (head, tail) = (&bytes[..token.start], &bytes[token.end..]);
+                    let bad = [head, hostile.as_bytes(), tail].concat();
+                    lower_hostile(&bad, &format!("spec {s} number at {} = {hostile}", token.start));
+                }
+            }
+            // Splices: a prefix of this spec followed by a suffix of another.
+            for _ in 0..500 {
+                let other = specs[next(specs.len())].as_bytes();
+                let (head, tail) = (next(bytes.len()), next(other.len()));
+                let spliced = [&bytes[..head], &other[tail..]].concat();
+                lower_hostile(&spliced, &format!("spec {s} splice {head}+{tail}"));
+            }
+        }
     }
 
     #[test]
