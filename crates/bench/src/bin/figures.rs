@@ -4,10 +4,9 @@
 //! cargo run --release -p ditto-bench --bin figures -- all
 //! cargo run --release -p ditto-bench --bin figures -- fig8a fig12 table1
 //! cargo run --release -p ditto-bench --bin figures -- --json fig8a
-//! cargo run --release -p ditto-bench --bin figures -- faults --trace-out trace.json
+//! cargo run --release -p ditto-bench --bin figures -- faults --trace-out trace.json  # writes BENCH_faults.json
 //! cargo run --release -p ditto-bench --bin figures -- sched        # writes BENCH_sched.json
 //! cargo run --release -p ditto-bench --bin figures -- sqlbench     # writes BENCH_sql.json
-//! cargo run --release -p ditto-bench --bin figures -- regress      # gate vs BENCH_HISTORY.jsonl
 //! cargo run --release -p ditto-bench --bin figures -- race         # hb race certify + model check
 //! cargo run --release -p ditto-bench --bin figures -- crash        # crash-point certification sweep
 //! ```
@@ -23,40 +22,47 @@
 //! frozen-vs-adaptive diff and predictor scorecard) for `adapt`, and the
 //! fixed-seed traced fault experiment otherwise.
 //!
-//! Every `sched|sqlbench|adapt|faults|telemetry` run appends a config-fingerprinted
-//! record to `BENCH_HISTORY.jsonl` (`DITTO_HISTORY_PATH` overrides);
-//! `regress` replays the deterministic experiments (`faults`,
-//! `adapt-smoke`, `sqlbench-smoke`, `crash-smoke`) against that history with noise-aware thresholds and
-//! exits nonzero on regression (`--record-only` seeds history without
-//! judging — CI's first runs).
+//! Every argument is checked before anything runs: an unknown target or
+//! flag prints the known targets to stderr and exits 2.
 
-use ditto_bench::{render_rows, write_json, HistoryRecord, RegressOptions};
+use ditto_bench::{render_rows, write_json};
+
+/// The targets `all` (and an empty target list) runs.
+const ALL: [&str; 24] = [
+    "fig1", "fig2", "fig4", "fig5", "fig8a", "fig8b", "fig8c", "fig9a", "fig9b", "fig9c", "fig10",
+    "fig11", "fig12", "fig13", "fig14", "fig15", "table1", "table2", "ablations", "multi",
+    "deadline", "faults", "audit", "export",
+];
+
+/// Targets only run by name: full sweeps and their CI-sized subsets.
+const BY_NAME: [&str; 10] = [
+    "sched", "sched-smoke", "sqlbench", "sqlbench-smoke", "adapt", "adapt-smoke", "crash",
+    "crash-smoke", "race", "race-smoke",
+];
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\nknown targets: all {ALL:?}\nnot in `all`: {BY_NAME:?}\nflags: --json, --trace-out <path>");
+    std::process::exit(2);
+}
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_out = match args.iter().position(|a| a == "--trace-out") {
-        Some(i) => {
-            args.remove(i);
-            if i >= args.len() {
-                eprintln!("--trace-out needs a path argument");
-                std::process::exit(2);
-            }
-            Some(args.remove(i))
+    let mut args = std::env::args().skip(1);
+    let (mut json, mut trace_out, mut wanted) = (false, None, Vec::new());
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--json" => json = true,
+            "--trace-out" => match args.next() {
+                Some(path) => trace_out = Some(path),
+                None => usage_error("--trace-out needs a path argument"),
+            },
+            t if t == "all" || ALL.contains(&t) || BY_NAME.contains(&t) => wanted.push(a),
+            other => usage_error(&format!("unknown target or flag {other:?}")),
         }
-        None => None,
-    };
-    let json = args.iter().any(|a| a == "--json");
-    let record_only = args.iter().any(|a| a == "--record-only");
-    let wanted: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
-    let all = [
-        "fig1", "fig2", "fig4", "fig5", "fig8a", "fig8b", "fig8c", "fig9a", "fig9b", "fig9c",
-        "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table1", "table2", "ablations",
-        "multi", "deadline", "faults", "telemetry", "audit", "export",
-    ];
-    let targets: Vec<&str> = if wanted.is_empty() || wanted.contains(&"all") {
-        all.to_vec()
+    }
+    let targets: Vec<&str> = if wanted.is_empty() || wanted.iter().any(|t| t == "all") {
+        ALL.to_vec()
     } else {
-        wanted
+        wanted.iter().map(String::as_str).collect()
     };
 
     // Targets that consume --trace-out themselves; don't overwrite their
@@ -115,14 +121,13 @@ fn main() {
             "ablations" => emit(&ditto_bench::all_ablations(), json),
             "multi" => emit(&ditto_bench::multi_job(), json),
             "deadline" => emit(&ditto_bench::deadline_sweep(), json),
+            // Fault sweep (deterministic: same seed → byte-identical
+            // BENCH_faults.json).
             "faults" => {
                 let rows = ditto_bench::fault_sweep();
                 emit(&rows, json);
-                record_history(HistoryRecord::now(
-                    "faults",
-                    &faults_config(),
-                    faults_metrics(&rows),
-                ));
+                std::fs::write("BENCH_faults.json", write_json(&rows)).expect("write BENCH_faults.json");
+                println!("wrote BENCH_faults.json ({} rows)", rows.len());
             }
             // Scheduler throughput: incremental joint_optimize vs the
             // from-scratch reference. `sched` runs the full 16→1024-stage
@@ -144,11 +149,6 @@ fn main() {
                 emit(&rows, json);
                 std::fs::write("BENCH_sched.json", write_json(&rows)).expect("write BENCH_sched.json");
                 println!("wrote BENCH_sched.json ({} rows)", rows.len());
-                record_history(HistoryRecord::now(
-                    t,
-                    &format!("sizes={sizes:?}"),
-                    sched_metrics(&rows),
-                ));
                 if let Some(path) = &trace_out {
                     write_trace(path, &obs.finish(), "bench.sched scheduler spans");
                     trace_consumed = true;
@@ -158,9 +158,7 @@ fn main() {
             // the retained row-at-a-time reference, plus the five query
             // plans end to end through the LocalRuntime. `sqlbench` runs
             // the 1M-row micros + sf-0.5 e2e tier; `sqlbench-smoke` the
-            // CI subset. Both write BENCH_sql.json; the smoke history
-            // record carries only the deterministic byte metrics so the
-            // regress gate compares exact values.
+            // CI subset. Both write BENCH_sql.json.
             "sqlbench" | "sqlbench-smoke" => {
                 let rows = if t == "sqlbench" {
                     ditto_bench::sql_bench()
@@ -170,11 +168,6 @@ fn main() {
                 emit(&rows, json);
                 std::fs::write("BENCH_sql.json", write_json(&rows)).expect("write BENCH_sql.json");
                 println!("wrote BENCH_sql.json ({} rows)", rows.len());
-                record_history(HistoryRecord::now(
-                    t,
-                    &sql_config(t),
-                    sql_metrics(&rows, t == "sqlbench"),
-                ));
             }
             // Adaptive-execution sweep: drift × loss × recovery policy,
             // frozen vs adaptive engine. `adapt` runs the full grid;
@@ -189,7 +182,6 @@ fn main() {
                 emit(&rows, json);
                 std::fs::write("BENCH_adapt.json", write_json(&rows)).expect("write BENCH_adapt.json");
                 println!("wrote BENCH_adapt.json ({} rows)", rows.len());
-                record_history(HistoryRecord::now(t, &adapt_config(t), adapt_metrics(&rows)));
                 if rows.iter().any(|r| !r.audit_clean) {
                     eprintln!("adaptive sweep: a replan failed its feasibility certificate");
                     std::process::exit(1);
@@ -236,7 +228,6 @@ fn main() {
                     "wrote JOURNAL_crash.bin ({} bytes) — certify with `ditto-audit journal`",
                     journal.len()
                 );
-                record_history(HistoryRecord::now(t, &crash_config(), crash_metrics(&rows)));
                 if let Some(path) = &trace_out {
                     write_trace(path, &trace, "recovered-run crash exemplar");
                     trace_consumed = true;
@@ -245,15 +236,6 @@ fn main() {
                     eprintln!("crash sweep: a crash point diverged or failed certification");
                     std::process::exit(1);
                 }
-            }
-            "telemetry" => {
-                let rows = ditto_bench::telemetry_overhead();
-                emit(&rows, json);
-                record_history(HistoryRecord::now(
-                    "telemetry",
-                    "exemplar-q95-s3",
-                    telemetry_metrics(&rows),
-                ));
             }
             // Certificate sweep: audit every scheduler's output on 32
             // seeded random DAGs × both objectives. Exits nonzero if any
@@ -306,63 +288,7 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            // Regression gate: replay the deterministic experiments and
-            // compare against BENCH_HISTORY.jsonl. `--record-only` seeds
-            // history without judging. Exits 1 on any regression.
-            "regress" => {
-                let opts = RegressOptions::default();
-                let path = ditto_bench::history_path();
-                let history = ditto_bench::load_history(&path);
-                println!(
-                    "regress: {} history records in {}",
-                    history.len(),
-                    path.display()
-                );
-                let frows = ditto_bench::fault_sweep();
-                let arows = ditto_bench::adapt_sweep_smoke();
-                let srows = ditto_bench::sql_bench_smoke();
-                let crows = ditto_bench::crash_sweep_smoke();
-                let records = [
-                    HistoryRecord::now("faults", &faults_config(), faults_metrics(&frows)),
-                    HistoryRecord::now(
-                        "adapt-smoke",
-                        &adapt_config("adapt-smoke"),
-                        adapt_metrics(&arows),
-                    ),
-                    HistoryRecord::now(
-                        "sqlbench-smoke",
-                        &sql_config("sqlbench-smoke"),
-                        sql_metrics(&srows, false),
-                    ),
-                    HistoryRecord::now("crash-smoke", &crash_config(), crash_metrics(&crows)),
-                ];
-                let mut failed = false;
-                for rec in records {
-                    if record_only {
-                        record_history(rec);
-                        continue;
-                    }
-                    let report = ditto_bench::check_regression(&history, &rec, &opts);
-                    print!("{}", report.render());
-                    if report.regressed() {
-                        failed = true;
-                    } else {
-                        // A passing run extends the history baseline.
-                        record_history(rec);
-                    }
-                }
-                if failed {
-                    eprintln!("regress: performance regression detected (see table above)");
-                    std::process::exit(1);
-                }
-                println!(
-                    "regress: {}",
-                    if record_only { "recorded baselines" } else { "clean" }
-                );
-            }
-            other => eprintln!(
-                "unknown target {other:?}; known: {all:?} (+ \"sched\", \"sched-smoke\", \"sqlbench\", \"sqlbench-smoke\", \"adapt\", \"adapt-smoke\", \"crash\", \"crash-smoke\", \"race\", \"race-smoke\", \"regress\" — not in `all`)"
-            ),
+            _ => unreachable!("targets are checked before anything runs"),
         }
     }
 
@@ -395,150 +321,4 @@ fn write_trace(path: &str, data: &ditto_obs::TraceData, label: &str) {
         data.spans.len(),
         data.events.len(),
     );
-}
-
-/// Append one record to the bench history, reporting rather than dying
-/// on IO trouble (history is telemetry, not a gate on the experiment).
-fn record_history(rec: HistoryRecord) {
-    let path = ditto_bench::history_path();
-    match ditto_bench::append_history(&path, &rec) {
-        Ok(()) => println!(
-            "history: appended `{}` ({} metrics) to {}",
-            rec.experiment,
-            rec.metrics.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("history: append to {} failed: {e}", path.display()),
-    }
-}
-
-fn faults_config() -> String {
-    format!(
-        "rates={:?} schedulers=[ditto,nimble] policies=[retry,retry+spec]",
-        ditto_bench::FAULT_SWEEP_RATES
-    )
-}
-
-fn faults_metrics(rows: &[ditto_bench::FaultSweepRow]) -> Vec<(String, f64)> {
-    rows.iter()
-        .map(|r| {
-            (
-                format!(
-                    "faults_{}_{}_r{:.2}_jct_s",
-                    r.scheduler, r.policy, r.fault_rate
-                ),
-                r.jct_seconds,
-            )
-        })
-        .collect()
-}
-
-fn adapt_config(t: &str) -> String {
-    if t == "adapt" {
-        format!(
-            "drifts={:?} losses={:?}",
-            ditto_bench::adapt::ADAPT_DRIFTS,
-            ditto_bench::adapt::ADAPT_LOSSES
-        )
-    } else {
-        format!(
-            "drifts={:?} losses={:?}",
-            ditto_bench::adapt::ADAPT_SMOKE_DRIFTS,
-            ditto_bench::adapt::ADAPT_SMOKE_LOSSES
-        )
-    }
-}
-
-fn adapt_metrics(rows: &[ditto_bench::AdaptSweepRow]) -> Vec<(String, f64)> {
-    rows.iter()
-        .map(|r| {
-            (
-                format!(
-                    "adapt_d{:.1}_l{:.2}_{}_{}_jct_s",
-                    r.drift, r.loss_rate, r.recovery, r.engine
-                ),
-                r.jct_seconds,
-            )
-        })
-        .collect()
-}
-
-fn crash_config() -> String {
-    format!(
-        "seed={} slots={:?} scenarios=[frozen-ladder,adaptive-drift2x] wide={}x{:?}",
-        ditto_bench::crash::CRASH_SEED,
-        ditto_bench::crash::CRASH_SLOTS,
-        ditto_bench::crash::WIDE_STAGES,
-        ditto_bench::crash::WIDE_SLOTS,
-    )
-}
-
-/// JCT is asserted bit-identical to the crash-free run, so it doubles as
-/// the correctness fingerprint; resim counts are the recovery-overhead
-/// metric the regress gate holds.
-fn crash_metrics(rows: &[ditto_bench::CrashSweepRow]) -> Vec<(String, f64)> {
-    let mut m = Vec::new();
-    for r in rows {
-        m.push((format!("crash_{}_jct_s", r.scenario), r.jct_seconds));
-        m.push((
-            format!("crash_{}_mean_resim_stages", r.scenario),
-            r.mean_resim_stages,
-        ));
-    }
-    m
-}
-
-fn sql_config(t: &str) -> String {
-    use ditto_bench::sql_bench::{SQL_BENCH_ROWS, SQL_BENCH_SF, SQL_SMOKE_ROWS, SQL_SMOKE_SF};
-    if t == "sqlbench" {
-        format!("micro_rows={SQL_BENCH_ROWS} sf={SQL_BENCH_SF}")
-    } else {
-        format!("micro_rows={SQL_SMOKE_ROWS} sf={SQL_SMOKE_SF}")
-    }
-}
-
-/// Byte metrics are deterministic (placement + codec), so they always go
-/// in; wall metrics are only worth tracking on the full release sweep.
-fn sql_metrics(rows: &[ditto_bench::SqlBenchRow], include_wall: bool) -> Vec<(String, f64)> {
-    let mut m = Vec::new();
-    for r in rows {
-        if r.wire_bytes > 0 {
-            m.push((format!("sql_{}_wire_bytes", r.op), r.wire_bytes as f64));
-            m.push((
-                format!("sql_{}_logical_bytes", r.op),
-                r.logical_bytes as f64,
-            ));
-        }
-        if include_wall {
-            m.push((format!("sql_{}_vectorized_ms", r.op), r.vectorized_ms));
-        }
-    }
-    m
-}
-
-fn sched_metrics(rows: &[ditto_bench::SchedBenchRow]) -> Vec<(String, f64)> {
-    rows.iter()
-        .filter_map(|r| {
-            let kernel = match r.implementation.as_str() {
-                "incremental" => "sched",
-                "dop_flat" => "dop",
-                _ => return None,
-            };
-            Some((
-                format!("{kernel}_{}_{}_micros", r.stages, r.objective),
-                r.median_micros,
-            ))
-        })
-        .collect()
-}
-
-fn telemetry_metrics(rows: &[ditto_bench::TelemetryOverheadRow]) -> Vec<(String, f64)> {
-    let mut m: Vec<(String, f64)> = rows
-        .iter()
-        .map(|r| (format!("telemetry_{}_run_ms", r.mode), r.run_ms))
-        .collect();
-    if let Some(t) = rows.iter().find(|r| r.mode == "traced") {
-        m.push(("telemetry_overhead_pct".to_string(), t.overhead_pct));
-    }
-    m
 }

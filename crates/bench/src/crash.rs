@@ -27,7 +27,7 @@
 //! journal ↔ trace [`ditto_exec::cross_check`] is clean. Recovery
 //! overhead is bounded by construction — checkpointed stages restore
 //! instead of re-simulating — and the sweep reports the realized
-//! re-simulation counts so the regression gate can hold the line.
+//! re-simulation counts.
 
 use crate::setup::prepare;
 use ditto_audit::RaceOptions;

@@ -21,7 +21,6 @@ pub mod adapt;
 pub mod audit_sweep;
 pub mod crash;
 pub mod experiments;
-pub mod history;
 pub mod race_sweep;
 pub mod report;
 pub mod sched_bench;
@@ -35,14 +34,10 @@ pub use audit_sweep::{
     audit_sweep, audit_sweep_traced, sweep_is_clean, AuditSweepRow, AUDIT_SWEEP_SEEDS,
 };
 pub use crash::{crash_sweep, crash_sweep_smoke, traced_crash_recovery, CrashSweepRow};
-pub use history::{
-    append_history, check_regression, history_path, load_history, HistoryRecord, MetricStatus,
-    MetricVerdict, RegressOptions, RegressReport,
-};
 pub use experiments::*;
 pub use race_sweep::{race_certify, race_explore, RaceExploreRow, RaceSweepRow};
 pub use report::{render_rows, write_json};
 pub use sched_bench::{sched_bench, sched_bench_sizes, sched_bench_smoke, SchedBenchRow};
 pub use setup::{prepare, PreparedQuery, VOLUME_SCALE};
 pub use sql_bench::{sql_bench, sql_bench_smoke, sql_bench_with, SqlBenchRow};
-pub use telemetry::{telemetry_overhead, traced_fault_run, TelemetryOverheadRow, TracedRun};
+pub use telemetry::{traced_fault_run, TracedRun};

@@ -285,6 +285,19 @@ fn determinism_lint_is_clean_and_allowlist_is_current() {
     assert!(stale.is_empty(), "stale audit.allow entries:\n{}", stale.join("\n"));
 }
 
+/// `figures -- race-smoke`, where tier-1 sees it: every fixed-seed traced
+/// scenario certifies race-free, and tie-break order never changes a run
+/// on two seeded random DAGs.
+#[test]
+fn race_sweep_is_clean_and_tie_break_invariant() {
+    for r in ditto_bench::race_certify() {
+        assert!(r.clean, "scenario {} ({}) raced: {} errors", r.scenario, r.engine, r.errors);
+    }
+    for r in ditto_bench::race_explore(2) {
+        assert!(!r.divergent, "dag {} diverged: {}", r.dag, r.witness);
+    }
+}
+
 // ---------------------------------------------------------------------
 // The simulator `Engine`, at smoke scale: every configuration is the same
 // pass driver, so each must agree with its neighbours bit for bit.

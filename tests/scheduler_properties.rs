@@ -199,3 +199,11 @@ proptest! {
         }
     }
 }
+
+/// `figures -- audit` at smoke scale, where tier-1 sees it: every
+/// scheduler's output on four seeded random DAGs × both objectives passes
+/// its feasibility certificate.
+#[test]
+fn audit_sweep_certifies_every_scheduler() {
+    assert!(ditto_bench::sweep_is_clean(&ditto_bench::audit_sweep(4)));
+}
