@@ -106,10 +106,10 @@ fn micro_table(n: usize, seed: u64) -> Table {
             ("x", DataType::F64),
         ]),
         vec![
-            Column::I64(k),
-            Column::Str(cust),
-            Column::I64(v),
-            Column::F64(x),
+            Column::I64(k.into()),
+            Column::Str(cust.into()),
+            Column::I64(v.into()),
+            Column::F64(x.into()),
         ],
     )
 }
@@ -141,7 +141,7 @@ fn join_tables(n: usize, string_key: bool) -> (Table, Table) {
                 Column::Str(vals.iter().map(|k| format!("cust-{k:07}")).collect()),
             )
         } else {
-            (DataType::I64, Column::I64(vals))
+            (DataType::I64, Column::I64(vals.into()))
         }
     };
     let mut pk = Vec::with_capacity(n);
@@ -154,7 +154,7 @@ fn join_tables(n: usize, string_key: bool) -> (Table, Table) {
     let (dt, kc) = key_col(pk);
     let probe = Table::new(
         Schema::new(&[("k", dt), ("v", DataType::I64)]),
-        vec![kc, Column::I64(pv)],
+        vec![kc, Column::I64(pv.into())],
     );
     let dim: Vec<i64> = (0..key_range as i64).collect();
     let weights = Column::I64(dim.iter().map(|k| k * 3 % 97).collect());

@@ -293,10 +293,7 @@ impl LocalRuntime {
     /// [`ExecError::TaskPanicked`] on whichever worker ran it, so no worker
     /// dies and the run still fails with a typed error.
     fn run_job(&self, cx: &TaskCtx<'_>, job: Job) -> TaskResult {
-        catch_unwind(AssertUnwindSafe(|| {
-            let scan_slice = job.scan.as_ref().map(|v| &v[job.task as usize]);
-            self.run_task(cx, job.stage, job.task, scan_slice)
-        }))
+        catch_unwind(AssertUnwindSafe(|| self.run_task(cx, job.stage, job.task)))
         .unwrap_or(Err(ExecError::TaskPanicked { stage: job.stage.0 }))
     }
 
@@ -305,13 +302,7 @@ impl LocalRuntime {
     /// table for final-stage tasks, the winning attempt epoch, the commit
     /// checksum of the encoded output (the journal's object-commit value)
     /// and everything the run accounts per task.
-    fn run_task(
-        &self,
-        cx: &TaskCtx<'_>,
-        s: StageId,
-        t: u32,
-        scan_slice: Option<&Table>,
-    ) -> Result<TaskReport, ExecError> {
+    fn run_task(&self, cx: &TaskCtx<'_>, s: StageId, t: u32) -> Result<TaskReport, ExecError> {
         let (plan, db, job_start) = (cx.plan, cx.db, cx.job_start);
         let launch = job_start.elapsed().as_secs_f64();
         let server = ServerId(cx.server(s, t) as u32);
@@ -348,13 +339,14 @@ impl LocalRuntime {
         };
 
         // ---- evaluate (crash-and-retry fault injection) ----
+        let scan_slice = cx.scan_slice(s, t);
         let compute_t0 = Instant::now();
         let mut attempt = 0u32;
         let mut attempt_start;
         let mut spec_won = false;
         let mut out = loop {
             attempt_start = job_start.elapsed().as_secs_f64();
-            let attempt_out = plan.execute_stage(s, db, &inputs, scan_slice);
+            let attempt_out = plan.execute_stage(s, db, &inputs, scan_slice.as_ref());
             if self.faults.crash_point(s, t, attempt).is_some() {
                 // The attempt crashed before publishing: discard its
                 // output, back off, re-execute. The physical wait is
@@ -391,7 +383,7 @@ impl LocalRuntime {
                 stats.speculative_copies += 1;
                 attempt += 1;
                 attempt_start = job_start.elapsed().as_secs_f64();
-                out = plan.execute_stage(s, db, &inputs, scan_slice);
+                out = plan.execute_stage(s, db, &inputs, scan_slice.as_ref());
                 spec_won = true;
             }
         }
@@ -534,9 +526,8 @@ impl LocalRuntime {
     /// simulator models the general case).
     fn reexec_producer(&self, cx: &TaskCtx<'_>, src: StageId, ut: u32) -> Result<(), ExecError> {
         let (inputs, _, input_keys) = self.gather_inputs(cx, src, ut, None)?;
-        let scan_slices = cx.scan_slices(src);
-        let scan_slice = scan_slices.as_ref().map(|v| &v[ut as usize]);
-        let out = cx.plan.execute_stage(src, cx.db, &inputs, scan_slice);
+        let scan_slice = cx.scan_slice(src, ut);
+        let out = cx.plan.execute_stage(src, cx.db, &inputs, scan_slice.as_ref());
         self.scatter_outputs(cx, src, ut, &out, &input_keys, true)?;
         Ok(())
     }
@@ -639,8 +630,6 @@ fn pool_size(schedule: &Schedule) -> usize {
 struct Job {
     stage: StageId,
     task: u32,
-    /// The stage's base-table slices, one per task, if it scans.
-    scan: Option<Arc<Vec<Table>>>,
 }
 
 /// The running stage's tasks not yet handed out: `next..end`.
@@ -648,7 +637,6 @@ struct StageTasks {
     stage: StageId,
     next: u32,
     end: u32,
-    scan: Option<Arc<Vec<Table>>>,
 }
 
 /// What the calling thread and the helpers share.
@@ -692,7 +680,6 @@ impl Pool {
         s: StageId,
     ) -> Result<Vec<TaskReport>, ExecError> {
         let dop = cx.schedule.dop[s.index()];
-        let scan = cx.scan_slices(s).map(Arc::new);
         let mut reports: Vec<Option<TaskResult>> = (0..dop).map(|_| None).collect();
         let mut outstanding = dop;
         let mut st = self.lock();
@@ -700,7 +687,6 @@ impl Pool {
             stage: s,
             next: 0,
             end: dop,
-            scan,
         });
         if st.idle > 0 {
             self.work.notify_all();
@@ -756,18 +742,18 @@ impl Pool {
 }
 
 impl PoolState {
-    /// The running stage's next task. The last one takes the pool's hold
-    /// on the scan slices, so they are freed with the stage's last job.
+    /// The running stage's next task.
     fn pop(&mut self) -> Option<Job> {
         let tasks = self.tasks.as_mut()?;
-        let (stage, task) = (tasks.stage, tasks.next);
-        tasks.next += 1;
-        let scan = if tasks.next == tasks.end {
-            self.tasks.take().and_then(|t| t.scan)
-        } else {
-            tasks.scan.clone()
+        let job = Job {
+            stage: tasks.stage,
+            task: tasks.next,
         };
-        Some(Job { stage, task, scan })
+        tasks.next += 1;
+        if tasks.next == tasks.end {
+            self.tasks = None;
+        }
+        Some(job)
     }
 }
 
@@ -835,11 +821,14 @@ impl TaskCtx<'_> {
         self.schedule.placement[s.index()].server_of_task(t).index()
     }
 
-    /// A scan stage's base table cut into one slice per task.
-    fn scan_slices(&self, s: StageId) -> Option<Vec<Table>> {
+    /// Task `(s, t)`'s slice of scan stage `s`'s base table — the rows of
+    /// `split(dop)[t]`, cut on its own in O(columns) and sharing the
+    /// `Database`'s buffers, so no task copies a base table. `None` for
+    /// stages that do not scan.
+    fn scan_slice(&self, s: StageId, t: u32) -> Option<Table> {
         let d = self.schedule.dop[s.index()] as usize;
         match &self.plan.stages[s.index()].op {
-            StageOp::Scan { table, .. } => Some(self.db.table(table).split(d)),
+            StageOp::Scan { table, .. } => Some(self.db.table(table).split_part(d, t as usize)),
             _ => None,
         }
     }

@@ -1,18 +1,88 @@
 //! Typed columns: the storage unit of the engine.
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// A typed column of values. Strings are owned; numeric columns are dense
-/// vectors. No null support — the synthetic generator emits complete data,
-/// and TPC-DS predicates used by the four queries never test for NULL.
+/// A typed column of values. Every variant holds a shared, immutable
+/// [`Buf`], so cloning, slicing and projecting a column cost O(1) and never
+/// copy its rows. No null support — the synthetic generator emits complete
+/// data, and TPC-DS predicates used by the four queries never test for NULL.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit integers (all key and date columns).
-    I64(Vec<i64>),
+    I64(Buf<i64>),
     /// 64-bit floats (measures: prices, profits, amounts).
-    F64(Vec<f64>),
+    F64(Buf<f64>),
     /// UTF-8 strings (dimension attributes: states, county names).
-    Str(Vec<String>),
+    Str(Buf<String>),
+}
+
+/// A shared, immutable run of values: an `Arc`'d vector plus the row range
+/// this view covers, dereferencing to `&[T]` — the shape of the `bytes`
+/// shim's `Bytes`. [`Buf::from`] wraps a vector without copying it, and
+/// clones and slices share that one allocation.
+#[derive(Clone)]
+pub struct Buf<T> {
+    data: Arc<Vec<T>>,
+    start: usize,
+    end: usize,
+}
+
+impl<T> Buf<T> {
+    /// The rows `start .. start + len` of this view, sharing its allocation.
+    pub(crate) fn slice(&self, start: usize, len: usize) -> Buf<T> {
+        assert!(start + len <= self.len(), "slice {start}+{len} out of {} rows", self.len());
+        Buf {
+            data: Arc::clone(&self.data),
+            start: self.start + start,
+            end: self.start + start + len,
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for Buf<T> {
+    fn from(v: Vec<T>) -> Self {
+        let end = v.len();
+        Buf {
+            data: Arc::new(v),
+            start: 0,
+            end,
+        }
+    }
+}
+
+impl<T> FromIterator<T> for Buf<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        Buf::from(iter.into_iter().collect::<Vec<T>>())
+    }
+}
+
+impl<T> Deref for Buf<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.data[self.start..self.end]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Buf<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: PartialEq> PartialEq for Buf<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Buf<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// The type tag of a column.
@@ -89,13 +159,13 @@ impl Column {
         }
     }
 
-    /// Copy the contiguous row range `start .. start + len` into a new
-    /// column (one block copy for numerics).
+    /// The contiguous row range `start .. start + len`, sharing this
+    /// column's buffer (O(1), no rows copied).
     pub fn slice(&self, start: usize, len: usize) -> Column {
         match self {
-            Column::I64(v) => Column::I64(v[start..start + len].to_vec()),
-            Column::F64(v) => Column::F64(v[start..start + len].to_vec()),
-            Column::Str(v) => Column::Str(v[start..start + len].to_vec()),
+            Column::I64(v) => Column::I64(v.slice(start, len)),
+            Column::F64(v) => Column::F64(v.slice(start, len)),
+            Column::Str(v) => Column::Str(v.slice(start, len)),
         }
     }
 
@@ -123,9 +193,9 @@ impl Column {
     /// An empty column of the same type.
     pub fn empty_like(&self) -> Column {
         match self {
-            Column::I64(_) => Column::I64(Vec::new()),
-            Column::F64(_) => Column::F64(Vec::new()),
-            Column::Str(_) => Column::Str(Vec::new()),
+            Column::I64(_) => Column::I64(Vec::new().into()),
+            Column::F64(_) => Column::F64(Vec::new().into()),
+            Column::Str(_) => Column::Str(Vec::new().into()),
         }
     }
 
@@ -158,13 +228,31 @@ impl Column {
         }
     }
 
-    /// Append another column of the same type.
+    /// Append another column of the same type into a new buffer, so a
+    /// buffer another column shares is never changed.
     pub fn extend(&mut self, other: &Column) {
-        match (self, other) {
-            (Column::I64(a), Column::I64(b)) => a.extend_from_slice(b),
-            (Column::F64(a), Column::F64(b)) => a.extend_from_slice(b),
-            (Column::Str(a), Column::Str(b)) => a.extend_from_slice(b),
-            (a, b) => panic!("type mismatch in extend: {:?} vs {:?}", a.dtype(), b.dtype()),
+        assert_eq!(self.dtype(), other.dtype(), "type mismatch in extend");
+        *self = Column::concat([&*self, other].into_iter());
+    }
+
+    /// Concatenate same-typed columns into one new column, allocated once
+    /// at the total row count.
+    ///
+    /// # Panics
+    /// Panics on an empty `parts` or on mixed types.
+    pub(crate) fn concat<'a>(parts: impl Iterator<Item = &'a Column> + Clone) -> Column {
+        fn join<'a, T: Clone + 'a>(parts: impl Iterator<Item = &'a [T]> + Clone) -> Buf<T> {
+            let mut v = Vec::with_capacity(parts.clone().map(<[T]>::len).sum());
+            for p in parts {
+                v.extend_from_slice(p);
+            }
+            v.into()
+        }
+        let first = parts.clone().next().expect("concat of no columns");
+        match first {
+            Column::I64(_) => Column::I64(join(parts.map(Column::as_i64))),
+            Column::F64(_) => Column::F64(join(parts.map(Column::as_f64))),
+            Column::Str(_) => Column::Str(join(parts.map(Column::as_str))),
         }
     }
 
@@ -229,7 +317,7 @@ mod tests {
 
     #[test]
     fn basic_accessors() {
-        let c = Column::I64(vec![1, 2, 3]);
+        let c = Column::I64(vec![1, 2, 3].into());
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
         assert_eq!(c.dtype(), DataType::I64);
@@ -240,70 +328,101 @@ mod tests {
 
     #[test]
     fn take_and_filter() {
-        let c = Column::Str(vec!["a".into(), "b".into(), "c".into()]);
-        assert_eq!(c.take(&[2, 0]), Column::Str(vec!["c".into(), "a".into()]));
+        let c = Column::Str(vec!["a".into(), "b".into(), "c".into()].into());
+        assert_eq!(c.take(&[2, 0]), Column::Str(vec!["c".into(), "a".into()].into()));
         assert_eq!(
             c.filter(&[true, false, true]),
-            Column::Str(vec!["a".into(), "c".into()])
+            Column::Str(vec!["a".into(), "c".into()].into())
         );
     }
 
     #[test]
     fn extend_same_type() {
-        let mut a = Column::F64(vec![1.0]);
-        a.extend(&Column::F64(vec![2.0, 3.0]));
+        let mut a = Column::F64(vec![1.0].into());
+        a.extend(&Column::F64(vec![2.0, 3.0].into()));
         assert_eq!(a.as_f64(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn extend_type_mismatch_panics() {
-        let mut a = Column::F64(vec![1.0]);
-        a.extend(&Column::I64(vec![2]));
+        let mut a = Column::F64(vec![1.0].into());
+        a.extend(&Column::I64(vec![2].into()));
     }
 
     #[test]
     #[should_panic(expected = "expected i64")]
     fn wrong_accessor_panics() {
-        Column::F64(vec![1.0]).as_i64();
+        Column::F64(vec![1.0].into()).as_i64();
     }
 
     #[test]
     fn hash_stable_and_discriminating() {
-        let c = Column::I64(vec![7, 7, 8]);
+        let c = Column::I64(vec![7, 7, 8].into());
         assert_eq!(c.hash_row(0), c.hash_row(1));
         assert_ne!(c.hash_row(0), c.hash_row(2));
-        let s = Column::Str(vec!["x".into(), "y".into()]);
+        let s = Column::Str(vec!["x".into(), "y".into()].into());
         assert_ne!(s.hash_row(0), s.hash_row(1));
     }
 
     #[test]
     fn str_at_borrows() {
-        let c = Column::Str(vec!["a".into(), "b".into()]);
+        let c = Column::Str(vec!["a".into(), "b".into()].into());
         assert_eq!(c.str_at(1), "b");
     }
 
     #[test]
     #[should_panic(expected = "expected str")]
     fn str_at_wrong_type_panics() {
-        Column::I64(vec![1]).str_at(0);
+        Column::I64(vec![1].into()).str_at(0);
     }
 
     #[test]
-    fn slice_copies_contiguous_range() {
-        let c = Column::I64(vec![1, 2, 3, 4]);
-        assert_eq!(c.slice(1, 2), Column::I64(vec![2, 3]));
-        assert_eq!(c.slice(4, 0), Column::I64(vec![]));
-        let s = Column::Str(vec!["a".into(), "b".into(), "c".into()]);
-        assert_eq!(s.slice(0, 2), Column::Str(vec!["a".into(), "b".into()]));
+    fn slice_shares_the_buffer() {
+        let c = Column::I64(vec![1, 2, 3, 4].into());
+        let mid = c.slice(1, 2);
+        assert_eq!(mid, Column::I64(vec![2, 3].into()));
+        assert_eq!(c.slice(4, 0), Column::I64(vec![].into()));
+        assert_eq!(mid.slice(1, 1), Column::I64(vec![3].into()));
+        // Same memory, not a copy.
+        assert!(std::ptr::eq(&c.as_i64()[1], &mid.as_i64()[0]));
+        let s = Column::Str(vec!["a".into(), "b".into(), "c".into()].into());
+        assert_eq!(s.slice(0, 2), Column::Str(vec!["a".into(), "b".into()].into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn slice_past_the_end_panics() {
+        Column::I64(vec![1, 2].into()).slice(1, 2);
+    }
+
+    #[test]
+    fn extend_copies_on_write() {
+        let base = Column::I64(vec![1, 2, 3, 4].into());
+        let mut head = base.slice(0, 2);
+        head.extend(&Column::I64(vec![9].into()));
+        assert_eq!(head.as_i64(), &[1, 2, 9]);
+        assert_eq!(base.as_i64(), &[1, 2, 3, 4]);
+        let mut own = Column::I64(vec![1].into());
+        own.extend(&Column::I64(vec![2].into()));
+        own.extend(&base.slice(3, 1));
+        assert_eq!(own.as_i64(), &[1, 2, 4]);
+    }
+
+    #[test]
+    fn concat_builds_one_column() {
+        let a = Column::Str(vec!["x".into()].into());
+        let b = Column::Str(vec!["y".into(), "z".into()].into());
+        let c = Column::concat([&a, &b.slice(1, 1), &b].into_iter());
+        assert_eq!(c.as_str(), &["x", "z", "y", "z"]);
     }
 
     #[test]
     fn hash_column_matches_hash_row() {
         let cols = [
-            Column::I64(vec![7, -1, 7, i64::MIN]),
-            Column::F64(vec![0.0, -0.0, 3.5]),
-            Column::Str(vec!["x".into(), "".into(), "x".into(), "yy".into()]),
+            Column::I64(vec![7, -1, 7, i64::MIN].into()),
+            Column::F64(vec![0.0, -0.0, 3.5].into()),
+            Column::Str(vec!["x".into(), "".into(), "x".into(), "yy".into()].into()),
         ];
         for c in &cols {
             let bulk = c.hash_column();
@@ -315,13 +434,13 @@ mod tests {
 
     #[test]
     fn empty_like_preserves_type() {
-        assert_eq!(Column::Str(vec!["a".into()]).empty_like().dtype(), DataType::Str);
-        assert!(Column::I64(vec![1]).empty_like().is_empty());
+        assert_eq!(Column::Str(vec!["a".into()].into()).empty_like().dtype(), DataType::Str);
+        assert!(Column::I64(vec![1].into()).empty_like().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "mask length")]
     fn filter_length_mismatch() {
-        Column::I64(vec![1, 2]).filter(&[true]);
+        Column::I64(vec![1, 2].into()).filter(&[true]);
     }
 }

@@ -197,7 +197,7 @@ fn gen_date_dim(n: usize) -> Table {
             ("d_year", DataType::I64),
             ("d_moy", DataType::I64),
         ]),
-        vec![Column::I64(sk), Column::I64(year), Column::I64(moy)],
+        vec![Column::I64(sk.into()), Column::I64(year.into()), Column::I64(moy.into())],
     )
 }
 
@@ -208,7 +208,7 @@ fn gen_addresses(n: usize, rng: &mut StdRng) -> Table {
         .collect();
     Table::new(
         Schema::new(&[("ca_address_sk", DataType::I64), ("ca_state", DataType::Str)]),
-        vec![Column::I64(sk), Column::Str(state)],
+        vec![Column::I64(sk.into()), Column::Str(state.into())],
     )
 }
 
@@ -220,7 +220,7 @@ fn gen_customers(n: usize, n_addr: usize, rng: &mut StdRng) -> Table {
             ("c_customer_sk", DataType::I64),
             ("c_current_addr_sk", DataType::I64),
         ]),
-        vec![Column::I64(sk), Column::I64(addr)],
+        vec![Column::I64(sk.into()), Column::I64(addr.into())],
     )
 }
 
@@ -238,7 +238,7 @@ fn gen_stores(n: usize, rng: &mut StdRng) -> Table {
         .collect();
     Table::new(
         Schema::new(&[("s_store_sk", DataType::I64), ("s_state", DataType::Str)]),
-        vec![Column::I64(sk), Column::Str(state)],
+        vec![Column::I64(sk.into()), Column::Str(state.into())],
     )
 }
 
@@ -252,7 +252,7 @@ fn gen_call_centers(n: usize, rng: &mut StdRng) -> Table {
             ("cc_call_center_sk", DataType::I64),
             ("cc_county", DataType::Str),
         ]),
-        vec![Column::I64(sk), Column::Str(county)],
+        vec![Column::I64(sk.into()), Column::Str(county.into())],
     )
 }
 
@@ -264,7 +264,7 @@ fn gen_web_sites(n: usize, rng: &mut StdRng) -> Table {
             ("web_site_sk", DataType::I64),
             ("web_company_name", DataType::Str),
         ]),
-        vec![Column::I64(sk), Column::Str(company)],
+        vec![Column::I64(sk.into()), Column::Str(company.into())],
     )
 }
 
@@ -275,7 +275,7 @@ fn gen_warehouses(n: usize, rng: &mut StdRng) -> Table {
         .collect();
     Table::new(
         Schema::new(&[("w_warehouse_sk", DataType::I64), ("w_state", DataType::Str)]),
-        vec![Column::I64(sk), Column::Str(state)],
+        vec![Column::I64(sk.into()), Column::Str(state.into())],
     )
 }
 
@@ -333,13 +333,13 @@ fn gen_web_sales(
             ("ws_net_profit", DataType::F64),
         ]),
         vec![
-            Column::I64(order),
-            Column::I64(wh),
-            Column::I64(date),
-            Column::I64(addr),
-            Column::I64(site),
-            Column::F64(cost),
-            Column::F64(profit),
+            Column::I64(order.into()),
+            Column::I64(wh.into()),
+            Column::I64(date.into()),
+            Column::I64(addr.into()),
+            Column::I64(site.into()),
+            Column::F64(cost.into()),
+            Column::F64(profit.into()),
         ],
     )
 }
@@ -389,13 +389,13 @@ fn gen_catalog_sales(
             ("cs_net_profit", DataType::F64),
         ]),
         vec![
-            Column::I64(order),
-            Column::I64(date),
-            Column::I64(addr),
-            Column::I64(cc),
-            Column::I64(wh),
-            Column::F64(cost),
-            Column::F64(profit),
+            Column::I64(order.into()),
+            Column::I64(date.into()),
+            Column::I64(addr.into()),
+            Column::I64(cc.into()),
+            Column::I64(wh.into()),
+            Column::F64(cost.into()),
+            Column::F64(profit.into()),
         ],
     )
 }
@@ -415,7 +415,7 @@ fn gen_returns(
         .collect();
     Table::new(
         Schema::new(&[(out_col, DataType::I64)]),
-        vec![Column::I64(returned)],
+        vec![Column::I64(returned.into())],
     )
 }
 
@@ -442,11 +442,11 @@ fn gen_store_sales(
             ("ss_net_paid", DataType::F64),
         ]),
         vec![
-            Column::I64(date),
-            Column::I64(cust),
-            Column::I64(store),
-            Column::I64(item),
-            Column::F64(paid),
+            Column::I64(date.into()),
+            Column::I64(cust.into()),
+            Column::I64(store.into()),
+            Column::I64(item.into()),
+            Column::F64(paid.into()),
         ],
     )
 }
@@ -465,7 +465,7 @@ fn gen_items(n: usize, rng: &mut StdRng) -> Table {
             ("i_brand_id", DataType::I64),
             ("i_category", DataType::Str),
         ]),
-        vec![Column::I64(sk), Column::I64(brand), Column::Str(category)],
+        vec![Column::I64(sk.into()), Column::I64(brand.into()), Column::Str(category.into())],
     )
 }
 
@@ -489,10 +489,10 @@ fn gen_store_returns(
             ("sr_return_amt", DataType::F64),
         ]),
         vec![
-            Column::I64(date),
-            Column::I64(cust),
-            Column::I64(store),
-            Column::F64(amt),
+            Column::I64(date.into()),
+            Column::I64(cust.into()),
+            Column::I64(store.into()),
+            Column::F64(amt.into()),
         ],
     )
 }

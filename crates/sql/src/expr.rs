@@ -250,9 +250,11 @@ mod tests {
         Table::new(
             Schema::new(&[("k", DataType::I64), ("s", DataType::Str), ("x", DataType::F64)]),
             vec![
-                Column::I64(vec![1, 2, 3, 4, 5]),
-                Column::Str(vec!["TN".into(), "CA".into(), "TN".into(), "NY".into(), "WA".into()]),
-                Column::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0]),
+                Column::I64(vec![1, 2, 3, 4, 5].into()),
+                Column::Str(
+                    vec!["TN".into(), "CA".into(), "TN".into(), "NY".into(), "WA".into()].into(),
+                ),
+                Column::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0].into()),
             ],
         )
     }
@@ -342,9 +344,9 @@ mod tests {
         let e = Table::new(
             Schema::new(&[("k", DataType::I64), ("s", DataType::Str), ("x", DataType::F64)]),
             vec![
-                Column::I64(vec![]),
-                Column::Str(vec![]),
-                Column::F64(vec![]),
+                Column::I64(vec![].into()),
+                Column::Str(vec![].into()),
+                Column::F64(vec![].into()),
             ],
         );
         for p in &preds {

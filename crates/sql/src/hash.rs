@@ -317,15 +317,15 @@ mod tests {
 
     #[test]
     fn fnv_matches_hash_row() {
-        let c = Column::I64(vec![42, -7, i64::MAX]);
+        let c = Column::I64(vec![42, -7, i64::MAX].into());
         for row in 0..3 {
             assert_eq!(fnv1a_u64_le(c.as_i64()[row] as u64), c.hash_row(row));
         }
-        let f = Column::F64(vec![1.5, -0.0, f64::NAN]);
+        let f = Column::F64(vec![1.5, -0.0, f64::NAN].into());
         for row in 0..3 {
             assert_eq!(fnv1a_u64_le(f.as_f64()[row].to_bits()), f.hash_row(row));
         }
-        let s = Column::Str(vec!["".into(), "tn".into(), "αβγ".into()]);
+        let s = Column::Str(vec!["".into(), "tn".into(), "αβγ".into()].into());
         for row in 0..3 {
             assert_eq!(fnv1a_bytes(s.as_str()[row].as_bytes()), s.hash_row(row));
         }

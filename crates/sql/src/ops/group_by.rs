@@ -7,7 +7,7 @@
 //! which keeps float results bit-identical to the row-at-a-time
 //! [`crate::reference::group_by_reference`].
 
-use crate::column::{Column, DataType};
+use crate::column::{Buf, Column, DataType};
 use crate::dict::StrDict;
 use crate::expr::Pred;
 use crate::hash::TupleIdMap;
@@ -96,7 +96,7 @@ fn fold_numeric(
     groups: usize,
     init: f64,
     f: impl Fn(f64, f64) -> f64,
-) -> Vec<f64> {
+) -> Buf<f64> {
     let mut acc = vec![init; groups];
     match input {
         Column::I64(v) => {
@@ -118,7 +118,7 @@ fn fold_numeric(
             }
         }
     }
-    acc
+    acc.into()
 }
 
 /// `SELECT keys, aggs FROM t GROUP BY keys [HAVING having]`.
@@ -136,7 +136,7 @@ fn fold_numeric(
 ///
 /// let t = Table::new(
 ///     Schema::new(&[("store", DataType::I64), ("amt", DataType::F64)]),
-///     vec![Column::I64(vec![1, 2, 1]), Column::F64(vec![10.0, 5.0, 30.0])],
+///     vec![Column::I64(vec![1, 2, 1].into()), Column::F64(vec![10.0, 5.0, 30.0].into())],
 /// );
 /// let g = group_by(&t, &["store"], &[AggSpec::new(AggFunc::Sum, "amt", "total")], None);
 /// assert_eq!(g.column_req("store").as_i64(), &[1, 2]);
@@ -190,7 +190,7 @@ pub fn group_by(t: &Table, keys: &[&str], aggs: &[AggSpec], having: Option<&Pred
             dtype,
         });
         let col = match spec.func {
-            AggFunc::Count => Column::I64(counts.clone()),
+            AggFunc::Count => Column::I64(counts.clone().into()),
             AggFunc::CountDistinct => {
                 let input = t.column_req(&spec.input);
                 let vals = distinct_reprs(input);
@@ -202,7 +202,7 @@ pub fn group_by(t: &Table, keys: &[&str], aggs: &[AggSpec], having: Option<&Pred
                         dc[id as usize] += 1;
                     }
                 }
-                Column::I64(dc)
+                Column::I64(dc.into())
             }
             AggFunc::Sum => Column::F64(fold_numeric(
                 t.column_req(&spec.input),
@@ -267,7 +267,7 @@ mod tests {
                 ("amt", DataType::F64),
             ]),
             vec![
-                Column::I64(vec![1, 1, 2, 2, 2, 1]),
+                Column::I64(vec![1, 1, 2, 2, 2, 1].into()),
                 Column::Str(vec![
                     "a".into(),
                     "b".into(),
@@ -275,8 +275,8 @@ mod tests {
                     "a".into(),
                     "c".into(),
                     "a".into(),
-                ]),
-                Column::F64(vec![10.0, 20.0, 5.0, 15.0, 30.0, 40.0]),
+                ].into()),
+                Column::F64(vec![10.0, 20.0, 5.0, 15.0, 30.0, 40.0].into()),
             ],
         )
     }

@@ -148,8 +148,8 @@ mod tests {
         Table::new(
             Schema::new(&[("k", DataType::I64), ("lx", DataType::F64)]),
             vec![
-                Column::I64(vec![1, 2, 2, 3]),
-                Column::F64(vec![10.0, 20.0, 21.0, 30.0]),
+                Column::I64(vec![1, 2, 2, 3].into()),
+                Column::F64(vec![10.0, 20.0, 21.0, 30.0].into()),
             ],
         )
     }
@@ -158,8 +158,8 @@ mod tests {
         Table::new(
             Schema::new(&[("k", DataType::I64), ("ry", DataType::Str)]),
             vec![
-                Column::I64(vec![2, 3, 3, 5]),
-                Column::Str(vec!["b".into(), "c1".into(), "c2".into(), "e".into()]),
+                Column::I64(vec![2, 3, 3, 5].into()),
+                Column::Str(vec!["b".into(), "c1".into(), "c2".into(), "e".into()].into()),
             ],
         )
     }
@@ -195,11 +195,11 @@ mod tests {
     fn string_keys_work() {
         let l = Table::new(
             Schema::new(&[("s", DataType::Str)]),
-            vec![Column::Str(vec!["x".into(), "y".into()])],
+            vec![Column::Str(vec!["x".into(), "y".into()].into())],
         );
         let r = Table::new(
             Schema::new(&[("s2", DataType::Str)]),
-            vec![Column::Str(vec!["y".into()])],
+            vec![Column::Str(vec!["y".into()].into())],
         );
         let j = hash_join(&l, &r, "s", "s2", JoinKind::Inner);
         assert_eq!(j.num_rows(), 1);
@@ -224,7 +224,7 @@ mod tests {
     fn mismatched_key_types() {
         let r = Table::new(
             Schema::new(&[("k", DataType::Str)]),
-            vec![Column::Str(vec!["1".into()])],
+            vec![Column::Str(vec!["1".into()].into())],
         );
         hash_join(&left(), &r, "k", "k", JoinKind::Inner);
     }
@@ -250,7 +250,7 @@ mod tests {
             let l = right();
             let r = Table::new(
                 Schema::new(&[("ry", DataType::Str)]),
-                vec![Column::Str(vec!["c1".into(), "b".into(), "b".into()])],
+                vec![Column::Str(vec!["c1".into(), "b".into(), "b".into()].into())],
             );
             assert_eq!(
                 hash_join(&l, &r, "ry", "ry", kind),

@@ -66,8 +66,8 @@ mod tests {
         Table::new(
             Schema::new(&[("k", DataType::I64), ("x", DataType::F64)]),
             vec![
-                Column::I64(vec![3, 1, 2, 1]),
-                Column::F64(vec![30.0, 10.0, 20.0, 11.0]),
+                Column::I64(vec![3, 1, 2, 1].into()),
+                Column::F64(vec![30.0, 10.0, 20.0, 11.0].into()),
             ],
         )
     }
@@ -102,8 +102,8 @@ mod tests {
         let tab = Table::new(
             Schema::new(&[("a", DataType::I64), ("b", DataType::I64)]),
             vec![
-                Column::I64(vec![1, 1, 2, 1]),
-                Column::I64(vec![1, 2, 1, 1]),
+                Column::I64(vec![1, 1, 2, 1].into()),
+                Column::I64(vec![1, 2, 1, 1].into()),
             ],
         );
         let d = distinct(&tab, &["a", "b"]);
@@ -115,14 +115,14 @@ mod tests {
         let tab = Table::new(
             Schema::new(&[("a", DataType::I64), ("s", DataType::Str)]),
             vec![
-                Column::I64(vec![1, 1, 2, 1, 2]),
+                Column::I64(vec![1, 1, 2, 1, 2].into()),
                 Column::Str(vec![
                     "x".into(),
                     "y".into(),
                     "x".into(),
                     "x".into(),
                     "x".into(),
-                ]),
+                ].into()),
             ],
         );
         for cols in [&["a"][..], &["s"][..], &["a", "s"][..]] {

@@ -27,7 +27,7 @@ mod tests {
     fn t(keys: &[i64]) -> Table {
         Table::new(
             Schema::new(&[("k", DataType::I64)]),
-            vec![Column::I64(keys.to_vec())],
+            vec![Column::I64(keys.to_vec().into())],
         )
     }
 

@@ -110,9 +110,8 @@ pub struct QueryPlan {
 impl QueryPlan {
     /// Execute one stage over its gathered inputs. `inputs` maps *upstream
     /// stage names* to their (concatenated) outputs destined for this task.
-    /// Scans read from `db` directly — the caller controls which partition
-    /// of the base table this task sees by pre-slicing `db` is not needed:
-    /// pass the task's scan slice via `scan_override`.
+    /// Scans read the whole base table from `db`, or the task's slice of
+    /// it when the caller passes one as `scan_override`.
     pub fn execute_stage(
         &self,
         stage: StageId,
@@ -252,10 +251,10 @@ impl QueryPlan {
                     .iter()
                     .map(|c| match c {
                         crate::column::Column::I64(v) => {
-                            crate::column::Column::I64(vec![v.iter().sum()])
+                            crate::column::Column::I64(vec![v.iter().sum()].into())
                         }
                         crate::column::Column::F64(v) => {
-                            crate::column::Column::F64(vec![v.iter().sum()])
+                            crate::column::Column::F64(vec![v.iter().sum()].into())
                         }
                         crate::column::Column::Str(_) => {
                             panic!("global aggregate output cannot contain strings")

@@ -3,10 +3,10 @@
 //! A [`SelVec`] names the surviving rows of a table without materializing
 //! them. Predicate evaluation produces a `SelVec` from a boolean mask;
 //! gathering through it builds the output columns in one pass, with the
-//! all-rows and contiguous-run cases degrading to plain slice copies
-//! instead of per-element index chasing.
+//! all-rows and contiguous-run cases degrading to O(1) shared slices of
+//! the input's buffers instead of per-element index chasing.
 
-use crate::column::Column;
+use crate::column::{Buf, Column};
 use crate::table::{Field, Schema, Table};
 
 /// A set of selected row indices, in ascending order.
@@ -32,7 +32,7 @@ impl SelVec {
 
     /// The rows where `mask` is `true`. Detects contiguous selections
     /// (including all-true and all-false) and represents them as a
-    /// [`SelVec::Range`] so gathering stays a block copy.
+    /// [`SelVec::Range`] so gathering stays a shared slice.
     pub fn from_mask(mask: &[bool]) -> SelVec {
         let n = mask.iter().filter(|&&m| m).count();
         let first = mask.iter().position(|&m| m).unwrap_or(0);
@@ -66,21 +66,22 @@ impl SelVec {
 
 impl Column {
     /// Gather the selected rows into a new column. Contiguous selections
-    /// copy the underlying slice in one block.
+    /// are a [`Column::slice`] sharing this column's buffer.
     pub fn gather(&self, sel: &SelVec) -> Column {
         match sel {
             SelVec::Range { start, len } => self.slice(*start, *len),
-            SelVec::Rows(rows) => match self {
-                Column::I64(v) => {
-                    Column::I64(rows.iter().map(|&i| v[i as usize]).collect())
+            SelVec::Rows(rows) => {
+                // Index a plain slice, not the shared buffer, so its range
+                // is resolved once per column rather than once per row.
+                fn pick<T: Clone>(v: &[T], rows: &[u32]) -> Buf<T> {
+                    rows.iter().map(|&i| v[i as usize].clone()).collect()
                 }
-                Column::F64(v) => {
-                    Column::F64(rows.iter().map(|&i| v[i as usize]).collect())
+                match self {
+                    Column::I64(v) => Column::I64(pick(v, rows)),
+                    Column::F64(v) => Column::F64(pick(v, rows)),
+                    Column::Str(v) => Column::Str(pick(v, rows)),
                 }
-                Column::Str(v) => {
-                    Column::Str(rows.iter().map(|&i| v[i as usize].clone()).collect())
-                }
-            },
+            }
         }
     }
 }
@@ -127,14 +128,14 @@ mod tests {
         Table::new(
             Schema::new(&[("k", DataType::I64), ("s", DataType::Str)]),
             vec![
-                Column::I64(vec![1, 2, 3, 4, 5]),
+                Column::I64(vec![1, 2, 3, 4, 5].into()),
                 Column::Str(vec![
                     "a".into(),
                     "b".into(),
                     "c".into(),
                     "d".into(),
                     "e".into(),
-                ]),
+                ].into()),
             ],
         )
     }

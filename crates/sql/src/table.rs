@@ -83,9 +83,9 @@ impl Table {
             .fields
             .iter()
             .map(|f| match f.dtype {
-                DataType::I64 => Column::I64(Vec::new()),
-                DataType::F64 => Column::F64(Vec::new()),
-                DataType::Str => Column::Str(Vec::new()),
+                DataType::I64 => Column::I64(Vec::new().into()),
+                DataType::F64 => Column::F64(Vec::new().into()),
+                DataType::Str => Column::Str(Vec::new().into()),
             })
             .collect();
         Table { schema, columns }
@@ -152,34 +152,37 @@ impl Table {
     }
 
     /// Concatenate tables with identical schemas (empty input → `None`).
+    /// Each column is built once, at its exact row count.
     pub fn concat(tables: &[Table]) -> Option<Table> {
-        let mut iter = tables.iter();
-        let mut out = iter.next()?.clone();
-        for t in iter {
-            out.extend(t);
+        let (first, rest) = tables.split_first()?;
+        for t in rest {
+            assert_eq!(first.schema, t.schema, "schema mismatch in concat");
         }
-        Some(out)
+        let columns = (0..first.num_columns())
+            .map(|ci| Column::concat(tables.iter().map(|t| &t.columns[ci])))
+            .collect();
+        Some(Table {
+            schema: first.schema.clone(),
+            columns,
+        })
     }
 
     /// Split into `n` contiguous row chunks of near-equal size (for scan
-    /// parallelism). Later chunks may be one row smaller. Each chunk is a
-    /// direct per-column range copy — no index vectors.
+    /// parallelism). Later chunks may be one row smaller. Each chunk shares
+    /// this table's buffers: O(columns), no rows copied.
     pub fn split(&self, n: usize) -> Vec<Table> {
-        assert!(n > 0);
+        (0..n).map(|i| self.split_part(n, i)).collect()
+    }
+
+    /// Chunk `i` of [`Table::split`]`(n)`, cut on its own.
+    pub fn split_part(&self, n: usize, i: usize) -> Table {
+        assert!(i < n, "chunk {i} of {n}");
         let rows = self.num_rows();
-        let base = rows / n;
-        let rem = rows % n;
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0usize;
-        for i in 0..n {
-            let len = base + usize::from(i < rem);
-            out.push(Table {
-                schema: self.schema.clone(),
-                columns: self.columns.iter().map(|c| c.slice(start, len)).collect(),
-            });
-            start += len;
-        }
-        out
+        let (base, rem) = (rows / n, rows % n);
+        self.gather(&crate::SelVec::Range {
+            start: i * base + i.min(rem),
+            len: base + usize::from(i < rem),
+        })
     }
 
     /// The bucket each row lands in under `hash_row(key) % n` — the
@@ -232,7 +235,7 @@ impl Table {
                         outs[b as usize].push(x);
                     }
                     for (bucket, o) in buckets.iter_mut().zip(outs) {
-                        bucket.push(Column::I64(o));
+                        bucket.push(Column::I64(o.into()));
                     }
                 }
                 Column::F64(v) => {
@@ -242,7 +245,7 @@ impl Table {
                         outs[b as usize].push(x);
                     }
                     for (bucket, o) in buckets.iter_mut().zip(outs) {
-                        bucket.push(Column::F64(o));
+                        bucket.push(Column::F64(o.into()));
                     }
                 }
                 Column::Str(v) => {
@@ -252,7 +255,7 @@ impl Table {
                         outs[b as usize].push(x.clone());
                     }
                     for (bucket, o) in buckets.iter_mut().zip(outs) {
-                        bucket.push(Column::Str(o));
+                        bucket.push(Column::Str(o.into()));
                     }
                 }
             }
@@ -677,7 +680,7 @@ impl Table {
                         let len = data.get_u32_le() as usize;
                         v.push(String::from_utf8(data.split_to(len).to_vec()).expect("utf8"));
                     }
-                    (DataType::Str, Column::Str(v))
+                    (DataType::Str, Column::Str(v.into()))
                 }
                 3 => {
                     let ndict = data.get_u32_le() as usize;
@@ -785,9 +788,9 @@ mod tests {
         Table::new(
             Schema::new(&[("id", DataType::I64), ("amt", DataType::F64), ("st", DataType::Str)]),
             vec![
-                Column::I64(vec![1, 2, 3, 4]),
-                Column::F64(vec![10.0, 20.0, 30.0, 40.0]),
-                Column::Str(vec!["a".into(), "b".into(), "a".into(), "c".into()]),
+                Column::I64(vec![1, 2, 3, 4].into()),
+                Column::F64(vec![10.0, 20.0, 30.0, 40.0].into()),
+                Column::Str(vec!["a".into(), "b".into(), "a".into(), "c".into()].into()),
             ],
         )
     }
@@ -807,7 +810,7 @@ mod tests {
     fn ragged_columns_rejected() {
         Table::new(
             Schema::new(&[("a", DataType::I64), ("b", DataType::I64)]),
-            vec![Column::I64(vec![1]), Column::I64(vec![1, 2])],
+            vec![Column::I64(vec![1].into()), Column::I64(vec![1, 2].into())],
         );
     }
 
@@ -816,7 +819,7 @@ mod tests {
     fn wrong_type_rejected() {
         Table::new(
             Schema::new(&[("a", DataType::I64)]),
-            vec![Column::F64(vec![1.0])],
+            vec![Column::F64(vec![1.0].into())],
         );
     }
 
@@ -903,7 +906,7 @@ mod tests {
     fn dict_codec_rejects_out_of_range_codes() {
         let t = Table::new(
             Schema::new(&[("s", DataType::Str)]),
-            vec![Column::Str(vec!["aa".into(), "bb".into(), "aa".into()])],
+            vec![Column::Str(vec!["aa".into(), "bb".into(), "aa".into()].into())],
         );
         let good = t.encode();
         assert_eq!(Table::try_decode(good.clone()).unwrap(), t);
@@ -929,7 +932,7 @@ mod tests {
         let states: Vec<String> = (0..100).map(|i| names[i % 3].to_string()).collect();
         let t = Table::new(
             Schema::new(&[("st", DataType::Str)]),
-            vec![Column::Str(states)],
+            vec![Column::Str(states.into())],
         );
         let v1 = crate::reference::encode_reference(&t);
         let v2 = t.encode();

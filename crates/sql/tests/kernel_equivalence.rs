@@ -89,10 +89,10 @@ fn arb_table(max_rows: usize) -> impl Strategy<Value = Table> {
                     ("x", DataType::F64),
                 ]),
                 vec![
-                    Column::I64(k),
-                    Column::Str(s),
-                    Column::I64(v),
-                    Column::F64(x),
+                    Column::I64(k.into()),
+                    Column::Str(s.into()),
+                    Column::I64(v.into()),
+                    Column::F64(x.into()),
                 ],
             )
         })
@@ -252,7 +252,7 @@ fn five_query_sweep_matches_reference_interpreter() {
 fn dict_codec_rejects_corruption() {
     let t = Table::new(
         Schema::new(&[("s", DataType::Str)]),
-        vec![Column::Str(vec!["alpha".into(), "beta".into(), "alpha".into()])],
+        vec![Column::Str(vec!["alpha".into(), "beta".into(), "alpha".into()].into())],
     );
     let good = t.encode();
     prop_assert_roundtrip(&t, &good);
@@ -426,4 +426,35 @@ fn mutated_frames_never_panic_or_over_allocate() {
             decode_hostile(&spliced, &format!("frame {f} splice {head}+{tail}"));
         }
     }
+}
+
+/// Slicing, projecting and range-gathering a base table share its
+/// buffers: each holds at most 8 KB of heap however large the table is
+/// (`catalog_sales` at sf 0.5 is over 1 MB). Extending a slice copies on
+/// write, so the base table and the other slices keep their rows.
+#[test]
+fn slices_share_the_base_tables_buffers() {
+    use ditto_sql::datagen::{Database, ScaleConfig};
+    use ditto_sql::SelVec;
+    let db = Database::generate(ScaleConfig::with_sf(0.5));
+    let t = db.table("catalog_sales");
+    assert!(t.byte_size() > 1 << 20, "{} bytes", t.byte_size());
+    let names: Vec<&str> = t.schema.fields.iter().rev().map(|f| f.name.as_str()).collect();
+    let (rows, third) = (t.num_rows(), t.num_rows() / 3);
+    let (mut parts, split) = peak_heap(|| t.split(6));
+    let (_, project) = peak_heap(|| t.project(&names));
+    let (range, gather) = peak_heap(|| t.gather(&SelVec::Range { start: third, len: third }));
+    for (what, held) in [("split(6)", split), ("project", project), ("gather", gather)] {
+        assert!(held <= 8 << 10, "{what} held {held} bytes of heap");
+    }
+    let expect = refimpl::split_reference(t, 6);
+    assert_eq!(parts, expect);
+    assert_eq!(range, t.take(&(third..2 * third).collect::<Vec<_>>()));
+
+    let last = parts[5].clone();
+    parts[0].extend(&last);
+    assert_eq!(parts[0], Table::concat(&[expect[0].clone(), last]).unwrap());
+    assert_eq!(parts[1..], expect[1..]);
+    assert_eq!(t.split(6), expect);
+    assert_eq!(t.num_rows(), rows);
 }

@@ -140,3 +140,21 @@ fn dop_one_everywhere_still_correct() {
     );
     triple_close(q16::result_triple(&out), q16::reference(&db), "q16 dop=1");
 }
+
+/// Kernel ≡ reference, visible to the root suite: every plan of
+/// `Query::all_extended()` gives the same table through the vectorized
+/// interpreter as through the retained row-at-a-time one (the root copy of
+/// `ditto-sql`'s `five_query_sweep_matches_reference_interpreter`).
+#[test]
+fn every_plan_matches_the_reference_interpreter() {
+    let db = Database::generate(ScaleConfig::with_sf(0.05));
+    for q in Query::all_extended() {
+        let plan = q.prepared_plan(&db);
+        assert_eq!(
+            plan.execute_reference(&db),
+            ditto::sql::reference::execute_plan_reference(&plan, &db),
+            "{} diverged from the reference interpreter",
+            q.name()
+        );
+    }
+}

@@ -17,7 +17,7 @@ fn arb_table() -> impl Strategy<Value = Table> {
             .prop_map(|(keys, vals)| {
                 Table::new(
                     Schema::new(&[("k", DataType::I64), ("v", DataType::F64)]),
-                    vec![Column::I64(keys), Column::F64(vals)],
+                    vec![Column::I64(keys.into()), Column::F64(vals.into())],
                 )
             })
     })
