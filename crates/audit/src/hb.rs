@@ -559,26 +559,6 @@ impl HbGraph {
         let (actor, seq) = self.actor_seq[a];
         self.clocks[b].get(actor).is_some_and(|&c| c >= seq)
     }
-
-    /// Count of edges per rule, in declaration order — the report's
-    /// one-line summary of what was actually constrained.
-    pub fn edge_counts(&self) -> Vec<(EdgeRule, usize)> {
-        let rules = [
-            EdgeRule::ProgramOrder,
-            EdgeRule::CommitToRead,
-            EdgeRule::StreamStartToRead,
-            EdgeRule::CommitToCompute,
-            EdgeRule::DetectToHeal,
-            EdgeRule::HealToRead,
-            EdgeRule::AcquireToRelease,
-            EdgeRule::SeamToRead,
-            EdgeRule::CommitToFetch,
-        ];
-        rules
-            .iter()
-            .map(|&r| (r, self.edges.iter().filter(|e| e.rule == r).count()))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 
-//! # ditto-audit — schedule certificates, determinism lint, race detection
+//! # ditto-audit — schedule certificates and race detection
 //!
-//! Three independent correctness tools for the Ditto reproduction:
+//! Three independent correctness guards for the Ditto reproduction; this
+//! crate holds the first and the third:
 //!
 //! 1. **The schedule auditor** ([`audit`]): a pure function
 //!    `audit(dag, time_model, cluster, schedule)` that re-derives the
@@ -16,11 +17,12 @@
 //!    rendered human-readable ([`AuditReport::render`]) or as JSON
 //!    ([`AuditReport::to_json`]).
 //!
-//! 2. **The determinism lint** ([`lint`], `cargo run -p ditto-audit
-//!    --bin ditto-lint`): a line scanner over the workspace's own
-//!    sources that flags nondeterminism and panic hazards in non-test
-//!    scheduler/exec code, with an `audit.allow` file for justified
-//!    sites.
+//! 2. **The determinism rules** live in the compiler, not here: clippy
+//!    lints configured by the workspace's `clippy.toml` and denied in the
+//!    crate roots they cover, with each justified site carrying an
+//!    `#[expect(clippy::…, reason = "…")]` (DESIGN.md §6f). The root
+//!    test `determinism_lint_is_clean_and_allowlist_is_current` runs
+//!    that clippy pass.
 //!
 //! 3. **The happens-before race checker** ([`hb`], [`race`],
 //!    `ditto-audit race <trace>`): rebuilds the intended ordering of an
@@ -56,7 +58,6 @@
 
 pub mod checks;
 pub mod hb;
-pub mod lint;
 pub mod race;
 pub mod report;
 

@@ -138,6 +138,10 @@ impl Scheduler for NimbleGroupScheduler {
                 colocated = groups.colocation_mask(ctx.dag);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "dop=1 per stage fits any cluster with C >= #stages; panics (documented) otherwise"
+        )]
         let plan = can_place(ctx.dag, &dop, &groups, ctx.resources, true)
             .expect("singleton fallback always placeable");
         Schedule {
@@ -172,6 +176,10 @@ impl Scheduler for NimbleDopScheduler {
             ctx.resources.total_free().max(1),
         );
         let groups = StageGroups::singletons(n);
+        #[expect(
+            clippy::expect_used,
+            reason = "NIMBLE dops are clamped to the budget before placement"
+        )]
         let plan = can_place(ctx.dag, &a.dop, &groups, ctx.resources, true)
             .expect("singleton configuration within C is placeable");
         Schedule {
@@ -237,6 +245,10 @@ impl Scheduler for EvenSplitScheduler {
         let fractional = vec![c as f64 / n as f64; n];
         let dop = round_dops(&fractional, c);
         let groups = StageGroups::singletons(n);
+        #[expect(
+            clippy::expect_used,
+            reason = "even split allocates exactly C slots across servers"
+        )]
         let plan = can_place(ctx.dag, &dop, &groups, ctx.resources, true)
             .expect("even split within C is placeable");
         Schedule {

@@ -185,6 +185,10 @@ impl DopWorkspace {
                 ws.rho = dag.stages().iter().map(|s| model.resource(s.id).rho).collect();
             }
             Objective::Jct => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "schedulers reject invalid DAGs at entry; topo_order only fails on cycles"
+                )]
                 let order = dag.topo_order().expect("scheduler requires a valid DAG");
                 ws.topo = order.iter().map(|s| s.0).collect();
                 ws.child_start.push(0);
@@ -401,6 +405,10 @@ fn round_dops_into(
     largest: &mut BinaryHeap<(u32, Reverse<u32>)>,
 ) -> u32 {
     dop.clear();
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "the paper's section 4.5 rounding: floor, then clamp to >= 1"
+    )]
     dop.extend(fractional.iter().map(|&f| (f.floor() as u32).max(1)));
     let budget = c.max(dop.len() as u32); // every stage needs ≥ 1 task regardless
     let mut sum: u32 = dop.iter().sum();

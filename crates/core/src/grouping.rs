@@ -105,6 +105,10 @@ impl StageGroups {
     /// in reverse order. O(1) per undone union.
     pub fn rollback_to(&mut self, token: usize) {
         while self.undo.len() > token {
+            #[expect(
+                clippy::expect_used,
+                reason = "undo log length was compared against the token on the previous line"
+            )]
             let e = self.undo.pop().expect("len > token");
             self.parent[e.child as usize] = e.child;
             if e.rank_bumped {
@@ -400,6 +404,10 @@ pub fn greedy_group_order(
                     .max_by(|&a, &b| heavier_edge(&w, a, b));
                 // Fall back to the globally heaviest remaining edge when the
                 // critical path is fully grouped already.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the surrounding loop runs only while ungrouped edges remain"
+                )]
                 let pick = pick.unwrap_or_else(|| {
                     (0..ne)
                         .map(|i| EdgeId(i as u32))

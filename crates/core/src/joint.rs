@@ -82,6 +82,10 @@ use ditto_dag::paths::{CriticalPathCache, DagWeights};
 use ditto_dag::{EdgeId, JobDag};
 use ditto_obs::{Recorder, SpanId, Track};
 use ditto_timemodel::JobTimeModel;
+#[expect(
+    clippy::disallowed_types,
+    reason = "import for the DoP memo below"
+)]
 use std::collections::hash_map::{Entry, HashMap};
 
 /// How the joint optimizer orders candidate edges each iteration
@@ -240,6 +244,10 @@ pub fn joint_optimize_with_stats(
 
     // DoP memo: bit-packed mask fingerprint → (rounded DoPs, Σ dop).
     // Sound because the DAG, model, objective and budget are fixed here.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "memo keyed by colocation-mask fingerprint; entry lookups only, never iterated"
+    )]
     let mut memo: HashMap<Vec<u64>, (Vec<u32>, u32)> = HashMap::new();
     memo.insert(index.words().to_vec(), (dop.clone(), ws.sum_dop()));
 
@@ -347,6 +355,10 @@ pub fn joint_optimize_with_stats(
                 // the first commit. `cp_edges` is the path under `w`.
                 let mut pick = None;
                 while jct_left > 0 {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "division guarded by the jct_left positivity check in the same expression"
+                    )]
                     let p = cp_edges
                         .iter()
                         .copied()
@@ -502,6 +514,10 @@ pub fn joint_optimize_with_stats(
         run_span,
         vec![],
     );
+    #[expect(
+        clippy::expect_used,
+        reason = "placement_verdict accepted this exact configuration before commit"
+    )]
     let plan = can_place_with(
         dag,
         &dop,

@@ -176,9 +176,15 @@ pub fn can_place_with(
         placement[s.index()] = Some(TaskPlacement::Spread(spread));
     }
 
-    Some(PlacementPlan {
-        stage_placement: placement.into_iter().map(|p| p.expect("all stages placed")).collect(),
-    })
+    #[expect(
+        clippy::expect_used,
+        reason = "every stage is either in a placed group or placed as a singleton by construction"
+    )]
+    let stage_placement = placement
+        .into_iter()
+        .map(|p| p.expect("all stages placed"))
+        .collect();
+    Some(PlacementPlan { stage_placement })
 }
 
 /// Reusable buffers for [`placement_verdict`], so the joint optimizer's
@@ -270,6 +276,10 @@ pub fn placement_verdict(
         // Whole-group placement failed; mirror the gather-decomposition
         // fallback. Internal edges of the group are exactly the mask-true
         // edges on its incident lists (possibly duplicated — harmless).
+        #[expect(
+            clippy::expect_used,
+            reason = "merged is set on the same branch that sets is_merged"
+        )]
         let (ra, rb) = if is_merged {
             (root, merged.expect("is_merged implies merged roots").1)
         } else {

@@ -218,6 +218,10 @@ pub fn joint_optimize_reference_with_stats(
         run_span,
         vec![],
     );
+    #[expect(
+        clippy::expect_used,
+        reason = "reference copy of the same invariant (kept verbatim for the equivalence oracle)"
+    )]
     let plan = can_place_with(
         dag,
         &assignment.dop,
@@ -296,6 +300,10 @@ impl MergeNode {
 /// `primary_child[stage] = Some(child)` (`None` for final stages).
 fn primary_children(dag: &JobDag, alpha: &[f64]) -> Vec<Option<StageId>> {
     // Longest α-weighted path from each stage to any sink.
+    #[expect(
+        clippy::expect_used,
+        reason = "schedulers reject invalid DAGs at entry; topo_order only fails on cycles"
+    )]
     let order = dag.topo_order().expect("scheduler requires a valid DAG");
     let n = dag.num_stages();
     let mut longest = vec![0.0_f64; n];
@@ -350,6 +358,10 @@ pub fn bottom_up_merge(dag: &JobDag, alpha: &[f64]) -> MergeNode {
         }
         // Merge sibling subtrees with the inter-path rule (Eq. 4)...
         let mut iter = feeders.iter();
+        #[expect(
+            clippy::expect_used,
+            reason = "guarded by feeders.is_empty() early-return two lines up"
+        )]
         let first = build(*iter.next().expect("feeders checked non-empty"), alpha, tree_parents);
         let upstream = iter.fold(first, |acc, &f| {
             let rhs = build(f, alpha, tree_parents);
@@ -374,6 +386,10 @@ pub fn bottom_up_merge(dag: &JobDag, alpha: &[f64]) -> MergeNode {
     // inter-merged.
     let finals = dag.final_stages();
     let mut iter = finals.iter();
+    #[expect(
+        clippy::expect_used,
+        reason = "JobDag::validate rejects empty DAGs, so there is at least one sink"
+    )]
     let first = build(*iter.next().expect("validated DAG is non-empty"), alpha, &tree_parents);
     iter.fold(first, |acc, &f| {
         let rhs = build(f, alpha, &tree_parents);
@@ -414,12 +430,20 @@ pub fn distribute(node: &MergeNode, d: f64, out: &mut [f64]) {
 /// The original [`crate::dop::round_dops`]: floor, at least one task per
 /// stage, then one full rescan for the largest DoP per slot taken back.
 pub fn round_dops_reference(fractional: &[f64], c: u32) -> Vec<u32> {
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "the same rounding in round_dops_reference (kept verbatim for the equivalence oracle)"
+    )]
     let mut dop: Vec<u32> = fractional.iter().map(|&f| (f.floor() as u32).max(1)).collect();
     let n = dop.len() as u32;
     let budget = c.max(n); // every stage needs ≥ 1 task regardless
     let mut sum: u32 = dop.iter().sum();
     while sum > budget {
         // Shrink the currently largest DoP (deterministic: first max).
+        #[expect(
+            clippy::expect_used,
+            reason = "round_dops_reference is only called with one entry per stage and DAGs are non-empty"
+        )]
         let (idx, _) = dop
             .iter()
             .enumerate()

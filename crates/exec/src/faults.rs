@@ -249,13 +249,6 @@ impl FaultPlan {
         self
     }
 
-    /// Append a seeded coordinator crash at journal record `at_record`
-    /// (builder style). Consumed by the journaled engine entry points.
-    pub fn and_coordinator_crash(mut self, at_record: u64) -> Self {
-        self.events.push(FaultEvent::CoordinatorCrash { at_record });
-        self
-    }
-
     /// Whether the plan injects anything at all.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()

@@ -135,6 +135,10 @@ pub fn simulate_queue(
 /// what keeps multi-job sweeps replayable across refactors (the race
 /// checker's schedule-space exploration assumes dispatch is a pure
 /// function of `free_at`).
+#[expect(
+    clippy::expect_used,
+    reason = "partition count is max(1, ..) a few lines up"
+)]
 pub(crate) fn fifo_pick(free_at: &[f64]) -> usize {
     free_at
         .iter()

@@ -363,6 +363,10 @@ impl LocalRuntime {
                         attempts: attempt + 1,
                     });
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "attempt loop exits via RecoveryPolicy::max_retries (RetriesExhausted); backoff capped at 5 ms per wait"
+                )]
                 std::thread::sleep(Duration::from_secs_f64(backoff));
                 attempt += 1;
                 continue;
@@ -374,6 +378,10 @@ impl LocalRuntime {
         let slow = self.faults.slowdown(s, t);
         if slow > 1.0 {
             // Stall the attempt observably (bounded wall time).
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "one-shot injected-straggler stall, not a loop; wall time capped at 10 ms"
+            )]
             std::thread::sleep(Duration::from_secs_f64(((slow - 1.0) * 1e-3).min(0.01)));
             if self.recovery.speculation {
                 // A clean backup copy supersedes the stalled original —

@@ -48,6 +48,10 @@ use ditto_obs::Recorder;
 /// assert!(metrics.jct > 0.0);
 /// assert_eq!(metrics.jct, trace.jct());
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "documented panicking wrapper; try_simulate is the fallible API"
+)]
 pub fn simulate(dag: &JobDag, schedule: &Schedule, gt: &GroundTruth) -> (ExecutionTrace, JobMetrics) {
     Engine::new(dag, schedule, gt).run().expect("schedule must be valid for its DAG")
 }

@@ -470,11 +470,6 @@ impl Recorder {
         self.inner.lock().spans.len()
     }
 
-    /// Number of events recorded so far.
-    pub fn event_count(&self) -> usize {
-        self.inner.lock().events.len()
-    }
-
     /// Snapshot the collected stream for export/analysis. The recorder
     /// keeps recording; later snapshots include earlier data.
     pub fn finish(&self) -> TraceData {

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// The determinism rules of DESIGN.md §6f, denied in non-test library code.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 //! # ditto-sql — a columnar mini analytics engine
 //!
@@ -29,13 +31,18 @@
 //!   (9 stages, two broadcast joins).
 
 pub mod column;
+// DET03 covers the kernels; the data generator, the query definitions and
+// the reference implementations are order-insensitive and exempt.
+#[allow(clippy::disallowed_methods)]
 pub mod datagen;
 pub mod dict;
 pub mod expr;
 pub mod hash;
 pub mod ops;
 pub mod plan;
+#[allow(clippy::disallowed_methods)]
 pub mod queries;
+#[allow(clippy::disallowed_methods)]
 pub mod reference;
 pub mod selvec;
 pub mod table;

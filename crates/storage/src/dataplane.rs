@@ -234,13 +234,6 @@ impl DataPlane {
         TransferModel::for_medium(self.medium_between(src_server, dst_server)).transfer_time(bytes)
     }
 
-    /// Record a (simulated or physical) transfer in the ledger. The
-    /// logical size defaults to the wire size; callers that know the
-    /// pre-encoding table size use [`Self::record_transfer_sized`].
-    pub fn record_transfer(&self, medium: Medium, bytes: u64) {
-        self.record_transfer_sized(medium, bytes, bytes);
-    }
-
     /// Record a transfer whose wire size (`bytes`) differs from the
     /// logical table size it carries (`logical_bytes`) — the codec's
     /// compression shows up as the gap between the two ledger columns.
@@ -393,6 +386,10 @@ impl DataPlane {
                             if attempt + 1 < policy.max_attempts
                                 && std::time::Instant::now() < deadline =>
                         {
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "recv_partition retry loop bounded by RetryPolicy::max_retries; jittered backoff capped at 50 ms per wait"
+                            )]
                             std::thread::sleep(Duration::from_secs_f64(
                                 policy.backoff(&key, attempt),
                             ));

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// The determinism rules of DESIGN.md §6f, denied in non-test library code.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 //! # ditto-storage — data exchange substrates
 //!

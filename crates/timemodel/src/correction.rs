@@ -53,12 +53,6 @@ impl StepCorrections {
         }
     }
 
-    /// Largest factor across the three steps — the headline drift number
-    /// recorded on replan records.
-    pub fn max_factor(&self) -> f64 {
-        self.read.max(self.compute).max(self.write)
-    }
-
     /// Factors clamped into `[lo, hi]` — defensive bound so one wild
     /// observation cannot push the corrected model into nonsense.
     pub fn clamped(&self, lo: f64, hi: f64) -> Self {

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// The determinism rules of DESIGN.md §6f, denied in non-test library code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::cast_sign_loss))]
 
 //! # ditto-timemodel — step-based execution time model (paper §4.1)
 //!

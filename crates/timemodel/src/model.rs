@@ -196,6 +196,10 @@ impl JobTimeModel {
     /// Serialize the fitted model to JSON — recurring jobs persist their
     /// fitted model between runs (the paper fits offline and reuses,
     /// updating "periodically as new job profiles are generated", §3).
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing a plain struct with derived Serialize cannot fail"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("model serializes")
     }

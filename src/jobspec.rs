@@ -44,13 +44,18 @@ pub struct StepSpec {
     pub beta: f64,
 }
 
+/// Finite and `>= 0`, as every step and resource parameter must be.
+fn finite_non_negative(x: f64) -> bool {
+    (0.0..f64::INFINITY).contains(&x)
+}
+
 impl StepSpec {
     fn to_step(self, kind: StepKind) -> Result<Step, SpecError> {
-        if self.alpha >= 0.0 && self.beta >= 0.0 {
+        if finite_non_negative(self.alpha) && finite_non_negative(self.beta) {
             Ok(Step::new(kind, self.alpha, self.beta))
         } else {
             Err(SpecError::Invalid(format!(
-                "{kind} step: alpha and beta must be >= 0 (alpha={}, beta={})",
+                "{kind} step: alpha and beta must be finite and >= 0 (alpha={}, beta={})",
                 self.alpha, self.beta
             )))
         }
@@ -202,6 +207,14 @@ impl JobSpec {
         if self.cluster.free_slots.is_empty() {
             return Err(SpecError::Invalid("cluster has no servers".into()));
         }
+        // Every stage needs at least one slot, or no schedule exists.
+        let slots: u64 = self.cluster.free_slots.iter().map(|&s| u64::from(s)).sum();
+        let n = self.stages.len();
+        if slots < n as u64 {
+            return Err(SpecError::Invalid(format!(
+                "{slots} free slots for {n} stages"
+            )));
+        }
         let objective = match self.objective.as_deref() {
             None | Some("jct") => Objective::Jct,
             Some("cost") => Objective::Cost,
@@ -251,11 +264,11 @@ impl JobSpec {
             .stages
             .iter()
             .map(|s| {
-                if s.rho >= 0.0 && s.sigma >= 0.0 {
+                if finite_non_negative(s.rho) && finite_non_negative(s.sigma) {
                     Ok(ResourceModel::new(s.rho, s.sigma))
                 } else {
                     Err(SpecError::Invalid(format!(
-                        "stage {:?}: rho and sigma must be >= 0",
+                        "stage {:?}: rho and sigma must be finite and >= 0",
                         s.name
                     )))
                 }
@@ -263,9 +276,9 @@ impl JobSpec {
             .collect::<Result<Vec<_>, SpecError>>()?;
         let mut model = JobTimeModel::new(&dag, stages, edges, resources);
         for (i, s) in self.stages.iter().enumerate() {
-            if s.scaling < 1.0 {
+            if !(1.0..f64::INFINITY).contains(&s.scaling) {
                 return Err(SpecError::Invalid(format!(
-                    "stage {:?}: scaling must be >= 1",
+                    "stage {:?}: scaling must be finite and >= 1",
                     s.name
                 )));
             }
@@ -455,6 +468,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_fewer_slots_than_stages() {
+        let example = include_str!("../examples/job_spec.json");
+        for slots in ["[1, 1]", "[0]"] {
+            let bad = example.replace("[24, 12, 8]", slots);
+            let spec = JobSpec::from_json(&bad).unwrap();
+            assert!(
+                matches!(spec.lower(), Err(SpecError::Invalid(_))),
+                "{slots}"
+            );
+            assert!(spec.schedule().is_err(), "{slots}");
+        }
+    }
+
+    #[test]
     fn rejects_bad_objective_and_scaling() {
         let spec = JobSpec::from_json(
             &sample_spec().replace("\"jct\"", "\"latency\""),
@@ -475,12 +502,12 @@ mod tests {
         assert!(cost > 0.0);
     }
 
-    /// `from_json` then `lower()` on hostile text: a value or a
+    /// `from_json` then `schedule()` on hostile text: a schedule or a
     /// `SpecError`, never a panic. Returns whether it lowered.
     fn lower_hostile(bytes: &[u8], what: &str) -> bool {
         let text = String::from_utf8_lossy(bytes);
         let lowered = std::panic::catch_unwind(|| {
-            JobSpec::from_json(&text).and_then(|spec| spec.lower().map(|_| ()))
+            JobSpec::from_json(&text).and_then(|spec| spec.schedule().map(|_| ()))
         });
         match lowered {
             Ok(result) => result.is_ok(),

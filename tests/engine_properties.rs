@@ -264,25 +264,72 @@ proptest! {
     }
 }
 
-/// CI's "Determinism lint" step, where tier-1 sees it: the workspace has
-/// no unallowed finding and `audit.allow` has no entry that matches
-/// nothing (a moved file leaves both behind at once).
+/// The determinism rules (DESIGN.md §6f), where tier-1 sees them: clippy
+/// passes every library target with each rule's lint denied in the crate
+/// roots it covers, so no site lacks its `#[expect(…, reason)]` and no
+/// `#[expect]` outlives its site (`unfulfilled_lint_expectations`). DET02
+/// has no clippy lint; a token check covers it.
 #[test]
 fn determinism_lint_is_clean_and_allowlist_is_current() {
-    use ditto::audit::lint::{lint_workspace, Allowlist};
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(root.join("audit.allow")).unwrap();
-    let mut allow = Allowlist::parse(&text).unwrap();
-    let findings = lint_workspace(root, &mut allow).unwrap();
-    let violations: Vec<String> =
-        findings.iter().filter(|f| !f.allowed).map(|f| f.to_string()).collect();
-    assert!(violations.is_empty(), "unallowed lint findings:\n{}", violations.join("\n"));
-    let stale: Vec<String> = allow
-        .stale()
-        .iter()
-        .map(|e| format!("{}|{}|{}", e.rule, e.path, e.needle))
-        .collect();
-    assert!(stale.is_empty(), "stale audit.allow entries:\n{}", stale.join("\n"));
+    let clippy = std::process::Command::new(env!("CARGO"))
+        .args(["clippy", "--workspace", "--lib", "--offline"])
+        .args(["--", "-D", "warnings"])
+        .current_dir(root)
+        .env(
+            "CARGO_TARGET_DIR",
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy"),
+        )
+        .output()
+        .unwrap();
+    assert!(
+        clippy.status.success(),
+        "clippy:\n{}",
+        String::from_utf8_lossy(&clippy.stderr)
+    );
+
+    let next_line = "a.partial_cmp(b)\n    .unwrap()";
+    let or_equal = "a.partial_cmp(&b).unwrap_or(Equal)";
+    assert!(partial_cmp_unwraps(next_line).eq([1]));
+    assert_eq!(partial_cmp_unwraps(or_equal).count(), 0);
+    let crates = std::fs::read_dir(root.join("crates")).unwrap();
+    let mut dirs: Vec<_> = crates.map(|c| c.unwrap().path().join("src")).collect();
+    dirs.push(root.join("src"));
+    let mut hits = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).unwrap();
+                hits.extend(partial_cmp_unwraps(&src).map(|l| format!("{}:{l}", path.display())));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "DET02: partial_cmp(..) unwrapped; use total_cmp:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// DET02: the 1-based line of every `partial_cmp(..)` followed, across
+/// any whitespace, by `.unwrap()` or `.expect(` (a panic on NaN).
+fn partial_cmp_unwraps(src: &str) -> impl Iterator<Item = usize> + '_ {
+    src.match_indices("partial_cmp(").filter_map(|(at, call)| {
+        let (mut end, mut depth) = (at + call.len(), 1);
+        while depth > 0 && end < src.len() {
+            match src.as_bytes()[end] {
+                b'(' => depth += 1,
+                b')' => depth -= 1,
+                _ => {}
+            }
+            end += 1;
+        }
+        let next = src[end..].trim_start();
+        let unwrapped = next.starts_with(".unwrap()") || next.starts_with(".expect(");
+        unwrapped.then(|| src[..at].matches('\n').count() + 1)
+    })
 }
 
 /// `figures -- race-smoke`, where tier-1 sees it: every fixed-seed traced
