@@ -12,13 +12,13 @@
 //! ```
 //!
 //! `sched` (and its CI subset `sched-smoke`) is not part of `all`: the
-//! full sweep times the from-scratch reference optimizer up to 1024
-//! stages, which is exactly the slow path the incremental rewrite
-//! retired.
+//! full sweep checks every row against the from-scratch reference
+//! optimizer up to 1024 stages, which is exactly the slow path the
+//! incremental rewrite retired.
 //!
 //! `--trace-out <path>` writes a Chrome trace_event file (load in
 //! <https://ui.perfetto.dev>) of the target's telemetry: scheduler spans
-//! for `sched` and `audit`, the adaptive 2×-drift exemplar (plus its
+//! for `audit`, the adaptive 2×-drift exemplar (plus its
 //! frozen-vs-adaptive diff and predictor scorecard) for `adapt`, and the
 //! fixed-seed traced fault experiment otherwise.
 //!
@@ -35,9 +35,9 @@ const ALL: [&str; 24] = [
 ];
 
 /// Targets only run by name: full sweeps and their CI-sized subsets.
-const BY_NAME: [&str; 10] = [
-    "sched", "sched-smoke", "sqlbench", "sqlbench-smoke", "adapt", "adapt-smoke", "crash",
-    "crash-smoke", "race", "race-smoke",
+const BY_NAME: [&str; 9] = [
+    "sched", "sched-smoke", "sqlbench", "adapt", "adapt-smoke", "crash", "crash-smoke", "race",
+    "race-smoke",
 ];
 
 fn usage_error(msg: &str) -> ! {
@@ -129,42 +129,27 @@ fn main() {
                 std::fs::write("BENCH_faults.json", write_json(&rows)).expect("write BENCH_faults.json");
                 println!("wrote BENCH_faults.json ({} rows)", rows.len());
             }
-            // Scheduler throughput: incremental joint_optimize vs the
-            // from-scratch reference. `sched` runs the full 16→1024-stage
-            // sweep; `sched-smoke` the CI subset (16/64/256). Both write
-            // BENCH_sched.json to the cwd; with `--trace-out` the
-            // bench.sched spans land in the Chrome trace.
+            // Scheduler loop counters of the incremental joint_optimize,
+            // each row checked against the from-scratch reference (a
+            // mismatch panics). `sched` runs the full 16→1024-stage sweep;
+            // `sched-smoke` the CI subset (16/64/256). Both write
+            // BENCH_sched.json (deterministic: byte-identical reruns).
             "sched" | "sched-smoke" => {
-                let obs = if trace_out.is_some() {
-                    ditto_obs::Recorder::new()
-                } else {
-                    ditto_obs::Recorder::disabled()
-                };
                 let sizes = if t == "sched" {
                     ditto_bench::sched_bench::SCHED_BENCH_SIZES
                 } else {
                     ditto_bench::sched_bench::SCHED_SMOKE_SIZES
                 };
-                let rows = ditto_bench::sched_bench_sizes(sizes, &obs);
+                let rows = ditto_bench::sched_bench_sizes(sizes);
                 emit(&rows, json);
                 std::fs::write("BENCH_sched.json", write_json(&rows)).expect("write BENCH_sched.json");
                 println!("wrote BENCH_sched.json ({} rows)", rows.len());
-                if let Some(path) = &trace_out {
-                    write_trace(path, &obs.finish(), "bench.sched scheduler spans");
-                    trace_consumed = true;
-                }
             }
-            // SQL data-plane benchmark: vectorized columnar kernels vs
-            // the retained row-at-a-time reference, plus the five query
-            // plans end to end through the LocalRuntime. `sqlbench` runs
-            // the 1M-row micros + sf-0.5 e2e tier; `sqlbench-smoke` the
-            // CI subset. Both write BENCH_sql.json.
-            "sqlbench" | "sqlbench-smoke" => {
-                let rows = if t == "sqlbench" {
-                    ditto_bench::sql_bench()
-                } else {
-                    ditto_bench::sql_bench_smoke()
-                };
+            // SQL data-plane byte accounting: the fused partition+encode
+            // row and the five query plans end to end through the
+            // LocalRuntime. Writes BENCH_sql.json (deterministic).
+            "sqlbench" => {
+                let rows = ditto_bench::sql_bench();
                 emit(&rows, json);
                 std::fs::write("BENCH_sql.json", write_json(&rows)).expect("write BENCH_sql.json");
                 println!("wrote BENCH_sql.json ({} rows)", rows.len());

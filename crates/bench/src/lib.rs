@@ -37,7 +37,7 @@ pub use crash::{crash_sweep, crash_sweep_smoke, traced_crash_recovery, CrashSwee
 pub use experiments::*;
 pub use race_sweep::{race_certify, race_explore, RaceExploreRow, RaceSweepRow};
 pub use report::{render_rows, write_json};
-pub use sched_bench::{sched_bench, sched_bench_sizes, sched_bench_smoke, SchedBenchRow};
+pub use sched_bench::{sched_bench_sizes, SchedBenchRow};
 pub use setup::{prepare, PreparedQuery, VOLUME_SCALE};
-pub use sql_bench::{sql_bench, sql_bench_smoke, sql_bench_with, SqlBenchRow};
+pub use sql_bench::{sql_bench, SqlBenchRow};
 pub use telemetry::{traced_fault_run, TracedRun};

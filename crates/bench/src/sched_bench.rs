@@ -1,38 +1,27 @@
-//! Scheduler-throughput benchmark: incremental `joint_optimize` vs the
-//! preserved from-scratch reference, swept over `random_dag` sizes.
+//! Scheduler loop counters: incremental `joint_optimize` swept over
+//! `random_dag` sizes, each run checked against the preserved
+//! from-scratch reference.
 //!
-//! For each DAG size and objective the sweep times both implementations
+//! For each DAG size and objective the sweep runs both implementations
 //! on the *same* DAG and cluster (8 servers, `stages/4` slots each, so
-//! the slot budget `C = 2·stages` scales with the job), reporting the
-//! median per-call scheduling latency, the candidate-evaluation count
-//! and the DoP-memo hit count from [`JointStats`]. The two
-//! implementations are bit-identical by contract (see
-//! `crates/core/tests/joint_equivalence.rs`); this sweep measures only
-//! how much work each does to arrive at the same schedule.
-//!
-//! At the sizes in [`DOP_BENCH_SIZES`] the sweep also times one DoP ratio
-//! computing call — what the optimizer pays per never-seen co-location
-//! mask — on the same DAG: the flat [`DopWorkspace`] kernel against the
-//! tree-building `compute_dop_reference` (rows `dop_flat` /
-//! `dop_reference`, loop counters zero).
-//!
-//! Each timed loop is wrapped in a `bench.sched` span on the recorder
-//! passed in (scheduler track, lane 1), carrying the implementation,
-//! size, objective and measured median as attributes — run
-//! `figures -- sched --trace-out sched_trace.json` to see the
-//! reference/incremental duration gap side by side in Perfetto.
+//! the slot budget `C = 2·stages` scales with the job) and reports the
+//! incremental run's [`JointStats`]: commit rounds, candidates evaluated,
+//! commits and DoP-memo hits. The two implementations are bit-identical
+//! by contract (see `crates/core/tests/joint_equivalence.rs`); the sweep
+//! panics if the reference's schedule or loop shape differs, which makes
+//! it the equivalence check at 256–1024 stages. Every row is
+//! deterministic, so `BENCH_sched.json` repeats byte for byte. Wall-clock
+//! scheduler cost is measured by `ditto-benchmark` (`sched_wide_*`,
+//! `core.joint_jct_512_ms`), not here.
 
 use ditto_cluster::ResourceManager;
-use ditto_core::dop::DopWorkspace;
-use ditto_core::reference::{compute_dop_reference, joint_optimize_reference_with_stats};
-use ditto_core::{joint_optimize_with_stats, JointOptions, JointStats, Objective};
+use ditto_core::reference::joint_optimize_reference_with_stats;
+use ditto_core::{joint_optimize_with_stats, JointOptions, JointStats, Objective, Schedule};
 use ditto_dag::generators::{random_dag, RandomDagConfig};
-use ditto_dag::JobDag;
-use ditto_obs::{Recorder, Track};
+use ditto_obs::Recorder;
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
 use serde::Serialize;
-use std::time::Instant;
 
 /// The full sweep behind `BENCH_sched.json`. 192 — the shape of the
 /// benchmark's `sched_wide_*` workloads, cluster included — is appended,
@@ -40,12 +29,11 @@ use std::time::Instant;
 /// five older sizes keep their DAGs (and so their loop counters) across
 /// commits.
 pub const SCHED_BENCH_SIZES: &[usize] = &[16, 64, 256, 512, 1024, 192];
-/// Sizes that also get per-call DoP ratio computing rows.
-pub const DOP_BENCH_SIZES: &[usize] = &[192, 512, 1024];
-/// The CI smoke subset (debug-friendly sizes; see `.github/workflows`).
+/// The CI smoke subset: the first three sizes of the full sweep, so their
+/// rows equal the committed file's first rows.
 pub const SCHED_SMOKE_SIZES: &[usize] = &[16, 64, 256];
 
-/// One `(size, objective, implementation)` measurement.
+/// One `(size, objective)` row: the incremental optimizer's loop counters.
 #[derive(Debug, Clone, Serialize)]
 pub struct SchedBenchRow {
     /// Stages in the random DAG.
@@ -54,12 +42,6 @@ pub struct SchedBenchRow {
     pub edges: usize,
     /// `jct` or `cost`.
     pub objective: String,
-    /// `reference` (from-scratch) or `incremental` for `joint_optimize`
-    /// rows; `dop_reference` (merge tree) or `dop_flat` (workspace) for
-    /// the per-call DoP ratio computing rows.
-    pub implementation: String,
-    /// Median wall-clock latency of one call, in µs.
-    pub median_micros: f64,
     /// Commit rounds of Algorithm 3.
     pub rounds: usize,
     /// Candidate edges evaluated across all rounds.
@@ -68,20 +50,6 @@ pub struct SchedBenchRow {
     pub commits: usize,
     /// Candidate evaluations that skipped `compute_dop`.
     pub dop_memo_hits: usize,
-    /// `reference median / this median` on the same (size, objective,
-    /// kernel); 1.0 for the reference rows themselves.
-    pub speedup_vs_reference: f64,
-}
-
-/// Timed repetitions per call, scaled down as the DAG grows (the
-/// reference implementation is the budget: O(minutes) at 1024 stages).
-fn iters_for(stages: usize) -> usize {
-    match stages {
-        0..=64 => 9,
-        65..=256 => 5,
-        257..=512 => 3,
-        _ => 1,
-    }
 }
 
 /// The benchmark cluster for an `n`-stage job: 8 servers with `n/4`
@@ -92,215 +60,160 @@ fn bench_cluster(stages: usize) -> ResourceManager {
     ResourceManager::from_free_slots(vec![(stages as u32 / 4).max(4); 8])
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_unstable_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn timed<F: FnMut() -> JointStats>(
-    iters: usize,
-    obs: &Recorder,
-    implementation: &'static str,
-    stages: usize,
-    objective: &'static str,
-    mut call: F,
-) -> (f64, JointStats) {
-    let span = obs.begin(
-        "bench.sched",
-        Track::scheduler(1),
-        obs.wall_now(),
-        ditto_obs::SpanId::NONE,
-        vec![
-            ("impl", implementation.into()),
-            ("stages", (stages as u64).into()),
-            ("objective", objective.into()),
-            ("iters", (iters as u64).into()),
-        ],
+/// Panics unless the reference reproduced the incremental run: the same
+/// schedule, field for field, and the same loop shape.
+fn assert_same_run(
+    incremental: &(Schedule, JointStats),
+    reference: &(Schedule, JointStats),
+    ctx: &str,
+) {
+    let ((a, sa), (b, sb)) = (incremental, reference);
+    assert_eq!(a.dop, b.dop, "dop diverged: {ctx}");
+    assert_eq!(a.groups, b.groups, "groups diverged: {ctx}");
+    assert_eq!(a.group_of, b.group_of, "group_of diverged: {ctx}");
+    assert_eq!(a.colocated, b.colocated, "colocated diverged: {ctx}");
+    assert_eq!(a.placement, b.placement, "placement diverged: {ctx}");
+    assert_eq!(
+        (sa.rounds, sa.candidates, sa.commits),
+        (sb.rounds, sb.candidates, sb.commits),
+        "(rounds, candidates, commits) diverged: {ctx}"
     );
-    let mut samples = Vec::with_capacity(iters);
-    let mut stats = JointStats::default();
-    for _ in 0..iters {
-        let start = Instant::now();
-        stats = call();
-        samples.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-    let med = median(&mut samples);
-    obs.observe("bench.sched.micros", implementation, med);
-    obs.end(span, obs.wall_now());
-    (med, stats)
 }
 
-/// Median µs of one DoP ratio computing call per implementation —
-/// `(tree reference, flat workspace)` — cycling through co-location masks
-/// of different densities the way the optimizer's candidates do.
-fn dop_call_micros(dag: &JobDag, model: &JobTimeModel, objective: Objective, c: u32) -> (f64, f64) {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xd09);
-    let masks: Vec<Vec<bool>> = (0..8)
-        .map(|i| (0..dag.num_edges()).map(|_| rng.gen_bool(i as f64 / 8.0)).collect())
-        .collect();
-    let per_call = |calls: usize, call: &mut dyn FnMut(&[bool])| {
-        let mut samples: Vec<f64> = (0..7)
-            .map(|_| {
-                let start = Instant::now();
-                for k in 0..calls {
-                    call(&masks[k % masks.len()]);
-                }
-                start.elapsed().as_secs_f64() * 1e6 / calls as f64
-            })
-            .collect();
-        median(&mut samples)
-    };
-    let tree = per_call(64, &mut |mask| {
-        std::hint::black_box(compute_dop_reference(dag, model, mask, objective, c));
-    });
-    let mut ws = DopWorkspace::new(dag, model, objective, c);
-    let flat = per_call(512, &mut |mask| {
-        ws.compute(mask);
-        std::hint::black_box(ws.sum_dop());
-    });
-    (tree, flat)
-}
-
-/// Run the sweep over `sizes`, recording `bench.sched` spans on `obs`.
-pub fn sched_bench_sizes(sizes: &[usize], obs: &Recorder) -> Vec<SchedBenchRow> {
-    obs.name_track(Track::SCHEDULER_GROUP, "scheduler");
+/// Run the sweep over `sizes`: one row per (size, objective), each
+/// asserted equal to the reference on the same input.
+pub fn sched_bench_sizes(sizes: &[usize]) -> Vec<SchedBenchRow> {
     let opts = JointOptions::default();
+    let off = Recorder::disabled();
     let mut rows = Vec::new();
     for (i, &stages) in sizes.iter().enumerate() {
         let dag = random_dag(0xd177 + i as u64, &RandomDagConfig::sized(stages));
         let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
         let rm = bench_cluster(stages);
-        let iters = iters_for(stages);
         for (objective, obj_name) in [(Objective::Jct, "jct"), (Objective::Cost, "cost")] {
-            let off = Recorder::disabled();
-            let (ref_med, ref_stats) = timed(iters, obs, "reference", stages, obj_name, || {
-                let (s, stats) =
-                    joint_optimize_reference_with_stats(&dag, &model, &rm, objective, &opts, &off);
-                std::hint::black_box(s);
-                stats
+            let incremental = joint_optimize_with_stats(&dag, &model, &rm, objective, &opts, &off);
+            let reference =
+                joint_optimize_reference_with_stats(&dag, &model, &rm, objective, &opts, &off);
+            assert_same_run(
+                &incremental,
+                &reference,
+                &format!("{stages} stages, {obj_name}"),
+            );
+            let stats = incremental.1;
+            rows.push(SchedBenchRow {
+                stages,
+                edges: dag.num_edges(),
+                objective: obj_name.to_string(),
+                rounds: stats.rounds,
+                candidates: stats.candidates,
+                commits: stats.commits,
+                dop_memo_hits: stats.dop_memo_hits,
             });
-            let (inc_med, inc_stats) = timed(iters, obs, "incremental", stages, obj_name, || {
-                let (s, stats) =
-                    joint_optimize_with_stats(&dag, &model, &rm, objective, &opts, &off);
-                std::hint::black_box(s);
-                stats
-            });
-            let mut measured = vec![
-                ("reference", ref_med, ref_stats, 1.0),
-                ("incremental", inc_med, inc_stats, ref_med / inc_med),
-            ];
-            if DOP_BENCH_SIZES.contains(&stages) {
-                let (tree, flat) = dop_call_micros(&dag, &model, objective, rm.total_free());
-                measured.push(("dop_reference", tree, JointStats::default(), 1.0));
-                measured.push(("dop_flat", flat, JointStats::default(), tree / flat));
-            }
-            for (implementation, med, stats, speedup) in measured {
-                rows.push(SchedBenchRow {
-                    stages,
-                    edges: dag.num_edges(),
-                    objective: obj_name.to_string(),
-                    implementation: implementation.to_string(),
-                    median_micros: med,
-                    rounds: stats.rounds,
-                    candidates: stats.candidates,
-                    commits: stats.commits,
-                    dop_memo_hits: stats.dop_memo_hits,
-                    speedup_vs_reference: speedup,
-                });
-            }
         }
     }
     rows
 }
 
-/// The full sweep (16 → 1024 stages, both objectives, both
-/// implementations, plus the per-call DoP rows) — the source of
-/// `BENCH_sched.json`.
-pub fn sched_bench() -> Vec<SchedBenchRow> {
-    sched_bench_sizes(SCHED_BENCH_SIZES, &Recorder::disabled())
-}
-
-/// The CI smoke sweep (16/64/256 stages).
-pub fn sched_bench_smoke() -> Vec<SchedBenchRow> {
-    sched_bench_sizes(SCHED_SMOKE_SIZES, &Recorder::disabled())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::write_json;
 
-    /// The sweep produces one row per (size, objective, implementation)
-    /// and both implementations agree on the loop-shape counters (they
-    /// evaluate the identical candidate sequence).
+    /// One row per (size, objective), and two runs serialize to the same
+    /// bytes.
     #[test]
-    fn smoke_rows_are_complete_and_loop_shapes_agree() {
+    fn sweep_rows_are_complete_and_repeat_byte_for_byte() {
         let sizes = [16usize, 48];
-        let rows = sched_bench_sizes(&sizes, &Recorder::disabled());
-        assert_eq!(rows.len(), sizes.len() * 2 * 2);
-        for pair in rows.chunks(2) {
-            let (r, i) = (&pair[0], &pair[1]);
-            assert_eq!(r.implementation, "reference");
-            assert_eq!(i.implementation, "incremental");
-            assert_eq!((r.stages, &r.objective), (i.stages, &i.objective));
-            assert_eq!(r.rounds, i.rounds, "{}/{}", r.stages, r.objective);
-            assert_eq!(r.candidates, i.candidates, "{}/{}", r.stages, r.objective);
-            assert_eq!(r.commits, i.commits, "{}/{}", r.stages, r.objective);
-            assert!(i.speedup_vs_reference > 0.0);
-            assert!(r.candidates >= r.commits);
+        let rows = sched_bench_sizes(&sizes);
+        assert_eq!(rows.len(), sizes.len() * 2);
+        for r in &rows {
+            assert!(r.candidates >= r.commits, "{}/{}", r.stages, r.objective);
+            assert!(r.rounds > 0, "{}/{}", r.stages, r.objective);
         }
+        assert_eq!(write_json(&rows), write_json(&sched_bench_sizes(&sizes)));
     }
 
-    /// The wrapper spans land on the recorder: one `bench.sched` span
-    /// per measurement, tagged with the implementation.
-    #[test]
-    fn bench_spans_are_recorded() {
-        let obs = Recorder::new();
-        let rows = sched_bench_sizes(&[16], &obs);
-        let data = obs.finish();
-        let spans: Vec<_> = data
-            .spans
-            .iter()
-            .filter(|s| s.name == "bench.sched")
+    /// Median wall-clock µs of one `call`, over `iters` calls.
+    #[cfg(not(debug_assertions))]
+    fn median_micros(iters: usize, mut call: impl FnMut()) -> f64 {
+        let mut samples: Vec<f64> = (0..iters)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                call();
+                start.elapsed().as_secs_f64() * 1e6
+            })
             .collect();
-        assert_eq!(spans.len(), rows.len());
-        assert!(spans
-            .iter()
-            .all(|s| s.attr("impl").is_some() && s.end.is_finite()));
+        samples.sort_unstable_by(f64::total_cmp);
+        samples[samples.len() / 2]
     }
 
     /// The headline claim, at a conservative threshold: at 512 stages the
-    /// incremental optimizer is ≥3× faster than the reference (the ISSUE
-    /// targets ≥10×; release runs land far above 3×, debug builds skew
-    /// constant factors so the assertion is release-only).
+    /// incremental optimizer is ≥3× faster than the reference (release
+    /// runs land far above 3×; debug builds skew constant factors so the
+    /// assertion is release-only). A same-machine ratio, so machine speed
+    /// cancels.
     #[cfg(not(debug_assertions))]
     #[test]
     fn incremental_is_at_least_3x_faster_at_512_stages() {
-        let rows = sched_bench_sizes(&[512], &Recorder::disabled());
-        let joint: Vec<_> = rows.iter().filter(|r| !r.implementation.starts_with("dop_")).collect();
-        for pair in joint.chunks(2) {
-            let (r, i) = (pair[0], pair[1]);
+        let dag = random_dag(0xd177, &RandomDagConfig::sized(512));
+        let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
+        let rm = bench_cluster(512);
+        let (opts, off) = (JointOptions::default(), Recorder::disabled());
+        for objective in [Objective::Jct, Objective::Cost] {
+            let reference = median_micros(3, || {
+                std::hint::black_box(joint_optimize_reference_with_stats(
+                    &dag, &model, &rm, objective, &opts, &off,
+                ));
+            });
+            let incremental = median_micros(3, || {
+                std::hint::black_box(joint_optimize_with_stats(
+                    &dag, &model, &rm, objective, &opts, &off,
+                ));
+            });
             assert!(
-                i.speedup_vs_reference >= 3.0,
-                "{}: reference {:.0}µs vs incremental {:.0}µs (speedup {:.1}×)",
-                r.objective,
-                r.median_micros,
-                i.median_micros,
-                i.speedup_vs_reference
+                reference >= 3.0 * incremental,
+                "{objective}: reference {reference:.0}µs vs incremental {incremental:.0}µs ({:.1}×)",
+                reference / incremental
             );
         }
     }
 
     /// The flat DoP kernel's claim, as a same-machine ratio: at 192 stages
     /// under JCT one call costs at most a third of the tree version's
-    /// (measured ≈7×; a ratio, so machine speed cancels).
+    /// (measured ≈7×), cycling through co-location masks of different
+    /// densities the way the optimizer's candidates do.
     #[cfg(not(debug_assertions))]
     #[test]
     fn flat_dop_kernel_is_at_least_3x_faster_per_call_at_192_stages() {
+        use ditto_core::dop::DopWorkspace;
+        use ditto_core::reference::compute_dop_reference;
+        use rand::{Rng, SeedableRng};
         let dag = random_dag(1, &RandomDagConfig::sized(192));
         let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
         let c = bench_cluster(192).total_free();
-        let (tree, flat) = dop_call_micros(&dag, &model, Objective::Jct, c);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xd09);
+        let masks: Vec<Vec<bool>> = (0..8)
+            .map(|i| {
+                (0..dag.num_edges())
+                    .map(|_| rng.gen_bool(i as f64 / 8.0))
+                    .collect()
+            })
+            .collect();
+        let per_call = |calls: usize, call: &mut dyn FnMut(&[bool])| {
+            median_micros(7, || {
+                for k in 0..calls {
+                    call(&masks[k % masks.len()]);
+                }
+            }) / calls as f64
+        };
+        let tree = per_call(64, &mut |mask| {
+            std::hint::black_box(compute_dop_reference(&dag, &model, mask, Objective::Jct, c));
+        });
+        let mut ws = DopWorkspace::new(&dag, &model, Objective::Jct, c);
+        let flat = per_call(512, &mut |mask| {
+            ws.compute(mask);
+            std::hint::black_box(ws.sum_dop());
+        });
         assert!(
             tree >= 3.0 * flat,
             "tree {tree:.2}µs vs flat {flat:.2}µs per call ({:.1}×)",

@@ -13,7 +13,13 @@ fn figures(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_targets_and_flags_exit_2_before_running_anything() {
-    for args in [&["bogus"][..], &["regress"], &["telemetry"], &["--record-only", "fig13"]] {
+    for args in [
+        &["bogus"][..],
+        &["regress"],
+        &["telemetry"],
+        &["sqlbench-smoke"],
+        &["--record-only", "fig13"],
+    ] {
         let out = figures(args);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");

@@ -10,7 +10,7 @@
 //! for unit-scale DAGs, quadratic-to-cubic pain at hundreds of stages. The
 //! incremental rewrite in [`crate::joint`] must produce **bit-identical**
 //! schedules; the property tests in `core/tests/joint_equivalence.rs` and
-//! the `sched_bench` suite hold it to that.
+//! the `figures -- sched` sweep (up to 1024 stages) hold it to that.
 //!
 //! [`compute_dop_reference`] is Algorithm 1 as first implemented: a fresh
 //! topological order and spanning in-forest per call, a boxed [`MergeNode`]
