@@ -1,11 +1,11 @@
 //! Happens-before graph over a `ditto-obs` event stream.
 //!
-//! The executor (and the storage dataplane) emit `hb.*` instant events
-//! alongside the regular telemetry: one `hb.write` per surviving task
-//! output, one `hb.read` per (consumer task, in-edge), matched
-//! `hb.slot_acquire`/`hb.slot_release` pairs per slot-occupancy
-//! interval, `hb.seam` markers at applied replan splices, and
-//! `hb.object_commit`/`hb.object_fetch` for dataplane objects. Lineage
+//! The executor emits `hb.*` instant events alongside the regular
+//! telemetry: one `hb.write` per surviving task output, one `hb.read` per
+//! (consumer task, in-edge), matched `hb.slot_acquire`/`hb.slot_release`
+//! pairs per slot-occupancy interval, and `hb.seam` markers at applied
+//! replan splices. `hb.object_commit`/`hb.object_fetch` for storage
+//! objects come only from imported traces: no engine emits them. Lineage
 //! recovery reuses the existing `fault.object_lost`/`fault.object_corrupt`
 //! (detection) and `recovery.lineage_reexec` (heal) events.
 //!

@@ -29,11 +29,10 @@
 //! drift and no object faults it is **bit-identical** to the frozen run,
 //! the property the `adaptive_properties` suite pins down.
 //!
-//! Escalation ladder (DESIGN.md §6g): storage read retry → lineage
-//! re-execution of the producing task (both inside `sim_stage`; the
-//! recovery wait inflates the stage's observed *read* step) → suffix
-//! replan (this module, when the inflation leaves the band) → typed
-//! failure.
+//! Escalation ladder (DESIGN.md §6g): lineage re-execution of the
+//! producing task (inside `sim_stage`; the recovery wait inflates the
+//! stage's observed *read* step) → suffix replan (this module, when the
+//! inflation leaves the band) → typed failure.
 
 use crate::error::ExecError;
 use crate::faults::{finish_pass, ReschedulingContext, SimPass, SimState};

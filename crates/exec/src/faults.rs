@@ -558,11 +558,11 @@ pub struct FaultStats {
     pub object_losses: u32,
     /// Intermediate objects that failed checksum verification on read.
     pub object_corruptions: u32,
-    /// Producer tasks re-executed through the lineage index to regenerate
-    /// lost or corrupt objects.
+    /// Producer tasks re-executed to regenerate lost or corrupt objects.
     pub lineage_reexecs: u32,
-    /// Storage-read retry attempts beyond the first, across the data
-    /// plane's bounded-retry loop (physical runtime only).
+    /// Always 0: no engine re-reads a missing or corrupt object (lineage
+    /// re-execution heals it at once). Kept for the journal's `FaultStats`
+    /// encoding and the benchmark's `storage.read_retries`.
     pub storage_retries: u64,
 }
 

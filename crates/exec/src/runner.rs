@@ -15,7 +15,9 @@
 //! next stage. A schedule slot is what the schedule places and accounts
 //! (server, [`TaskRecord`], medium per edge) — not an OS thread. Any
 //! `W ≥ 1` is deadlock-free: a task launches only after its inputs are
-//! committed and sends never block, so no task waits on a sibling.
+//! committed and neither sends nor reads ever block, so no task waits on
+//! a sibling. A partition a reader does not find is therefore lost, not
+//! late: the reader re-runs its producer (lineage re-execution) at once.
 //!
 //! Reports fold in task order whichever worker finished first, so the
 //! answer, the monitor rows, the attempt log and the journal do not
@@ -43,19 +45,11 @@ use ditto_cluster::{RuntimeMonitor, ServerId, TaskRecord};
 use ditto_core::Schedule;
 use ditto_dag::{EdgeKind, JobDag, StageId};
 use ditto_sql::{Database, QueryPlan, StageOp, Table};
-use ditto_storage::{partition_key, DataPlane, ReadRetryPolicy, StoreError, TransferLedger};
+use ditto_storage::{partition_key, DataPlane, StoreError, TransferLedger};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Receive timeout per partition.
-const RECV_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Inputs gathered for one task: tables keyed by upstream stage name,
-/// total bytes read, and the external partition keys read (the task's
-/// lineage).
-type GatheredInputs = (BTreeMap<String, Table>, u64, Vec<String>);
 
 /// What one task hands the stage barrier, which folds the reports in task
 /// order — a task shares no mutable state with its siblings.
@@ -82,7 +76,7 @@ pub struct RunOutput {
     pub result: Table,
     /// Wall-clock duration of the run, seconds.
     pub wall_seconds: f64,
-    /// Data-plane accounting (bytes per medium, persistence cost).
+    /// Data-plane accounting (wire and logical bytes per medium).
     pub ledger: TransferLedger,
     /// Per-task runtime records.
     pub monitor: Arc<RuntimeMonitor>,
@@ -205,16 +199,6 @@ impl LocalRuntime {
         if let Some(j) = session.as_deref_mut() {
             j.begin(dag, EngineKind::Runner, schedule, &ditto_obs::Recorder::disabled())?;
         }
-        // One knob bounds both recovery paths: the storage read-retry
-        // policy is derived from the task-level RecoveryPolicy, so a run
-        // configured for N task retries also gets bounded, backed-off
-        // external reads (wall waits capped like the task backoff above).
-        dataplane.set_read_retry(ReadRetryPolicy {
-            max_attempts: self.recovery.max_retries.saturating_add(1).clamp(1, 64),
-            backoff_base: self.recovery.backoff_base.clamp(50e-6, 0.005),
-            ..ReadRetryPolicy::default()
-        });
-        let read_base = dataplane.read_stats();
         let cx = &TaskCtx {
             plan,
             db,
@@ -271,13 +255,6 @@ impl LocalRuntime {
             }
             Ok::<_, ExecError>(())
         })?;
-
-        // Surface the (formerly invisible) storage read-retry accounting
-        // alongside the task-level fault accounting.
-        fault_stats.storage_retries = dataplane
-            .read_stats()
-            .extra_attempts
-            .saturating_sub(read_base.extra_attempts);
         Ok(RunOutput {
             result: plan.combine_final(&final_partials),
             wall_seconds: cx.job_start.elapsed().as_secs_f64(),
@@ -312,7 +289,7 @@ impl LocalRuntime {
 
         // ---- gather inputs (healing injected object faults) ----
         let read_t0 = Instant::now();
-        let (inputs, bytes_read, input_keys) = self.gather_inputs(cx, s, t, Some(&mut stats))?;
+        let (inputs, bytes_read) = self.gather_inputs(cx, s, t, Some(&mut stats))?;
         let read_secs = read_t0.elapsed().as_secs_f64();
 
         // Nominal function footprint for wasted-work billing, mirroring
@@ -399,7 +376,7 @@ impl LocalRuntime {
 
         // ---- scatter outputs ----
         let write_t0 = Instant::now();
-        let bytes_written = self.scatter_outputs(cx, s, t, &out, &input_keys, false)?;
+        let bytes_written = self.scatter_outputs(cx, s, t, &out, false)?;
         let write_secs = write_t0.elapsed().as_secs_f64();
 
         let end = job_start.elapsed().as_secs_f64();
@@ -451,20 +428,18 @@ impl LocalRuntime {
     /// failures surface directly: deeper loss escalates as a typed error
     /// instead of recursing.
     ///
-    /// Returns `(inputs by upstream stage name, bytes read, external
-    /// partition keys read)` — the key list is this task's lineage.
+    /// Returns the inputs by upstream stage name and the bytes read.
     fn gather_inputs(
         &self,
         cx: &TaskCtx<'_>,
         s: StageId,
         t: u32,
         mut heal: Option<&mut FaultStats>,
-    ) -> Result<GatheredInputs, ExecError> {
+    ) -> Result<(BTreeMap<String, Table>, u64), ExecError> {
         let dag = &cx.plan.dag;
         let my_server = cx.server(s, t);
         let mut inputs: BTreeMap<String, Table> = BTreeMap::new();
         let mut bytes_read = 0u64;
-        let mut input_keys: Vec<String> = Vec::new();
         let missing = |detail: String| ExecError::MissingInput {
             stage: s.0,
             task: t,
@@ -477,8 +452,14 @@ impl LocalRuntime {
                 let src_server = cx.server(e.src, ut);
                 let external = src_server != my_server;
                 let recv = || {
-                    cx.dataplane
-                        .recv_partition(e.id.0, ut, t, src_server, my_server, RECV_TIMEOUT)
+                    cx.dataplane.recv_partition(
+                        e.id.0,
+                        ut,
+                        t,
+                        src_server,
+                        my_server,
+                        Duration::ZERO,
+                    )
                 };
                 let data = match (recv(), heal.as_deref_mut()) {
                     (Ok(d), _) => d,
@@ -508,9 +489,6 @@ impl LocalRuntime {
                     }
                 };
                 bytes_read += data.len() as u64;
-                if external {
-                    input_keys.push(partition_key(e.id.0, ut, t));
-                }
                 parts.push(Table::decode(data));
             }
             let merged = Table::concat(&parts).ok_or_else(|| {
@@ -521,7 +499,7 @@ impl LocalRuntime {
             })?;
             inputs.insert(dag.stage(e.src).name.clone(), merged);
         }
-        Ok((inputs, bytes_read, input_keys))
+        Ok((inputs, bytes_read))
     }
 
     /// Bounded lineage re-execution: re-run producer task `(src, ut)` and
@@ -530,29 +508,26 @@ impl LocalRuntime {
     /// deterministic). One level only — the producer's own inputs must
     /// still be readable. External inputs persist in the object store;
     /// consumed shared-memory slots cannot be replayed, so recovery of a
-    /// producer with co-located inputs escalates as a typed error (the
-    /// simulator models the general case).
+    /// producer with co-located inputs escalates at once as a typed error
+    /// (the simulator models the general case).
     fn reexec_producer(&self, cx: &TaskCtx<'_>, src: StageId, ut: u32) -> Result<(), ExecError> {
-        let (inputs, _, input_keys) = self.gather_inputs(cx, src, ut, None)?;
+        let (inputs, _) = self.gather_inputs(cx, src, ut, None)?;
         let scan_slice = cx.scan_slice(src, ut);
         let out = cx.plan.execute_stage(src, cx.db, &inputs, scan_slice.as_ref());
-        self.scatter_outputs(cx, src, ut, &out, &input_keys, true)?;
+        self.scatter_outputs(cx, src, ut, &out, true)?;
         Ok(())
     }
 
-    /// Scatter task `(s, t)`'s output across its out-edges. Every external
-    /// partition is recorded in the data plane's lineage index under the
-    /// keys of the inputs that produced it. With `external_only` (the
-    /// lineage re-execution path) shared-memory sends are skipped: only
-    /// externally stored objects can have been lost, and the original
-    /// consumers already drained their bus slots.
+    /// Scatter task `(s, t)`'s output across its out-edges. With
+    /// `external_only` (the lineage re-execution path) shared-memory sends
+    /// are skipped: only externally stored objects can have been lost, and
+    /// the original consumers already drained their bus slots.
     fn scatter_outputs(
         &self,
         cx: &TaskCtx<'_>,
         s: StageId,
         t: u32,
         out: &Table,
-        input_keys: &[String],
         external_only: bool,
     ) -> Result<u64, ExecError> {
         let dag = &cx.plan.dag;
@@ -608,14 +583,6 @@ impl LocalRuntime {
                             cx.plan.name
                         ))
                     })?;
-                if dst_server != my_server {
-                    cx.dataplane.lineage().record(
-                        partition_key(e.id.0, t, vt as u32),
-                        s.0,
-                        t,
-                        input_keys.to_vec(),
-                    );
-                }
             }
         }
         Ok(bytes_written)
@@ -1103,8 +1070,8 @@ mod tests {
             .unwrap();
         // Lose one scan task's stored output and corrupt another's: the
         // first consumer's read detects each (not-found / checksum
-        // mismatch), re-executes the producing task through the lineage
-        // index, and the job completes with the exact same answer.
+        // mismatch), re-executes the producing task the edge names, and
+        // the job completes with the exact same answer.
         let dataplane = DataPlane::new(Medium::S3, free.len());
         let out = LocalRuntime {
             faults: FaultPlan::from_events(vec![
@@ -1123,39 +1090,10 @@ mod tests {
         assert_eq!(out.fault_stats.object_losses, 1);
         assert_eq!(out.fault_stats.object_corruptions, 1);
         assert_eq!(out.fault_stats.lineage_reexecs, 2);
-        assert!(
-            out.fault_stats.storage_retries > 0,
-            "the lost object's read must have burned bounded retries"
+        assert_eq!(
+            out.fault_stats.storage_retries, 0,
+            "a lost object is re-executed at once, never re-read"
         );
-        assert!(!dataplane.lineage().is_empty(), "lineage index populated");
-    }
-
-    #[test]
-    fn read_retry_policy_derives_from_recovery_policy() {
-        let db = Database::generate(ScaleConfig::with_sf(0.1));
-        let plan = Query::Q1.prepared_plan(&db);
-        let model = JobTimeModel::from_rates(&plan.dag, &RateConfig::default());
-        let rm = ResourceManager::from_free_slots(vec![8, 8]);
-        let schedule = EvenSplitScheduler.schedule(&SchedulingContext {
-            dag: &plan.dag,
-            model: &model,
-            resources: &rm,
-            objective: Objective::Jct,
-        });
-        let dataplane = DataPlane::new(Medium::S3, 2);
-        let runtime = LocalRuntime {
-            recovery: RecoveryPolicy {
-                max_retries: 7,
-                ..RecoveryPolicy::default()
-            },
-            ..Default::default()
-        };
-        runtime
-            .try_run(&plan, &db, &schedule, &dataplane)
-            .unwrap();
-        let p = dataplane.read_retry();
-        assert_eq!(p.max_attempts, 8, "one knob bounds both retry paths");
-        assert!(p.backoff_base <= 0.005, "wall waits stay capped");
     }
 
     #[test]
@@ -1303,9 +1241,9 @@ mod tests {
             .collect()
     }
 
-    /// Q1 at sf 0.2 under EvenSplit on two 8-slot servers.
-    fn q1_two_servers() -> (Database, QueryPlan, Schedule) {
-        let db = Database::generate(ScaleConfig::with_sf(0.2));
+    /// Q1 at scale factor `sf` under EvenSplit on two 8-slot servers.
+    fn q1_two_servers(sf: f64) -> (Database, QueryPlan, Schedule) {
+        let db = Database::generate(ScaleConfig::with_sf(sf));
         let plan = Query::Q1.prepared_plan(&db);
         let model = JobTimeModel::from_rates(&plan.dag, &RateConfig::default());
         let rm = ResourceManager::from_free_slots(vec![8, 8]);
@@ -1316,6 +1254,37 @@ mod tests {
             objective: Objective::Jct,
         });
         (db, plan, schedule)
+    }
+
+    #[test]
+    fn lineage_reexecution_that_needs_a_consumed_bus_slot_fails_at_once() {
+        use crate::faults::FaultEvent;
+        let (db, plan, mut schedule) = q1_two_servers(0.05);
+        // Stage 1 reads stage 0 through server 0's bus and writes to
+        // consumers on server 1. Re-running its task 0 to heal the lost
+        // object needs the bus slot the first run already took.
+        for e in plan.dag.out_edges(StageId(1)) {
+            schedule.placement[e.dst.index()] = ditto_core::TaskPlacement::Single(ServerId(1));
+        }
+        let runtime = LocalRuntime {
+            faults: FaultPlan::from_events(vec![FaultEvent::ObjectLoss {
+                stage: StageId(1),
+                task: 0,
+            }]),
+            recovery: RecoveryPolicy::default(),
+        };
+        let t0 = Instant::now();
+        let err = runtime
+            .try_run(&plan, &db, &schedule, &DataPlane::new(Medium::S3, 2))
+            .unwrap_err();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(5), "took {took:?}");
+        match err {
+            ExecError::MissingInput { detail, .. } => {
+                assert!(detail.contains("edge e0"), "{detail}")
+            }
+            other => panic!("expected MissingInput, got {other}"),
+        }
     }
 
     #[test]
@@ -1373,7 +1342,7 @@ mod tests {
     #[test]
     fn faulted_runs_report_ordered_attempts_and_equal_counters() {
         use crate::faults::FaultEvent;
-        let (db, plan, schedule) = q1_two_servers();
+        let (db, plan, schedule) = q1_two_servers(0.2);
         // The plan of `explicit_faults_leave_answer_byte_identical`.
         let runtime = LocalRuntime {
             faults: FaultPlan::from_events(vec![
@@ -1424,7 +1393,7 @@ mod tests {
 
     #[test]
     fn fault_free_journaled_run_writes_the_same_bytes_twice() {
-        let (db, plan, schedule) = q1_two_servers();
+        let (db, plan, schedule) = q1_two_servers(0.2);
         let journal = || {
             let mut session = JournalSession::fresh(None);
             LocalRuntime::new()

@@ -19,23 +19,21 @@
 //!   function placement matter (§2.2).
 //!
 //! [`DataPlane`] ties them together: a put/get surface that routes by
-//!   placement (co-located → shared memory, otherwise the configured
-//!   external store), simulates transfer times, and accounts persistence
-//!   cost per medium — the cost source the paper charges for shared memory
-//!   and Redis in §6.2/§6.3.
+//! placement (co-located → shared memory, otherwise the configured
+//! external store) and accounts wire and logical bytes per medium. The
+//! persistence cost the paper charges for shared memory and Redis
+//! (§6.2/§6.3) is [`CostModel`]'s, which the simulator applies.
 
 pub mod checksum;
 pub mod commit;
 pub mod dataplane;
-pub mod lineage;
 pub mod medium;
 pub mod object_store;
 pub mod sharedmem;
 
 pub use checksum::checksum64;
 pub use commit::{CommitLedger, CommitOutcome};
-pub use dataplane::{partition_key, DataPlane, ReadRetryPolicy, ReadRetryStats, TransferLedger};
-pub use lineage::{LineageIndex, Provenance};
+pub use dataplane::{partition_key, DataPlane, TransferLedger};
 pub use medium::{CostModel, Medium, TransferModel};
 pub use object_store::{ObjectStore, StoreError};
 pub use sharedmem::SharedMemoryBus;

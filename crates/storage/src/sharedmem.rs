@@ -5,26 +5,24 @@
 //! consumer receives the same buffer without copying or serialization. The
 //! paper models this as α = β = 0 for the co-located I/O steps; here the
 //! bus also serves as a *real* transport for the local runtime in
-//! `ditto-exec`, with blocking receive so consumers can start before their
-//! producers (pipelining).
+//! `ditto-exec`, which launches a consumer only after its producers have
+//! published, so a read never waits: a slot is there or it is lost.
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// A channel key: (edge id, producer task, consumer task).
 pub type SlotKey = (u32, u32, u32);
 
-/// Zero-copy publish/subscribe bus for intra-server data exchange.
+/// Zero-copy publish/take bus for intra-server data exchange.
 ///
-/// `Bytes` values are reference-counted slices, so [`SharedMemoryBus::recv`]
+/// `Bytes` values are reference-counted slices, so [`SharedMemoryBus::take`]
 /// hands the consumer the *same* allocation the producer published — the
 /// zero-copy property SPRIGHT provides via shared memory.
 #[derive(Default)]
 pub struct SharedMemoryBus {
     slots: Mutex<HashMap<SlotKey, Bytes>>,
-    cond: Condvar,
 }
 
 impl SharedMemoryBus {
@@ -36,54 +34,14 @@ impl SharedMemoryBus {
     /// Publish a buffer for `(edge, from_task, to_task)`. Publishing twice
     /// to the same slot replaces the buffer (retry semantics).
     pub fn send(&self, key: SlotKey, data: Bytes) {
-        let mut slots = self.slots.lock();
-        slots.insert(key, data);
-        self.cond.notify_all();
+        self.slots.lock().insert(key, data);
     }
 
-    /// Take the buffer for a slot, blocking until it is published or the
-    /// timeout elapses. Returns `None` on timeout. Consuming removes the
-    /// slot (each partition has exactly one consumer under shuffle/gather).
-    pub fn recv(&self, key: SlotKey, timeout: Duration) -> Option<Bytes> {
-        let mut slots = self.slots.lock();
-        loop {
-            if let Some(b) = slots.remove(&key) {
-                return Some(b);
-            }
-            if self.cond.wait_for(&mut slots, timeout).timed_out() {
-                return slots.remove(&key);
-            }
-        }
-    }
-
-    /// Non-blocking take.
-    pub fn try_recv(&self, key: SlotKey) -> Option<Bytes> {
+    /// Take the buffer of a slot, `None` if nothing is published there.
+    /// Taking removes the slot (each partition has exactly one consumer
+    /// under shuffle/gather).
+    pub fn take(&self, key: SlotKey) -> Option<Bytes> {
         self.slots.lock().remove(&key)
-    }
-
-    /// Peek without consuming (for all-gather, where several consumers read
-    /// the same buffer — zero-copy clone).
-    pub fn peek(&self, key: SlotKey) -> Option<Bytes> {
-        self.slots.lock().get(&key).cloned()
-    }
-
-    /// Number of unconsumed slots (resident intermediate partitions).
-    pub fn resident_slots(&self) -> usize {
-        self.slots.lock().len()
-    }
-
-    /// Total unconsumed bytes (for shared-memory persistence cost).
-    pub fn resident_bytes(&self) -> u64 {
-        self.slots.lock().values().map(|b| b.len() as u64).sum()
-    }
-}
-
-impl std::fmt::Debug for SharedMemoryBus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedMemoryBus")
-            .field("resident_slots", &self.resident_slots())
-            .field("resident_bytes", &self.resident_bytes())
-            .finish()
     }
 }
 
@@ -93,43 +51,16 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn send_recv_zero_copy() {
+    fn take_is_zero_copy_and_empties_the_slot() {
         let bus = SharedMemoryBus::new();
         let payload = Bytes::from(vec![7u8; 1024]);
         let ptr = payload.as_ptr();
         bus.send((0, 0, 0), payload);
-        let got = bus.recv((0, 0, 0), Duration::from_millis(10)).unwrap();
+        let got = bus.take((0, 0, 0)).unwrap();
         // Same allocation: zero-copy.
         assert_eq!(got.as_ptr(), ptr);
         assert_eq!(got.len(), 1024);
-        assert_eq!(bus.resident_slots(), 0);
-    }
-
-    #[test]
-    fn recv_times_out() {
-        let bus = SharedMemoryBus::new();
-        assert!(bus.recv((1, 0, 0), Duration::from_millis(5)).is_none());
-    }
-
-    #[test]
-    fn recv_blocks_until_send() {
-        let bus = Arc::new(SharedMemoryBus::new());
-        let b2 = bus.clone();
-        let t = std::thread::spawn(move || b2.recv((0, 1, 2), Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(10));
-        bus.send((0, 1, 2), Bytes::from_static(b"data"));
-        assert_eq!(t.join().unwrap().unwrap(), Bytes::from_static(b"data"));
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let bus = SharedMemoryBus::new();
-        bus.send((0, 0, 0), Bytes::from_static(b"x"));
-        assert!(bus.peek((0, 0, 0)).is_some());
-        assert!(bus.peek((0, 0, 0)).is_some());
-        assert_eq!(bus.resident_bytes(), 1);
-        assert!(bus.try_recv((0, 0, 0)).is_some());
-        assert!(bus.peek((0, 0, 0)).is_none());
+        assert!(bus.take((0, 0, 0)).is_none(), "a taken slot is gone");
     }
 
     #[test]
@@ -147,7 +78,7 @@ mod tests {
             p.join().unwrap();
         }
         for i in 0..8u32 {
-            let b = bus.recv((0, i, 0), Duration::from_secs(1)).unwrap();
+            let b = bus.take((0, i, 0)).unwrap();
             assert_eq!(b[0], i as u8);
         }
     }

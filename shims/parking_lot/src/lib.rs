@@ -1,13 +1,12 @@
 //! Minimal offline stand-in for `parking_lot`, backed by `std::sync`.
 //!
-//! Exposes the non-poisoning API surface the workspace uses: `Mutex::lock`
-//! returning a guard directly, `RwLock`, and `Condvar::wait_for` taking the
-//! guard by `&mut`. Poisoned std locks are recovered transparently (panicking
-//! while holding a lock is already a test failure; the data is still
-//! consistent for the accounting these locks protect).
+//! Exposes the one API the workspace uses: a non-poisoning `Mutex` whose
+//! `lock()` returns the guard directly. Poisoned std locks are recovered
+//! transparently (panicking while holding a lock is already a test
+//! failure; the data is still consistent for the accounting these locks
+//! protect).
 
-use std::sync::TryLockError;
-use std::time::Duration;
+use std::sync::MutexGuard;
 
 /// Mutual exclusion lock whose `lock()` returns the guard directly.
 #[derive(Default, Debug)]
@@ -15,23 +14,11 @@ pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
 }
 
-/// Guard for [`Mutex`]. The inner `Option` lets [`Condvar::wait_for`]
-/// temporarily take the std guard by value.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
-
 impl<T> Mutex<T> {
     /// New mutex holding `value`.
     pub const fn new(value: T) -> Self {
-        Mutex { inner: std::sync::Mutex::new(value) }
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
+        Mutex {
+            inner: std::sync::Mutex::new(value),
         }
     }
 }
@@ -39,157 +26,18 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, recovering from poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        MutexGuard { inner: Some(g) }
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(TryLockError::Poisoned(p)) => Some(MutexGuard { inner: Some(p.into_inner()) }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-/// Result of a timed condition-variable wait.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// Condition variable compatible with [`MutexGuard`].
-#[derive(Default, Debug)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// New condition variable.
-    pub const fn new() -> Self {
-        Condvar { inner: std::sync::Condvar::new() }
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    /// Block until notified, releasing the guard while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard present");
-        let g = self.inner.wait(g).unwrap_or_else(|p| p.into_inner());
-        guard.inner = Some(g);
-    }
-
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.inner.take().expect("guard present");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
-        };
-        guard.inner = Some(g);
-        WaitTimeoutResult(res.timed_out())
-    }
-}
-
-/// Reader-writer lock whose `read()`/`write()` return guards directly.
-#[derive(Default, Debug)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// New lock holding `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock { inner: std::sync::RwLock::new(value) }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|p| p.into_inner())
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn lock_and_mutate() {
         let m = Mutex::new(0u32);
         *m.lock() += 5;
         assert_eq!(*m.lock(), 5);
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
-    }
-
-    #[test]
-    fn notify_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                assert!(!cv.wait_for(&mut done, Duration::from_secs(5)).timed_out());
-            }
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        let (m, cv) = &*pair;
-        *m.lock() = true;
-        cv.notify_all();
-        t.join().unwrap();
     }
 }
