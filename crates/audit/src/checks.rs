@@ -313,7 +313,7 @@ pub fn audit_structure(dag: &JobDag, schedule: &Schedule) -> AuditReport {
 
 /// Positive/finite α and β per stage, scaling ≥ 1 — the preconditions of
 /// every Algorithm-1 derivation (a negative α flips the merge ratios).
-pub fn audit_model(dag: &JobDag, model: &JobTimeModel) -> AuditReport {
+pub(crate) fn audit_model(dag: &JobDag, model: &JobTimeModel) -> AuditReport {
     let mut r = AuditReport::default();
     if dag.validate().is_err() {
         return r; // structure pass already reported
@@ -369,7 +369,7 @@ pub fn audit_model(dag: &JobDag, model: &JobTimeModel) -> AuditReport {
 
 /// Re-count tasks per server and compare against the cluster's free
 /// slots, plus the global Σ DoP ≤ max(C, #stages) budget.
-pub fn audit_placement(
+pub(crate) fn audit_placement(
     dag: &JobDag,
     cluster: &ResourceManager,
     schedule: &Schedule,
@@ -379,7 +379,7 @@ pub fn audit_placement(
 
 /// Feasibility certificate for a *spliced* (replanned) schedule.
 ///
-/// A mid-job replan cannot be audited with the static [`audit_placement`]
+/// A mid-job replan cannot be audited with the static `audit_placement`
 /// count: stages of the completed prefix have already released their
 /// slots, so counting them against the replan-time free-slot snapshot
 /// would double-charge the cluster. The caller supplies the `active`
@@ -508,7 +508,7 @@ fn audit_placement_masked(
 /// α-path to a sink (ties to the smaller id).
 ///
 /// Cost: the single-path reduction `dᵢ ∝ √(ρᵢ αᵢ)` (§4.2).
-pub fn derive_fractional_dops(
+pub(crate) fn derive_fractional_dops(
     dag: &JobDag,
     model: &JobTimeModel,
     colocated: &[bool],
@@ -614,7 +614,7 @@ pub fn derive_fractional_dops(
 /// `shrink` is the total overshoot, widening the floor by a relative ε so
 /// a last-ulp difference between this derivation and the scheduler's
 /// cannot flip a certificate.
-pub fn audit_ratios(
+pub(crate) fn audit_ratios(
     dag: &JobDag,
     model: &JobTimeModel,
     cluster: &ResourceManager,

@@ -55,26 +55,9 @@ pub enum EdgeRule {
     CommitToFetch,
 }
 
-impl EdgeRule {
-    /// Stable kebab-case name (used in JSON and rendered reports).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EdgeRule::ProgramOrder => "program-order",
-            EdgeRule::CommitToRead => "commit-to-read",
-            EdgeRule::StreamStartToRead => "stream-start-to-read",
-            EdgeRule::CommitToCompute => "commit-to-compute",
-            EdgeRule::DetectToHeal => "detect-to-heal",
-            EdgeRule::HealToRead => "heal-to-read",
-            EdgeRule::AcquireToRelease => "acquire-to-release",
-            EdgeRule::SeamToRead => "seam-to-read",
-            EdgeRule::CommitToFetch => "commit-to-fetch",
-        }
-    }
-}
-
 /// What kind of event an [`Op`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
+pub(crate) enum OpKind {
     /// `hb.write` — a task's surviving output commits (ts = commit).
     Write,
     /// `hb.read` — a task starts reading one in-edge (ts = read start).
@@ -100,33 +83,33 @@ pub enum OpKind {
 #[derive(Debug, Clone)]
 pub struct Op {
     /// Node type.
-    pub kind: OpKind,
+    pub(crate) kind: OpKind,
     /// Event timestamp (commit instant for writes, read start for reads,
     /// interval endpoints for acquire/release, splice instant for seams).
-    pub ts: f64,
+    pub(crate) ts: f64,
     /// Stage the op belongs to (producer stage for detect/heal).
-    pub stage: Option<u32>,
+    pub(crate) stage: Option<u32>,
     /// Task within the stage.
-    pub task: Option<u32>,
+    pub(crate) task: Option<u32>,
     /// Server the op ran on.
-    pub server: Option<u32>,
+    pub(crate) server: Option<u32>,
     /// DAG edge index (reads and seams).
-    pub edge: Option<u32>,
+    pub(crate) edge: Option<u32>,
     /// Producing stage of the edge being read.
-    pub src_stage: Option<u32>,
+    pub(crate) src_stage: Option<u32>,
     /// Write-start instant carried by `hb.write` (streaming begins here).
-    pub write_start: Option<f64>,
+    pub(crate) write_start: Option<f64>,
     /// Compute-start instant carried by `hb.read`.
-    pub compute_start: Option<f64>,
+    pub(crate) compute_start: Option<f64>,
     /// Whether the read's edge is pipelined.
-    pub pipelined: bool,
+    pub(crate) pipelined: bool,
     /// Transfer medium label of the read's edge (`"shared-memory"`,
     /// `"redis"`, `"s3"`).
-    pub medium: Option<String>,
+    pub(crate) medium: Option<String>,
     /// Slot kind: `true` for speculative copies (run without reserving).
-    pub speculative: bool,
+    pub(crate) speculative: bool,
     /// Dataplane object key (commit/fetch).
-    pub key: Option<String>,
+    pub(crate) key: Option<String>,
 }
 
 impl Op {
@@ -171,12 +154,12 @@ pub struct HbGraph {
     pub edges: Vec<HbEdge>,
     /// Vector clock per op over the dense actor set; empty if the graph
     /// is cyclic.
-    pub clocks: Vec<Vec<u32>>,
+    pub(crate) clocks: Vec<Vec<u32>>,
     /// Actor index and 1-based sequence number per op (parallel to
     /// `ops`); empty if the graph is cyclic.
-    pub actor_seq: Vec<(usize, u32)>,
+    pub(crate) actor_seq: Vec<(usize, u32)>,
     /// Number of distinct actors.
-    pub actors: usize,
+    pub(crate) actors: usize,
     /// Op indices left unsorted by Kahn's algorithm — non-empty iff the
     /// graph has a cycle (every listed op sits on or behind one).
     pub cycle: Vec<usize>,

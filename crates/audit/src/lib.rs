@@ -14,8 +14,8 @@
 //!    shared-memory co-location claims (Algorithm 3), slot-budget/
 //!    deadline adherence, and structural DAG sanity. Every violation is
 //!    a typed [`AuditFinding`] with stage/edge/server provenance,
-//!    rendered human-readable ([`AuditReport::render`]) or as JSON
-//!    ([`AuditReport::to_json`]).
+//!    rendered human-readable ([`AuditReport::render`]; the
+//!    `ditto-audit` CLI prints it as JSON with `--json`).
 //!
 //! 2. **The determinism rules** live in the compiler, not here: clippy
 //!    lints configured by the workspace's `clippy.toml` and denied in the
@@ -24,13 +24,13 @@
 //!    test `determinism_lint_is_clean_and_allowlist_is_current` runs
 //!    that clippy pass.
 //!
-//! 3. **The happens-before race checker** ([`hb`], [`race`],
+//! 3. **The happens-before race checker** (`hb`, `race`,
 //!    `ditto-audit race <trace>`): rebuilds the intended ordering of an
 //!    executor run from the `hb.*` events on its `ditto-obs` trace,
 //!    assigns vector clocks, and grades recorded timestamps against it —
 //!    read-before-write, missing writes, slot over-subscription,
 //!    cross-server shared-memory use, replan-seam bypasses and stale
-//!    lineage reads, each a typed [`RaceFinding`] with (stage, task,
+//!    lineage reads, each a typed `RaceFinding` with (stage, task,
 //!    server, object) provenance.
 //!
 //! The auditor deliberately does **not** call `joint_optimize` or
@@ -56,15 +56,12 @@
 //! assert_eq!(report.findings[0].stage, Some(0));
 //! ```
 
-pub mod checks;
-pub mod hb;
-pub mod race;
-pub mod report;
+pub(crate) mod checks;
+pub(crate) mod hb;
+pub(crate) mod race;
+pub(crate) mod report;
 
-pub use checks::{
-    audit, audit_model, audit_placement, audit_ratios, audit_splice, audit_structure,
-    audit_with, derive_fractional_dops, AuditOptions,
-};
-pub use hb::{EdgeRule, HbEdge, HbGraph, Op, OpKind};
-pub use race::{check_trace, RaceFinding, RaceOptions, RaceReport, RaceRule};
+pub use checks::{audit, audit_splice, audit_structure, audit_with, AuditOptions};
+pub use hb::HbGraph;
+pub use race::{check_trace, RaceOptions, RaceReport, RaceRule};
 pub use report::{AuditFinding, AuditReport, CheckId, Severity};

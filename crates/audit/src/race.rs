@@ -17,7 +17,7 @@
 //! rule and finding.
 
 use crate::hb::{EdgeRule, HbGraph, Op, OpKind};
-use crate::report::{json_escape, Severity};
+use crate::report::Severity;
 use ditto_obs::{AttrValue, TraceData};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -110,7 +110,7 @@ pub struct RaceFinding {
 
 impl RaceFinding {
     /// An error finding with no provenance (filled in by builders).
-    pub fn error(rule: RaceRule, detail: impl Into<String>) -> Self {
+    pub(crate) fn error(rule: RaceRule, detail: impl Into<String>) -> Self {
         RaceFinding {
             rule,
             severity: Severity::Error,
@@ -124,7 +124,7 @@ impl RaceFinding {
     }
 
     /// A warning finding with no provenance.
-    pub fn warning(rule: RaceRule, detail: impl Into<String>) -> Self {
+    pub(crate) fn warning(rule: RaceRule, detail: impl Into<String>) -> Self {
         RaceFinding {
             severity: Severity::Warning,
             ..RaceFinding::error(rule, detail)
@@ -132,31 +132,31 @@ impl RaceFinding {
     }
 
     /// Anchor at a stage.
-    pub fn at_stage(mut self, stage: u32) -> Self {
+    pub(crate) fn at_stage(mut self, stage: u32) -> Self {
         self.stage = Some(stage);
         self
     }
 
     /// Anchor at a task.
-    pub fn at_task(mut self, task: u32) -> Self {
+    pub(crate) fn at_task(mut self, task: u32) -> Self {
         self.task = Some(task);
         self
     }
 
     /// Anchor at a server.
-    pub fn at_server(mut self, server: u32) -> Self {
+    pub(crate) fn at_server(mut self, server: u32) -> Self {
         self.server = Some(server);
         self
     }
 
     /// Anchor at a DAG edge.
-    pub fn at_edge(mut self, edge: u32) -> Self {
+    pub(crate) fn at_edge(mut self, edge: u32) -> Self {
         self.edge = Some(edge);
         self
     }
 
     /// Anchor at a dataplane object key.
-    pub fn at_object(mut self, key: impl Into<String>) -> Self {
+    pub(crate) fn at_object(mut self, key: impl Into<String>) -> Self {
         self.object = Some(key.into());
         self
     }
@@ -232,50 +232,6 @@ impl RaceReport {
         for fnd in &self.findings {
             let _ = writeln!(out, "  {fnd}");
         }
-        out
-    }
-
-    /// The report as a JSON document (stable field order).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"ops\":{},\"hb_edges\":{},\"malformed\":{},\"errors\":{},\"warnings\":{},\"findings\":[",
-            self.ops,
-            self.hb_edges,
-            self.malformed,
-            self.error_count(),
-            self.warning_count()
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":\"{}\",\"severity\":\"{}\"",
-                f.rule.as_str(),
-                f.severity.as_str()
-            );
-            if let Some(s) = f.stage {
-                let _ = write!(out, ",\"stage\":{s}");
-            }
-            if let Some(t) = f.task {
-                let _ = write!(out, ",\"task\":{t}");
-            }
-            if let Some(srv) = f.server {
-                let _ = write!(out, ",\"server\":{srv}");
-            }
-            if let Some(e) = f.edge {
-                let _ = write!(out, ",\"edge\":{e}");
-            }
-            if let Some(k) = &f.object {
-                let _ = write!(out, ",\"object\":\"{}\"", json_escape(k));
-            }
-            let _ = write!(out, ",\"detail\":\"{}\"}}", json_escape(&f.detail));
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -906,17 +862,5 @@ mod tests {
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.warning_count(), 1);
         assert_eq!(report.findings[0].rule, RaceRule::CrossServerShm);
-    }
-
-    #[test]
-    fn json_has_stable_shape() {
-        let rec = Recorder::new();
-        write_ev(&rec, 0, 0, 0, 1.5, 2.0);
-        read_ev(&rec, 1, 0, 0, 0, 0, "s3", 1.0);
-        let report = check_trace(&rec.finish(), &RaceOptions::default());
-        let j = report.to_json();
-        assert!(j.starts_with("{\"ops\":"), "{j}");
-        assert!(j.contains("\"rule\":\"read-before-write\""), "{j}");
-        assert!(j.contains("\"errors\":1"), "{j}");
     }
 }

@@ -124,7 +124,7 @@ impl AuditFinding {
     }
 
     /// Anchor at a stage.
-    pub fn at_stage(mut self, stage: u32) -> Self {
+    pub(crate) fn at_stage(mut self, stage: u32) -> Self {
         self.stage = Some(stage);
         self
     }
@@ -136,7 +136,7 @@ impl AuditFinding {
     }
 
     /// Anchor at a server.
-    pub fn at_server(mut self, server: u32) -> Self {
+    pub(crate) fn at_server(mut self, server: u32) -> Self {
         self.server = Some(server);
         self
     }
@@ -189,7 +189,7 @@ impl AuditReport {
     }
 
     /// Merge another report into this one.
-    pub fn merge(&mut self, other: AuditReport) {
+    pub(crate) fn merge(&mut self, other: AuditReport) {
         self.findings.extend(other.findings);
         self.checks_run += other.checks_run;
     }
@@ -210,62 +210,6 @@ impl AuditReport {
         }
         out
     }
-
-    /// The report as a JSON document (machine-checkable certificate form).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"checks_run\":{},\"errors\":{},\"warnings\":{},\"findings\":[",
-            self.checks_run,
-            self.error_count(),
-            self.warning_count()
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"check\":\"{}\",\"severity\":\"{}\"",
-                f.check.as_str(),
-                f.severity.as_str()
-            );
-            if let Some(s) = f.stage {
-                let _ = write!(out, ",\"stage\":{s}");
-            }
-            if let Some(e) = f.edge {
-                let _ = write!(out, ",\"edge\":{e}");
-            }
-            if let Some(srv) = f.server {
-                let _ = write!(out, ",\"server\":{srv}");
-            }
-            let _ = write!(out, ",\"detail\":\"{}\"}}", json_escape(&f.detail));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Escape a string for embedding in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -295,27 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_and_escaped() {
-        let mut r = AuditReport {
-            checks_run: 1,
-            ..Default::default()
-        };
-        r.findings.push(
-            AuditFinding::error(CheckId::ColocationClaim, "stage \"map\\1\"\nbad").at_edge(3),
-        );
-        let j = r.to_json();
-        assert!(j.contains("\\\"map\\\\1\\\"\\nbad"), "{j}");
-        assert!(j.contains("\"edge\":3"), "{j}");
-        assert!(j.starts_with('{') && j.ends_with('}'));
-    }
-
-    #[test]
     fn clean_report() {
         let r = AuditReport {
             findings: vec![],
             checks_run: 10,
         };
         assert!(r.is_clean());
-        assert!(r.to_json().contains("\"findings\":[]"));
     }
 }

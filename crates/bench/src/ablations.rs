@@ -31,11 +31,11 @@ use serde::Serialize;
 #[derive(Debug, Clone, Serialize)]
 pub struct AblationRow {
     /// Which design axis.
-    pub ablation: String,
+    pub(crate) ablation: String,
     /// The variant measured.
-    pub variant: String,
+    pub(crate) variant: String,
     /// Simulated (or predicted, for the ratio ablation) JCT, seconds.
-    pub jct_seconds: f64,
+    pub(crate) jct_seconds: f64,
 }
 
 fn zipf_testbed() -> ResourceManager {
@@ -44,7 +44,7 @@ fn zipf_testbed() -> ResourceManager {
 
 /// Intra-path ratio ablation: √α-proportional vs α-proportional vs even
 /// DoP splits on Q95 (predicted JCT under the fitted model, all-remote).
-pub fn ablate_intra_ratio() -> Vec<AblationRow> {
+pub(crate) fn ablate_intra_ratio() -> Vec<AblationRow> {
     let p = prepare(Query::Q95, Medium::S3);
     let dag = &p.plan.dag;
     let none = p.model.no_colocation();
@@ -124,7 +124,7 @@ fn oneshot_with_order(p: &PreparedQuery, rm: &ResourceManager, order: &[EdgeId])
 /// critical-path-aware greedy order vs globally descending vs random
 /// orders, plus no grouping at all (simulated JCT). Random is averaged
 /// over several seeds.
-pub fn ablate_group_order() -> Vec<AblationRow> {
+pub(crate) fn ablate_group_order() -> Vec<AblationRow> {
     let p = prepare(Query::Q95, Medium::S3);
     let dag = &p.plan.dag;
     let rm = zipf_testbed();
@@ -178,13 +178,13 @@ pub fn ablate_group_order() -> Vec<AblationRow> {
 /// One gather-decomposition measurement: JCT plus how many edges the
 /// placement managed to co-locate.
 #[derive(Debug, Clone, Serialize)]
-pub struct DecompositionRow {
+pub(crate) struct DecompositionRow {
     /// `on` (Ditto) or `off`.
-    pub variant: String,
+    pub(crate) variant: String,
     /// Simulated JCT, seconds.
-    pub jct_seconds: f64,
+    pub(crate) jct_seconds: f64,
     /// Edges whose shuffle runs through shared memory.
-    pub colocated_edges: usize,
+    pub(crate) colocated_edges: usize,
 }
 
 /// Gather-decomposition ablation: Ditto with and without §4.5's task-group
@@ -192,7 +192,7 @@ pub struct DecompositionRow {
 /// strictly widens the set of placeable groupings, so the `on` variant
 /// co-locates at least as many edges; the JCT effect depends on how much
 /// of the shuffle volume those extra edges carry.
-pub fn ablate_gather_decomposition() -> Vec<DecompositionRow> {
+pub(crate) fn ablate_gather_decomposition() -> Vec<DecompositionRow> {
     let p = prepare(Query::Q95, Medium::S3);
     // 16 small servers: whole groups rarely fit one server.
     let rm = ResourceManager::from_free_slots(vec![24; 16]);
@@ -217,7 +217,7 @@ pub fn ablate_gather_decomposition() -> Vec<DecompositionRow> {
 /// Straggler-scaling ablation: model accuracy (mean relative error of
 /// stage-time prediction at DoP 60) with and without the fitted scaling
 /// factor. `jct_seconds` carries the mean relative error here.
-pub fn ablate_straggler_scaling() -> Vec<AblationRow> {
+pub(crate) fn ablate_straggler_scaling() -> Vec<AblationRow> {
     let p = prepare(Query::Q95, Medium::S3);
     let dag = &p.plan.dag;
     let none = p.model.no_colocation();
@@ -261,7 +261,7 @@ pub fn ablate_straggler_scaling() -> Vec<AblationRow> {
 
 /// Joint-vs-one-shot ablation: Algorithm 3's iterative recomputation vs
 /// grouping once under initial DoPs (simulated JCT, Q95, Zipf-0.9).
-pub fn ablate_joint_vs_oneshot() -> Vec<AblationRow> {
+pub(crate) fn ablate_joint_vs_oneshot() -> Vec<AblationRow> {
     let p = prepare(Query::Q95, Medium::S3);
     let rm = zipf_testbed();
     let joint = joint_optimize(
@@ -304,7 +304,7 @@ pub fn ablate_joint_vs_oneshot() -> Vec<AblationRow> {
 
 /// Pipelining ablation (§4.5): Q95 with its gather edges annotated as
 /// pipelined vs un-annotated (simulated JCT, Zipf-0.9).
-pub fn ablate_pipelining() -> Vec<AblationRow> {
+pub(crate) fn ablate_pipelining() -> Vec<AblationRow> {
     let rm = zipf_testbed();
     [false, true]
         .iter()
@@ -339,7 +339,7 @@ pub fn ablate_pipelining() -> Vec<AblationRow> {
 
 /// Placement-fit ablation: best fit (§4.4) vs first fit vs worst fit,
 /// full joint optimization on Q95 (simulated JCT, Zipf-0.9).
-pub fn ablate_fit_strategy() -> Vec<AblationRow> {
+pub(crate) fn ablate_fit_strategy() -> Vec<AblationRow> {
     use ditto_core::FitStrategy;
     let p = prepare(Query::Q95, Medium::S3);
     let rm = zipf_testbed();
@@ -368,7 +368,7 @@ pub fn ablate_fit_strategy() -> Vec<AblationRow> {
 /// Rounding ablation: the paper's floor-and-clamp vs the
 /// largest-remainder extension that spends every leftover slot
 /// (predicted JCT of the resulting integer DoPs, all-remote).
-pub fn ablate_rounding() -> Vec<AblationRow> {
+pub(crate) fn ablate_rounding() -> Vec<AblationRow> {
     use ditto_core::dop::round_dops_largest_remainder;
     let p = prepare(Query::Q95, Medium::S3);
     let dag = &p.plan.dag;

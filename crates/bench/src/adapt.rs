@@ -27,42 +27,42 @@ use ditto_storage::Medium;
 use serde::Serialize;
 
 /// Drift factors the full sweep covers (1.0 = the model was right).
-pub const ADAPT_DRIFTS: &[f64] = &[1.0, 1.5, 2.0];
+pub(crate) const ADAPT_DRIFTS: &[f64] = &[1.0, 1.5, 2.0];
 /// Intermediate-object loss probabilities the full sweep covers.
-pub const ADAPT_LOSSES: &[f64] = &[0.0, 0.02, 0.05];
+pub(crate) const ADAPT_LOSSES: &[f64] = &[0.0, 0.02, 0.05];
 /// CI smoke subset: the extremes only.
-pub const ADAPT_SMOKE_DRIFTS: &[f64] = &[1.0, 2.0];
+pub(crate) const ADAPT_SMOKE_DRIFTS: &[f64] = &[1.0, 2.0];
 /// CI smoke subset: clean vs lossy.
-pub const ADAPT_SMOKE_LOSSES: &[f64] = &[0.0, 0.05];
+pub(crate) const ADAPT_SMOKE_LOSSES: &[f64] = &[0.0, 0.05];
 
 /// Seed naming the fault history of every sweep cell.
-pub const ADAPT_SEED: u64 = 23;
+pub(crate) const ADAPT_SEED: u64 = 23;
 
 /// One adaptive-sweep measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct AdaptSweepRow {
     /// Injected multiplicative compute drift (1.0 = none).
-    pub drift: f64,
+    pub(crate) drift: f64,
     /// Per-read intermediate-object loss probability.
-    pub loss_rate: f64,
+    pub(crate) loss_rate: f64,
     /// Recovery policy ("retry" / "retry+spec").
-    pub recovery: String,
+    pub(crate) recovery: String,
     /// Execution engine ("frozen" / "adaptive").
-    pub engine: String,
+    pub(crate) engine: String,
     /// Realized JCT under the injected conditions, seconds.
-    pub jct_seconds: f64,
+    pub(crate) jct_seconds: f64,
     /// JCT relative to the frozen engine on the same cell (1.0 for the
     /// frozen rows themselves; < 1.0 means the adaptive engine won).
-    pub jct_vs_frozen: f64,
+    pub(crate) jct_vs_frozen: f64,
     /// Replans recorded on the trace (attempted, including rejected).
-    pub replans: u32,
+    pub(crate) replans: u32,
     /// Replans whose corrected-model JCT beat the incumbent and were
     /// spliced in.
-    pub applied_replans: u32,
+    pub(crate) applied_replans: u32,
     /// Lineage re-executions of lost/corrupt intermediates.
-    pub lineage_reexecs: u32,
+    pub(crate) lineage_reexecs: u32,
     /// Failed / superseded task attempts.
-    pub extra_attempts: u32,
+    pub(crate) extra_attempts: u32,
     /// True iff every recorded replan passed the feasibility certificate.
     pub audit_clean: bool,
 }
@@ -86,7 +86,7 @@ pub fn adapt_sweep_smoke() -> Vec<AdaptSweepRow> {
 }
 
 /// Sweep an explicit drift × loss grid through both engines.
-pub fn adapt_sweep_grid(drifts: &[f64], losses: &[f64]) -> Vec<AdaptSweepRow> {
+pub(crate) fn adapt_sweep_grid(drifts: &[f64], losses: &[f64]) -> Vec<AdaptSweepRow> {
     let p = prepare(Query::Q95, Medium::S3);
     let rm = adapt_cluster();
     let schedule = p.schedule(&DittoScheduler::new(), &rm, Objective::Jct);
@@ -266,6 +266,7 @@ mod tests {
     /// telemetry the rest of the toolchain loads into Perfetto.
     #[test]
     fn drift_loss_trace_is_schema_valid() {
+        use ditto_obs::Track;
         let p = prepare(Query::Q95, Medium::S3);
         let rm = adapt_cluster();
         let schedule = p.schedule(&DittoScheduler::new(), &rm, Objective::Jct);
@@ -276,23 +277,28 @@ mod tests {
             objective: Objective::Jct,
             options: JointOptions::default(),
         };
-        let (trace, _) = Engine::new(&p.plan.dag, &schedule, &p.gt)
+        let obs = Recorder::new();
+        Engine::new(&p.plan.dag, &schedule, &p.gt)
             .faults(&plan, &RecoveryPolicy::default())
             .adaptive(&ctx, &AdaptiveConfig::default())
+            .recorder(&obs)
             .run()
             .expect("adaptive engine recovers within policy bounds");
-        // `to_chrome_trace` emits the bare-array form; the validator
-        // checks the wrapped object form Perfetto also accepts.
-        let wrapped = format!("{{\"traceEvents\":{}}}", trace.to_chrome_trace());
-        let stats = ditto_obs::validate_chrome_trace(&wrapped).expect("schema-valid trace");
+        let chrome = ditto_obs::to_chrome_trace(&obs.finish());
+        let stats = ditto_obs::validate_chrome_trace(&chrome).expect("schema-valid trace");
         assert!(stats.durations > 0, "trace must carry task step events");
+        let server = |s: u32| u64::from(Track::SERVER_BASE + s);
         assert_eq!(
-            stats.pids.len(),
-            3,
-            "both servers of the sweep cluster plus the scheduler replan \
-             track must appear as track groups"
+            stats.pids,
+            [Track::SCHEDULER_GROUP, Track::STORAGE_GROUP, Track::JOB_GROUP]
+                .map(u64::from)
+                .into_iter()
+                .chain([server(0), server(1)])
+                .collect::<Vec<_>>(),
+            "the scheduler track (replans), storage counters, job stages and \
+             both servers of the sweep cluster must appear as track groups"
         );
-        assert!(stats.instants > 0, "replan instants must survive export");
+        assert!(stats.count("sched.replan") > 0, "replan events must survive export");
     }
 
     /// The headline robustness number, asserted in release CI where the

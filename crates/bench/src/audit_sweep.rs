@@ -24,19 +24,19 @@ pub const AUDIT_SWEEP_SEEDS: u64 = 32;
 #[derive(Debug, Clone, Serialize)]
 pub struct AuditSweepRow {
     /// Seed of the random DAG.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Stages in the DAG.
-    pub stages: usize,
+    pub(crate) stages: usize,
     /// Which scheduler produced the schedule.
-    pub scheduler: String,
+    pub(crate) scheduler: String,
     /// `jct` or `cost`.
-    pub objective: String,
+    pub(crate) objective: String,
     /// Certificate checks executed.
-    pub checks: usize,
+    pub(crate) checks: usize,
     /// Error-severity findings (must be 0 everywhere).
     pub errors: usize,
     /// Warning-severity findings (informational).
-    pub warnings: usize,
+    pub(crate) warnings: usize,
 }
 
 fn sweep_cluster() -> ResourceManager {

@@ -28,10 +28,10 @@
 use ditto_bench::{render_rows, write_json};
 
 /// The targets `all` (and an empty target list) runs.
-const ALL: [&str; 24] = [
+const ALL: [&str; 22] = [
     "fig1", "fig2", "fig4", "fig5", "fig8a", "fig8b", "fig8c", "fig9a", "fig9b", "fig9c", "fig10",
-    "fig11", "fig12", "fig13", "fig14", "fig15", "table1", "table2", "ablations", "multi",
-    "deadline", "faults", "audit", "export",
+    "fig11", "fig12", "fig13", "fig14", "fig15", "table1", "table2", "ablations", "deadline",
+    "faults", "audit",
 ];
 
 /// Targets only run by name: full sweeps and their CI-sized subsets.
@@ -119,7 +119,6 @@ fn main() {
             "table1" => emit(&ditto_bench::table1(9), json),
             "table2" => emit(&ditto_bench::table2(), json),
             "ablations" => emit(&ditto_bench::all_ablations(), json),
-            "multi" => emit(&ditto_bench::multi_job(), json),
             "deadline" => emit(&ditto_bench::deadline_sweep(), json),
             // Fault sweep (deterministic: same seed → byte-identical
             // BENCH_faults.json).

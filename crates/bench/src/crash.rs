@@ -48,25 +48,25 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// Seed naming the fault history of every scenario (and the wide DAG).
-pub const CRASH_SEED: u64 = 31;
+pub(crate) const CRASH_SEED: u64 = 31;
 /// Smoke subset: at most this many crash points per scenario.
-pub const CRASH_SMOKE_POINTS: u64 = 8;
+pub(crate) const CRASH_SMOKE_POINTS: u64 = 8;
 
 /// One scenario's crash-sweep certification summary.
 #[derive(Debug, Clone, Serialize)]
 pub struct CrashSweepRow {
     /// Scenario name (`frozen-ladder` / `adaptive-drift2x` / `wide-192`).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Records in the crash-free baseline journal.
-    pub journal_records: u64,
+    pub(crate) journal_records: u64,
     /// Bytes of the crash-free baseline journal (header included).
-    pub journal_bytes: u64,
+    pub(crate) journal_bytes: u64,
     /// `journal_bytes / journal_records`.
-    pub bytes_per_record: f64,
+    pub(crate) bytes_per_record: f64,
     /// Crash points exercised (= records for the full sweep).
-    pub crash_points: u64,
+    pub(crate) crash_points: u64,
     /// Baseline (and recovered — they are asserted equal) JCT, seconds.
-    pub jct_seconds: f64,
+    pub(crate) jct_seconds: f64,
     /// True iff every crash point recovered bit-identically.
     pub bit_identical: bool,
     /// True iff every resumed journal + recovered trace certified clean
@@ -74,21 +74,21 @@ pub struct CrashSweepRow {
     pub certified_clean: bool,
     /// Mean stages re-simulated per recovery (not restored from
     /// checkpoints) — the recovery-overhead headline, lower is better.
-    pub mean_resim_stages: f64,
+    pub(crate) mean_resim_stages: f64,
     /// Worst-case stages re-simulated across all crash points.
-    pub max_resim_stages: u32,
+    pub(crate) max_resim_stages: u32,
     /// Re-delivered object commits deduplicated across all recoveries.
-    pub deduped_commits: u64,
+    pub(crate) deduped_commits: u64,
 }
 
 /// The Q95 scenarios' cluster: the adaptive sweep's slot-constrained
 /// pair, so drift-triggered replans have real trade-offs to move.
-pub const CRASH_SLOTS: &[u32] = &[24, 16];
+pub(crate) const CRASH_SLOTS: &[u32] = &[24, 16];
 /// The wide scenario's cluster and DAG size (the end-to-end benchmark's
 /// `sched_wide_*` shape).
-pub const WIDE_SLOTS: &[u32] = &[48; 8];
+pub(crate) const WIDE_SLOTS: &[u32] = &[48; 8];
 /// Stages of the wide scenario's random DAG.
-pub const WIDE_STAGES: usize = 192;
+pub(crate) const WIDE_STAGES: usize = 192;
 
 /// One scenario: a job, its cluster and schedule, and a fault history.
 struct Scenario {
@@ -228,7 +228,7 @@ pub fn crash_sweep() -> Vec<CrashSweepRow> {
 }
 
 /// CI smoke subset: the same ladder strided down to at most
-/// [`CRASH_SMOKE_POINTS`] crash points per scenario.
+/// `CRASH_SMOKE_POINTS` crash points per scenario.
 pub fn crash_sweep_smoke() -> Vec<CrashSweepRow> {
     crash_sweep_with(Some(CRASH_SMOKE_POINTS))
 }

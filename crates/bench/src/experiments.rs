@@ -23,24 +23,24 @@ use std::time::Instant;
 #[derive(Debug, Clone, Serialize)]
 pub struct JctRow {
     /// Experiment setting (query name, slot usage, distribution, …).
-    pub setting: String,
+    pub(crate) setting: String,
     /// Scheduler name.
-    pub scheduler: String,
+    pub(crate) scheduler: String,
     /// Simulated job completion time, seconds.
-    pub jct_seconds: f64,
+    pub(crate) jct_seconds: f64,
 }
 
 /// A cost measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct CostRow {
     /// Experiment setting.
-    pub setting: String,
+    pub(crate) setting: String,
     /// Scheduler name.
-    pub scheduler: String,
+    pub(crate) scheduler: String,
     /// Absolute cost, GB·s.
-    pub cost_gb_s: f64,
+    pub(crate) cost_gb_s: f64,
     /// Cost normalized to Ditto's (Ditto = 1.0), as the paper plots.
-    pub normalized_cost: f64,
+    pub(crate) normalized_cost: f64,
 }
 
 fn jct_pair(p: &PreparedQuery, rm: &ResourceManager, setting: &str) -> Vec<JctRow> {
@@ -123,11 +123,11 @@ pub fn fig1() -> Vec<JctRow> {
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig2Row {
     /// Map-stage DoP.
-    pub map_dop: u32,
+    pub(crate) map_dop: u32,
     /// Whether map and reduce share a server (zero-copy shuffle).
-    pub colocated: bool,
+    pub(crate) colocated: bool,
     /// Simulated JCT, seconds.
-    pub jct_seconds: f64,
+    pub(crate) jct_seconds: f64,
 }
 
 /// Fig. 2: a high-DoP map spread across servers (external shuffle) vs a
@@ -192,13 +192,13 @@ pub fn fig2() -> Vec<Fig2Row> {
 #[derive(Debug, Clone, Serialize)]
 pub struct RatioRow {
     /// Which configuration.
-    pub config: String,
+    pub(crate) config: String,
     /// First stage's DoP.
-    pub d1: f64,
+    pub(crate) d1: f64,
     /// Second stage's DoP.
-    pub d2: f64,
+    pub(crate) d2: f64,
     /// Completion time in the paper's abstract time units.
-    pub completion_time: f64,
+    pub(crate) completion_time: f64,
 }
 
 /// Fig. 4: intra-path ratio, α = (60, 15), C = 15 — data-size split gives
@@ -356,19 +356,19 @@ pub fn fig10() -> (Vec<JctRow>, Vec<CostRow>) {
 #[derive(Debug, Clone, Serialize)]
 pub struct ModelAccuracyRow {
     /// Query name.
-    pub query: String,
+    pub(crate) query: String,
     /// Stage name.
-    pub stage: String,
+    pub(crate) stage: String,
     /// `io` or `compute` intensive.
-    pub kind: String,
+    pub(crate) kind: String,
     /// Degree of parallelism.
-    pub dop: u32,
+    pub(crate) dop: u32,
     /// Ground-truth mean task time, seconds.
-    pub actual_seconds: f64,
+    pub(crate) actual_seconds: f64,
     /// Model-predicted time, seconds.
-    pub predicted_seconds: f64,
+    pub(crate) predicted_seconds: f64,
     /// |predicted − actual| / actual.
-    pub rel_error: f64,
+    pub(crate) rel_error: f64,
 }
 
 /// Fig. 11: execution-time model accuracy. For each query, one
@@ -477,23 +477,23 @@ pub fn fig12() -> (Vec<JctRow>, Vec<CostRow>) {
 #[derive(Debug, Clone, Serialize)]
 pub struct BreakdownRow {
     /// Stage index (1-based, as in Fig. 13/14).
-    pub stage: u32,
+    pub(crate) stage: u32,
     /// Stage name.
-    pub name: String,
+    pub(crate) name: String,
     /// Tasks in the stage.
-    pub tasks: u32,
+    pub(crate) tasks: u32,
     /// Stage start, seconds.
-    pub start: f64,
+    pub(crate) start: f64,
     /// Stage end, seconds.
-    pub end: f64,
+    pub(crate) end: f64,
     /// Mean setup seconds.
-    pub setup: f64,
+    pub(crate) setup: f64,
     /// Mean read seconds.
-    pub read: f64,
+    pub(crate) read: f64,
     /// Mean compute seconds.
-    pub compute: f64,
+    pub(crate) compute: f64,
     /// Mean write seconds.
-    pub write: f64,
+    pub(crate) write: f64,
 }
 
 /// Fig. 14: per-stage time breakdown of Q95 with every stage at DoP 40.
@@ -565,74 +565,17 @@ pub fn fig15() -> Fig15Output {
 // Extensions beyond the paper
 // ---------------------------------------------------------------------
 
-/// One multi-job policy measurement (the paper's §4.5 future work).
-#[derive(Debug, Clone, Serialize)]
-pub struct MultiJobRow {
-    /// Allocation policy.
-    pub policy: String,
-    /// Mean response time (queueing + execution), seconds.
-    pub mean_response: f64,
-    /// Completion of the last job, seconds.
-    pub makespan: f64,
-    /// Total cost over all jobs, GB·s.
-    pub total_cost: f64,
-}
-
-/// Multi-job queue experiment: eight jobs (two waves of the four
-/// queries), whole-cluster vs static partitions, Ditto inside each job.
-pub fn multi_job() -> Vec<MultiJobRow> {
-    use ditto_exec::multi::{queue_stats, simulate_queue, AllocationPolicy, QueuedJob};
-    let gt = GroundTruth::new(ExecConfig::default());
-    let mut jobs = Vec::new();
-    for wave in 0..2 {
-        for (i, q) in Query::all().iter().enumerate() {
-            let p = prepare(*q, Medium::S3);
-            jobs.push(QueuedJob {
-                name: format!("{}-{}", q.name(), wave),
-                dag: p.plan.dag.clone(),
-                model: p.model.clone(),
-                arrival: (wave * 4 + i) as f64 * 10.0,
-            });
-        }
-    }
-    let free = [96u32; 8];
-    [
-        ("whole-cluster", AllocationPolicy::WholeCluster),
-        ("2-partitions", AllocationPolicy::StaticPartitions(2)),
-        ("4-partitions", AllocationPolicy::StaticPartitions(4)),
-    ]
-    .iter()
-    .map(|(label, policy)| {
-        let outcomes = simulate_queue(
-            &free,
-            &jobs,
-            &DittoScheduler::new(),
-            Objective::Jct,
-            *policy,
-            &gt,
-        );
-        let s = queue_stats(&outcomes);
-        MultiJobRow {
-            policy: label.to_string(),
-            mean_response: s.mean_response,
-            makespan: s.makespan,
-            total_cost: s.total_cost,
-        }
-    })
-    .collect()
-}
-
 /// One deadline-sweep measurement (extension beyond the paper).
 #[derive(Debug, Clone, Serialize)]
 pub struct DeadlineRow {
     /// The requested deadline, seconds.
-    pub deadline: f64,
+    pub(crate) deadline: f64,
     /// `met`, `unreachable` (per the conservative prediction).
-    pub outcome: String,
+    pub(crate) outcome: String,
     /// Simulated JCT, seconds (0 when unreachable).
-    pub simulated_jct: f64,
+    pub(crate) simulated_jct: f64,
     /// Simulated total cost, GB·s (0 when unreachable).
-    pub cost: f64,
+    pub(crate) cost: f64,
 }
 
 /// Deadline-constrained sweep on Q95: cost sheds as deadlines loosen.
@@ -673,11 +616,11 @@ pub fn deadline_sweep() -> Vec<DeadlineRow> {
 #[derive(Debug, Clone, Serialize)]
 pub struct OverheadRow {
     /// Query name.
-    pub query: String,
+    pub(crate) query: String,
     /// Slot usage percentage.
-    pub slot_usage_pct: u32,
+    pub(crate) slot_usage_pct: u32,
     /// Median scheduling time, microseconds.
-    pub scheduling_micros: f64,
+    pub(crate) scheduling_micros: f64,
 }
 
 /// Table 1: Ditto's scheduling time per query and slot usage (median of
@@ -712,9 +655,9 @@ pub fn table1(iters: usize) -> Vec<OverheadRow> {
 #[derive(Debug, Clone, Serialize)]
 pub struct BuildTimeRow {
     /// Query name.
-    pub query: String,
+    pub(crate) query: String,
     /// Least-squares model building time, milliseconds.
-    pub build_millis: f64,
+    pub(crate) build_millis: f64,
 }
 
 /// Table 2: execution-time-model building time per query (profiles at
@@ -737,25 +680,25 @@ pub fn table2() -> Vec<BuildTimeRow> {
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultSweepRow {
     /// Scheduler ("ditto" / "nimble").
-    pub scheduler: String,
+    pub(crate) scheduler: String,
     /// Recovery policy ("retry" / "retry+spec").
-    pub policy: String,
+    pub(crate) policy: String,
     /// Per-attempt crash probability == per-task straggler probability.
-    pub fault_rate: f64,
+    pub(crate) fault_rate: f64,
     /// Simulated JCT under faults, seconds.
-    pub jct_seconds: f64,
+    pub(crate) jct_seconds: f64,
     /// JCT relative to the fault-free run of the same schedule (≥ 1).
-    pub jct_degradation: f64,
+    pub(crate) jct_degradation: f64,
     /// Total cost relative to the fault-free run.
-    pub cost_overhead: f64,
+    pub(crate) cost_overhead: f64,
     /// Failed / superseded attempts across the job.
-    pub extra_attempts: u32,
+    pub(crate) extra_attempts: u32,
     /// Billed-but-discarded work, GB·s.
-    pub wasted_gb_s: f64,
+    pub(crate) wasted_gb_s: f64,
 }
 
 /// Per-task crash/straggler probabilities swept by [`fault_sweep`].
-pub const FAULT_SWEEP_RATES: [f64; 4] = [0.02, 0.05, 0.1, 0.2];
+pub(crate) const FAULT_SWEEP_RATES: [f64; 4] = [0.02, 0.05, 0.1, 0.2];
 
 /// Robustness sweep (extension beyond the paper): Q95 on the §6 testbed
 /// under seeded random crashes and 4× stragglers at increasing fault

@@ -3,7 +3,7 @@
 //! # ditto-bench — the evaluation harness
 //!
 //! One function per table and figure of the paper's §6, all built on the
-//! same pipeline ([`setup`]):
+//! same pipeline (`setup`):
 //!
 //! 1. generate the synthetic TPC-DS-like database,
 //! 2. lower and *measure* the query plan (laptop-scale volumes), then
@@ -16,28 +16,25 @@
 //! The `figures` binary renders any experiment as an ASCII table and JSON,
 //! scheduling and model-building overhead (Tables 1 and 2) included.
 
-pub mod ablations;
-pub mod adapt;
+pub(crate) mod ablations;
+pub(crate) mod adapt;
 pub mod audit_sweep;
 pub mod crash;
-pub mod experiments;
-pub mod race_sweep;
-pub mod report;
+pub(crate) mod experiments;
+pub(crate) mod race_sweep;
+pub(crate) mod report;
 pub mod sched_bench;
-pub mod setup;
+pub(crate) mod setup;
 pub mod sql_bench;
-pub mod telemetry;
+pub(crate) mod telemetry;
 
 pub use ablations::all_ablations;
-pub use adapt::{adapt_sweep, adapt_sweep_grid, adapt_sweep_smoke, traced_adapt_pair, AdaptSweepRow};
-pub use audit_sweep::{
-    audit_sweep, audit_sweep_traced, sweep_is_clean, AuditSweepRow, AUDIT_SWEEP_SEEDS,
-};
-pub use crash::{crash_sweep, crash_sweep_smoke, traced_crash_recovery, CrashSweepRow};
+pub use adapt::{adapt_sweep, adapt_sweep_smoke, traced_adapt_pair};
+pub use audit_sweep::{audit_sweep, audit_sweep_traced, sweep_is_clean, AUDIT_SWEEP_SEEDS};
+pub use crash::{crash_sweep, crash_sweep_smoke, traced_crash_recovery};
 pub use experiments::*;
-pub use race_sweep::{race_certify, race_explore, RaceExploreRow, RaceSweepRow};
+pub use race_sweep::{race_certify, race_explore};
 pub use report::{render_rows, write_json};
-pub use sched_bench::{sched_bench_sizes, SchedBenchRow};
-pub use setup::{prepare, PreparedQuery, VOLUME_SCALE};
-pub use sql_bench::{sql_bench, SqlBenchRow};
-pub use telemetry::{traced_fault_run, TracedRun};
+pub use sched_bench::sched_bench_sizes;
+pub use sql_bench::sql_bench;
+pub use telemetry::traced_fault_run;

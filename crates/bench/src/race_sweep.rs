@@ -39,7 +39,7 @@ use serde::Serialize;
 const RACE_SLOTS: [u32; 2] = [24, 16];
 
 /// Seed naming every scenario's fault history.
-pub const RACE_SEED: u64 = 41;
+pub(crate) const RACE_SEED: u64 = 41;
 
 /// One certified trace.
 #[derive(Debug, Clone, Serialize)]
@@ -49,13 +49,13 @@ pub struct RaceSweepRow {
     /// Engine that produced the trace ("frozen" / "adaptive").
     pub engine: String,
     /// Happens-before ops parsed from the trace.
-    pub ops: usize,
+    pub(crate) ops: usize,
     /// Happens-before edges built over them.
-    pub hb_edges: usize,
+    pub(crate) hb_edges: usize,
     /// Error-severity race findings (must be 0).
     pub errors: usize,
     /// Warning-severity findings (model simplifications, allowed).
-    pub warnings: usize,
+    pub(crate) warnings: usize,
     /// True iff the trace certified race-free.
     pub clean: bool,
 }
@@ -213,11 +213,11 @@ pub struct RaceExploreRow {
     /// Index in the seeded DAG sequence.
     pub dag: usize,
     /// Interleavings actually run (canonical + enumerated + sampled).
-    pub interleavings: usize,
+    pub(crate) interleavings: usize,
     /// Tie-break decision points in the canonical run.
-    pub decision_points: usize,
+    pub(crate) decision_points: usize,
     /// Whole decision trie enumerated (no budget cut-off).
-    pub exhaustive: bool,
+    pub(crate) exhaustive: bool,
     /// A diverging interleaving was found (must be false).
     pub divergent: bool,
     /// Shrunk minimal witness decision vector, if divergent.

@@ -37,19 +37,19 @@ pub const SCHED_SMOKE_SIZES: &[usize] = &[16, 64, 256];
 #[derive(Debug, Clone, Serialize)]
 pub struct SchedBenchRow {
     /// Stages in the random DAG.
-    pub stages: usize,
+    pub(crate) stages: usize,
     /// Edges in the random DAG.
-    pub edges: usize,
+    pub(crate) edges: usize,
     /// `jct` or `cost`.
-    pub objective: String,
+    pub(crate) objective: String,
     /// Commit rounds of Algorithm 3.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Candidate edges evaluated across all rounds.
-    pub candidates: usize,
+    pub(crate) candidates: usize,
     /// Candidates accepted.
-    pub commits: usize,
+    pub(crate) commits: usize,
     /// Candidate evaluations that skipped `compute_dop`.
-    pub dop_memo_hits: usize,
+    pub(crate) dop_memo_hits: usize,
 }
 
 /// The benchmark cluster for an `n`-stage job: 8 servers with `n/4`

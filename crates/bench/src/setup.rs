@@ -11,39 +11,37 @@ use std::time::Duration;
 
 /// Scale factor for experiment databases: small enough to generate in
 /// tens of milliseconds, large enough that every query returns rows.
-pub const EXPERIMENT_SF: f64 = 0.5;
+pub(crate) const EXPERIMENT_SF: f64 = 0.5;
 
 /// Byte-volume multiplier bridging laptop-scale generated data to the
 /// paper's TB-scale inputs: measured intermediate volumes are multiplied
 /// by this before profiling/scheduling/simulation, putting query input
 /// sizes in the paper's 33–312 GB range and JCTs at hundreds of seconds.
-pub const VOLUME_SCALE: f64 = 40_000.0;
+pub(crate) const VOLUME_SCALE: f64 = 40_000.0;
 
 /// The profiled DoPs (the paper fits from five parallelism degrees).
-pub const PROFILE_DOPS: [u32; 5] = [10, 20, 40, 80, 120];
+pub(crate) const PROFILE_DOPS: [u32; 5] = [10, 20, 40, 80, 120];
 
 /// A query ready for scheduling experiments.
-pub struct PreparedQuery {
-    /// Which query.
-    pub query: Query,
+pub(crate) struct PreparedQuery {
     /// Plan with measured + scaled volumes.
-    pub plan: QueryPlan,
+    pub(crate) plan: QueryPlan,
     /// Ground truth the simulator runs against.
-    pub gt: GroundTruth,
+    pub(crate) gt: GroundTruth,
     /// The honest fitted model the schedulers consume.
-    pub model: JobTimeModel,
+    pub(crate) model: JobTimeModel,
     /// How long the least-squares fit took (Table 2).
-    pub model_build_time: Duration,
+    pub(crate) model_build_time: Duration,
 }
 
 /// Run the full pipeline for one query against the given external medium.
-pub fn prepare(query: Query, external: Medium) -> PreparedQuery {
+pub(crate) fn prepare(query: Query, external: Medium) -> PreparedQuery {
     prepare_with_sf(query, external, EXPERIMENT_SF, VOLUME_SCALE)
 }
 
 /// [`prepare`] with explicit scale factor and volume multiplier (the
 /// Redis experiment of §6.3 scales the benchmark down to fit the cache).
-pub fn prepare_with_sf(query: Query, external: Medium, sf: f64, volume_scale: f64) -> PreparedQuery {
+pub(crate) fn prepare_with_sf(query: Query, external: Medium, sf: f64, volume_scale: f64) -> PreparedQuery {
     let db = Database::generate(ScaleConfig::with_sf(sf));
     let mut plan = query.prepared_plan(&db);
     plan.scale_volumes(volume_scale);
@@ -54,7 +52,6 @@ pub fn prepare_with_sf(query: Query, external: Medium, sf: f64, volume_scale: f6
     let profile = profile_job(&plan.dag, &gt, &PROFILE_DOPS);
     let (model, model_build_time) = profile.build_model(&plan.dag);
     PreparedQuery {
-        query,
         plan,
         gt,
         model,
@@ -64,7 +61,7 @@ pub fn prepare_with_sf(query: Query, external: Medium, sf: f64, volume_scale: f6
 
 impl PreparedQuery {
     /// Schedule with the given scheduler on the given cluster.
-    pub fn schedule(
+    pub(crate) fn schedule(
         &self,
         scheduler: &dyn Scheduler,
         rm: &ResourceManager,
@@ -85,7 +82,7 @@ impl PreparedQuery {
             assert!(
                 report.is_clean(),
                 "schedule for {:?} failed audit:\n{}",
-                self.query,
+                self.plan.dag.name(),
                 report.render()
             );
         }
@@ -93,7 +90,7 @@ impl PreparedQuery {
     }
 
     /// Schedule and simulate; returns the metrics the figures plot.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         scheduler: &dyn Scheduler,
         rm: &ResourceManager,
@@ -106,12 +103,12 @@ impl PreparedQuery {
 }
 
 /// The paper's testbed under a slot distribution: 8 servers × 96 slots.
-pub fn testbed(dist: &SlotDistribution) -> ResourceManager {
+pub(crate) fn testbed(dist: &SlotDistribution) -> ResourceManager {
     ResourceManager::snapshot(&Cluster::paper_testbed(dist))
 }
 
 /// The §6 default: Zipf-0.9.
-pub fn default_testbed() -> ResourceManager {
+pub(crate) fn default_testbed() -> ResourceManager {
     testbed(&SlotDistribution::zipf_09())
 }
 

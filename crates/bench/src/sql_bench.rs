@@ -41,14 +41,14 @@ const SQL_BENCH_SF: f64 = 0.5;
 #[derive(Debug, Clone, Serialize)]
 pub struct SqlBenchRow {
     /// `partition`, or `q1`…`q95`.
-    pub op: String,
+    pub(crate) op: String,
     /// Input rows: the partitioned table's, or the sum over the plan's
     /// scanned tables.
-    pub rows: u64,
+    pub(crate) rows: u64,
     /// Encoded bytes on the wire.
-    pub wire_bytes: u64,
+    pub(crate) wire_bytes: u64,
     /// Pre-encoding logical bytes the wire traffic carried.
-    pub logical_bytes: u64,
+    pub(crate) logical_bytes: u64,
 }
 
 /// splitmix64: the deterministic generator behind the micro table.

@@ -9,22 +9,23 @@
 
 use crate::setup::{default_testbed, prepare};
 use ditto_core::{DittoScheduler, Objective, SchedulingContext};
-use ditto_exec::{Engine, FaultPlan, FaultRates, JobMetrics, RecoveryPolicy};
+use ditto_exec::{Engine, FaultPlan, FaultRates, RecoveryPolicy};
 use ditto_obs::{critical_path, CriticalPathReport, Recorder, TraceData};
 use ditto_sql::queries::Query;
 use ditto_storage::Medium;
 
 /// Crash == straggler probability of the exemplar run.
-pub const TRACED_FAULT_RATE: f64 = 0.05;
+pub(crate) const TRACED_FAULT_RATE: f64 = 0.05;
 /// Fault seed of the exemplar run (same as the fault sweep).
-pub const TRACED_SEED: u64 = 17;
+pub(crate) const TRACED_SEED: u64 = 17;
 
 /// Everything the exemplar traced run produces.
 pub struct TracedRun {
     /// The full telemetry stream (spans, events, counters, metrics).
     pub data: TraceData,
     /// Job metrics of the same run.
-    pub metrics: JobMetrics,
+    #[cfg(test)]
+    metrics: ditto_exec::JobMetrics,
     /// JCT attribution from walking the trace's critical path.
     pub critical_path: CriticalPathReport,
 }
@@ -56,14 +57,15 @@ pub fn traced_fault_run() -> TracedRun {
         max_retries: 16,
         ..RecoveryPolicy::default()
     };
-    let (_, metrics) =
+    let (_, _metrics) =
         Engine::new(&p.plan.dag, &schedule, &p.gt).faults(&plan, &policy).recorder(&obs).run()
             .expect("rate-0.05 faults recover within 16 retries");
     let data = obs.finish();
     let critical_path = critical_path(&data);
     TracedRun {
         data,
-        metrics,
+        #[cfg(test)]
+        metrics: _metrics,
         critical_path,
     }
 }
@@ -108,7 +110,7 @@ mod tests {
         let monitor = ditto_cluster::RuntimeMonitor::new();
         let n = monitor.ingest(&run.data);
         assert!(n > 0, "no task spans ingested");
-        assert_eq!(monitor.len(), n);
+        assert_eq!(monitor.records().len(), n);
         // Every stage of Q95 produced records with coherent step sums.
         for r in monitor.records() {
             assert!(r.steps.total() <= r.duration() + 1e-6);

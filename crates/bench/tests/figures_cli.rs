@@ -18,6 +18,8 @@ fn unknown_targets_and_flags_exit_2_before_running_anything() {
         &["regress"],
         &["telemetry"],
         &["sqlbench-smoke"],
+        &["export"],
+        &["multi"],
         &["--record-only", "fig13"],
     ] {
         let out = figures(args);

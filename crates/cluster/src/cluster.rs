@@ -1,107 +1,32 @@
 //! Cluster: a set of function servers.
 
 use crate::distribution::SlotDistribution;
-use crate::server::{Server, ServerId};
 
 /// A cluster of function servers. Mirrors the paper's testbed surface:
-/// the scheduler only consumes per-server free-slot counts.
+/// the scheduler only consumes per-server free-slot counts, so those are
+/// all a cluster holds.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    servers: Vec<Server>,
+    free: Vec<u32>,
 }
 
 impl Cluster {
-    /// Build a cluster from explicit (capacity, available) pairs.
-    pub fn from_availability(avail: &[(u32, u32)]) -> Self {
-        Cluster {
-            servers: avail
-                .iter()
-                .enumerate()
-                .map(|(i, &(cap, free))| Server::with_available(ServerId(i as u32), cap, free))
-                .collect(),
-        }
-    }
-
-    /// `n` identical servers with `capacity` slots, all free.
-    pub fn uniform(n: usize, capacity: u32) -> Self {
-        Cluster {
-            servers: (0..n)
-                .map(|i| Server::new(ServerId(i as u32), capacity))
-                .collect(),
-        }
-    }
-
-    /// The paper's testbed shape under an availability distribution:
-    /// `n` servers of the given capacity, free slots per
-    /// [`SlotDistribution`]. The paper uses 8 servers × 96 slots.
-    pub fn with_distribution(n: usize, capacity: u32, dist: &SlotDistribution) -> Self {
-        let caps = vec![capacity; n];
-        let avail = dist.apply(&caps);
-        Cluster {
-            servers: avail
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| Server::with_available(ServerId(i as u32), capacity, a))
-                .collect(),
-        }
-    }
-
-    /// The paper's exact testbed: 8 servers × 96 function slots.
+    /// The paper's exact testbed: 8 servers × 96 function slots, free
+    /// slots per [`SlotDistribution`].
     pub fn paper_testbed(dist: &SlotDistribution) -> Self {
-        Self::with_distribution(8, 96, dist)
+        Cluster {
+            free: dist.apply(&[96; 8]),
+        }
     }
 
     /// Number of servers.
     pub fn num_servers(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// All servers.
-    pub fn servers(&self) -> &[Server] {
-        &self.servers
-    }
-
-    /// One server.
-    pub fn server(&self, id: ServerId) -> &Server {
-        &self.servers[id.index()]
-    }
-
-    /// Mutable server access.
-    pub fn server_mut(&mut self, id: ServerId) -> &mut Server {
-        &mut self.servers[id.index()]
-    }
-
-    /// Total free slots across the cluster (the paper's `C`).
-    pub fn total_free_slots(&self) -> u32 {
-        self.servers.iter().map(|s| s.free()).sum()
-    }
-
-    /// Largest per-server free-slot count (bounds the biggest placeable
-    /// stage group).
-    pub fn max_free_slots(&self) -> u32 {
-        self.servers.iter().map(|s| s.free()).max().unwrap_or(0)
+        self.free.len()
     }
 
     /// Current free-slot vector (snapshot for the placement check).
     pub fn free_slots(&self) -> Vec<u32> {
-        self.servers.iter().map(|s| s.free()).collect()
-    }
-
-    /// Take a server down (see [`Server::fail`]); returns the free slots
-    /// lost. Snapshots taken afterwards see zero capacity there, so new
-    /// schedules route around the failure.
-    pub fn fail_server(&mut self, id: ServerId) -> u32 {
-        self.servers[id.index()].fail()
-    }
-
-    /// Bring a failed server back with `available` free slots.
-    pub fn restore_server(&mut self, id: ServerId, available: u32) {
-        self.servers[id.index()].restore(available);
-    }
-
-    /// Number of servers currently up.
-    pub fn online_servers(&self) -> usize {
-        self.servers.iter().filter(|s| s.is_online()).count()
+        self.free.clone()
     }
 }
 
@@ -110,18 +35,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_cluster() {
-        let c = Cluster::uniform(4, 16);
-        assert_eq!(c.num_servers(), 4);
-        assert_eq!(c.total_free_slots(), 64);
-        assert_eq!(c.max_free_slots(), 16);
-    }
-
-    #[test]
     fn paper_testbed_full() {
         let c = Cluster::paper_testbed(&SlotDistribution::Uniform { usage: 1.0 });
         assert_eq!(c.num_servers(), 8);
-        assert_eq!(c.total_free_slots(), 8 * 96);
+        assert_eq!(c.free_slots(), vec![96; 8]);
     }
 
     #[test]
@@ -130,34 +47,6 @@ mod tests {
         let free = c.free_slots();
         assert_eq!(free[0], 96);
         assert!(free[7] < 30, "tail server should be heavily restricted: {free:?}");
-        assert!(c.total_free_slots() < 8 * 96);
-    }
-
-    #[test]
-    fn from_availability() {
-        let c = Cluster::from_availability(&[(96, 50), (96, 96)]);
-        assert_eq!(c.server(ServerId(0)).free(), 50);
-        assert_eq!(c.server(ServerId(1)).free(), 96);
-    }
-
-    #[test]
-    fn fail_server_removes_capacity_from_snapshots() {
-        let mut c = Cluster::uniform(3, 8);
-        assert_eq!(c.online_servers(), 3);
-        assert_eq!(c.fail_server(ServerId(1)), 8);
-        assert_eq!(c.online_servers(), 2);
-        assert_eq!(c.free_slots(), vec![8, 0, 8]);
-        assert_eq!(c.total_free_slots(), 16);
-        c.restore_server(ServerId(1), 5);
-        assert_eq!(c.online_servers(), 3);
-        assert_eq!(c.free_slots(), vec![8, 5, 8]);
-    }
-
-    #[test]
-    fn reserve_through_server_mut() {
-        let mut c = Cluster::uniform(2, 8);
-        assert!(c.server_mut(ServerId(0)).reserve(8));
-        assert_eq!(c.total_free_slots(), 8);
-        assert_eq!(c.max_free_slots(), 8);
+        assert!(free.iter().sum::<u32>() < 8 * 96);
     }
 }

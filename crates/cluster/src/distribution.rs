@@ -50,7 +50,7 @@ impl SlotDistribution {
     /// Per-server availability ratios in `(0, 1]`, one per server.
     /// Deterministic — the paper samples pdf values at fixed points rather
     /// than drawing randomly, so reruns see identical clusters.
-    pub fn ratios(&self, n_servers: usize) -> Vec<f64> {
+    pub(crate) fn ratios(&self, n_servers: usize) -> Vec<f64> {
         assert!(n_servers > 0);
         match *self {
             SlotDistribution::Uniform { usage } => {
@@ -84,7 +84,7 @@ impl SlotDistribution {
     /// Available slots per server given each server's hardware capacity.
     /// Ratios are applied per server and rounded half-up, with at least one
     /// slot so no server is completely unusable.
-    pub fn apply(&self, capacities: &[u32]) -> Vec<u32> {
+    pub(crate) fn apply(&self, capacities: &[u32]) -> Vec<u32> {
         let ratios = self.ratios(capacities.len());
         capacities
             .iter()

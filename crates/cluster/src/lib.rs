@@ -9,7 +9,8 @@
 //! number of single-core *function slots*; the control plane sees only the
 //! per-server free-slot counts. This crate reproduces that resource surface:
 //!
-//! * [`Server`] / [`Cluster`] — slot accounting with reserve/release;
+//! * [`Cluster`] — the free-slot vector of a testbed (8 × 96 slots in the
+//!   paper), and [`ServerId`] naming one of its servers;
 //! * [`SlotDistribution`] — the §6.1 availability patterns: uniform slot
 //!   usage (100–25 %), `Norm-1.0`/`Norm-0.8` and `Zipf-0.9`/`Zipf-0.99`
 //!   per-server slot ratios;
@@ -19,14 +20,14 @@
 //!   paper's per-server runtime monitor), feeding profiles back into the
 //!   execution-time model.
 
-pub mod cluster;
-pub mod distribution;
-pub mod manager;
-pub mod monitor;
-pub mod server;
+pub(crate) mod cluster;
+pub(crate) mod distribution;
+pub(crate) mod manager;
+pub(crate) mod monitor;
+pub(crate) mod server;
 
 pub use cluster::Cluster;
 pub use distribution::SlotDistribution;
 pub use manager::ResourceManager;
-pub use monitor::{DriftConfig, DriftDetector, DriftEvent, RuntimeMonitor, TaskRecord};
-pub use server::{Server, ServerId};
+pub use monitor::{DriftConfig, DriftDetector, RuntimeMonitor, TaskRecord};
+pub use server::ServerId;

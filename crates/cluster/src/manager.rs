@@ -66,11 +66,6 @@ impl ResourceManager {
         true
     }
 
-    /// Release `n` slots on a server.
-    pub fn release(&mut self, s: ServerId, n: u32) {
-        self.free[s.index()] += n;
-    }
-
     /// Remove a failed server from the snapshot: its free slots drop to
     /// zero while indices stay stable (so `ServerId`s keep their meaning).
     /// Returns the slots lost. Used by failure-aware rescheduling to
@@ -91,14 +86,6 @@ impl ResourceManager {
             .filter(|&(_, &f)| f >= n)
             .min_by_key(|&(i, &f)| (f, i))
             .map(|(i, _)| ServerId(i as u32))
-    }
-
-    /// Reserve `n` slots on the best-fit server, returning where.
-    pub fn reserve_best_fit(&mut self, n: u32) -> Option<ServerId> {
-        let s = self.best_fit(n)?;
-        let ok = self.reserve(s, n);
-        debug_assert!(ok);
-        Some(s)
     }
 
     /// Spread `n` single-slot tasks across servers, preferring emptier
@@ -153,14 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn reserve_best_fit_mutates() {
-        let mut m = rm(&[10, 4]);
-        assert_eq!(m.reserve_best_fit(4), Some(ServerId(1)));
-        assert_eq!(m.free_on(ServerId(1)), 0);
-        assert_eq!(m.total_free(), 10);
-    }
-
-    #[test]
     fn reserve_insufficient_fails_cleanly() {
         let mut m = rm(&[3]);
         assert!(!m.reserve(ServerId(0), 4));
@@ -196,9 +175,9 @@ mod tests {
 
     #[test]
     fn snapshot_matches_cluster() {
-        let c = crate::Cluster::uniform(3, 5);
+        let c = crate::Cluster::paper_testbed(&crate::SlotDistribution::Uniform { usage: 1.0 });
         let m = ResourceManager::snapshot(&c);
-        assert_eq!(m.total_free(), 15);
-        assert_eq!(m.num_servers(), 3);
+        assert_eq!(m.total_free(), 8 * 96);
+        assert_eq!(m.num_servers(), 8);
     }
 }

@@ -42,23 +42,6 @@ impl TaskRecord {
     }
 }
 
-/// Per-stage aggregate over the collected records.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageStats {
-    /// Number of tasks recorded.
-    pub tasks: u32,
-    /// Mean task duration, seconds.
-    pub mean_duration: f64,
-    /// Max task duration, seconds (the straggler).
-    pub max_duration: f64,
-    /// Earliest task start.
-    pub first_start: f64,
-    /// Latest task end — the stage completion time.
-    pub last_end: f64,
-    /// Mean per-step durations.
-    pub mean_steps: StepTimings,
-}
-
 /// Thread-safe collector of [`TaskRecord`]s.
 #[derive(Debug, Default)]
 pub struct RuntimeMonitor {
@@ -76,43 +59,11 @@ impl RuntimeMonitor {
         self.records.lock().push(r);
     }
 
-    /// Number of records collected.
-    pub fn len(&self) -> usize {
-        self.records.lock().len()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshot of all records (sorted by stage then task for determinism).
     pub fn records(&self) -> Vec<TaskRecord> {
         let mut v = self.records.lock().clone();
         v.sort_by_key(|a| (a.stage, a.task));
         v
-    }
-
-    /// Aggregate statistics for one stage, or `None` if unrecorded.
-    pub fn stage_stats(&self, stage: u32) -> Option<StageStats> {
-        let recs = self.records.lock();
-        let rs: Vec<&TaskRecord> = recs.iter().filter(|r| r.stage == stage).collect();
-        if rs.is_empty() {
-            return None;
-        }
-        let n = rs.len() as f64;
-        let mut sum = StepTimings::zero();
-        for r in &rs {
-            sum.accumulate(&r.steps);
-        }
-        Some(StageStats {
-            tasks: rs.len() as u32,
-            mean_duration: rs.iter().map(|r| r.duration()).sum::<f64>() / n,
-            max_duration: rs.iter().map(|r| r.duration()).fold(f64::MIN, f64::max),
-            first_start: rs.iter().map(|r| r.start).fold(f64::MAX, f64::min),
-            last_end: rs.iter().map(|r| r.end).fold(f64::MIN, f64::max),
-            mean_steps: sum.scaled(1.0 / n),
-        })
     }
 
     /// Replay the `task` spans of a recorded telemetry stream into
@@ -151,11 +102,6 @@ impl RuntimeMonitor {
         }
         n
     }
-
-    /// Clear all records (between profiled runs).
-    pub fn clear(&self) {
-        self.records.lock().clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -170,7 +116,7 @@ pub struct DriftConfig {
     pub band: f64,
     /// EWMA smoothing weight on the newest sample, in `(0, 1]`.
     pub ewma_alpha: f64,
-    /// Minimum samples for a stage before it can fire a [`DriftEvent`]
+    /// Minimum samples for a stage before it can fire a `DriftEvent`
     /// (single-task noise must not trigger a replan).
     pub min_samples: u32,
     /// Predictions below this are treated as "no signal" (ratio 1.0).
@@ -195,13 +141,13 @@ impl Default for DriftConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftEvent {
     /// The drifting stage.
-    pub stage: u32,
+    pub(crate) stage: u32,
     /// Smoothed observed/predicted total-time ratio (> band or < 1/band).
     pub factor: f64,
     /// Smoothed per-step ratios at the moment of detection.
     pub step_factors: StepTimings,
     /// Samples behind the estimate.
-    pub samples: u32,
+    pub(crate) samples: u32,
 }
 
 impl DriftEvent {
@@ -271,7 +217,7 @@ impl EwmaState {
 /// task; it maintains per-stage and job-global EWMAs of the per-step and
 /// total observed/predicted ratios. When a stage's smoothed total ratio
 /// leaves the configured multiplicative band (with enough samples), the
-/// observation returns a typed [`DriftEvent`] — the signal the adaptive
+/// observation returns a typed `DriftEvent` — the signal the adaptive
 /// executor uses to re-fit the model and re-optimize the schedule suffix.
 #[derive(Debug)]
 pub struct DriftDetector {
@@ -286,7 +232,8 @@ pub struct DriftDetector {
 
 impl DriftDetector {
     /// Detector for an `n_stages`-stage job.
-    pub fn new(n_stages: usize, config: DriftConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(n_stages: usize, config: DriftConfig) -> Self {
         DriftDetector {
             config,
             stages: vec![EwmaState::new(); n_stages],
@@ -314,13 +261,8 @@ impl DriftDetector {
         }
     }
 
-    /// The configured band and smoothing parameters.
-    pub fn config(&self) -> DriftConfig {
-        self.config
-    }
-
     /// Record one completed task's observed vs. predicted step timings.
-    /// Returns a [`DriftEvent`] when the stage's smoothed total ratio has
+    /// Returns a `DriftEvent` when the stage's smoothed total ratio has
     /// left `[1/band, band]` and the stage has `min_samples` samples.
     pub fn observe(
         &mut self,
@@ -374,28 +316,10 @@ impl DriftDetector {
         (st.samples > 0).then_some(st.steps)
     }
 
-    /// Samples observed for the class of `stage` (0 without a class layer).
-    pub fn class_samples(&self, stage: u32) -> u32 {
-        self.class_of
-            .get(stage as usize)
-            .and_then(|&c| self.classes.get(c as usize))
-            .map_or(0, |s| s.samples)
-    }
-
     /// Smoothed per-step correction factors across all observed tasks —
     /// the fallback applied to stages that have not run yet.
     pub fn global_correction(&self) -> StepTimings {
         self.global.steps
-    }
-
-    /// Samples observed for one stage.
-    pub fn stage_samples(&self, stage: u32) -> u32 {
-        self.stages.get(stage as usize).map_or(0, |s| s.samples)
-    }
-
-    /// Total samples observed.
-    pub fn total_samples(&self) -> u32 {
-        self.global.samples
     }
 }
 
@@ -414,23 +338,6 @@ mod tests {
             bytes_read: 100,
             bytes_written: 50,
         }
-    }
-
-    #[test]
-    fn collects_and_aggregates() {
-        let m = RuntimeMonitor::new();
-        m.record(rec(0, 0, 0.0, 4.0));
-        m.record(rec(0, 1, 0.5, 6.0));
-        m.record(rec(1, 0, 6.0, 8.0));
-        assert_eq!(m.len(), 3);
-        let s = m.stage_stats(0).unwrap();
-        assert_eq!(s.tasks, 2);
-        assert!((s.mean_duration - 4.75).abs() < 1e-12);
-        assert!((s.max_duration - 5.5).abs() < 1e-12);
-        assert_eq!(s.first_start, 0.0);
-        assert_eq!(s.last_end, 6.0);
-        assert_eq!(s.mean_steps, StepTimings::new(0.0, 1.0, 2.0, 0.5));
-        assert!(m.stage_stats(9).is_none());
     }
 
     #[test]
@@ -462,8 +369,6 @@ mod tests {
         assert_eq!(r.server, ServerId(3));
         assert_eq!(r.steps, StepTimings::new(0.5, 0.5, 2.0, 0.5));
         assert_eq!((r.bytes_read, r.bytes_written), (1024, 512));
-        let s = m.stage_stats(1).unwrap();
-        assert!((s.mean_duration - 3.5).abs() < 1e-12);
     }
 
     #[test]
@@ -477,15 +382,6 @@ mod tests {
             v.iter().map(|r| (r.stage, r.task)).collect::<Vec<_>>(),
             vec![(0, 0), (0, 1), (1, 0)]
         );
-    }
-
-    #[test]
-    fn clear_resets() {
-        let m = RuntimeMonitor::new();
-        m.record(rec(0, 0, 0.0, 1.0));
-        assert!(!m.is_empty());
-        m.clear();
-        assert!(m.is_empty());
     }
 
     #[test]
@@ -525,8 +421,8 @@ mod tests {
         let mut d = DriftDetector::new(3, DriftConfig::default());
         let pred = StepTimings::new(0.0, 1.0, 1.0, 1.0);
         d.observe(0, &StepTimings::new(0.0, 2.0, 2.0, 2.0), &pred);
-        assert_eq!(d.stage_samples(0), 1);
-        assert_eq!(d.stage_samples(1), 0);
+        assert_eq!(d.stages[0].samples, 1);
+        assert_eq!(d.stages[1].samples, 0);
         assert!(d.stage_correction(1).is_none());
         let c0 = d.stage_correction(0).unwrap();
         assert!((c0.compute - 2.0).abs() < 1e-9);
@@ -534,7 +430,7 @@ mod tests {
         assert!((c0.setup - 1.0).abs() < 1e-9);
         let g = d.global_correction();
         assert!((g.read - 2.0).abs() < 1e-9);
-        assert_eq!(d.total_samples(), 1);
+        assert_eq!(d.global.samples, 1);
     }
 
     #[test]
@@ -548,13 +444,13 @@ mod tests {
         assert!(d.stage_correction(2).is_none(), "stage 2 itself unobserved");
         let c = d.class_correction(2).expect("class estimate transfers");
         assert!((c.compute - 2.0).abs() < 1e-9);
-        assert_eq!(d.class_samples(2), 1);
+        assert_eq!(d.classes[d.class_of[2] as usize].samples, 1);
         assert!(d.class_correction(1).is_none(), "other class untouched");
         // A detector without a class layer never transfers.
         let mut plain = DriftDetector::new(3, DriftConfig::default());
         plain.observe(0, &StepTimings::new(0.0, 1.0, 2.0, 1.0), &pred);
         assert!(plain.class_correction(2).is_none());
-        assert_eq!(plain.class_samples(0), 0);
+        assert!(plain.classes.is_empty());
     }
 
     #[test]
@@ -584,6 +480,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(m.len(), 100);
+        assert_eq!(m.records().len(), 100);
     }
 }

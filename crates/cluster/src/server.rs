@@ -1,4 +1,4 @@
-//! A function server: a bounded pool of single-core function slots.
+//! Server identifiers.
 
 use std::fmt;
 
@@ -20,159 +20,12 @@ impl fmt::Display for ServerId {
     }
 }
 
-/// One function server. `capacity` is the hardware bound (number of CPU
-/// cores available for functions); `free` is the currently available slot
-/// count, which varies with runtime conditions (§6.1 models this with slot
-/// usage / distribution knobs).
-#[derive(Debug, Clone)]
-pub struct Server {
-    /// Dense identifier.
-    pub id: ServerId,
-    /// Hardware slot capacity.
-    pub capacity: u32,
-    /// Currently free slots, ≤ capacity.
-    free: u32,
-    /// Whether the server is up. A failed server offers no slots until
-    /// [`Server::restore`] brings it back.
-    online: bool,
-}
-
-impl Server {
-    /// New server with all `capacity` slots free.
-    pub fn new(id: ServerId, capacity: u32) -> Self {
-        Server {
-            id,
-            capacity,
-            free: capacity,
-            online: true,
-        }
-    }
-
-    /// New server with only `available` of `capacity` slots free (the rest
-    /// occupied by other tenants).
-    pub fn with_available(id: ServerId, capacity: u32, available: u32) -> Self {
-        assert!(available <= capacity, "available slots exceed capacity");
-        Server {
-            id,
-            capacity,
-            free: available,
-            online: true,
-        }
-    }
-
-    /// Whether the server is up.
-    pub fn is_online(&self) -> bool {
-        self.online
-    }
-
-    /// Take the server down: all free slots vanish and reservations fail
-    /// until restored. Returns the free slots lost (idempotent — a second
-    /// failure loses 0). Slots already reserved by running work are the
-    /// caller's problem: the tasks holding them are dead and must be
-    /// re-executed elsewhere.
-    pub fn fail(&mut self) -> u32 {
-        let lost = if self.online { self.free } else { 0 };
-        self.free = 0;
-        self.online = false;
-        lost
-    }
-
-    /// Bring a failed server back with `available` free slots (capped at
-    /// capacity). No-op beyond the state flip if already online.
-    pub fn restore(&mut self, available: u32) {
-        self.online = true;
-        self.free = available.min(self.capacity);
-    }
-
-    /// Free slot count (0 while offline).
-    pub fn free(&self) -> u32 {
-        self.free
-    }
-
-    /// Occupied slot count.
-    pub fn used(&self) -> u32 {
-        self.capacity - self.free
-    }
-
-    /// Reserve `n` slots; `false` (no change) if not enough are free or
-    /// the server is offline.
-    #[must_use]
-    pub fn reserve(&mut self, n: u32) -> bool {
-        if !self.online || n > self.free {
-            return false;
-        }
-        self.free -= n;
-        true
-    }
-
-    /// Release `n` slots back.
-    ///
-    /// # Panics
-    /// Panics if releasing would exceed capacity (double release).
-    pub fn release(&mut self, n: u32) {
-        assert!(
-            self.free + n <= self.capacity,
-            "release of {n} slots would exceed capacity on {}",
-            self.id
-        );
-        self.free += n;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn reserve_release_roundtrip() {
-        let mut s = Server::new(ServerId(0), 8);
-        assert!(s.reserve(5));
-        assert_eq!(s.free(), 3);
-        assert_eq!(s.used(), 5);
-        assert!(!s.reserve(4));
-        assert_eq!(s.free(), 3, "failed reserve must not change state");
-        s.release(5);
-        assert_eq!(s.free(), 8);
-    }
-
-    #[test]
-    fn with_available_caps_free() {
-        let s = Server::with_available(ServerId(1), 96, 24);
-        assert_eq!(s.free(), 24);
-        assert_eq!(s.used(), 72);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed capacity")]
-    fn double_release_panics() {
-        let mut s = Server::new(ServerId(0), 4);
-        s.release(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "available slots exceed capacity")]
-    fn available_above_capacity_panics() {
-        Server::with_available(ServerId(0), 4, 5);
-    }
-
-    #[test]
     fn display() {
         assert_eq!(ServerId(3).to_string(), "srv3");
-    }
-
-    #[test]
-    fn fail_and_restore_transitions() {
-        let mut s = Server::new(ServerId(0), 8);
-        assert!(s.reserve(3));
-        assert!(s.is_online());
-        assert_eq!(s.fail(), 5, "failure loses the remaining free slots");
-        assert!(!s.is_online());
-        assert_eq!(s.free(), 0);
-        assert!(!s.reserve(1), "offline servers accept no reservations");
-        assert_eq!(s.fail(), 0, "second failure is idempotent");
-        s.restore(99);
-        assert!(s.is_online());
-        assert_eq!(s.free(), 8, "restore caps free at capacity");
-        assert!(s.reserve(8));
     }
 }

@@ -28,7 +28,7 @@ fn stage_input_bytes(dag: &JobDag, s: StageId) -> u64 {
 }
 
 /// DoPs proportional to input data size, summing to (at most) `c`.
-pub fn nimble_dops(dag: &JobDag, c: u32) -> Vec<u32> {
+pub(crate) fn nimble_dops(dag: &JobDag, c: u32) -> Vec<u32> {
     let inputs: Vec<f64> = dag
         .stages()
         .iter()

@@ -23,34 +23,22 @@ use ditto_cluster::ResourceManager;
 use ditto_dag::JobDag;
 use ditto_timemodel::JobTimeModel;
 
-/// Result of the deadline blend at the DoP level.
-#[derive(Debug, Clone)]
-pub struct DeadlineDop {
-    /// Fractional DoPs meeting the deadline.
-    pub fractional: Vec<f64>,
-    /// The blend factor used: 0 = cost-optimal, 1 = JCT-optimal.
-    pub lambda: f64,
-    /// Predicted JCT at the blend.
-    pub predicted_jct: f64,
-    /// Predicted cost at the blend.
-    pub predicted_cost: f64,
-}
-
 /// Find the cheapest DoP vector in the cost↔JCT blend family whose
-/// predicted JCT meets `deadline`, for a fixed co-location mask. Returns
-/// `None` when even the JCT-optimal configuration misses the deadline.
-pub fn deadline_constrained_dop(
+/// predicted JCT meets `deadline`, for a fixed co-location mask: its
+/// fractional DoPs, or `None` when even the JCT-optimal configuration
+/// misses the deadline.
+pub(crate) fn deadline_constrained_dop(
     dag: &JobDag,
     model: &JobTimeModel,
     colocated: &[bool],
     c: u32,
     deadline: f64,
-) -> Option<DeadlineDop> {
+) -> Option<Vec<f64>> {
     assert!(deadline > 0.0, "deadline must be positive");
     let jct_opt = compute_dop(dag, model, colocated, Objective::Jct, c);
     let cost_opt = compute_dop(dag, model, colocated, Objective::Cost, c);
 
-    let eval = |lambda: f64| -> (Vec<f64>, f64, f64) {
+    let eval = |lambda: f64| -> (Vec<f64>, f64) {
         let d: Vec<f64> = cost_opt
             .fractional
             .iter()
@@ -58,43 +46,32 @@ pub fn deadline_constrained_dop(
             .map(|(&dc, &dj)| (1.0 - lambda) * dc + lambda * dj)
             .collect();
         let jct = predicted_jct(dag, model, &d, colocated);
-        let cost = predicted_cost(dag, model, &d, colocated);
-        (d, jct, cost)
+        (d, jct)
     };
 
-    let (_, jct_best, _) = eval(1.0);
+    let (_, jct_best) = eval(1.0);
     if jct_best > deadline {
         return None; // even the fastest configuration misses it
     }
-    let (d0, jct0, cost0) = eval(0.0);
+    let (d0, jct0) = eval(0.0);
     if jct0 <= deadline {
-        return Some(DeadlineDop {
-            fractional: d0,
-            lambda: 0.0,
-            predicted_jct: jct0,
-            predicted_cost: cost0,
-        });
+        return Some(d0);
     }
 
     // Bisect the smallest λ with JCT(λ) ≤ deadline.
     let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
     for _ in 0..48 {
         let mid = 0.5 * (lo + hi);
-        let (_, jct, _) = eval(mid);
+        let (_, jct) = eval(mid);
         if jct <= deadline {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    let (d, jct, cost) = eval(hi);
+    let (d, jct) = eval(hi);
     debug_assert!(jct <= deadline * (1.0 + 1e-9));
-    Some(DeadlineDop {
-        fractional: d,
-        lambda: hi,
-        predicted_jct: jct,
-        predicted_cost: cost,
-    })
+    Some(d)
 }
 
 /// Full deadline-constrained scheduling: Algorithm 3's joint loop, with
@@ -129,7 +106,6 @@ pub fn schedule_with_deadline(
         for i in 0..=steps {
             let mu = i as f64 / 12.0; // 0 = cheapest blend, 1 = JCT-opt
             let frac: Vec<f64> = blend
-                .fractional
                 .iter()
                 .zip(&jct_opt.fractional)
                 .map(|(&a, &b)| (1.0 - mu) * a + mu * b)
@@ -235,9 +211,8 @@ mod tests {
         let none = model.no_colocation();
         let c = rm.total_free();
         let d = deadline_constrained_dop(&dag, &model, &none, c, 1e9).unwrap();
-        assert_eq!(d.lambda, 0.0);
         let cost_opt = compute_dop(&dag, &model, &none, Objective::Cost, c);
-        assert_eq!(d.fractional, cost_opt.fractional);
+        assert_eq!(d, cost_opt.fractional);
     }
 
     #[test]
@@ -253,12 +228,13 @@ mod tests {
         // Pick a deadline strictly between the two extremes.
         let deadline = 0.5 * (jct_best + jct_at_cost_opt);
         let d = deadline_constrained_dop(&dag, &model, &none, c, deadline).unwrap();
-        assert!(d.predicted_jct <= deadline * (1.0 + 1e-9));
-        assert!(d.lambda > 0.0 && d.lambda < 1.0);
+        // The bisection lands strictly inside the blend (0 < λ < 1).
+        assert!(d != cost_opt.fractional && d != jct_opt.fractional);
+        assert!(predicted_jct(&dag, &model, &d, &none) <= deadline * (1.0 + 1e-9));
+        let cost = predicted_cost(&dag, &model, &d, &none);
         assert!(
-            d.predicted_cost <= cost_at_jct_opt + 1e-9,
-            "blend ({}) must not cost more than the JCT-optimal ({cost_at_jct_opt})",
-            d.predicted_cost
+            cost <= cost_at_jct_opt + 1e-9,
+            "blend ({cost}) must not cost more than the JCT-optimal ({cost_at_jct_opt})"
         );
     }
 

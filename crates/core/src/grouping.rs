@@ -180,7 +180,7 @@ impl StageGroups {
 /// O(smaller group's incident edges) instead of O(E), and reverting costs
 /// O(flips).
 #[derive(Debug, Clone)]
-pub struct ColocationIndex {
+pub(crate) struct ColocationIndex {
     mask: Vec<bool>,
     words: Vec<u64>,
     /// Incident edges per DSU tree root (an internal edge may appear twice
@@ -192,7 +192,7 @@ pub struct ColocationIndex {
 
 impl ColocationIndex {
     /// Build the index for the current state of `groups`.
-    pub fn new(dag: &JobDag, groups: &StageGroups) -> Self {
+    pub(crate) fn new(dag: &JobDag, groups: &StageGroups) -> Self {
         let n = dag.num_stages();
         let ne = dag.num_edges();
         let mut edges_of: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
@@ -216,24 +216,24 @@ impl ColocationIndex {
     }
 
     /// The co-location mask (aligned with `dag.edges()`).
-    pub fn mask(&self) -> &[bool] {
+    pub(crate) fn mask(&self) -> &[bool] {
         &self.mask
     }
 
     /// Bit-packed mask fingerprint (bit `e` set iff `mask[e]`), the compact
     /// memo key for `compute_dop` results.
-    pub fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Stages of the group rooted (in DSU-tree terms) at `root`.
-    pub fn members(&self, root: u32) -> &[u32] {
+    pub(crate) fn members(&self, root: u32) -> &[u32] {
         &self.members_of[root as usize]
     }
 
     /// Incident edges of the group rooted at `root` (may contain internal
     /// duplicates; filter by mask).
-    pub fn edges_touching(&self, root: u32) -> &[EdgeId] {
+    pub(crate) fn edges_touching(&self, root: u32) -> &[EdgeId] {
         &self.edges_of[root as usize]
     }
 
@@ -243,7 +243,7 @@ impl ColocationIndex {
     /// group's incident-edge list. Does *not* merge the per-root lists —
     /// that happens at [`ColocationIndex::merge_committed`] so a rollback
     /// stays O(flips).
-    pub fn apply_union(
+    pub(crate) fn apply_union(
         &mut self,
         dag: &JobDag,
         groups: &StageGroups,
@@ -272,7 +272,7 @@ impl ColocationIndex {
 
     /// Undo [`ColocationIndex::apply_union`]: clear exactly the flipped
     /// edges.
-    pub fn revert(&mut self, flipped: &[EdgeId]) {
+    pub(crate) fn revert(&mut self, flipped: &[EdgeId]) {
         for &e in flipped {
             self.mask[e.index()] = false;
             self.words[e.index() / 64] ^= 1 << (e.index() % 64);
@@ -281,7 +281,7 @@ impl ColocationIndex {
 
     /// After a trial union is accepted and `groups.commit()` ran, fold the
     /// absorbed root's edge and member lists into the surviving root's.
-    pub fn merge_committed(&mut self, surviving: u32, absorbed: u32) {
+    pub(crate) fn merge_committed(&mut self, surviving: u32, absorbed: u32) {
         debug_assert_ne!(surviving, absorbed);
         let es = std::mem::take(&mut self.edges_of[absorbed as usize]);
         self.edges_of[surviving as usize].extend(es);
@@ -297,7 +297,7 @@ impl ColocationIndex {
 ///   `M(sᵢ)·W(sᵢ) + M(sⱼ)·R(sⱼ)`.
 ///
 /// Grouped edges weigh (nearly) zero thanks to zero-copy shared memory.
-pub fn grouping_weights(
+pub(crate) fn grouping_weights(
     dag: &JobDag,
     model: &JobTimeModel,
     dop: &[u32],
@@ -311,7 +311,7 @@ pub fn grouping_weights(
 
 /// [`grouping_weights`] writing into an existing buffer (must be sized for
 /// `dag`), so hot loops can reuse the allocation.
-pub fn grouping_weights_into(
+pub(crate) fn grouping_weights_into(
     dag: &JobDag,
     model: &JobTimeModel,
     dop: &[u32],
@@ -353,7 +353,7 @@ pub fn grouping_weights_into(
 /// the unstable sort is deterministic; `total_cmp` keeps a NaN weight from
 /// panicking the scheduler. Shared by the cost-objective grouping order and
 /// the `GlobalDescending` ablation policy.
-pub fn sort_edges_by_weight_desc(edges: &mut [EdgeId], w: &DagWeights) {
+pub(crate) fn sort_edges_by_weight_desc(edges: &mut [EdgeId], w: &DagWeights) {
     edges.sort_unstable_by(|&a, &b| {
         w.edge[b.index()].total_cmp(&w.edge[a.index()]).then(a.cmp(&b))
     });

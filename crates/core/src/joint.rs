@@ -27,7 +27,7 @@
 //! * **Undo-able trial merges** — [`StageGroups`] carries a rollback log,
 //!   so a candidate union is `checkpoint → union → rollback_to` instead of
 //!   cloning the whole union-find (path compression only runs on commit).
-//! * **Delta co-location masks** — a [`ColocationIndex`] keeps per-group
+//! * **Delta co-location masks** — a `ColocationIndex` keeps per-group
 //!   incident-edge lists; a trial union flips only the edges that just
 //!   became internal (O(smaller group's edges), reverted in O(flips))
 //!   instead of remapping all `E` edges.
@@ -40,7 +40,7 @@
 //!   all the loop reads — are memoized under the bit-packed mask
 //!   fingerprint the index maintains incrementally.
 //! * **Verdict-only placement** — candidates need a yes/no, not a plan:
-//!   [`crate::placement::placement_verdict`] re-uses a scratch slot vector
+//!   `crate::placement::placement_verdict` re-uses a scratch slot vector
 //!   and the index's group lists, reducing the singleton phase to one
 //!   aggregate comparison (the full check is retained as a debug
 //!   assertion, and the final plan still comes from `can_place_with`).

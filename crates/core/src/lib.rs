@@ -39,23 +39,21 @@ pub mod deadline;
 pub mod dop;
 pub mod grouping;
 pub mod joint;
-pub mod objective;
+pub(crate) mod objective;
 pub mod placement;
 pub mod predict;
 pub mod reference;
-pub mod schedule;
-pub mod scheduler;
+pub(crate) mod schedule;
+pub(crate) mod scheduler;
 
-pub use deadline::{deadline_constrained_dop, schedule_with_deadline};
 pub use dop::{compute_dop, DopAssignment};
-pub use grouping::{greedy_group_order, ColocationIndex, StageGroups};
+pub use grouping::StageGroups;
 pub use joint::{
     joint_optimize, joint_optimize_traced, joint_optimize_with_stats, GroupOrderPolicy,
     JointOptions, JointStats,
 };
 pub use objective::Objective;
-pub use placement::{can_place, can_place_with, FitStrategy, PlacementPlan};
-pub use reference::{joint_optimize_reference, joint_optimize_reference_with_stats};
+pub use placement::FitStrategy;
 pub use predict::{predicted_cost, predicted_jct};
 pub use schedule::{Schedule, TaskPlacement};
 pub use scheduler::{DittoScheduler, Scheduler, SchedulingContext};

@@ -101,7 +101,7 @@ pub fn can_place(
 }
 
 /// [`can_place`] with an explicit server-fit strategy (ablation knob).
-pub fn can_place_with(
+pub(crate) fn can_place_with(
     dag: &JobDag,
     dop: &[u32],
     groups: &StageGroups,
@@ -190,7 +190,7 @@ pub fn can_place_with(
 /// Reusable buffers for [`placement_verdict`], so the joint optimizer's
 /// candidate loop evaluates placements without per-trial allocation.
 #[derive(Debug, Clone)]
-pub struct PlacementScratch {
+pub(crate) struct PlacementScratch {
     rm: ResourceManager,
     /// `(req, min_id, root, is_merged_trial_group)` per multi-stage group.
     multi: Vec<(u32, u32, u32, bool)>,
@@ -198,7 +198,7 @@ pub struct PlacementScratch {
 
 impl PlacementScratch {
     /// Scratch sized for the cluster snapshot `rm`.
-    pub fn new(rm: &ResourceManager) -> Self {
+    pub(crate) fn new(rm: &ResourceManager) -> Self {
         PlacementScratch {
             rm: rm.clone(),
             multi: Vec::new(),
@@ -225,7 +225,7 @@ impl PlacementScratch {
 ///   remain in total and otherwise consumes exactly `n`, so the sequence of
 ///   per-singleton spreads succeeds iff the aggregate inequality holds.
 #[allow(clippy::too_many_arguments)]
-pub fn placement_verdict(
+pub(crate) fn placement_verdict(
     dag: &JobDag,
     dop: &[u32],
     sum_dop: u32,

@@ -13,7 +13,7 @@
 //! the `figures -- sched` sweep (up to 1024 stages) hold it to that.
 //!
 //! [`compute_dop_reference`] is Algorithm 1 as first implemented: a fresh
-//! topological order and spanning in-forest per call, a boxed [`MergeNode`]
+//! topological order and spanning in-forest per call, a boxed `MergeNode`
 //! tree built bottom-up, a recursive top-down split, and a rounding pass
 //! that rescans every DoP per slot taken back. [`crate::dop::DopWorkspace`]
 //! performs the same floating-point operations in the same order without
@@ -44,7 +44,7 @@ pub fn joint_optimize_reference(
 
 /// [`joint_optimize_reference`] with telemetry (same span/event shape as
 /// [`crate::joint_optimize_traced`]).
-pub fn joint_optimize_reference_traced(
+pub(crate) fn joint_optimize_reference_traced(
     dag: &JobDag,
     model: &JobTimeModel,
     rm: &ResourceManager,
@@ -55,7 +55,7 @@ pub fn joint_optimize_reference_traced(
     joint_optimize_reference_with_stats(dag, model, rm, objective, opts, obs).0
 }
 
-/// [`joint_optimize_reference_traced`] also reporting loop statistics
+/// `joint_optimize_reference_traced` also reporting loop statistics
 /// (candidate evaluations, rounds, commits) for the scheduler benchmarks.
 pub fn joint_optimize_reference_with_stats(
     dag: &JobDag,
@@ -255,7 +255,7 @@ pub fn joint_optimize_reference_with_stats(
 
 /// The merge tree produced by the bottom-up pass.
 #[derive(Debug, Clone)]
-pub enum MergeNode {
+pub(crate) enum MergeNode {
     /// An original stage.
     Leaf {
         /// The stage.
@@ -286,7 +286,7 @@ pub enum MergeNode {
 
 impl MergeNode {
     /// The node's merged parallelized time α.
-    pub fn alpha(&self) -> f64 {
+    pub(crate) fn alpha(&self) -> f64 {
         match self {
             MergeNode::Leaf { alpha, .. }
             | MergeNode::Inter { alpha, .. }
@@ -331,7 +331,7 @@ fn primary_children(dag: &JobDag, alpha: &[f64]) -> Vec<Option<StageId>> {
 ///
 /// `alpha[s]` is each stage's effective parallelized time under the current
 /// placement (already scaled by ρ for the cost objective if desired).
-pub fn bottom_up_merge(dag: &JobDag, alpha: &[f64]) -> MergeNode {
+pub(crate) fn bottom_up_merge(dag: &JobDag, alpha: &[f64]) -> MergeNode {
     assert_eq!(alpha.len(), dag.num_stages());
     let primary = primary_children(dag, alpha);
 
@@ -403,7 +403,7 @@ pub fn bottom_up_merge(dag: &JobDag, alpha: &[f64]) -> MergeNode {
 }
 
 /// Split `d` slots down the merge tree by the recorded optimal ratios.
-pub fn distribute(node: &MergeNode, d: f64, out: &mut [f64]) {
+pub(crate) fn distribute(node: &MergeNode, d: f64, out: &mut [f64]) {
     match node {
         MergeNode::Leaf { stage, .. } => out[stage.index()] = d,
         MergeNode::Inter { left, right, .. } => {

@@ -35,14 +35,6 @@ impl TaskPlacement {
         }
     }
 
-    /// Total tasks covered by this placement.
-    pub fn task_count(&self) -> u32 {
-        match self {
-            TaskPlacement::Single(_) => u32::MAX, // unbounded: one server hosts all
-            TaskPlacement::Spread(parts) => parts.iter().map(|&(_, c)| c).sum(),
-        }
-    }
-
     /// Distinct servers used.
     pub fn servers(&self) -> Vec<ServerId> {
         match self {
@@ -233,7 +225,6 @@ mod tests {
         assert_eq!(p.server_of_task(1), ServerId(0));
         assert_eq!(p.server_of_task(2), ServerId(3));
         assert_eq!(p.server_of_task(4), ServerId(3));
-        assert_eq!(p.task_count(), 5);
         assert_eq!(p.servers(), vec![ServerId(0), ServerId(3)]);
     }
 

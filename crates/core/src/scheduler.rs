@@ -35,7 +35,7 @@ pub trait Scheduler {
 #[derive(Debug, Clone, Default)]
 pub struct DittoScheduler {
     /// Joint-optimizer knobs.
-    pub options: JointOptions,
+    pub(crate) options: JointOptions,
 }
 
 impl DittoScheduler {

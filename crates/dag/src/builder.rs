@@ -90,11 +90,6 @@ impl DagBuilder {
         self
     }
 
-    /// Look up the id assigned to a stage name added so far.
-    pub fn id_of(&self, name: &str) -> Option<StageId> {
-        self.by_name.get(name).copied()
-    }
-
     /// Finish building: validates and returns the DAG.
     pub fn build(self) -> Result<JobDag, DagError> {
         if let Some(e) = self.pending_error {
@@ -149,12 +144,5 @@ mod tests {
             .stage("a", StageKind::Map, 0, 0)
             .build();
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn id_of_resolves() {
-        let b = DagBuilder::new("t").stage("a", StageKind::Map, 0, 0);
-        assert_eq!(b.id_of("a"), Some(StageId(0)));
-        assert_eq!(b.id_of("b"), None);
     }
 }

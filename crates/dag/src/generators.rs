@@ -322,7 +322,8 @@ mod tests {
     fn chain_shape() {
         let g = chain(5, GB, 0.5);
         assert!(g.validate().is_ok());
-        assert!(g.is_single_path());
+        assert!(g.is_tree_like());
+        assert_eq!(g.initial_stages().len(), 1);
         assert_eq!(g.num_edges(), 4);
         // Each edge carries the upstream stage's (shrunken) output and
         // volumes halve along the chain.

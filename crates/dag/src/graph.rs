@@ -87,7 +87,7 @@ pub struct Edge {
 ///
 /// Terminology follows the paper: *initial stages* have no upstream
 /// dependencies (the tree's leaves); the *final stage(s)* have no downstream
-/// consumers (the root, depth 0). [`JobDag::depths`] measures the longest
+/// consumers (the root, depth 0). `JobDag::depths` measures the longest
 /// distance to a final stage, which is the layer index the bottom-up DoP
 /// algorithm iterates over.
 #[derive(Debug, Clone)]
@@ -210,14 +210,6 @@ impl JobDag {
         &mut self.edges[id.index()]
     }
 
-    /// Look up the edge `src -> dst`, if present.
-    pub fn find_edge(&self, src: StageId, dst: StageId) -> Option<&Edge> {
-        self.children[src.index()]
-            .iter()
-            .map(|&e| &self.edges[e.index()])
-            .find(|e| e.dst == dst)
-    }
-
     /// Outgoing edges of `s`.
     pub fn out_edges(&self, s: StageId) -> impl Iterator<Item = &Edge> + '_ {
         self.children[s.index()].iter().map(|&e| &self.edges[e.index()])
@@ -278,7 +270,7 @@ impl JobDag {
     /// in Algorithm 1 (`BOTTOM_UP_DOP` walks from `max_depth` down to 1).
     ///
     /// Returns `depths[StageId::index()]`.
-    pub fn depths(&self) -> Vec<usize> {
+    pub(crate) fn depths(&self) -> Vec<usize> {
         let order = self.topo_order().expect("depths() requires an acyclic DAG");
         let mut depth = vec![0usize; self.stages.len()];
         // Walk in reverse topological order so children are finalized first.
@@ -304,16 +296,6 @@ impl JobDag {
     /// tree condition is on *out*-degree.
     pub fn is_tree_like(&self) -> bool {
         self.stages.iter().all(|s| self.out_degree(s.id) <= 1)
-    }
-
-    /// `true` if the DAG is a single chain (every stage ≤1 parent and ≤1
-    /// child, single initial and final stage).
-    pub fn is_single_path(&self) -> bool {
-        self.stages
-            .iter()
-            .all(|s| self.out_degree(s.id) <= 1 && self.in_degree(s.id) <= 1)
-            && self.initial_stages().len() == 1
-            && self.final_stages().len() == 1
     }
 
     /// Full structural validation; see the type-level docs for the invariant
@@ -370,11 +352,6 @@ impl JobDag {
         self.edges[e.index()].pipelined = pipelined;
     }
 
-    /// Total intermediate data volume (sum of edge byte estimates).
-    pub fn total_shuffle_bytes(&self) -> u64 {
-        self.edges.iter().map(|e| e.bytes).sum()
-    }
-
     /// Render a compact one-line-per-stage description, useful in examples
     /// and trace output.
     pub fn describe(&self) -> String {
@@ -425,17 +402,7 @@ mod tests {
         assert_eq!(g.final_stages(), vec![StageId(3)]);
         assert_eq!(g.in_degree(StageId(3)), 2);
         assert_eq!(g.out_degree(StageId(0)), 2);
-        assert_eq!(g.total_shuffle_bytes(), 100);
         assert!(!g.is_tree_like()); // a has two children
-        assert!(!g.is_single_path());
-    }
-
-    #[test]
-    fn find_edge_works() {
-        let g = diamond();
-        let e = g.find_edge(StageId(0), StageId(2)).unwrap();
-        assert_eq!(e.bytes, 20);
-        assert!(g.find_edge(StageId(1), StageId(2)).is_none());
     }
 
     #[test]
@@ -509,12 +476,11 @@ mod tests {
     }
 
     #[test]
-    fn chain_is_single_path_and_tree_like() {
+    fn chain_is_tree_like() {
         let mut g = JobDag::new("chain");
         let a = g.add_stage("a", StageKind::Map);
         let b = g.add_stage("b", StageKind::Reduce);
         g.add_edge(a, b, EdgeKind::Shuffle, 1).unwrap();
-        assert!(g.is_single_path());
         assert!(g.is_tree_like());
         assert_eq!(g.depths(), vec![1, 0]);
     }

@@ -23,16 +23,13 @@
 //! The crate is deliberately free of scheduling logic: time models live in
 //! `ditto-timemodel`, the scheduler in `ditto-core`.
 
-pub mod builder;
-pub mod error;
-pub mod export;
+pub(crate) mod builder;
+pub(crate) mod error;
 pub mod generators;
-pub mod graph;
+pub(crate) mod graph;
 pub mod paths;
-pub mod stage;
-pub mod topo;
+pub(crate) mod stage;
 
 pub use builder::DagBuilder;
-pub use error::DagError;
-pub use graph::{Edge, EdgeId, EdgeKind, JobDag};
-pub use stage::{Stage, StageId, StageKind};
+pub use graph::{EdgeId, EdgeKind, JobDag};
+pub use stage::{StageId, StageKind};

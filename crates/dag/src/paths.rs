@@ -30,12 +30,12 @@ impl DagWeights {
     }
 
     /// Weight of a stage.
-    pub fn node_weight(&self, s: StageId) -> f64 {
+    pub(crate) fn node_weight(&self, s: StageId) -> f64 {
         self.node[s.index()]
     }
 
     /// Weight of an edge.
-    pub fn edge_weight(&self, e: EdgeId) -> f64 {
+    pub(crate) fn edge_weight(&self, e: EdgeId) -> f64 {
         self.edge[e.index()]
     }
 }
@@ -44,23 +44,11 @@ impl DagWeights {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Path {
     /// Stages along the path, upstream to downstream.
-    pub stages: Vec<StageId>,
+    pub(crate) stages: Vec<StageId>,
     /// Edges along the path; `edges.len() == stages.len() - 1`.
     pub edges: Vec<EdgeId>,
     /// Total weight (Σ node + Σ edge) under the weights it was computed for.
     pub weight: f64,
-}
-
-impl Path {
-    /// Number of stages on the path.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// `true` if the path has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
 }
 
 /// The critical path: the maximum-weight directed path from any initial
@@ -87,7 +75,7 @@ pub fn critical_path(dag: &JobDag, w: &DagWeights) -> Path {
 /// edge weight at a time (the greedy grouping pick zeroes one edge per
 /// step) can bring it up to date with [`CriticalPathCache::edge_zeroed`]
 /// instead of a full sweep, and read the path back with
-/// [`CriticalPathCache::current_path`] /
+/// `CriticalPathCache::current_path` /
 /// [`CriticalPathCache::current_edges_into`].
 #[derive(Debug, Clone)]
 pub struct CriticalPathCache {
@@ -217,7 +205,7 @@ impl CriticalPathCache {
 
     /// The critical path under the current DP state (after a sweep or an
     /// [`CriticalPathCache::edge_zeroed`]).
-    pub fn current_path(&self, dag: &JobDag) -> Path {
+    pub(crate) fn current_path(&self, dag: &JobDag) -> Path {
         let mut edges = Vec::new();
         self.current_edges_into(dag, &mut edges);
         edges.reverse();
@@ -351,8 +339,6 @@ mod tests {
         assert_eq!(cp.stages, vec![a]);
         assert!(cp.edges.is_empty());
         assert_eq!(cp.weight, 7.0);
-        assert_eq!(cp.len(), 1);
-        assert!(!cp.is_empty());
     }
 
     #[test]

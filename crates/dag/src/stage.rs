@@ -80,7 +80,7 @@ pub struct Stage {
 
 impl Stage {
     /// Create a stage with the given name and kind and zero I/O estimates.
-    pub fn new(id: StageId, name: impl Into<String>, kind: StageKind) -> Self {
+    pub(crate) fn new(id: StageId, name: impl Into<String>, kind: StageKind) -> Self {
         Stage {
             id,
             name: name.into(),
@@ -88,12 +88,6 @@ impl Stage {
             input_bytes: 0,
             output_bytes: 0,
         }
-    }
-
-    /// Total bytes this stage ingests: external input only. Intermediate
-    /// input volume is a property of the incoming edges, not the stage.
-    pub fn external_input_bytes(&self) -> u64 {
-        self.input_bytes
     }
 }
 
@@ -123,7 +117,6 @@ mod tests {
         assert_eq!(s.input_bytes, 0);
         assert_eq!(s.output_bytes, 0);
         assert_eq!(s.name, "map1");
-        assert_eq!(s.external_input_bytes(), 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub struct AdaptiveConfig {
     /// Drift-detector band and smoothing. The adaptive default lowers
     /// `min_samples` to 1: the detector is fed one observation per
     /// *stage* (the mean over its tasks), and each stage runs once.
-    pub drift: DriftConfig,
+    pub(crate) drift: DriftConfig,
     /// Maximum suffix replans per run (each one re-runs the joint
     /// optimizer; unbounded replanning on a noisy signal would thrash).
     pub max_replans: u32,
@@ -86,7 +86,7 @@ impl Default for AdaptiveConfig {
 
 /// Why a replan fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
-pub enum ReplanTrigger {
+pub(crate) enum ReplanTrigger {
     /// Sustained deviation of realized step times from the expectation
     /// (environmental drift, stragglers).
     Drift,
@@ -101,17 +101,17 @@ pub enum ReplanTrigger {
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ReplanRecord {
     /// What tripped the detector.
-    pub trigger: ReplanTrigger,
+    pub(crate) trigger: ReplanTrigger,
     /// Stage whose completion fired the drift event.
-    pub at_stage: u32,
+    pub(crate) at_stage: u32,
     /// Simulated time of the replan decision (the firing stage's end).
-    pub sim_time: f64,
+    pub(crate) sim_time: f64,
     /// Smoothed observed/expected total-time factor at the decision.
-    pub factor: f64,
+    pub(crate) factor: f64,
     /// Job-global per-step correction factors applied to the model.
-    pub corrections: StepCorrections,
+    pub(crate) corrections: StepCorrections,
     /// Stages in the re-optimized suffix.
-    pub suffix_stages: u32,
+    pub(crate) suffix_stages: u32,
     /// Predicted JCT of the *current* schedule under the corrected model.
     pub old_predicted_jct: f64,
     /// Predicted JCT of the spliced schedule under the corrected model.
@@ -133,7 +133,7 @@ pub struct ReplanRecord {
     /// write-ahead journal: the schedule commit is decision 0 and every
     /// replan / failover increments from there, so trace diffing can
     /// align crashed and recovered runs decision by decision.
-    pub decision_seq: u64,
+    pub(crate) decision_seq: u64,
 }
 
 /// The observe→replan half of an adaptive run: the engine's pass driver

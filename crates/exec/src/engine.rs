@@ -67,7 +67,7 @@ impl<'a> Engine<'a> {
 
     /// Inject `plan` and recover under `policy`. Unset, the run injects
     /// nothing and recovers from nothing ([`FaultPlan::none`] under
-    /// [`RecoveryPolicy::none`]).
+    /// `RecoveryPolicy::none`).
     pub fn faults(mut self, plan: &'a FaultPlan, policy: &'a RecoveryPolicy) -> Self {
         self.faults = Some((plan, policy));
         self
@@ -85,7 +85,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Run adaptively: online drift detection and elastic suffix
-    /// re-optimization through `ctx` (see [`crate::adaptive`]).
+    /// re-optimization through `ctx` (see `crate::adaptive`).
     pub fn adaptive(mut self, ctx: &'a ReschedulingContext<'a>, cfg: &'a AdaptiveConfig) -> Self {
         self.adaptive = Some((ctx, cfg));
         self

@@ -39,12 +39,12 @@ pub struct ExploreConfig {
     /// Interleavings to enumerate exhaustively (depth-first over the
     /// decision trie, canonical run included). Small DAGs usually have
     /// fewer total interleavings than this and are covered completely.
-    pub max_enumerated: usize,
+    pub(crate) max_enumerated: usize,
     /// Seeded-random interleavings sampled after the enumeration budget
     /// is spent (0 = none).
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Seed for the sampling phase.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for ExploreConfig {
@@ -62,7 +62,7 @@ impl Default for ExploreConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
     /// The canonical run's realized decision vector (all zeros).
-    pub canonical_decisions: Vec<u32>,
+    pub(crate) canonical_decisions: Vec<u32>,
     /// Minimal diverging decision vector (greedily shrunk: no single
     /// decision in it can be reset to canonical without the divergence
     /// disappearing).

@@ -119,24 +119,12 @@ pub enum FaultEvent {
         /// Multiplier ≥ 0 applied to matching stages' compute steps.
         factor: f64,
     },
-    /// The coordinator itself dies at an arbitrary journal instant: the
-    /// append of the `at_record`-th journal record is torn half-way and
-    /// the engine fails with [`ExecError::CoordinatorCrash`]. Only
-    /// consulted by the journaled entry points
-    /// ([`crate::journal::JournalSession::fresh_from_plan`]) — the
-    /// unjournaled engines have no coordinator state to lose.
-    ///
-    /// [`ExecError::CoordinatorCrash`]: crate::error::ExecError::CoordinatorCrash
-    CoordinatorCrash {
-        /// Journal record index (0-based append count) to crash at.
-        at_record: u64,
-    },
 }
 
 /// What happened to one producer task's stored output, per
 /// [`FaultPlan::object_fault`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObjectFaultKind {
+pub(crate) enum ObjectFaultKind {
     /// The object is gone (read returns not-found).
     Loss,
     /// The object is present but fails checksum verification.
@@ -187,9 +175,9 @@ impl FaultRates {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Explicit injected events (checked before the random rates).
-    pub events: Vec<FaultEvent>,
+    pub(crate) events: Vec<FaultEvent>,
     /// Optional seeded random fault generation.
-    pub rates: Option<FaultRates>,
+    pub(crate) rates: Option<FaultRates>,
 }
 
 impl FaultPlan {
@@ -210,7 +198,8 @@ impl FaultPlan {
 
     /// Seed-driven crash injection only: every task attempt crashes with
     /// probability `crash_prob`.
-    pub fn with_random_crashes(crash_prob: f64, seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_random_crashes(crash_prob: f64, seed: u64) -> Self {
         FaultPlan::from_rates(FaultRates {
             crash_prob,
             ..FaultRates::none(seed)
@@ -230,7 +219,8 @@ impl FaultPlan {
     }
 
     /// Append an object corruption for one producer task (builder style).
-    pub fn and_object_corruption(mut self, stage: StageId, task: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn and_object_corruption(mut self, stage: StageId, task: u32) -> Self {
         self.events.push(FaultEvent::ObjectCorruption { stage, task });
         self
     }
@@ -244,26 +234,15 @@ impl FaultPlan {
 
     /// Append a stage-type-scoped compute drift (builder style). Stacks
     /// multiplicatively with global drift and other kind drifts.
-    pub fn with_kind_drift(mut self, kind: StageKind, factor: f64) -> Self {
+    pub(crate) fn with_kind_drift(mut self, kind: StageKind, factor: f64) -> Self {
         self.events.push(FaultEvent::KindDrift { kind, factor });
         self
-    }
-
-    /// Whether the plan injects anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-            && self.rates.is_none_or(|r| {
-                r.crash_prob <= 0.0
-                    && r.straggler_prob <= 0.0
-                    && r.loss_prob <= 0.0
-                    && r.corruption_prob <= 0.0
-            })
     }
 
     /// The product of every injected [`FaultEvent::DriftInflation`]
     /// factor, floored at 0.01 so a zero cannot collapse the timeline.
     /// 1.0 when no drift is injected.
-    pub fn drift_factor(&self) -> f64 {
+    pub(crate) fn drift_factor(&self) -> f64 {
         let mut f = 1.0;
         for e in &self.events {
             if let FaultEvent::DriftInflation { factor } = e {
@@ -276,7 +255,7 @@ impl FaultPlan {
     /// The effective compute-drift factor for a stage of `kind`: the
     /// global [`Self::drift_factor`] times every matching
     /// [`FaultEvent::KindDrift`] factor (same floor).
-    pub fn drift_factor_for(&self, kind: StageKind) -> f64 {
+    pub(crate) fn drift_factor_for(&self, kind: StageKind) -> f64 {
         let mut f = self.drift_factor();
         for e in &self.events {
             if let FaultEvent::KindDrift { kind: k, factor } = e {
@@ -291,7 +270,7 @@ impl FaultPlan {
     /// What happens to the stored output of producer `(stage, task)`.
     /// Explicit events win (loss over corruption); otherwise the seeded
     /// rates roll once per producer task, independent of execution order.
-    pub fn object_fault(&self, stage: StageId, task: u32) -> Option<ObjectFaultKind> {
+    pub(crate) fn object_fault(&self, stage: StageId, task: u32) -> Option<ObjectFaultKind> {
         let mut hit = None;
         for e in &self.events {
             match e {
@@ -334,7 +313,7 @@ impl FaultPlan {
     /// what fraction of its runtime? Explicit events win over random
     /// rates. The random stream keys on `(seed, stage, task, attempt)`,
     /// so the decision is independent of execution order.
-    pub fn crash_point(&self, stage: StageId, task: u32, attempt: u32) -> Option<f64> {
+    pub(crate) fn crash_point(&self, stage: StageId, task: u32, attempt: u32) -> Option<f64> {
         for e in &self.events {
             if let FaultEvent::TaskCrash {
                 stage: es,
@@ -367,7 +346,7 @@ impl FaultPlan {
     /// The injected slowdown multiplier of `(stage, task)` (1.0 = none).
     /// Explicit straggler events multiply; the random rate adds its
     /// multiplier on top when its per-task roll hits.
-    pub fn slowdown(&self, stage: StageId, task: u32) -> f64 {
+    pub(crate) fn slowdown(&self, stage: StageId, task: u32) -> f64 {
         let mut m = 1.0;
         for e in &self.events {
             if let FaultEvent::Straggler {
@@ -396,21 +375,9 @@ impl FaultPlan {
         m
     }
 
-    /// The earliest seeded coordinator crash point, if any (only the
-    /// first is armed; a crash can only happen once per incarnation).
-    pub fn coordinator_crash(&self) -> Option<u64> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::CoordinatorCrash { at_record } => Some(*at_record),
-                _ => None,
-            })
-            .min()
-    }
-
     /// The first (earliest) whole-server failure, if any. Only one server
     /// failure is applied per run; later ones are ignored.
-    pub fn first_server_failure(&self) -> Option<(ServerId, f64)> {
+    pub(crate) fn first_server_failure(&self) -> Option<(ServerId, f64)> {
         self.events
             .iter()
             .filter_map(|e| match e {
@@ -464,7 +431,7 @@ impl RecoveryPolicy {
     /// No recovery at all: unlimited plain retries, no backoff, no
     /// speculation, no rescheduling. This is what the fault-free engines
     /// run under — it reproduces pre-fault behavior exactly.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         RecoveryPolicy {
             max_retries: u32::MAX,
             backoff_base: 0.0,
@@ -484,7 +451,7 @@ impl RecoveryPolicy {
     }
 
     /// Backoff before re-execution number `retry` (0-based), seconds.
-    pub fn backoff(&self, retry: u32) -> f64 {
+    pub(crate) fn backoff(&self, retry: u32) -> f64 {
         self.backoff_base * f64::powi(2.0, retry.min(20) as i32)
     }
 }
@@ -534,7 +501,7 @@ pub struct AttemptRecord {
     /// copies run *in addition to* the original without reserving a slot
     /// (the engine's documented simplification), so the race checker
     /// grades their concurrent occupancy as a warning, not an error.
-    pub speculative: bool,
+    pub(crate) speculative: bool,
 }
 
 /// Aggregated fault statistics of one run.
@@ -549,15 +516,15 @@ pub struct FaultStats {
     /// serial JCT delay).
     pub recovery_delay_s: f64,
     /// Whole-server failures applied.
-    pub server_failures: u32,
+    pub(crate) server_failures: u32,
     /// Stages replanned by failure-aware rescheduling.
     pub rescheduled_stages: u32,
     /// Speculative copies launched.
     pub speculative_copies: u32,
     /// Intermediate objects lost before their first read.
-    pub object_losses: u32,
+    pub(crate) object_losses: u32,
     /// Intermediate objects that failed checksum verification on read.
-    pub object_corruptions: u32,
+    pub(crate) object_corruptions: u32,
     /// Producer tasks re-executed to regenerate lost or corrupt objects.
     pub lineage_reexecs: u32,
     /// Always 0: no engine re-reads a missing or corrupt object (lineage
@@ -568,7 +535,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Fold another run's stats into this one.
-    pub fn absorb(&mut self, other: &FaultStats) {
+    pub(crate) fn absorb(&mut self, other: &FaultStats) {
         self.extra_attempts += other.extra_attempts;
         self.wasted_gb_s += other.wasted_gb_s;
         self.recovery_delay_s += other.recovery_delay_s;

@@ -68,7 +68,7 @@ impl Default for ExecConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSteps {
     /// Setup (startup) time.
-    pub setup: f64,
+    pub(crate) setup: f64,
     /// Read step (external input + upstream edges).
     pub read: f64,
     /// Compute step.
@@ -76,12 +76,13 @@ pub struct TaskSteps {
     /// Write step (downstream edges + external output).
     pub write: f64,
     /// Bytes this task processed.
-    pub bytes_processed: u64,
+    pub(crate) bytes_processed: u64,
 }
 
 impl TaskSteps {
     /// Total task duration.
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.setup + self.read + self.compute + self.write
     }
 }
@@ -89,26 +90,26 @@ impl TaskSteps {
 /// Per-task step times at component granularity (one entry per data
 /// dependency), used by the profiler.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TaskComponents {
+pub(crate) struct TaskComponents {
     /// Setup (startup) time.
-    pub setup: f64,
+    pub(crate) setup: f64,
     /// External input scan time.
-    pub external_read: f64,
+    pub(crate) external_read: f64,
     /// Per-upstream-edge read times.
-    pub edge_reads: Vec<(ditto_dag::EdgeId, f64)>,
+    pub(crate) edge_reads: Vec<(ditto_dag::EdgeId, f64)>,
     /// Compute time.
-    pub compute: f64,
+    pub(crate) compute: f64,
     /// Per-downstream-edge write times.
-    pub edge_writes: Vec<(ditto_dag::EdgeId, f64)>,
+    pub(crate) edge_writes: Vec<(ditto_dag::EdgeId, f64)>,
     /// External output write time.
-    pub external_write: f64,
+    pub(crate) external_write: f64,
     /// Bytes this task processed.
-    pub bytes_processed: u64,
+    pub(crate) bytes_processed: u64,
 }
 
 impl TaskComponents {
     /// Collapse the components into coarse read/compute/write steps.
-    pub fn sum(&self) -> TaskSteps {
+    pub(crate) fn sum(&self) -> TaskSteps {
         TaskSteps {
             setup: self.setup,
             read: self.external_read + self.edge_reads.iter().map(|&(_, t)| t).sum::<f64>(),
@@ -132,13 +133,14 @@ impl GroundTruth {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &ExecConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &ExecConfig {
         &self.cfg
     }
 
     /// Per-task data shares of a stage at DoP `d`: positive, summing to 1,
     /// deterministic per (stage, dop, seed).
-    pub fn task_shares(&self, stage: StageId, d: u32) -> Vec<f64> {
+    pub(crate) fn task_shares(&self, stage: StageId, d: u32) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(
             self.cfg
                 .seed
@@ -169,7 +171,7 @@ impl GroundTruth {
     }
 
     /// The medium an edge's data travels through under the schedule.
-    pub fn edge_medium(&self, schedule: &Schedule, edge_idx: usize) -> Medium {
+    pub(crate) fn edge_medium(&self, schedule: &Schedule, edge_idx: usize) -> Medium {
         if schedule.colocated[edge_idx] {
             Medium::SharedMemory
         } else {
@@ -181,7 +183,7 @@ impl GroundTruth {
     /// one entry per external read, upstream edge read, compute, downstream
     /// edge write and external write — what the profiler samples to fit the
     /// paper's fine-grained step model (§4.1).
-    pub fn task_components(
+    pub(crate) fn task_components(
         &self,
         dag: &JobDag,
         schedule: &Schedule,
@@ -261,7 +263,7 @@ impl GroundTruth {
     /// Memory footprint of one task of `stage` at DoP `d`, GB (the paper's
     /// maximum theoretical footprint: the task's data share plus runtime
     /// overhead).
-    pub fn task_memory_gb(&self, dag: &JobDag, stage: StageId, d: u32) -> f64 {
+    pub(crate) fn task_memory_gb(&self, dag: &JobDag, stage: StageId, d: u32) -> f64 {
         let s = dag.stage(stage);
         let in_bytes: u64 = dag
             .in_edges(stage)

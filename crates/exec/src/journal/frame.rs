@@ -6,19 +6,19 @@ use crate::error::ExecError;
 use ditto_storage::checksum64;
 
 /// Journal file magic: the first 8 bytes of every journal.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"DITTOWAL";
+pub(crate) const JOURNAL_MAGIC: [u8; 8] = *b"DITTOWAL";
 /// Journal format version (header byte 9). Version 2 made a
 /// `StageComplete` checkpoint a delta with an ordinal; version 1 journals
 /// are rejected, not read.
-pub const JOURNAL_VERSION: u8 = 2;
+pub(crate) const JOURNAL_VERSION: u8 = 2;
 /// Header length: magic + version byte.
-pub const JOURNAL_HEADER_LEN: usize = 9;
+pub(crate) const JOURNAL_HEADER_LEN: usize = 9;
 /// Frame head length: `[len: u32][crc: u64]`.
 pub(super) const FRAME_HEAD_LEN: usize = 12;
 /// Seed for the per-frame payload checksum.
 pub const JOURNAL_SEED: u64 = 0xD177_0A11_0F4A_C0DE;
 /// Maximum frame payload size accepted by the decoder.
-pub const MAX_FRAME: usize = 64 << 20;
+pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Why [`decode_journal`] stopped before the end of the byte stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +94,7 @@ fn check_shape(rec: &JournalRecord, shape: &mut (u32, u32)) -> Result<(), String
 
 /// Decode a journal byte stream: header check, then frames until the end
 /// or the first torn/corrupt frame. A bad header is a hard error; a bad
-/// *tail* is expected after a crash and reported as [`TornTail`] with the
+/// *tail* is expected after a crash and reported as `TornTail` with the
 /// exact record index and durable byte offset.
 pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ExecError> {
     if bytes.len() < JOURNAL_HEADER_LEN || bytes[..8] != JOURNAL_MAGIC {

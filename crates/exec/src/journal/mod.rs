@@ -6,8 +6,8 @@
 //! plane durable: an [`Engine`](crate::Engine) configured with
 //! [`.journal(session)`](crate::Engine::journal) (and the physical
 //! runner) writes an append-only, CRC-checksummed, length-prefixed journal
-//! of its decisions through one batched [`JournalWriter`], and
-//! [`recover`] / [`JournalSession::resume`] rebuild engine state from the
+//! of its decisions through one batched `JournalWriter`, and
+//! [`JournalSession::resume`] rebuilds engine state from the
 //! durable prefix so a crashed job *resumes* from its last completed
 //! stage instead of restarting.
 //!
@@ -21,11 +21,11 @@
 //! the stage's own rows whole and, of the state stages share (fault
 //! buckets, edge media, heal map), only the entries that stage can have
 //! written — a delta against the checkpoint before it, stamped with an
-//! ordinal and applied strictly in that order (see [`StageCheckpoint`]).
+//! ordinal and applied strictly in that order (see `StageCheckpoint`).
 //! A v1 journal (whole vectors per checkpoint) is rejected by version.
 //!
 //! Cost: a record is encoded once, straight into the journal's buffer
-//! behind a frame head that is then patched ([`JournalWriter::append`]);
+//! behind a frame head that is then patched (`JournalWriter::append`);
 //! checkpoints are encoded from borrowed `SimState` rows; the commit
 //! ledger is keyed by integers. Every length a payload announces is
 //! checked against the bytes left before anything is allocated for it,
@@ -35,7 +35,7 @@
 //!
 //! Layout: `frame` (header, framing, torn-tail decode) · `record`
 //! ([`JournalRecord`] and its `enc_*`/`dec_*` codec) · `session`
-//! ([`JournalWriter`], [`JournalSession`], [`recover`]) · `check`
+//! (`JournalWriter`, [`JournalSession`]) · `check`
 //! ([`validate_journal`], [`cross_check`]).
 //!
 //! Recovery invariants (DESIGN.md §6k):
@@ -45,14 +45,14 @@
 //!   keyed by `(stage, task, attempt_epoch)` deduplicates re-delivered
 //!   commits and hard-fails on value conflicts;
 //! * **bit-identical results** — restored stages replay checkpointed
-//!   state ([`StageCheckpoint`], in ordinal order) and re-simulated suffix
+//!   state (`StageCheckpoint`, in ordinal order) and re-simulated suffix
 //!   stages run the same deterministic engine, so final metrics, task
 //!   timelines and replan decisions equal the crash-free run bit for bit;
 //!   a restored stage's telemetry comes from the same emitter as a live
 //!   one's, fed the same rows;
 //! * **replayed decisions, re-run gates** — on resume an adaptive run
 //!   re-runs its drift gates deterministically and substitutes journaled
-//!   [`ReplanRecord`](crate::ReplanRecord)s for the optimizer calls they
+//!   `ReplanRecord`s for the optimizer calls they
 //!   gate, so a replayed splice is applied without re-optimizing (bounded
 //!   recovery work) and any divergence from the journal is a hard
 //!   [`ExecError::Journal`](crate::ExecError::Journal).
@@ -63,20 +63,39 @@ mod record;
 mod session;
 
 pub use check::{cross_check, validate_journal};
-pub use frame::{
-    decode_journal, DecodedJournal, TornReason, TornTail, JOURNAL_HEADER_LEN, JOURNAL_MAGIC,
-    JOURNAL_SEED, JOURNAL_VERSION, MAX_FRAME,
-};
-pub use record::{
-    decode_record, encode_record, schedule_fingerprint, EngineKind, FailoverDecision,
-    JournalRecord, LineageHit, ReplanDecision, StageCheckpoint, SCHEDULE_FP_SEED,
-};
-pub use session::{recover, JournalSession, JournalWriter, ResumedJob};
+pub use frame::{decode_journal, JOURNAL_SEED};
+pub use record::JournalRecord;
+pub(crate) use record::{EngineKind, FailoverDecision, LineageHit, ReplanDecision};
+pub use session::JournalSession;
+
+/// The attempt log a journal holds, as `(stage, task, attempt, outcome)`
+/// in journal order: the runner's tests read its attempts from here.
+#[cfg(test)]
+pub(crate) fn attempt_log(bytes: &[u8]) -> Vec<(u32, u32, u32, crate::AttemptOutcome)> {
+    decode_journal(bytes)
+        .unwrap()
+        .records
+        .into_iter()
+        .filter_map(|r| match r {
+            JournalRecord::TaskAttempt {
+                stage,
+                task,
+                attempt,
+                outcome,
+                ..
+            } => Some((stage, task, attempt, record::outcome_from_code(outcome).unwrap())),
+            _ => None,
+        })
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {
-    use super::frame::frame_with;
-    use super::record::outcome_code;
+    use super::frame::{frame_with, TornReason, MAX_FRAME};
+    use super::record::{
+        decode_record, encode_record, outcome_code, schedule_fingerprint, StageCheckpoint,
+    };
+    use super::session::JournalWriter;
     use super::*;
     use crate::adaptive::{ReplanRecord, ReplanTrigger};
     use crate::engine::Engine;
@@ -588,25 +607,6 @@ mod tests {
         let mut third = JournalSession::resume(second.durable_bytes()).unwrap();
         let (_, m) = run_frozen(&dag, &schedule, &gt, &plan, None, &mut third).unwrap();
         assert_eq!(m, bm, "two crashes deep, still bit-identical");
-    }
-
-    #[test]
-    fn recover_reports_the_resumable_surface() {
-        let (dag, _, _, schedule, gt) = fixture(&[48; 4]);
-        let plan = FaultPlan::none();
-        let mut clean = JournalSession::fresh(None);
-        run_frozen(&dag, &schedule, &gt, &plan, None, &mut clean).unwrap();
-        let total = clean.records_written();
-        let mut armed = JournalSession::fresh(Some(total - 1));
-        run_frozen(&dag, &schedule, &gt, &plan, None, &mut armed).unwrap_err();
-        let job = recover(armed.durable_bytes()).unwrap();
-        assert_eq!(job.engine, EngineKind::Frozen);
-        assert_eq!(job.stages, dag.num_stages() as u32);
-        assert!(!job.finished);
-        assert_eq!(job.torn.map(|t| t.at_record), Some(total - 1));
-        assert!(!job.completed_stages.is_empty());
-        // An empty journal is not resumable.
-        assert!(recover(&journal_with(&[])).is_err());
     }
 
     #[test]

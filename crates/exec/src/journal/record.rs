@@ -16,7 +16,7 @@ use ditto_timemodel::StepCorrections;
 use std::borrow::Cow;
 
 /// Seed for the schedule fingerprint recorded by `ScheduleCommit`.
-pub const SCHEDULE_FP_SEED: u64 = 0x00D1_7705_C4ED;
+pub(crate) const SCHEDULE_FP_SEED: u64 = 0x00D1_7705_C4ED;
 
 // ---------------------------------------------------------------------
 // Little-endian put/take codec helpers
@@ -176,7 +176,7 @@ impl EngineKind {
     }
 
     /// Human-readable engine label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             EngineKind::Frozen => "frozen",
             EngineKind::Adaptive => "adaptive",
@@ -189,19 +189,19 @@ impl EngineKind {
 /// reader's [`StageCheckpoint`] so a restored stage re-emits the same
 /// fault/recovery telemetry the live simulation produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineageHit {
+pub(crate) struct LineageHit {
     /// Stage whose read detected the fault and paid the wait.
-    pub reader_stage: u32,
+    pub(crate) reader_stage: u32,
     /// Producer stage of the lost/corrupt object.
-    pub src_stage: u32,
+    pub(crate) src_stage: u32,
     /// Producer task of the lost/corrupt object.
-    pub src_task: u32,
+    pub(crate) src_task: u32,
     /// `true` for a checksum corruption, `false` for a loss.
-    pub corrupt: bool,
+    pub(crate) corrupt: bool,
     /// Sim time the fault was detected (the reader's pre-recovery ready).
-    pub detect_at: f64,
+    pub(crate) detect_at: f64,
     /// Re-execution time of the producing task, seconds.
-    pub reexec_s: f64,
+    pub(crate) reexec_s: f64,
 }
 
 /// Post-state of one completed stage: everything the simulator wrote
@@ -221,39 +221,39 @@ pub struct LineageHit {
 #[derive(Debug, Clone)]
 pub struct StageCheckpoint<'a> {
     /// Stage index.
-    pub stage: u32,
+    pub(crate) stage: u32,
     /// Position of this checkpoint among the journal's `StageComplete`
     /// records (0-based): the order its delta must be applied in.
-    pub ordinal: u32,
+    pub(crate) ordinal: u32,
     /// Stage end (latest task end).
-    pub end: f64,
+    pub(crate) end: f64,
     /// Earliest task write start (the pipelining gate).
-    pub write_start: f64,
+    pub(crate) write_start: f64,
     /// Latest task compute start (end of reads).
-    pub read_end: f64,
+    pub(crate) read_end: f64,
     /// Stage container launch (earliest attempt launch).
-    pub launch: f64,
+    pub(crate) launch: f64,
     /// Mean as-executed step durations (drift-detector food).
-    pub observed: StepTimings,
+    pub(crate) observed: StepTimings,
     /// Mean clean step durations (the detector's expected side).
-    pub clean: StepTimings,
+    pub(crate) clean: StepTimings,
     /// Clean single-attempt duration per task (lineage re-execution cost).
-    pub task_clean: Cow<'a, [f64]>,
+    pub(crate) task_clean: Cow<'a, [f64]>,
     /// Medium of each in-edge of this stage, `(edge, medium_code)`.
-    pub edge_medium: Cow<'a, [(u32, u8)]>,
+    pub(crate) edge_medium: Cow<'a, [(u32, u8)]>,
     /// Lineage-healing entries this stage inserted:
     /// `(stage, task, heal_end)`.
-    pub heal_end: Cow<'a, [(u32, u32, f64)]>,
+    pub(crate) heal_end: Cow<'a, [(u32, u32, f64)]>,
     /// Fault buckets of this stage and of its in-edge producers (lineage
     /// charges hit the *producer* stage's bucket), `(stage, absolute
     /// bucket at this stage's completion)`.
-    pub buckets: Cow<'a, [(u32, FaultStats)]>,
+    pub(crate) buckets: Cow<'a, [(u32, FaultStats)]>,
     /// Lineage re-executions this stage paid for as a reader.
-    pub lineage: Cow<'a, [LineageHit]>,
+    pub(crate) lineage: Cow<'a, [LineageHit]>,
     /// Winning task timelines of this stage.
-    pub tasks: Cow<'a, [TaskTrace]>,
+    pub(crate) tasks: Cow<'a, [TaskTrace]>,
     /// Attempt history of this stage (empty per task when fault-free).
-    pub attempts: Cow<'a, [AttemptRecord]>,
+    pub(crate) attempts: Cow<'a, [AttemptRecord]>,
 }
 
 impl StageCheckpoint<'_> {
@@ -278,26 +278,26 @@ impl StageCheckpoint<'_> {
 #[derive(Debug, Clone)]
 pub struct ReplanDecision {
     /// The decision record, as it lands on the execution trace.
-    pub record: ReplanRecord,
+    pub(crate) record: ReplanRecord,
     /// Suffix mask at the decision (`true` = stage not yet started).
-    pub suffix: Vec<bool>,
+    pub(crate) suffix: Vec<bool>,
     /// The spliced schedule, present iff the replan was applied.
-    pub schedule: Option<Schedule>,
+    pub(crate) schedule: Option<Schedule>,
 }
 
 /// A failure-aware failover reschedule (frozen engine).
 #[derive(Debug, Clone)]
 pub struct FailoverDecision {
     /// Monotonic decision sequence number.
-    pub decision_seq: u64,
+    pub(crate) decision_seq: u64,
     /// Failed server index.
-    pub failed_server: u32,
+    pub(crate) failed_server: u32,
     /// Failure instant, sim seconds.
-    pub at_time: f64,
+    pub(crate) at_time: f64,
     /// Suffix mask (`true` = stage had not launched at the failure).
-    pub suffix: Vec<bool>,
+    pub(crate) suffix: Vec<bool>,
     /// The spliced hybrid schedule the suffix runs under.
-    pub schedule: Schedule,
+    pub(crate) schedule: Schedule,
 }
 
 /// One journaled control-plane decision. The large variants are boxed so
@@ -395,7 +395,7 @@ pub(super) fn outcome_code(o: AttemptOutcome) -> u8 {
     }
 }
 
-fn outcome_from_code(c: u8) -> Result<AttemptOutcome, String> {
+pub(super) fn outcome_from_code(c: u8) -> Result<AttemptOutcome, String> {
     match c {
         0 => Ok(AttemptOutcome::Completed),
         1 => Ok(AttemptOutcome::Crashed),
@@ -596,7 +596,7 @@ fn dec_schedule(d: &mut Dec<'_>) -> Result<Schedule, String> {
 }
 
 /// The `ScheduleCommit` fingerprint of a schedule.
-pub fn schedule_fingerprint(s: &Schedule) -> u64 {
+pub(crate) fn schedule_fingerprint(s: &Schedule) -> u64 {
     let mut buf = Vec::new();
     enc_schedule(&mut buf, s);
     checksum64(&buf, SCHEDULE_FP_SEED)
@@ -741,7 +741,8 @@ fn dec_checkpoint(d: &mut Dec<'_>) -> Result<StageCheckpoint<'static>, String> {
 // ---------------------------------------------------------------------
 
 /// Encode one record's frame payload (tag byte + fields).
-pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn encode_record(rec: &JournalRecord) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_record_into(&mut buf, rec);
     buf
@@ -846,7 +847,7 @@ pub(super) fn enc_failover_decision(buf: &mut Vec<u8>, d: &FailoverDecision) {
 /// trailing garbage after a well-formed record) mean an encoder bug or
 /// memory corruption *inside* a CRC-valid frame — callers treat that as a
 /// hard journal error, not a torn tail.
-pub fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
+pub(crate) fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
     let mut d = Dec::new(payload);
     let rec = decode_record_inner(&mut d)?;
     if !d.finished() {

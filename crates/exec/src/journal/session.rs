@@ -1,6 +1,6 @@
 //! Writing and resuming a journal: the batched crash-armed
-//! [`JournalWriter`], the per-job [`JournalSession`] (write-ahead on the
-//! way out, replay on the way back) and [`recover`].
+//! [`JournalWriter`] and the per-job [`JournalSession`] (write-ahead on
+//! the way out, replay on the way back).
 
 use super::frame::{decode_journal, frame_with, TornTail, JOURNAL_MAGIC, JOURNAL_VERSION};
 use super::record::{
@@ -10,7 +10,7 @@ use super::record::{
 };
 use crate::adaptive::ReplanRecord;
 use crate::error::ExecError;
-use crate::faults::{AttemptOutcome, AttemptRecord, FaultPlan, FaultStats, SimState, StageMark};
+use crate::faults::{AttemptOutcome, AttemptRecord, FaultStats, SimState, StageMark};
 use crate::metrics::JobMetrics;
 use ditto_core::Schedule;
 use ditto_dag::{JobDag, StageId};
@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// append of record `n` half-way through its frame — the torn tail
 /// [`decode_journal`] must detect and truncate.
 #[derive(Debug)]
-pub struct JournalWriter {
+pub(crate) struct JournalWriter {
     buf: Vec<u8>,
     records_written: u64,
     crash_at: Option<u64>,
@@ -39,7 +39,7 @@ pub struct JournalWriter {
 impl JournalWriter {
     /// Fresh journal (header only), optionally armed to crash at the
     /// `crash_at`-th appended record (0-based).
-    pub fn new(crash_at: Option<u64>) -> Self {
+    pub(crate) fn new(crash_at: Option<u64>) -> Self {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&JOURNAL_MAGIC);
         buf.push(JOURNAL_VERSION);
@@ -53,7 +53,7 @@ impl JournalWriter {
     /// Resume appending to a durable prefix of `records` intact records.
     /// Deliberately *not* re-armed: a recovered coordinator crashing at
     /// the same record forever would never finish.
-    pub fn from_durable(bytes: Vec<u8>, records: u64) -> Self {
+    pub(crate) fn from_durable(bytes: Vec<u8>, records: u64) -> Self {
         JournalWriter {
             buf: bytes,
             records_written: records,
@@ -64,7 +64,7 @@ impl JournalWriter {
     /// Append one record. If the armed crash point is this record, half
     /// of its frame is written (a torn tail) and the append fails with
     /// [`ExecError::CoordinatorCrash`].
-    pub fn append(&mut self, rec: &JournalRecord) -> Result<(), ExecError> {
+    pub(crate) fn append(&mut self, rec: &JournalRecord) -> Result<(), ExecError> {
         self.append_with(|buf| encode_record_into(buf, rec))
     }
 
@@ -84,17 +84,18 @@ impl JournalWriter {
     }
 
     /// The journal bytes, including any torn tail after a crash.
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         &self.buf
     }
 
     /// Records successfully appended.
-    pub fn records_written(&self) -> u64 {
+    pub(crate) fn records_written(&self) -> u64 {
         self.records_written
     }
 
     /// Arm (or re-arm) a crash at appended-record index `at`.
-    pub fn arm_crash(&mut self, at: u64) {
+    #[cfg(test)]
+    pub(crate) fn arm_crash(&mut self, at: u64) {
         self.crash_at = Some(at);
     }
 }
@@ -103,7 +104,7 @@ impl JournalWriter {
 // Journal session: write-ahead on the way out, replay on the way back
 // ---------------------------------------------------------------------
 
-/// One job's journal session: wraps the [`JournalWriter`] with the replay
+/// One job's journal session: wraps the `JournalWriter` with the replay
 /// state decoded from a durable prefix. A fresh session journals every
 /// decision as it happens; a resumed session restores checkpointed
 /// stages, deduplicates re-delivered object commits through the
@@ -158,12 +159,6 @@ impl JournalSession {
             delta_heal: Vec::new(),
             delta_buckets: Vec::new(),
         }
-    }
-
-    /// Fresh session armed from the fault plan's seeded
-    /// `CoordinatorCrash`, if any.
-    pub fn fresh_from_plan(plan: &FaultPlan) -> Self {
-        Self::fresh(plan.coordinator_crash())
     }
 
     /// Resume from journal bytes: decode the durable prefix (truncating
@@ -254,18 +249,21 @@ impl JournalSession {
     }
 
     /// Torn-tail provenance of the resumed journal, if any.
-    pub fn torn(&self) -> Option<TornTail> {
+    #[cfg(test)]
+    pub(crate) fn torn(&self) -> Option<TornTail> {
         self.torn
     }
 
     /// Object commits replayed from the durable prefix on resume.
-    pub fn replayed_commits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn replayed_commits(&self) -> u64 {
         self.replayed_commits
     }
 
     /// Arm a coordinator crash at appended-record index `at` (tests use
     /// this to exercise double crashes on a resumed session).
-    pub fn arm_crash(&mut self, at: u64) {
+    #[cfg(test)]
+    pub(crate) fn arm_crash(&mut self, at: u64) {
         self.writer.arm_crash(at);
     }
 
@@ -274,7 +272,7 @@ impl JournalSession {
     /// fingerprint against the journal on a resumed one, and announces
     /// the resume on the scheduler track. Call once per run, before any
     /// stage executes.
-    pub fn begin(
+    pub(crate) fn begin(
         &mut self,
         dag: &JobDag,
         engine: EngineKind,
@@ -492,7 +490,7 @@ impl JournalSession {
     /// this task's output (re-execution after a crash) and nothing was
     /// appended. A same-epoch commit with a different checksum is a hard
     /// exactly-once violation.
-    pub fn record_physical_task(
+    pub(crate) fn record_physical_task(
         &mut self,
         stage: u32,
         task: u32,
@@ -580,7 +578,7 @@ impl JournalSession {
     /// Close the job: journals `JobComplete` on a fresh run; on a resumed
     /// run that already completed, verifies the recomputed metrics equal
     /// the journaled ones bit for bit.
-    pub fn finish(&mut self, metrics: &JobMetrics) -> Result<(), ExecError> {
+    pub(crate) fn finish(&mut self, metrics: &JobMetrics) -> Result<(), ExecError> {
         if let Some(done) = self.completed {
             if done != *metrics {
                 return Err(ExecError::Journal(
@@ -599,48 +597,4 @@ impl JournalSession {
 // ---------------------------------------------------------------------
 // Recovery surface
 // ---------------------------------------------------------------------
-
-/// What [`recover`] rebuilt from a journal: resume the job by handing
-/// `session` to an identically configured [`Engine`](crate::Engine).
-#[derive(Debug)]
-pub struct ResumedJob {
-    /// Engine that wrote the journal (resume with the same one).
-    pub engine: EngineKind,
-    /// DAG stage count recorded at admission.
-    pub stages: u32,
-    /// Stages with durable checkpoints (restored, not re-simulated).
-    pub completed_stages: Vec<u32>,
-    /// Journaled replan decisions staged for replay.
-    pub replans_recorded: u64,
-    /// Whether a journaled failover decision is staged for replay.
-    pub has_failover: bool,
-    /// Whether the job already completed (recovery is then a no-op
-    /// verification run).
-    pub finished: bool,
-    /// Torn-tail provenance, if the journal ended mid-frame.
-    pub torn: Option<TornTail>,
-    /// The resumed session to hand to [`Engine::journal`](crate::Engine::journal).
-    pub session: JournalSession,
-}
-
-/// Rebuild engine state from journal bytes. Fails on a journal without a
-/// durable job-admit record (nothing to resume).
-pub fn recover(journal: &[u8]) -> Result<ResumedJob, ExecError> {
-    let session = JournalSession::resume(journal)?;
-    let Some((stages, _, engine, _)) = session.admit.clone() else {
-        return Err(ExecError::Journal(
-            "journal has no durable job-admit record".into(),
-        ));
-    };
-    Ok(ResumedJob {
-        engine,
-        stages,
-        completed_stages: session.checkpoints.keys().copied().collect(),
-        replans_recorded: session.replay_total as u64,
-        has_failover: session.failover.is_some(),
-        finished: session.completed.is_some(),
-        torn: session.torn(),
-        session,
-    })
-}
 

@@ -12,7 +12,7 @@ pub struct JobMetrics {
     pub compute_cost: f64,
     /// Storage persistence cost (shared memory + Redis; S3 free), GB·s
     /// priced.
-    pub storage_cost: f64,
+    pub(crate) storage_cost: f64,
     /// Fault and recovery accounting (all zeros for fault-free runs).
     pub faults: FaultStats,
 }
@@ -23,33 +23,6 @@ impl JobMetrics {
     pub fn total_cost(&self) -> f64 {
         self.compute_cost + self.storage_cost
     }
-
-    /// `self` relative to a baseline: `(jct_speedup, cost_ratio)` where
-    /// speedup > 1 means `self` is faster/cheaper.
-    ///
-    /// Division-safe: a zero denominator yields `1.0` when the numerator
-    /// is also zero (both degenerate — neither is better) and
-    /// `f64::INFINITY` otherwise (the baseline took time/cost, `self`
-    /// took none), never `NaN`.
-    pub fn vs(&self, baseline: &JobMetrics) -> (f64, f64) {
-        (
-            safe_ratio(baseline.jct, self.jct),
-            safe_ratio(baseline.total_cost(), self.total_cost()),
-        )
-    }
-}
-
-/// `num / den` with the 0/0 and x/0 cases pinned to 1 and ∞.
-fn safe_ratio(num: f64, den: f64) -> f64 {
-    if den == 0.0 {
-        if num == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        num / den
-    }
 }
 
 #[cfg(test)]
@@ -57,7 +30,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn total_and_ratio() {
+    fn total_cost_sums_compute_and_storage() {
         let a = JobMetrics {
             jct: 10.0,
             compute_cost: 100.0,
@@ -71,33 +44,6 @@ mod tests {
             faults: FaultStats::default(),
         };
         assert_eq!(a.total_cost(), 120.0);
-        let (speedup, cost_ratio) = a.vs(&b);
-        assert!((speedup - 2.5).abs() < 1e-12);
-        assert!((cost_ratio - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vs_never_divides_by_zero() {
-        let zero = JobMetrics {
-            jct: 0.0,
-            compute_cost: 0.0,
-            storage_cost: 0.0,
-            faults: FaultStats::default(),
-        };
-        let real = JobMetrics {
-            jct: 10.0,
-            compute_cost: 100.0,
-            storage_cost: 0.0,
-            faults: FaultStats::default(),
-        };
-        // 0/0 → neutral 1.0, x/0 → +∞, 0/x → 0; no NaN anywhere.
-        assert_eq!(zero.vs(&zero), (1.0, 1.0));
-        assert_eq!(real.vs(&zero), (0.0, 0.0));
-        let (s, c) = zero.vs(&real);
-        assert!(s.is_infinite() && s > 0.0);
-        assert!(c.is_infinite() && c > 0.0);
-        for m in [zero.vs(&zero), real.vs(&zero), zero.vs(&real)] {
-            assert!(!m.0.is_nan() && !m.1.is_nan());
-        }
+        assert_eq!(b.total_cost(), 180.0);
     }
 }

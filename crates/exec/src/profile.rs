@@ -111,7 +111,8 @@ pub fn profile_job(dag: &JobDag, gt: &GroundTruth, dops: &[u32]) -> JobProfile {
 }
 
 /// The paper's default profiling setup: five DoPs spanning 10–120.
-pub fn default_profile_dops() -> [u32; 5] {
+#[cfg(test)]
+pub(crate) fn default_profile_dops() -> [u32; 5] {
     [10, 20, 40, 80, 120]
 }
 

@@ -74,18 +74,12 @@ type TaskResult = Result<TaskReport, ExecError>;
 pub struct RunOutput {
     /// The job answer (final-stage partials combined).
     pub result: Table,
-    /// Wall-clock duration of the run, seconds.
-    pub wall_seconds: f64,
     /// Data-plane accounting (wire and logical bytes per medium).
     pub ledger: TransferLedger,
     /// Per-task runtime records.
     pub monitor: Arc<RuntimeMonitor>,
     /// Task attempts that crashed and were retried (fault injection).
     pub retries: u64,
-    /// Attempt-level history of every faulted task (failed attempts plus
-    /// their final completed one), ordered by (stage, task, attempt);
-    /// empty for fault-free runs.
-    pub attempts: Vec<AttemptRecord>,
     /// Aggregated fault and recovery accounting.
     pub fault_stats: FaultStats,
 }
@@ -208,7 +202,6 @@ impl LocalRuntime {
         };
         let monitor = RuntimeMonitor::new();
         let mut retries = 0u64;
-        let mut attempts: Vec<AttemptRecord> = Vec::new();
         let mut fault_stats = FaultStats::default();
         let mut faulted_objects = BTreeSet::new();
         let mut final_partials: Vec<Table> = Vec::new();
@@ -244,7 +237,6 @@ impl LocalRuntime {
                     if let Some(j) = session.as_deref_mut() {
                         j.record_physical_task(s.0, t as u32, r.epoch, r.value, &r.attempts)?;
                     }
-                    attempts.extend(r.attempts);
                     fault_stats.absorb(&r.stats);
                     retries += r.retries;
                     partials.extend(r.partial);
@@ -257,11 +249,9 @@ impl LocalRuntime {
         })?;
         Ok(RunOutput {
             result: plan.combine_final(&final_partials),
-            wall_seconds: cx.job_start.elapsed().as_secs_f64(),
             ledger: dataplane.ledger(),
             monitor: Arc::new(monitor),
             retries,
-            attempts,
             fault_stats,
         })
     }
@@ -812,6 +802,7 @@ impl TaskCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::attempt_log;
     use ditto_cluster::ResourceManager;
     use ditto_core::baselines::{EvenSplitScheduler, NimbleScheduler};
     use ditto_core::{DittoScheduler, Objective, Scheduler, SchedulingContext};
@@ -855,7 +846,6 @@ mod tests {
         assert_eq!(gn, n);
         assert!((gc - cost).abs() < 1e-6 * cost.abs().max(1.0));
         assert!((gp - profit).abs() < 1e-6 * profit.abs().max(1.0));
-        assert!(out.wall_seconds > 0.0);
         // One record per task across all 9 stages.
         let recs = out.monitor.records();
         let stages_seen: std::collections::HashSet<u32> = recs.iter().map(|r| r.stage).collect();
@@ -940,13 +930,15 @@ mod tests {
                 ..RecoveryPolicy::retry_only()
             },
         };
-        let out = runtime.execute(&plan, &db, &schedule, &dataplane);
+        let mut session = JournalSession::fresh(None);
+        let out = runtime
+            .try_run_journaled(&plan, &db, &schedule, &dataplane, &mut session)
+            .unwrap();
         assert!(out.retries > 0, "30% failure rate must trigger retries");
         // Attempt records mirror the retry counter and bill wasted work.
-        let crashed = out
-            .attempts
+        let crashed = attempt_log(session.durable_bytes())
             .iter()
-            .filter(|a| a.outcome == AttemptOutcome::Crashed)
+            .filter(|a| a.3 == AttemptOutcome::Crashed)
             .count() as u64;
         assert_eq!(crashed, out.retries);
         assert!(out.fault_stats.wasted_gb_s > 0.0);
@@ -1001,11 +993,22 @@ mod tests {
             resources: &rm,
             objective: Objective::Jct,
         });
+        let mut clean_journal = JournalSession::fresh(None);
         let clean = LocalRuntime::new()
-            .try_run(&plan, &db, &schedule, &DataPlane::new(Medium::S3, free.len()))
+            .try_run_journaled(
+                &plan,
+                &db,
+                &schedule,
+                &DataPlane::new(Medium::S3, free.len()),
+                &mut clean_journal,
+            )
             .unwrap();
-        assert!(clean.attempts.is_empty(), "fault-free run records no attempts");
+        assert!(
+            attempt_log(clean_journal.durable_bytes()).is_empty(),
+            "fault-free run records no attempts"
+        );
         // One crash + one straggler, recovered under the default policy.
+        let mut journal = JournalSession::fresh(None);
         let out = LocalRuntime {
             faults: FaultPlan::from_events(vec![
                 FaultEvent::TaskCrash {
@@ -1022,24 +1025,30 @@ mod tests {
             ]),
             recovery: RecoveryPolicy::default(),
         }
-        .try_run(&plan, &db, &schedule, &DataPlane::new(Medium::S3, free.len()))
+        .try_run_journaled(
+            &plan,
+            &db,
+            &schedule,
+            &DataPlane::new(Medium::S3, free.len()),
+            &mut journal,
+        )
         .unwrap();
         assert_eq!(
             out.result.encode(),
             clean.result.encode(),
             "recovered run must produce the exact same final table"
         );
-        let extra = out
-            .attempts
+        let outcomes: Vec<_> = attempt_log(journal.durable_bytes())
+            .into_iter()
+            .map(|a| a.3)
+            .collect();
+        let extra = outcomes
             .iter()
-            .filter(|a| a.outcome != AttemptOutcome::Completed)
+            .filter(|&&o| o != AttemptOutcome::Completed)
             .count();
         assert!(extra >= 2, "crash + superseded straggler, got {extra}");
-        assert!(out.attempts.iter().any(|a| a.outcome == AttemptOutcome::Crashed));
-        assert!(out
-            .attempts
-            .iter()
-            .any(|a| a.outcome == AttemptOutcome::Superseded));
+        assert!(outcomes.contains(&AttemptOutcome::Crashed));
+        assert!(outcomes.contains(&AttemptOutcome::Superseded));
         assert!(out.fault_stats.wasted_gb_s > 0.0, "wasted work is billed");
         assert_eq!(out.fault_stats.speculative_copies, 1);
     }
@@ -1361,14 +1370,17 @@ mod tests {
             recovery: RecoveryPolicy::default(),
         };
         let run = || {
+            let mut session = JournalSession::fresh(None);
             let out = runtime
-                .try_run(&plan, &db, &schedule, &DataPlane::new(Medium::S3, 2))
+                .try_run_journaled(
+                    &plan,
+                    &db,
+                    &schedule,
+                    &DataPlane::new(Medium::S3, 2),
+                    &mut session,
+                )
                 .unwrap();
-            let rows: Vec<_> = out
-                .attempts
-                .iter()
-                .map(|a| (a.stage, a.task, a.attempt, a.outcome, a.speculative))
-                .collect();
+            let rows = attempt_log(session.durable_bytes());
             let f = out.fault_stats;
             let counters = [
                 f.extra_attempts,
@@ -1422,13 +1434,12 @@ mod tests {
     }
 
     /// Everything a run reports that must not depend on the pool size:
-    /// the answer, the attempt log and the integer fault counters (their
-    /// wall-clock fields dropped), the ledger, the monitor rows and the
-    /// journal.
+    /// the answer, the integer fault counters, the ledger, the monitor
+    /// rows and the journal (attempt log included, its wall-clock fields
+    /// dropped).
     #[derive(Debug, PartialEq)]
     struct RunDigest {
         result: bytes::Bytes,
-        attempts: Vec<(u32, u32, u32, ServerId, AttemptOutcome, bool)>,
         counters: [u64; 9],
         ledger: TransferLedger,
         rows: Vec<(u32, u32, ServerId, u64, u64)>,
@@ -1473,20 +1484,6 @@ mod tests {
         let f = out.fault_stats;
         let digest = RunDigest {
             result: out.result.encode(),
-            attempts: out
-                .attempts
-                .iter()
-                .map(|a| {
-                    (
-                        a.stage,
-                        a.task,
-                        a.attempt,
-                        a.server,
-                        a.outcome,
-                        a.speculative,
-                    )
-                })
-                .collect(),
             counters: [
                 f.extra_attempts.into(),
                 f.server_failures.into(),
@@ -1565,8 +1562,11 @@ mod tests {
             let case = format!("{} under {}", plan.name, scheduler.name());
             let inputs = (&db, &plan, &schedule);
             let (clean, clean_journal) = digest(&LocalRuntime::new(), inputs, free.len(), 1);
-            let (fault, _) = digest(&faulted, inputs, free.len(), 1);
-            assert!(!fault.attempts.is_empty(), "{case}: task faults fired");
+            let (fault, fault_journal) = digest(&faulted, inputs, free.len(), 1);
+            assert!(
+                !attempt_log(&fault_journal).is_empty(),
+                "{case}: task faults fired"
+            );
             assert!(fault.counters[6] > 0, "{case}: object faults were healed");
             for workers in [2, 4, 8] {
                 let (d, journal) = digest(&LocalRuntime::new(), inputs, free.len(), workers);

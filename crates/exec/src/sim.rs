@@ -197,9 +197,8 @@ mod tests {
         let cfg = ExecConfig::default();
         let (_, nimble) = run(&dag, &NimbleScheduler::default(), &free, cfg.clone());
         let (_, ditto) = run(&dag, &DittoScheduler::new(), &free, cfg);
-        let (speedup, _) = ditto.vs(&nimble);
         assert!(
-            speedup > 1.0,
+            ditto.jct < nimble.jct,
             "ditto JCT {} should beat nimble {}",
             ditto.jct,
             nimble.jct

@@ -15,7 +15,7 @@ pub struct TaskTrace {
     /// Stage index.
     pub stage: u32,
     /// Task index within the stage.
-    pub task: u32,
+    pub(crate) task: u32,
     /// Server the task ran on.
     pub server: ServerId,
     /// Launch (container start).
@@ -23,23 +23,23 @@ pub struct TaskTrace {
     /// End of setup / start of read.
     pub read_start: f64,
     /// End of read / start of compute.
-    pub compute_start: f64,
+    pub(crate) compute_start: f64,
     /// End of compute / start of write.
-    pub write_start: f64,
+    pub(crate) write_start: f64,
     /// Task completion.
-    pub end: f64,
+    pub(crate) end: f64,
     /// Memory footprint, GB.
-    pub memory_gb: f64,
+    pub(crate) memory_gb: f64,
 }
 
 impl TaskTrace {
     /// Wall-clock duration.
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.end - self.launch
     }
 
     /// Step durations as the shared [`StepTimings`] shape.
-    pub fn steps(&self) -> StepTimings {
+    pub(crate) fn steps(&self) -> StepTimings {
         StepTimings::new(
             self.read_start - self.launch,
             self.compute_start - self.read_start,
@@ -95,11 +95,6 @@ impl ExecutionTrace {
             .count()
     }
 
-    /// Total billed-but-discarded work across failed attempts, GB·s.
-    pub fn wasted_gb_s(&self) -> f64 {
-        self.attempts.iter().map(|a| a.wasted_gb_s).sum()
-    }
-
     /// Job completion time: the latest task end.
     pub fn jct(&self) -> f64 {
         self.tasks.iter().map(|t| t.end).fold(0.0, f64::max)
@@ -144,7 +139,7 @@ impl ExecutionTrace {
 
     /// Compute cost in GB·s: Σ memory × duration per task (the paper's
     /// billing definition).
-    pub fn compute_cost(&self) -> f64 {
+    pub(crate) fn compute_cost(&self) -> f64 {
         self.tasks.iter().map(|t| t.memory_gb * t.duration()).sum()
     }
 
@@ -153,7 +148,8 @@ impl ExecutionTrace {
     /// no server ever hosts more simultaneous tasks than it had free
     /// slots. Computed exactly by a sweep over launch/end events. The
     /// result is ordered by server id so iteration is deterministic.
-    pub fn peak_server_occupancy(&self) -> std::collections::BTreeMap<u32, u32> {
+    #[cfg(test)]
+    pub(crate) fn peak_server_occupancy(&self) -> std::collections::BTreeMap<u32, u32> {
         let mut events: Vec<(f64, i32, u32)> = Vec::with_capacity(self.tasks.len() * 2);
         for t in &self.tasks {
             events.push((t.launch, 1, t.server.0));
@@ -170,163 +166,6 @@ impl ExecutionTrace {
             *p = (*p).max(*c as u32);
         }
         peak
-    }
-
-    /// Slot occupancy over time: sample the number of busy function slots
-    /// at `samples` evenly spaced instants across the job. This is the
-    /// quantity behind the paper's §4.5 utilization remark — slots
-    /// reserved for a job idle whenever its stages don't overlap.
-    pub fn utilization(&self, samples: usize) -> Vec<(f64, u32)> {
-        assert!(samples >= 2, "need at least two sample points");
-        let jct = self.jct();
-        (0..samples)
-            .map(|i| {
-                let t = jct * i as f64 / (samples - 1) as f64;
-                let busy = self
-                    .tasks
-                    .iter()
-                    .filter(|task| task.launch <= t && t < task.end)
-                    .count() as u32;
-                (t, busy)
-            })
-            .collect()
-    }
-
-    /// Mean slot occupancy over the job's lifetime as a fraction of
-    /// `total_slots` (1.0 = the reserved slots never idle).
-    pub fn mean_utilization(&self, total_slots: u32) -> f64 {
-        if total_slots == 0 {
-            return 0.0;
-        }
-        let jct = self.jct().max(1e-12);
-        let busy_slot_seconds: f64 = self.tasks.iter().map(|t| t.duration()).sum();
-        busy_slot_seconds / (jct * total_slots as f64)
-    }
-
-    /// Export the trace in Chrome Trace Event format (load in
-    /// `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)): one
-    /// duration event per step of every task, with the server as the
-    /// process and the task as the thread — the interactive version of
-    /// the paper's Fig. 15. Attempt history renders as `attempt` spans
-    /// with `fault.*` instants at each failed attempt's end, and every
-    /// [`ReplanRecord`] appears as a `sched.replan` instant on the
-    /// scheduler pseudo-process carrying the full decision record
-    /// (trigger, corrections, predicted JCTs, risk penalty, certificate
-    /// verdict) — replans no longer live only on the in-memory trace.
-    pub fn to_chrome_trace(&self) -> String {
-        use serde_json::{Map, Number, Value};
-        /// Scheduler pseudo-process id, clear of real server ids.
-        const SCHED_PID: u64 = 1_000_000;
-        let us = |secs: f64| (secs * 1e6).round() as u64;
-        let uint = |v: u64| Value::Number(Number::PosInt(v));
-        let num = |v: f64| Value::Number(Number::Float(v));
-        let mut events: Vec<Value> = Vec::with_capacity(self.tasks.len() * 4);
-        let mut push = |fields: Vec<(&str, Value)>| {
-            let mut m = Map::new();
-            for (k, v) in fields {
-                m.insert(k.to_string(), v);
-            }
-            events.push(Value::Object(m));
-        };
-        for t in &self.tasks {
-            let tid = t.stage * 10_000 + t.task;
-            let steps = t.steps();
-            for (name, start, dur) in [
-                ("setup", t.launch, steps.setup),
-                ("read", t.read_start, steps.read),
-                ("compute", t.compute_start, steps.compute),
-                ("write", t.write_start, steps.write),
-            ] {
-                if dur <= 0.0 {
-                    continue;
-                }
-                push(vec![
-                    ("name", Value::String(name.to_string())),
-                    ("cat", Value::String("task".to_string())),
-                    ("ph", Value::String("X".to_string())),
-                    ("ts", uint(us(start))),
-                    ("dur", uint(us(dur))),
-                    ("pid", uint(t.server.0 as u64)),
-                    ("tid", uint(tid as u64)),
-                ]);
-            }
-        }
-        for a in &self.attempts {
-            let tid = a.stage * 10_000 + a.task;
-            let mut args = Map::new();
-            args.insert("stage".to_string(), uint(a.stage as u64));
-            args.insert("task".to_string(), uint(a.task as u64));
-            args.insert("attempt".to_string(), uint(a.attempt as u64));
-            args.insert("wasted_gb_s".to_string(), num(a.wasted_gb_s));
-            push(vec![
-                ("name", Value::String("attempt".to_string())),
-                ("cat", Value::String("fault".to_string())),
-                ("ph", Value::String("X".to_string())),
-                ("ts", uint(us(a.start))),
-                ("dur", uint(us(a.end - a.start))),
-                ("pid", uint(a.server.0 as u64)),
-                ("tid", uint(tid as u64)),
-                ("args", Value::Object(args)),
-            ]);
-            if a.outcome != AttemptOutcome::Completed {
-                let name = match a.outcome {
-                    AttemptOutcome::Crashed => "fault.crashed",
-                    AttemptOutcome::ServerLost => "fault.server_lost",
-                    AttemptOutcome::Superseded => "fault.superseded",
-                    AttemptOutcome::Completed => unreachable!(),
-                };
-                let mut args = Map::new();
-                args.insert("stage".to_string(), uint(a.stage as u64));
-                args.insert("task".to_string(), uint(a.task as u64));
-                args.insert("attempt".to_string(), uint(a.attempt as u64));
-                push(vec![
-                    ("name", Value::String(name.to_string())),
-                    ("cat", Value::String("fault".to_string())),
-                    ("ph", Value::String("i".to_string())),
-                    ("s", Value::String("t".to_string())),
-                    ("ts", uint(us(a.end))),
-                    ("pid", uint(a.server.0 as u64)),
-                    ("tid", uint(tid as u64)),
-                    ("args", Value::Object(args)),
-                ]);
-            }
-        }
-        for r in &self.replans {
-            let mut args = Map::new();
-            args.insert(
-                "trigger".to_string(),
-                Value::String(
-                    match r.trigger {
-                        crate::adaptive::ReplanTrigger::Drift => "drift",
-                        crate::adaptive::ReplanTrigger::ObjectRecovery => "object-recovery",
-                    }
-                    .to_string(),
-                ),
-            );
-            args.insert("at_stage".to_string(), uint(r.at_stage as u64));
-            args.insert("factor".to_string(), num(r.factor));
-            args.insert("suffix_stages".to_string(), uint(r.suffix_stages as u64));
-            args.insert("old_predicted_jct".to_string(), num(r.old_predicted_jct));
-            args.insert("new_predicted_jct".to_string(), num(r.new_predicted_jct));
-            args.insert("applied".to_string(), uint(r.applied as u64));
-            args.insert("risk_penalty".to_string(), num(r.risk_penalty));
-            args.insert("audit_clean".to_string(), uint(r.audit_clean as u64));
-            args.insert("decision_seq".to_string(), uint(r.decision_seq));
-            args.insert("corr_read".to_string(), num(r.corrections.read));
-            args.insert("corr_compute".to_string(), num(r.corrections.compute));
-            args.insert("corr_write".to_string(), num(r.corrections.write));
-            push(vec![
-                ("name", Value::String("sched.replan".to_string())),
-                ("cat", Value::String("sched".to_string())),
-                ("ph", Value::String("i".to_string())),
-                ("s", Value::String("g".to_string())),
-                ("ts", uint(us(r.sim_time))),
-                ("pid", uint(SCHED_PID)),
-                ("tid", uint(0)),
-                ("args", Value::Object(args)),
-            ]);
-        }
-        Value::Array(events).to_string()
     }
 
     /// Render an ASCII Gantt of stages over time (Fig. 15's shape), with
@@ -416,54 +255,6 @@ mod tests {
             tasks: vec![task(0, 0, 0.0, (0.0, 1.0, 1.0, 0.0))],
         };
         assert!((tr.compute_cost() - 4.0).abs() < 1e-12); // 2 GB × 2 s
-    }
-
-    #[test]
-    fn utilization_counts_busy_slots() {
-        let tr = ExecutionTrace {
-            attempts: vec![],
-            replans: vec![],
-            tasks: vec![
-                task(0, 0, 0.0, (0.0, 1.0, 1.0, 0.0)), // busy 0..2
-                task(0, 1, 0.0, (0.0, 1.0, 1.0, 0.0)), // busy 0..2
-                task(1, 0, 2.0, (0.0, 1.0, 1.0, 0.0)), // busy 2..4
-            ],
-        };
-        let u = tr.utilization(5); // t = 0, 1, 2, 3, 4
-        assert_eq!(u.len(), 5);
-        assert_eq!(u[0].1, 2);
-        assert_eq!(u[1].1, 2);
-        assert_eq!(u[2].1, 1); // stage 0 ended exactly at 2
-        assert_eq!(u[3].1, 1);
-        assert_eq!(u[4].1, 0); // end instant exclusive
-        // Mean utilization: 6 busy slot-seconds over 4 s × 2 slots = 0.75.
-        assert!((tr.mean_utilization(2) - 0.75).abs() < 1e-12);
-        assert_eq!(tr.mean_utilization(0), 0.0);
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_events() {
-        let tr = ExecutionTrace {
-            attempts: vec![],
-            replans: vec![],
-            tasks: vec![
-                task(0, 0, 0.0, (0.1, 1.0, 1.0, 0.5)),
-                task(1, 0, 2.6, (0.1, 1.0, 1.0, 0.5)),
-            ],
-        };
-        let j = tr.to_chrome_trace();
-        let v: serde_json::Value = serde_json::from_str(&j).unwrap();
-        let events = v.as_array().unwrap();
-        assert_eq!(events.len(), 8, "4 steps x 2 tasks");
-        assert!(events.iter().all(|e| e["ph"] == "X"));
-        // Zero-duration steps are dropped.
-        let tr2 = ExecutionTrace {
-            attempts: vec![],
-            replans: vec![],
-            tasks: vec![task(0, 0, 0.0, (0.0, 1.0, 1.0, 0.0))],
-        };
-        let v2: serde_json::Value = serde_json::from_str(&tr2.to_chrome_trace()).unwrap();
-        assert_eq!(v2.as_array().unwrap().len(), 2);
     }
 
     #[test]

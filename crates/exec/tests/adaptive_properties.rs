@@ -96,7 +96,7 @@ proptest! {
 
     /// (c) Identity: with unit drift and zero loss the adaptive engine
     /// must be bit-identical to the frozen fault-path simulator — same
-    /// JCT, same serialized trace, zero replans.
+    /// JCT, same task timelines and attempts, zero replans.
     #[test]
     fn clean_run_is_bit_identical_to_frozen_engine(
         dag_seed in 0u64..1024,
@@ -121,10 +121,8 @@ proptest! {
 
         prop_assert!(adaptive_trace.replans.is_empty(), "clean run must not replan");
         prop_assert_eq!(adaptive.jct.to_bits(), frozen.jct.to_bits(), "JCT must be bit-identical");
-        prop_assert_eq!(
-            adaptive_trace.to_chrome_trace(),
-            frozen_trace.to_chrome_trace(),
-            "serialized traces must be identical"
-        );
+        prop_assert_eq!(adaptive_trace.tasks, frozen_trace.tasks, "task timelines must be identical");
+        prop_assert_eq!(adaptive_trace.attempts, frozen_trace.attempts, "attempts must be identical");
+        prop_assert_eq!(adaptive_trace.replans, frozen_trace.replans, "replans must be identical");
     }
 }

@@ -15,19 +15,19 @@ const EPS: f64 = 1e-9;
 
 /// JCT attributed to one stage on the critical path.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageAttribution {
+pub(crate) struct StageAttribution {
     /// Stage index.
-    pub stage: u32,
+    pub(crate) stage: u32,
     /// Seconds charged to each step of this stage.
-    pub steps: StepTimings,
+    pub(crate) steps: StepTimings,
     /// Seconds of critical-path wait immediately before this stage's
     /// tasks (dependency stalls, scheduling gaps).
-    pub wait: f64,
+    pub(crate) wait: f64,
 }
 
 impl StageAttribution {
     /// Total seconds this stage contributes to the JCT.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.steps.total() + self.wait
     }
 }
@@ -38,9 +38,9 @@ pub struct CriticalPathReport {
     /// Job completion time (latest task end), seconds.
     pub jct: f64,
     /// Per-stage attribution, ordered by stage index.
-    pub stages: Vec<StageAttribution>,
+    pub(crate) stages: Vec<StageAttribution>,
     /// Leading wait before the first critical task (JIT launch delay, …).
-    pub lead_wait: f64,
+    pub(crate) lead_wait: f64,
 }
 
 impl CriticalPathReport {

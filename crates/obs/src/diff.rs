@@ -31,14 +31,13 @@
 use crate::critical_path::{critical_path, CriticalPathReport};
 use crate::span::{AttrValue, EventRecord, TraceData};
 use crate::timings::StepTimings;
-use serde_json::{Map, Number, Value};
 use std::collections::BTreeMap;
 
 const EPS: f64 = 1e-9;
 
 /// How a stage's JCT-delta contribution is classified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
-pub enum DeltaKind {
+pub(crate) enum DeltaKind {
     /// On both critical paths: a slowdown/speedup of shared-path work.
     Shared,
     /// On exactly one critical path: the path moved onto or off it.
@@ -50,7 +49,7 @@ pub enum DeltaKind {
 
 impl DeltaKind {
     /// Short label for tables and JSON.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DeltaKind::Shared => "shared",
             DeltaKind::PathShift => "path-shift",
@@ -66,28 +65,28 @@ pub struct StageDelta {
     pub stage: u32,
     /// Seconds charged per step in the baseline run (zero if the stage
     /// is off that run's critical path).
-    pub steps_a: StepTimings,
+    pub(crate) steps_a: StepTimings,
     /// Seconds charged per step in the candidate run.
-    pub steps_b: StepTimings,
+    pub(crate) steps_b: StepTimings,
     /// Critical-path wait charged before this stage in the baseline.
-    pub wait_a: f64,
+    pub(crate) wait_a: f64,
     /// Critical-path wait charged before this stage in the candidate.
-    pub wait_b: f64,
+    pub(crate) wait_b: f64,
     /// Classification of this stage's contribution.
-    pub kind: DeltaKind,
+    pub(crate) kind: DeltaKind,
     /// Structural events (replans, faults, lineage re-execs) touching
     /// this stage in the baseline run.
-    pub structural_a: u32,
+    pub(crate) structural_a: u32,
     /// Structural events touching this stage in the candidate run.
-    pub structural_b: u32,
+    pub(crate) structural_b: u32,
     /// Read medium of the stage (`read_medium` attr of its `stage`
     /// span), when either trace recorded one.
-    pub medium: Option<String>,
+    pub(crate) medium: Option<String>,
 }
 
 impl StageDelta {
     /// Per-step delta (candidate minus baseline), seconds.
-    pub fn step_delta(&self) -> StepTimings {
+    pub(crate) fn step_delta(&self) -> StepTimings {
         StepTimings::new(
             self.steps_b.setup - self.steps_a.setup,
             self.steps_b.read - self.steps_a.read,
@@ -97,12 +96,12 @@ impl StageDelta {
     }
 
     /// Wait delta (candidate minus baseline), seconds.
-    pub fn wait_delta(&self) -> f64 {
+    pub(crate) fn wait_delta(&self) -> f64 {
         self.wait_b - self.wait_a
     }
 
     /// Total contribution of this stage to the JCT delta, seconds.
-    pub fn delta(&self) -> f64 {
+    pub(crate) fn delta(&self) -> f64 {
         self.step_delta().total() + self.wait_delta()
     }
 }
@@ -113,13 +112,13 @@ pub struct StructuralSummary {
     /// Suffix replans recorded by the adaptive engine (`sched.replan`).
     pub replans: u32,
     /// Replans that were applied (spliced into the running schedule).
-    pub applied_replans: u32,
+    pub(crate) applied_replans: u32,
     /// Whole-schedule failover replans (`sched.failover`).
-    pub failovers: u32,
+    pub(crate) failovers: u32,
     /// Fault events (`fault.*`: crashes, stragglers, object loss, …).
-    pub faults: u32,
+    pub(crate) faults: u32,
     /// Lineage re-executions (`recovery.lineage_reexec`).
-    pub lineage_reexecs: u32,
+    pub(crate) lineage_reexecs: u32,
 }
 
 /// Result of [`diff_traces`]: the aligned, classified attribution of the
@@ -127,13 +126,13 @@ pub struct StructuralSummary {
 #[derive(Debug, Clone, Default)]
 pub struct TraceDiff {
     /// Baseline JCT, seconds.
-    pub jct_a: f64,
+    pub(crate) jct_a: f64,
     /// Candidate JCT, seconds.
-    pub jct_b: f64,
+    pub(crate) jct_b: f64,
     /// Leading wait before the first critical task, baseline.
-    pub lead_wait_a: f64,
+    pub(crate) lead_wait_a: f64,
     /// Leading wait before the first critical task, candidate.
-    pub lead_wait_b: f64,
+    pub(crate) lead_wait_b: f64,
     /// Per-stage aligned attribution, ordered by stage index.
     pub stages: Vec<StageDelta>,
     /// Structural-event counts in the baseline trace.
@@ -227,67 +226,6 @@ impl TraceDiff {
             self.structural_b.lineage_reexecs,
         ));
         out
-    }
-
-    /// The diff as a compact JSON object (deterministic field order).
-    pub fn to_json(&self) -> String {
-        let num = |v: f64| Value::Number(Number::Float(v));
-        let mut root = Map::new();
-        root.insert("jct_a".into(), num(self.jct_a));
-        root.insert("jct_b".into(), num(self.jct_b));
-        root.insert("delta".into(), num(self.delta()));
-        root.insert("lead_wait_a".into(), num(self.lead_wait_a));
-        root.insert("lead_wait_b".into(), num(self.lead_wait_b));
-        let stages: Vec<Value> = self
-            .stages
-            .iter()
-            .map(|s| {
-                let d = s.step_delta();
-                let mut m = Map::new();
-                m.insert("stage".into(), Value::Number(Number::PosInt(s.stage as u64)));
-                m.insert("kind".into(), Value::String(s.kind.label().to_string()));
-                m.insert(
-                    "medium".into(),
-                    s.medium
-                        .as_ref()
-                        .map_or(Value::Null, |m| Value::String(m.clone())),
-                );
-                m.insert("d_setup".into(), num(d.setup));
-                m.insert("d_read".into(), num(d.read));
-                m.insert("d_compute".into(), num(d.compute));
-                m.insert("d_write".into(), num(d.write));
-                m.insert("d_wait".into(), num(s.wait_delta()));
-                m.insert("d_total".into(), num(s.delta()));
-                m.insert(
-                    "structural_a".into(),
-                    Value::Number(Number::PosInt(s.structural_a as u64)),
-                );
-                m.insert(
-                    "structural_b".into(),
-                    Value::Number(Number::PosInt(s.structural_b as u64)),
-                );
-                Value::Object(m)
-            })
-            .collect();
-        root.insert("stages".into(), Value::Array(stages));
-        let summary = |s: &StructuralSummary| {
-            let mut m = Map::new();
-            m.insert("replans".into(), Value::Number(Number::PosInt(s.replans as u64)));
-            m.insert(
-                "applied_replans".into(),
-                Value::Number(Number::PosInt(s.applied_replans as u64)),
-            );
-            m.insert("failovers".into(), Value::Number(Number::PosInt(s.failovers as u64)));
-            m.insert("faults".into(), Value::Number(Number::PosInt(s.faults as u64)));
-            m.insert(
-                "lineage_reexecs".into(),
-                Value::Number(Number::PosInt(s.lineage_reexecs as u64)),
-            );
-            Value::Object(m)
-        };
-        root.insert("structural_a".into(), summary(&self.structural_a));
-        root.insert("structural_b".into(), summary(&self.structural_b));
-        Value::Object(root).to_string()
     }
 }
 
@@ -552,18 +490,6 @@ mod tests {
         let data = rec.finish();
         let d = diff_traces(&data, &data);
         assert_eq!(d.stages[0].medium.as_deref(), Some("s3"));
-        assert!(d.to_json().contains("\"medium\":\"s3\""));
         assert!(d.render().contains("s3"));
-    }
-
-    #[test]
-    fn json_is_deterministic_and_parses() {
-        let d = diff_traces(&chain(1.0), &chain(1.5));
-        let j1 = d.to_json();
-        let j2 = d.to_json();
-        assert_eq!(j1, j2);
-        let v: Value = serde_json::from_str(&j1).unwrap();
-        assert!(v["stages"].as_array().unwrap().len() == 2);
-        assert!((v["delta"].as_f64().unwrap() - d.delta()).abs() < 1e-12);
     }
 }

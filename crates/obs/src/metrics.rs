@@ -18,7 +18,7 @@ const ONE_IDX: f64 = 128.0;
 
 /// What kind of metric a [`MetricSnapshot`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonic sum of increments.
     Counter,
     /// Last-written value.
@@ -29,7 +29,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// Lower-case name for reports.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -40,11 +40,10 @@ impl MetricKind {
 
 /// Fixed-footprint log-scale histogram.
 #[derive(Debug, Clone)]
-pub struct LogHistogram {
+pub(crate) struct LogHistogram {
     buckets: Box<[u64; BUCKETS]>,
     count: u64,
     sum: f64,
-    min: f64,
     max: f64,
 }
 
@@ -56,12 +55,11 @@ impl Default for LogHistogram {
 
 impl LogHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LogHistogram {
             buckets: Box::new([0; BUCKETS]),
             count: 0,
             sum: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -83,46 +81,22 @@ impl LogHistogram {
     }
 
     /// Record one value (non-positive / non-finite values land in bucket 0).
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
         if v.is_finite() {
             self.sum += v;
-            self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Sum of finite observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
-    /// Mean of finite observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest finite observation (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.min.is_finite() {
-            self.min
-        } else {
-            0.0
-        }
-    }
-
     /// Largest finite observation (0 when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.max.is_finite() {
             self.max
         } else {
@@ -131,7 +105,7 @@ impl LogHistogram {
     }
 
     /// Approximate quantile `q` in `[0, 1]` (bucket geometric midpoint).
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -155,29 +129,25 @@ enum Metric {
 
 /// Point-in-time view of one metric series.
 #[derive(Debug, Clone)]
-pub struct MetricSnapshot {
+pub(crate) struct MetricSnapshot {
     /// Metric name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Series label ("" when unlabelled).
-    pub series: String,
+    pub(crate) series: String,
     /// Metric kind.
-    pub kind: MetricKind,
+    pub(crate) kind: MetricKind,
     /// Counter total, gauge value, or histogram sum.
-    pub value: f64,
-    /// Histogram observation count (0 for counters/gauges).
-    pub count: u64,
+    pub(crate) value: f64,
     /// Histogram p50 (0 for counters/gauges).
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// Histogram p95 (0 for counters/gauges).
-    pub p95: f64,
+    pub(crate) p95: f64,
     /// Histogram p99 (0 for counters/gauges).
-    pub p99: f64,
-    /// Histogram max (0 for counters/gauges).
-    pub max: f64,
+    pub(crate) p99: f64,
 }
 
 /// Thread-safe registry of counters, gauges and histograms.
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     metrics: Mutex<BTreeMap<(&'static str, String), Metric>>,
 }
 
@@ -189,14 +159,14 @@ impl Default for MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry {
             metrics: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// Add `delta` to a counter; returns the new total.
-    pub fn counter_add(&self, name: &'static str, series: &str, delta: f64) -> f64 {
+    pub(crate) fn counter_add(&self, name: &'static str, series: &str, delta: f64) -> f64 {
         let mut m = self.metrics.lock();
         let entry = m
             .entry((name, series.to_string()))
@@ -210,23 +180,15 @@ impl MetricsRegistry {
         }
     }
 
-    /// Read a counter total (0 when absent).
-    pub fn counter_value(&self, name: &'static str, series: &str) -> f64 {
-        match self.metrics.lock().get(&(name, series.to_string())) {
-            Some(Metric::Counter(total)) => *total,
-            _ => 0.0,
-        }
-    }
-
     /// Set a gauge.
-    pub fn gauge_set(&self, name: &'static str, series: &str, value: f64) {
+    pub(crate) fn gauge_set(&self, name: &'static str, series: &str, value: f64) {
         self.metrics
             .lock()
             .insert((name, series.to_string()), Metric::Gauge(value));
     }
 
     /// Observe a histogram value.
-    pub fn observe(&self, name: &'static str, series: &str, value: f64) {
+    pub(crate) fn observe(&self, name: &'static str, series: &str, value: f64) {
         let mut m = self.metrics.lock();
         let entry = m
             .entry((name, series.to_string()))
@@ -236,13 +198,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.lock().is_empty()
-    }
-
     /// Snapshot every series, sorted by (name, series).
-    pub fn snapshot(&self) -> Vec<MetricSnapshot> {
+    pub(crate) fn snapshot(&self) -> Vec<MetricSnapshot> {
         self.metrics
             .lock()
             .iter()
@@ -252,33 +209,27 @@ impl MetricsRegistry {
                     series: series.clone(),
                     kind: MetricKind::Counter,
                     value: *total,
-                    count: 0,
                     p50: 0.0,
                     p95: 0.0,
                     p99: 0.0,
-                    max: 0.0,
                 },
                 Metric::Gauge(v) => MetricSnapshot {
                     name,
                     series: series.clone(),
                     kind: MetricKind::Gauge,
                     value: *v,
-                    count: 0,
                     p50: 0.0,
                     p95: 0.0,
                     p99: 0.0,
-                    max: 0.0,
                 },
                 Metric::Histogram(h) => MetricSnapshot {
                     name,
                     series: series.clone(),
                     kind: MetricKind::Histogram,
                     value: h.sum(),
-                    count: h.count(),
                     p50: h.quantile(0.50),
                     p95: h.quantile(0.95),
                     p99: h.quantile(0.99),
-                    max: h.max(),
                 },
             })
             .collect()
@@ -295,8 +246,6 @@ mod tests {
         assert_eq!(reg.counter_add("bytes", "s3", 10.0), 10.0);
         assert_eq!(reg.counter_add("bytes", "s3", 5.0), 15.0);
         assert_eq!(reg.counter_add("bytes", "redis", 1.0), 1.0);
-        assert_eq!(reg.counter_value("bytes", "s3"), 15.0);
-        assert_eq!(reg.counter_value("bytes", "missing"), 0.0);
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].series, "redis"); // BTreeMap order
@@ -319,15 +268,13 @@ mod tests {
         for i in 1..=1000 {
             h.observe(i as f64 / 100.0); // 0.01 .. 10.0
         }
-        assert_eq!(h.count(), 1000);
-        assert!((h.mean() - 5.005).abs() < 1e-9);
+        assert_eq!(h.count, 1000);
         // Bucket width is 2^(1/4) ≈ 1.19; midpoint readout error ≤ ~9%.
         let p50 = h.quantile(0.50);
         assert!((p50 / 5.0 - 1.0).abs() < 0.10, "p50={p50}");
         let p99 = h.quantile(0.99);
         assert!((p99 / 9.9 - 1.0).abs() < 0.10, "p99={p99}");
         assert!(h.quantile(1.0) >= h.quantile(0.5));
-        assert_eq!(h.min(), 0.01);
         assert_eq!(h.max(), 10.0);
     }
 
@@ -335,12 +282,11 @@ mod tests {
     fn histogram_edge_cases() {
         let h = LogHistogram::new();
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
         let mut h = LogHistogram::new();
         h.observe(0.0);
         h.observe(-3.0);
         h.observe(f64::INFINITY);
-        assert_eq!(h.count(), 3);
+        assert_eq!(h.count, 3);
         assert_eq!(h.quantile(0.5), 0.0); // all in the underflow bucket
     }
 
@@ -355,8 +301,7 @@ mod tests {
         assert_eq!(snap.len(), 3);
         let h = snap.iter().find(|s| s.name == "h").unwrap();
         assert_eq!(h.kind, MetricKind::Histogram);
-        assert_eq!(h.count, 2);
+        assert_eq!(h.value, 8.0);
         assert!((h.p50 / 4.0 - 1.0).abs() < 0.10);
-        assert_eq!(h.max, 4.0);
     }
 }

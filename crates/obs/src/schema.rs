@@ -24,13 +24,13 @@ pub struct ChromeTraceStats {
     /// `"X"` duration events.
     pub durations: usize,
     /// `"i"` instant events.
-    pub instants: usize,
+    pub(crate) instants: usize,
     /// `"C"` counter events.
     pub counters: usize,
     /// `"M"` metadata events.
-    pub metadata: usize,
+    pub(crate) metadata: usize,
     /// Latest `ts + dur` seen, microseconds.
-    pub max_ts_us: u64,
+    pub(crate) max_ts_us: u64,
     /// Event count per name.
     pub names: BTreeMap<String, usize>,
     /// Distinct `pid` (track group) values.

@@ -15,7 +15,6 @@
 
 use crate::span::{AttrValue, TraceData};
 use crate::timings::StepTimings;
-use serde_json::{Map, Number, Value};
 
 const EPS: f64 = 1e-9;
 
@@ -23,19 +22,19 @@ const EPS: f64 = 1e-9;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictorSample {
     /// Stage index.
-    pub stage: u32,
+    pub(crate) stage: u32,
     /// Sample instant, trace seconds (the stage's completion).
-    pub ts: f64,
+    pub(crate) ts: f64,
     /// Model-predicted per-task mean step durations.
-    pub predicted: StepTimings,
+    pub(crate) predicted: StepTimings,
     /// Realized per-task mean step durations.
-    pub observed: StepTimings,
+    pub(crate) observed: StepTimings,
 }
 
 impl PredictorSample {
     /// Relative error of the stage's total step time:
     /// `|observed - predicted| / predicted` (0 when both are ~zero).
-    pub fn rel_error(&self) -> f64 {
+    pub(crate) fn rel_error(&self) -> f64 {
         let pred = self.predicted.total();
         let obs = self.observed.total();
         if pred > EPS {
@@ -50,24 +49,24 @@ impl PredictorSample {
 
 /// One drift mark from the runtime monitor.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DriftMark {
+pub(crate) struct DriftMark {
     /// Stage whose observations breached the drift band.
-    pub stage: u32,
+    pub(crate) stage: u32,
     /// Detection instant, trace seconds.
-    pub ts: f64,
+    pub(crate) ts: f64,
     /// Smoothed overall observed/predicted ratio at detection.
-    pub factor: f64,
+    pub(crate) factor: f64,
     /// Samples the detector had folded in.
-    pub samples: u32,
+    pub(crate) samples: u32,
 }
 
-/// The collected predictor-accuracy report. See the [module docs](self).
+/// The collected predictor-accuracy report. See the `scorecard` module docs.
 #[derive(Debug, Clone, Default)]
 pub struct PredictorScorecard {
     /// Per-stage samples, ordered by stage index.
     pub samples: Vec<PredictorSample>,
     /// Drift detections, in emission order.
-    pub drift_marks: Vec<DriftMark>,
+    pub(crate) drift_marks: Vec<DriftMark>,
 }
 
 impl PredictorScorecard {
@@ -129,7 +128,7 @@ impl PredictorScorecard {
     }
 
     /// Sorted per-stage relative errors — the x-axis of a Fig.-11 CDF.
-    pub fn error_cdf(&self) -> Vec<f64> {
+    pub(crate) fn error_cdf(&self) -> Vec<f64> {
         let mut errors: Vec<f64> = self.samples.iter().map(PredictorSample::rel_error).collect();
         errors.sort_by(f64::total_cmp);
         errors
@@ -137,7 +136,7 @@ impl PredictorScorecard {
 
     /// The `q`-quantile (0..=1) of the relative-error distribution, by
     /// nearest-rank; 0 when there are no samples.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         let cdf = self.error_cdf();
         if cdf.is_empty() {
             return 0.0;
@@ -149,7 +148,7 @@ impl PredictorScorecard {
     /// Mean observed/predicted ratio per step class — the model's bias
     /// (1.0 = calibrated, >1 = underprediction). Steps with ~zero
     /// prediction are skipped (no signal).
-    pub fn step_bias(&self) -> StepTimings {
+    pub(crate) fn step_bias(&self) -> StepTimings {
         let mut sums = StepTimings::zero();
         let mut counts = [0u32; 4];
         for s in &self.samples {
@@ -220,50 +219,6 @@ impl PredictorScorecard {
             100.0 * self.quantile(1.0),
         ));
         out
-    }
-
-    /// The scorecard as a compact JSON object (deterministic order).
-    pub fn to_json(&self) -> String {
-        let num = |v: f64| Value::Number(Number::Float(v));
-        let mut root = Map::new();
-        let samples: Vec<Value> = self
-            .samples
-            .iter()
-            .map(|s| {
-                let mut m = Map::new();
-                m.insert("stage".into(), Value::Number(Number::PosInt(s.stage as u64)));
-                m.insert("ts".into(), num(s.ts));
-                m.insert("pred_total".into(), num(s.predicted.total()));
-                m.insert("obs_total".into(), num(s.observed.total()));
-                m.insert("rel_error".into(), num(s.rel_error()));
-                m.insert("drifted".into(), Value::Bool(self.drifted(s)));
-                Value::Object(m)
-            })
-            .collect();
-        root.insert("samples".into(), Value::Array(samples));
-        let marks: Vec<Value> = self
-            .drift_marks
-            .iter()
-            .map(|d| {
-                let mut m = Map::new();
-                m.insert("stage".into(), Value::Number(Number::PosInt(d.stage as u64)));
-                m.insert("ts".into(), num(d.ts));
-                m.insert("factor".into(), num(d.factor));
-                m.insert("samples".into(), Value::Number(Number::PosInt(d.samples as u64)));
-                Value::Object(m)
-            })
-            .collect();
-        root.insert("drift_marks".into(), Value::Array(marks));
-        let bias = self.step_bias();
-        let mut b = Map::new();
-        b.insert("setup".into(), num(bias.setup));
-        b.insert("read".into(), num(bias.read));
-        b.insert("compute".into(), num(bias.compute));
-        b.insert("write".into(), num(bias.write));
-        root.insert("step_bias".into(), Value::Object(b));
-        root.insert("p50".into(), num(self.quantile(0.5)));
-        root.insert("p90".into(), num(self.quantile(0.9)));
-        Value::Object(root).to_string()
     }
 }
 
@@ -340,9 +295,6 @@ mod tests {
         assert!((card.drift_marks[0].factor - 1.8).abs() < 1e-12);
         assert!(!card.drifted(&card.samples[0]), "pre-drift sample clean");
         assert!(card.drifted(&card.samples[1]), "post-drift sample marked");
-        let json = card.to_json();
-        assert!(json.contains("\"drifted\":true"));
-        assert!(json.contains("\"drifted\":false"));
     }
 
     #[test]
@@ -368,6 +320,5 @@ mod tests {
         let card = PredictorScorecard::from_trace(&Recorder::new().finish());
         assert!(card.samples.is_empty());
         assert_eq!(card.quantile(0.5), 0.0);
-        assert!(card.to_json().contains("\"samples\":[]"));
     }
 }

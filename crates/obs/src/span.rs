@@ -66,7 +66,7 @@ impl From<String> for AttrValue {
 }
 
 /// A named attribute: `(key, value)`.
-pub type Attr = (&'static str, AttrValue);
+pub(crate) type Attr = (&'static str, AttrValue);
 
 /// Where a span/event renders: `group` maps to a Chrome process (one box
 /// per server, plus dedicated scheduler / storage / job groups), `lane`
@@ -76,7 +76,7 @@ pub struct Track {
     /// Track group (Chrome `pid`).
     pub group: u32,
     /// Lane within the group (Chrome `tid`).
-    pub lane: u32,
+    pub(crate) lane: u32,
 }
 
 impl Track {
@@ -147,14 +147,14 @@ pub struct SpanRecord {
     /// End, trace seconds (`NaN` while still open).
     pub end: f64,
     /// Wall-clock capture time of the start, seconds since recorder epoch.
-    pub wall_start: f64,
+    pub(crate) wall_start: f64,
     /// Attributes.
     pub attrs: Vec<Attr>,
 }
 
 impl SpanRecord {
     /// Duration in trace seconds (0 for still-open spans).
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         if self.end.is_finite() {
             self.end - self.start
         } else {
@@ -163,7 +163,7 @@ impl SpanRecord {
     }
 
     /// Look up an attribute by key.
-    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+    pub(crate) fn attr(&self, key: &str) -> Option<&AttrValue> {
         self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
@@ -191,11 +191,11 @@ pub struct EventRecord {
     /// Event name (namespaced, e.g. `fault.crashed`, `sched.merge`).
     pub name: &'static str,
     /// Render track.
-    pub track: Track,
+    pub(crate) track: Track,
     /// Instant, trace seconds.
     pub ts: f64,
     /// Wall-clock capture time, seconds since recorder epoch.
-    pub wall: f64,
+    pub(crate) wall: f64,
     /// Attributes.
     pub attrs: Vec<Attr>,
 }
@@ -211,11 +211,11 @@ impl EventRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterSample {
     /// Counter name (e.g. `storage.bytes`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Series label within the counter (e.g. `shared_memory`).
     pub series: String,
     /// Sample instant, trace seconds.
-    pub ts: f64,
+    pub(crate) ts: f64,
     /// Cumulative value after this increment.
     pub total: f64,
 }
@@ -230,20 +230,9 @@ pub struct TraceData {
     /// All counter samples, in emission order.
     pub samples: Vec<CounterSample>,
     /// Human-readable names of track groups.
-    pub track_names: BTreeMap<u32, String>,
+    pub(crate) track_names: BTreeMap<u32, String>,
     /// Metrics registry snapshot.
-    pub metrics: Vec<crate::metrics::MetricSnapshot>,
-}
-
-impl TraceData {
-    /// The latest finite span end, trace seconds (0 when empty).
-    pub fn span_horizon(&self) -> f64 {
-        self.spans
-            .iter()
-            .map(|s| s.end)
-            .filter(|e| e.is_finite())
-            .fold(0.0, f64::max)
-    }
+    pub(crate) metrics: Vec<crate::metrics::MetricSnapshot>,
 }
 
 #[derive(Default)]
@@ -254,7 +243,7 @@ struct Inner {
     track_names: BTreeMap<u32, String>,
 }
 
-/// Thread-safe telemetry collector. See the [module docs](self).
+/// Thread-safe telemetry collector. See the `span` module docs.
 pub struct Recorder {
     enabled: bool,
     epoch: Instant,
@@ -363,7 +352,7 @@ impl Recorder {
     }
 
     /// Record a complete span under a parent.
-    pub fn span_with_parent(
+    pub(crate) fn span_with_parent(
         &self,
         name: &'static str,
         track: Track,
@@ -460,16 +449,6 @@ impl Recorder {
         self.metrics.gauge_set(name, series, value);
     }
 
-    /// The metrics registry (live; snapshot via [`Recorder::finish`]).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Number of spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        self.inner.lock().spans.len()
-    }
-
     /// Snapshot the collected stream for export/analysis. The recorder
     /// keeps recording; later snapshots include earlier data.
     pub fn finish(&self) -> TraceData {
@@ -512,7 +491,6 @@ mod tests {
         assert_eq!(data.samples.len(), 2);
         assert_eq!(data.samples[1].total, 150.0);
         assert_eq!(data.track_names.get(&Track::JOB_GROUP).unwrap(), "job");
-        assert!((data.span_horizon() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -583,7 +561,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(rec.span_count(), 200);
         let data = rec.finish();
         assert_eq!(data.samples.len(), 200);
         // Cumulative totals are a permutation of 1..=200.

@@ -119,7 +119,7 @@ pub enum Value {
 
 impl Column {
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::I64(v) => v.len(),
             Column::F64(v) => v.len(),
@@ -127,13 +127,8 @@ impl Column {
         }
     }
 
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The column's type tag.
-    pub fn dtype(&self) -> DataType {
+    pub(crate) fn dtype(&self) -> DataType {
         match self {
             Column::I64(_) => DataType::I64,
             Column::F64(_) => DataType::F64,
@@ -142,7 +137,7 @@ impl Column {
     }
 
     /// The value at `row`.
-    pub fn value(&self, row: usize) -> Value {
+    pub(crate) fn value(&self, row: usize) -> Value {
         match self {
             Column::I64(v) => Value::I64(v[row]),
             Column::F64(v) => Value::F64(v[row]),
@@ -150,18 +145,9 @@ impl Column {
         }
     }
 
-    /// Borrow the string at `row` without cloning (the hot-path
-    /// replacement for [`Column::value`] on string columns).
-    pub fn str_at(&self, row: usize) -> &str {
-        match self {
-            Column::Str(v) => &v[row],
-            other => panic!("expected str column, got {}", other.dtype()),
-        }
-    }
-
     /// The contiguous row range `start .. start + len`, sharing this
     /// column's buffer (O(1), no rows copied).
-    pub fn slice(&self, start: usize, len: usize) -> Column {
+    pub(crate) fn slice(&self, start: usize, len: usize) -> Column {
         match self {
             Column::I64(v) => Column::I64(v.slice(start, len)),
             Column::F64(v) => Column::F64(v.slice(start, len)),
@@ -172,7 +158,7 @@ impl Column {
     /// [`Column::hash_row`] for every row at once. Equal to
     /// `(0..len).map(|r| hash_row(r))` but hashes each *distinct* string
     /// only once by dictionary-encoding string columns first.
-    pub fn hash_column(&self) -> Vec<u64> {
+    pub(crate) fn hash_column(&self) -> Vec<u64> {
         match self {
             Column::I64(v) => v.iter().map(|&x| crate::hash::fnv1a_u64_le(x as u64)).collect(),
             Column::F64(v) => {
@@ -190,17 +176,8 @@ impl Column {
         }
     }
 
-    /// An empty column of the same type.
-    pub fn empty_like(&self) -> Column {
-        match self {
-            Column::I64(_) => Column::I64(Vec::new().into()),
-            Column::F64(_) => Column::F64(Vec::new().into()),
-            Column::Str(_) => Column::Str(Vec::new().into()),
-        }
-    }
-
     /// Gather the given row indices into a new column.
-    pub fn take(&self, idx: &[usize]) -> Column {
+    pub(crate) fn take(&self, idx: &[usize]) -> Column {
         match self {
             Column::I64(v) => Column::I64(idx.iter().map(|&i| v[i]).collect()),
             Column::F64(v) => Column::F64(idx.iter().map(|&i| v[i]).collect()),
@@ -209,7 +186,7 @@ impl Column {
     }
 
     /// Keep rows where `mask` is `true` (lengths must match).
-    pub fn filter(&self, mask: &[bool]) -> Column {
+    pub(crate) fn filter(&self, mask: &[bool]) -> Column {
         assert_eq!(mask.len(), self.len(), "mask length mismatch");
         match self {
             Column::I64(v) => Column::I64(
@@ -230,7 +207,7 @@ impl Column {
 
     /// Append another column of the same type into a new buffer, so a
     /// buffer another column shares is never changed.
-    pub fn extend(&mut self, other: &Column) {
+    pub(crate) fn extend(&mut self, other: &Column) {
         assert_eq!(self.dtype(), other.dtype(), "type mismatch in extend");
         *self = Column::concat([&*self, other].into_iter());
     }
@@ -273,7 +250,7 @@ impl Column {
     }
 
     /// The string data, or panic.
-    pub fn as_str(&self) -> &[String] {
+    pub(crate) fn as_str(&self) -> &[String] {
         match self {
             Column::Str(v) => v,
             other => panic!("expected str column, got {}", other.dtype()),
@@ -283,7 +260,7 @@ impl Column {
     /// A stable 64-bit hash of the value at `row` (for hash partitioning
     /// and hash joins). FNV-1a over the canonical byte encoding —
     /// deterministic across runs and platforms.
-    pub fn hash_row(&self, row: usize) -> u64 {
+    pub(crate) fn hash_row(&self, row: usize) -> u64 {
         const OFFSET: u64 = 0xcbf29ce484222325;
         const PRIME: u64 = 0x100000001b3;
         let mut h = OFFSET;
@@ -302,7 +279,7 @@ impl Column {
     }
 
     /// Approximate in-memory byte size.
-    pub fn byte_size(&self) -> u64 {
+    pub(crate) fn byte_size(&self) -> u64 {
         match self {
             Column::I64(v) => (v.len() * 8) as u64,
             Column::F64(v) => (v.len() * 8) as u64,
@@ -319,7 +296,6 @@ mod tests {
     fn basic_accessors() {
         let c = Column::I64(vec![1, 2, 3].into());
         assert_eq!(c.len(), 3);
-        assert!(!c.is_empty());
         assert_eq!(c.dtype(), DataType::I64);
         assert_eq!(c.value(1), Value::I64(2));
         assert_eq!(c.as_i64(), &[1, 2, 3]);
@@ -363,18 +339,6 @@ mod tests {
         assert_ne!(c.hash_row(0), c.hash_row(2));
         let s = Column::Str(vec!["x".into(), "y".into()].into());
         assert_ne!(s.hash_row(0), s.hash_row(1));
-    }
-
-    #[test]
-    fn str_at_borrows() {
-        let c = Column::Str(vec!["a".into(), "b".into()].into());
-        assert_eq!(c.str_at(1), "b");
-    }
-
-    #[test]
-    #[should_panic(expected = "expected str")]
-    fn str_at_wrong_type_panics() {
-        Column::I64(vec![1].into()).str_at(0);
     }
 
     #[test]
@@ -430,12 +394,6 @@ mod tests {
                 assert_eq!(h, c.hash_row(row));
             }
         }
-    }
-
-    #[test]
-    fn empty_like_preserves_type() {
-        assert_eq!(Column::Str(vec!["a".into()].into()).empty_like().dtype(), DataType::Str);
-        assert!(Column::I64(vec![1].into()).empty_like().is_empty());
     }
 
     #[test]

@@ -88,8 +88,6 @@ pub struct Database {
     tables: HashMap<String, Table>,
     /// One slot per query (`Query as usize`), filled on first use.
     volumes: [OnceLock<Volumes>; Query::all_extended().len()],
-    /// The config used to generate it.
-    pub config: ScaleConfig,
 }
 
 impl Database {
@@ -140,7 +138,6 @@ impl Database {
         Database {
             tables,
             volumes: Default::default(),
-            config,
         }
     }
 

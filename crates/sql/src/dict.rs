@@ -16,7 +16,7 @@
 use crate::hash::fx_str;
 
 /// A borrowed string → dense `u32` code dictionary (see module docs).
-pub struct StrDict<'a> {
+pub(crate) struct StrDict<'a> {
     /// Distinct strings in first-appearance order; index = code.
     entries: Vec<&'a str>,
     /// The same distinct strings, concatenated — the compare target.
@@ -34,7 +34,7 @@ impl<'a> StrDict<'a> {
     /// on load — a low-cardinality column (the common dimension-value
     /// shape) keeps its whole table in L1 instead of paying a cache miss
     /// per row on a worst-case-sized array.
-    pub fn with_capacity(distinct_hint: usize) -> StrDict<'a> {
+    pub(crate) fn with_capacity(distinct_hint: usize) -> StrDict<'a> {
         let cap = (distinct_hint.clamp(4, 512) * 2).next_power_of_two();
         StrDict {
             entries: Vec::new(),
@@ -47,7 +47,7 @@ impl<'a> StrDict<'a> {
 
     /// Dictionary-encode a whole column: returns the dictionary plus one
     /// code per input row.
-    pub fn encode_column(values: &'a [String]) -> (StrDict<'a>, Vec<u32>) {
+    pub(crate) fn encode_column(values: &'a [String]) -> (StrDict<'a>, Vec<u32>) {
         let mut dict = StrDict::with_capacity(values.len());
         let codes = values.iter().map(|s| dict.intern(s)).collect();
         (dict, codes)
@@ -76,7 +76,7 @@ impl<'a> StrDict<'a> {
     }
 
     /// The code for `s`, interning it when unseen.
-    pub fn intern(&mut self, s: &'a str) -> u32 {
+    pub(crate) fn intern(&mut self, s: &'a str) -> u32 {
         // Keep load factor under 1/2 so probe chains stay short.
         if (self.entries.len() as u64 + 1) * 2 > self.mask {
             self.grow();
@@ -102,7 +102,7 @@ impl<'a> StrDict<'a> {
 
     /// The code for `s`, or `None` when it was never interned (a probe
     /// string with no build-side match).
-    pub fn lookup(&self, s: &str) -> Option<u32> {
+    pub(crate) fn lookup(&self, s: &str) -> Option<u32> {
         let mut i = fx_str(s) & self.mask;
         loop {
             let slot = self.slots[i as usize];
@@ -118,23 +118,18 @@ impl<'a> StrDict<'a> {
     }
 
     /// The string for `code`.
-    pub fn get(&self, code: u32) -> &'a str {
+    pub(crate) fn get(&self, code: u32) -> &'a str {
         self.entries[code as usize]
     }
 
     /// The distinct strings, in first-appearance (= code) order.
-    pub fn entries(&self) -> &[&'a str] {
+    pub(crate) fn entries(&self) -> &[&'a str] {
         &self.entries
     }
 
     /// Number of distinct strings.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// `true` when no strings were interned.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -169,7 +164,7 @@ mod tests {
     fn empty_column() {
         let v: Vec<String> = Vec::new();
         let (dict, codes) = StrDict::encode_column(&v);
-        assert!(dict.is_empty());
+        assert_eq!(dict.len(), 0);
         assert!(codes.is_empty());
         assert_eq!(dict.lookup("x"), None);
     }

@@ -23,7 +23,7 @@ const FNV_PRIME: u64 = 0x100000001b3;
 
 /// FNV-1a over a byte slice — identical to what
 /// [`crate::column::Column::hash_row`] computes for a string cell.
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
@@ -35,7 +35,7 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// FNV-1a over the little-endian bytes of one 64-bit word — identical to
 /// what [`crate::column::Column::hash_row`] computes for an `i64` cell (pass
 /// `x as u64`) or an `f64` cell (pass `x.to_bits()`).
-pub fn fnv1a_u64_le(word: u64) -> u64 {
+pub(crate) fn fnv1a_u64_le(word: u64) -> u64 {
     let mut h = FNV_OFFSET;
     for b in word.to_le_bytes() {
         h ^= b as u64;
@@ -50,13 +50,13 @@ const FX_K: u64 = 0x517cc1b727220a95;
 
 /// Mix one 64-bit word into a running fx hash.
 #[inline]
-pub fn fx_mix(h: u64, word: u64) -> u64 {
+pub(crate) fn fx_mix(h: u64, word: u64) -> u64 {
     (h.rotate_left(5) ^ word).wrapping_mul(FX_K)
 }
 
 /// Hash a single 64-bit word (internal hash tables only; see module docs).
 #[inline]
-pub fn fx_u64(word: u64) -> u64 {
+pub(crate) fn fx_u64(word: u64) -> u64 {
     fx_mix(0, word)
 }
 
@@ -67,7 +67,7 @@ pub fn fx_u64(word: u64) -> u64 {
 /// 40–63) the raw low bits — exactly the ones open-addressing tables index
 /// with — cluster badly: ~16 probed slots per lookup instead of ~1.
 #[inline]
-pub fn fx_fold(mut h: u64) -> u64 {
+pub(crate) fn fx_fold(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51afd7ed558ccd);
     h ^= h >> 33;
@@ -78,7 +78,7 @@ pub fn fx_fold(mut h: u64) -> u64 {
 /// Hash a string by consuming 8-byte little-endian chunks (internal hash
 /// tables only).
 #[inline]
-pub fn fx_str(s: &str) -> u64 {
+pub(crate) fn fx_str(s: &str) -> u64 {
     let bytes = s.as_bytes();
     let mut h = fx_u64(bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
@@ -96,7 +96,7 @@ pub fn fx_str(s: &str) -> u64 {
 }
 
 /// Sentinel meaning "no row" in [`I64RowMap`] chains.
-pub const NO_ROW: u32 = u32::MAX;
+pub(crate) const NO_ROW: u32 = u32::MAX;
 
 /// An open-addressing map from `i64` join keys to the **ascending** list of
 /// build-side rows carrying that key — the join build table, with no enum
@@ -106,7 +106,7 @@ pub const NO_ROW: u32 = u32::MAX;
 /// (one `u32` per build row); appending at the tail keeps each chain in
 /// ascending row order, which is what makes the vectorized join's output
 /// row order bit-identical to the row-at-a-time reference.
-pub struct I64RowMap {
+pub(crate) struct I64RowMap {
     /// Slot array: `entry index + 1`, `0` = empty. Power-of-two length.
     slots: Vec<u32>,
     mask: u64,
@@ -126,7 +126,7 @@ impl I64RowMap {
     ///
     /// # Panics
     /// Panics if `keys` has ≥ `u32::MAX` rows (rows are stored as `u32`).
-    pub fn build(keys: &[i64]) -> I64RowMap {
+    pub(crate) fn build(keys: &[i64]) -> I64RowMap {
         assert!(
             keys.len() < NO_ROW as usize,
             "build side too large for u32 row ids"
@@ -185,31 +185,21 @@ impl I64RowMap {
     }
 
     /// `true` when at least one build row carries `key`.
-    pub fn contains(&self, key: i64) -> bool {
+    pub(crate) fn contains(&self, key: i64) -> bool {
         self.entry_of(key).is_some()
     }
 
     /// Iterate the build rows carrying `key`, in ascending row order.
-    pub fn rows(&self, key: i64) -> RowChain<'_> {
+    pub(crate) fn rows(&self, key: i64) -> RowChain<'_> {
         RowChain {
             next: &self.next,
             cur: self.entry_of(key).map_or(NO_ROW, |e| self.heads[e]),
         }
     }
-
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// `true` when no keys were inserted.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
 }
 
 /// Iterator over one key's build rows (see [`I64RowMap::rows`]).
-pub struct RowChain<'a> {
+pub(crate) struct RowChain<'a> {
     next: &'a [u32],
     cur: u32,
 }
@@ -234,7 +224,7 @@ impl Iterator for RowChain<'_> {
 /// Tuples are compared exactly (full word compare on probe), so two
 /// distinct keys can never be conflated by a hash collision. Tuple words
 /// live in one flat arena; no per-row allocation.
-pub struct TupleIdMap {
+pub(crate) struct TupleIdMap {
     stride: usize,
     /// Slot array: `id + 1`, `0` = empty. Power-of-two length.
     slots: Vec<u32>,
@@ -246,7 +236,7 @@ pub struct TupleIdMap {
 impl TupleIdMap {
     /// A map for `stride`-word tuples, sized for at most `max_inserts`
     /// distinct tuples (callers bound this by their row count).
-    pub fn with_capacity(stride: usize, max_inserts: usize) -> TupleIdMap {
+    pub(crate) fn with_capacity(stride: usize, max_inserts: usize) -> TupleIdMap {
         let cap = (max_inserts.max(4) * 2).next_power_of_two();
         TupleIdMap {
             stride,
@@ -270,7 +260,7 @@ impl TupleIdMap {
     /// # Panics
     /// Panics if `tuple.len() != stride` or the capacity given at
     /// construction is exceeded.
-    pub fn insert_or_get(&mut self, tuple: &[u64]) -> (u32, bool) {
+    pub(crate) fn insert_or_get(&mut self, tuple: &[u64]) -> (u32, bool) {
         assert_eq!(tuple.len(), self.stride, "tuple width mismatch");
         let mut i = self.hash_tuple(tuple) & self.mask;
         loop {
@@ -295,18 +285,13 @@ impl TupleIdMap {
     }
 
     /// Number of distinct tuples inserted so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self.data.len().checked_div(self.stride) {
             Some(n) => n,
             // Zero-width tuples: at most one distinct value exists; len is
             // tracked through the slot for the empty tuple.
             None => usize::from(self.slots.iter().any(|&s| s != 0)),
         }
-    }
-
-    /// `true` when nothing was inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -343,7 +328,7 @@ mod tests {
     #[test]
     fn row_map_chains_ascending() {
         let m = I64RowMap::build(&[5, 3, 5, 5, 3]);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.keys.len(), 2);
         assert_eq!(m.rows(5).collect::<Vec<_>>(), vec![0, 2, 3]);
         assert_eq!(m.rows(3).collect::<Vec<_>>(), vec![1, 4]);
         assert!(m.rows(9).next().is_none());
@@ -353,7 +338,7 @@ mod tests {
     #[test]
     fn row_map_empty() {
         let m = I64RowMap::build(&[]);
-        assert!(m.is_empty());
+        assert!(m.keys.is_empty());
         assert!(!m.contains(0));
         assert!(m.rows(0).next().is_none());
     }
@@ -370,7 +355,7 @@ mod tests {
     #[test]
     fn tuple_map_zero_stride_is_single_group() {
         let mut m = TupleIdMap::with_capacity(0, 8);
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
         assert_eq!(m.insert_or_get(&[]), (0, true));
         assert_eq!(m.insert_or_get(&[]), (0, false));
         assert_eq!(m.len(), 1);

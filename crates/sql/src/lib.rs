@@ -10,15 +10,15 @@
 //! built from scratch:
 //!
 //! * [`mod@column`] / [`table`] — typed columnar storage with
-//!   selection-vector row selection ([`selvec`]), single-pass hash
+//!   selection-vector row selection (`selvec`), single-pass hash
 //!   partitioning and a compact binary codec (bulk little-endian numeric
 //!   runs, dictionary-encoded strings) so intermediate tables can travel
 //!   through the `ditto-storage` data plane;
-//! * [`expr`] — predicates over columns, evaluated on typed slices;
+//! * `expr` — predicates over columns, evaluated on typed slices;
 //! * [`ops`] — scan, filter/project, hash join (inner/semi/anti),
 //!   group-by aggregation (sum/count/count-distinct/avg/min/max, with
-//!   `HAVING`), distinct, sort-limit, union. Joins and group-bys run on
-//!   typed key fast paths ([`hash`], [`dict`]) and are proven
+//!   `HAVING`), distinct and sort-limit. Joins and group-bys run on
+//!   typed key fast paths (`hash`, `dict`) and are proven
 //!   bit-identical to the retained row-at-a-time [`mod@reference`]
 //!   implementations;
 //! * [`datagen`] — a synthetic TPC-DS-like database generator with a
@@ -35,21 +35,21 @@ pub mod column;
 // the reference implementations are order-insensitive and exempt.
 #[allow(clippy::disallowed_methods)]
 pub mod datagen;
-pub mod dict;
-pub mod expr;
-pub mod hash;
+pub(crate) mod dict;
+pub(crate) mod expr;
+pub(crate) mod hash;
 pub mod ops;
 pub mod plan;
 #[allow(clippy::disallowed_methods)]
 pub mod queries;
 #[allow(clippy::disallowed_methods)]
 pub mod reference;
-pub mod selvec;
+pub(crate) mod selvec;
 pub mod table;
 
 pub use column::Column;
 pub use datagen::{Database, ScaleConfig};
 pub use expr::{CmpOp, Pred};
-pub use plan::{AggFunc, JoinKind, QueryPlan, StageOp, StageSpec};
+pub use plan::{JoinKind, QueryPlan, StageOp, StageSpec};
 pub use selvec::SelVec;
-pub use table::{EncodedPartition, Field, Schema, Table};
+pub use table::{Schema, Table};

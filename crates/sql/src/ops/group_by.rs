@@ -2,7 +2,7 @@
 //!
 //! Vectorized: group keys become fixed-width `u64` tuples (`i64` bits,
 //! dictionary codes for strings) assigned dense group ids through a raw
-//! [`TupleIdMap`] — no per-row `Vec<KeyPart>` allocation — and every
+//! `TupleIdMap` — no per-row `Vec<KeyPart>` allocation — and every
 //! aggregate is a single accumulator pass over the input in row order,
 //! which keeps float results bit-identical to the row-at-a-time
 //! [`crate::reference::group_by_reference`].
@@ -44,7 +44,7 @@ pub enum AggFunc {
 
 impl AggSpec {
     /// `COUNT(*) AS output`.
-    pub fn count(output: &str) -> Self {
+    pub(crate) fn count(output: &str) -> Self {
         AggSpec {
             func: AggFunc::Count,
             input: String::new(),

@@ -7,11 +7,9 @@
 //! references.
 
 pub mod group_by;
-pub mod join;
-pub mod sort;
-pub mod union;
+pub(crate) mod join;
+pub(crate) mod sort;
 
 pub use group_by::{group_by, AggSpec};
 pub use join::{hash_join, JoinKind};
 pub use sort::{distinct, sort_limit, SortOrder};
-pub use union::{union, union_all};

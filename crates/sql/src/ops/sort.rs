@@ -34,7 +34,7 @@ pub fn sort_limit(t: &Table, col: &str, order: SortOrder, limit: usize) -> Table
 /// `SELECT DISTINCT cols FROM t` — unique rows of the named columns, in
 /// first-appearance order.
 ///
-/// Rows are deduplicated on the tuple of per-column [`Column::hash_row`]
+/// Rows are deduplicated on the tuple of per-column `Column::hash_row`
 /// values (computed in bulk, one FNV per distinct string) through a
 /// deterministic open-addressing set — no `std` `RandomState` anywhere.
 pub fn distinct(t: &Table, cols: &[&str]) -> Table {

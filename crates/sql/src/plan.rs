@@ -9,7 +9,7 @@
 //!   gathered) upstream inputs — what each task of the local runtime in
 //!   `ditto-exec` evaluates over its partition.
 //!
-//! [`QueryPlan::measure_volumes`] executes the plan and stamps the observed
+//! `QueryPlan::measure_volumes` executes the plan and stamps the observed
 //! intermediate byte sizes onto the DAG's stages and edges: the recurring-job
 //! profile, which `Query::prepared_plan` takes once per [`Database`] (its
 //! tables never change). [`QueryPlan::scale_volumes`] inflates those volumes
@@ -101,7 +101,7 @@ pub struct QueryPlan {
     /// Query name (`q1`, `q16`, `q94`, `q95`).
     pub name: String,
     /// The DAG (stage/edge byte volumes filled by
-    /// [`QueryPlan::measure_volumes`]).
+    /// `QueryPlan::measure_volumes`).
     pub dag: JobDag,
     /// Stage specs, index-aligned with `dag` stage ids.
     pub stages: Vec<StageSpec>,
@@ -213,7 +213,7 @@ impl QueryPlan {
     /// DAG (stage `input_bytes`/`output_bytes` and edge `bytes`). This is
     /// the "recurring job profile" stand-in: schedulers and simulators read
     /// these volumes.
-    pub fn measure_volumes(&mut self, db: &Database) {
+    pub(crate) fn measure_volumes(&mut self, db: &Database) {
         let outputs = self.walk(db);
         for (&s, out) in &outputs {
             // External input: base table bytes for scans.

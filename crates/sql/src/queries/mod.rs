@@ -77,7 +77,7 @@ impl Query {
     }
 
     /// Build the query's plan (volumes unmeasured; see
-    /// [`QueryPlan::measure_volumes`]).
+    /// `QueryPlan::measure_volumes`).
     pub fn plan(&self) -> QueryPlan {
         match self {
             Query::Q1 => q1::plan(),

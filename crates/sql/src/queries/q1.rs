@@ -26,7 +26,7 @@ const DATE_LO: i64 = 731;
 const DATE_HI: i64 = 1095;
 
 /// Build the Q1 plan.
-pub fn plan() -> QueryPlan {
+pub(crate) fn plan() -> QueryPlan {
     let dag = DagBuilder::new("q1")
         .stage("sr_scan", StageKind::Map, 0, 0)
         .stage("ctr", StageKind::GroupBy, 0, 0)

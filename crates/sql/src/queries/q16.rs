@@ -18,26 +18,26 @@ use std::collections::HashSet;
 
 /// Parameters distinguishing Q16 (catalog channel) from Q94 (web channel).
 pub(crate) struct ShippingQueryConfig {
-    pub name: &'static str,
-    pub fact: &'static str,
-    pub returns: &'static str,
-    pub order_col: &'static str,
-    pub date_col: &'static str,
-    pub addr_col: &'static str,
-    pub dim_col: &'static str,
-    pub cost_col: &'static str,
-    pub profit_col: &'static str,
-    pub returns_order_col: &'static str,
+    pub(crate) name: &'static str,
+    pub(crate) fact: &'static str,
+    pub(crate) returns: &'static str,
+    pub(crate) order_col: &'static str,
+    pub(crate) date_col: &'static str,
+    pub(crate) addr_col: &'static str,
+    pub(crate) dim_col: &'static str,
+    pub(crate) cost_col: &'static str,
+    pub(crate) profit_col: &'static str,
+    pub(crate) returns_order_col: &'static str,
     /// Secondary dimension table (call_center / web_site) + its key and
     /// the predicate restricting it.
-    pub dim_table: &'static str,
-    pub dim_key: &'static str,
-    pub dim_pred: Pred,
+    pub(crate) dim_table: &'static str,
+    pub(crate) dim_key: &'static str,
+    pub(crate) dim_pred: Pred,
     /// Ship-to state filter.
-    pub state: &'static str,
+    pub(crate) state: &'static str,
     /// Date surrogate-key window.
-    pub date_lo: i64,
-    pub date_hi: i64,
+    pub(crate) date_lo: i64,
+    pub(crate) date_hi: i64,
 }
 
 /// Q16's configuration.
@@ -229,7 +229,7 @@ pub(crate) fn shipping_plan(cfg: &ShippingQueryConfig) -> QueryPlan {
 }
 
 /// Build the Q16 plan.
-pub fn plan() -> QueryPlan {
+pub(crate) fn plan() -> QueryPlan {
     shipping_plan(&q16_config())
 }
 

@@ -28,7 +28,7 @@ const DATE_HI: i64 = 730;
 const TOP_N: usize = 10;
 
 /// Build the Q3 plan.
-pub fn plan() -> QueryPlan {
+pub(crate) fn plan() -> QueryPlan {
     let dag = DagBuilder::new("q3")
         .stage("ss_scan", StageKind::Map, 0, 0)
         .stage("item_scan", StageKind::Map, 0, 0)

@@ -38,7 +38,7 @@ pub(crate) fn q94_config() -> ShippingQueryConfig {
 }
 
 /// Build the Q94 plan.
-pub fn plan() -> QueryPlan {
+pub(crate) fn plan() -> QueryPlan {
     shipping_plan(&q94_config())
 }
 

@@ -34,7 +34,7 @@ const STATES: &[&str] = &["IL", "CA", "NY", "TX", "GA"];
 const MAX_SITE: i64 = 8;
 
 /// Build the Q95 plan (Fig. 13's 9-stage DAG).
-pub fn plan() -> QueryPlan {
+pub(crate) fn plan() -> QueryPlan {
     let dag = DagBuilder::new("q95")
         .stage("map1", StageKind::Map, 0, 0)
         .stage("groupby", StageKind::GroupBy, 0, 0)

@@ -26,14 +26,14 @@ pub enum SelVec {
 
 impl SelVec {
     /// Select every row of an `n`-row table.
-    pub fn all(n: usize) -> SelVec {
+    pub(crate) fn all(n: usize) -> SelVec {
         SelVec::Range { start: 0, len: n }
     }
 
     /// The rows where `mask` is `true`. Detects contiguous selections
     /// (including all-true and all-false) and represents them as a
     /// [`SelVec::Range`] so gathering stays a shared slice.
-    pub fn from_mask(mask: &[bool]) -> SelVec {
+    pub(crate) fn from_mask(mask: &[bool]) -> SelVec {
         let n = mask.iter().filter(|&&m| m).count();
         let first = mask.iter().position(|&m| m).unwrap_or(0);
         // Contiguous iff the n selected rows start at `first` and run
@@ -49,25 +49,12 @@ impl SelVec {
         }
         SelVec::Rows(rows)
     }
-
-    /// Number of selected rows.
-    pub fn len(&self) -> usize {
-        match self {
-            SelVec::Range { len, .. } => *len,
-            SelVec::Rows(r) => r.len(),
-        }
-    }
-
-    /// `true` when nothing is selected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Column {
     /// Gather the selected rows into a new column. Contiguous selections
     /// are a [`Column::slice`] sharing this column's buffer.
-    pub fn gather(&self, sel: &SelVec) -> Column {
+    pub(crate) fn gather(&self, sel: &SelVec) -> Column {
         match sel {
             SelVec::Range { start, len } => self.slice(*start, *len),
             SelVec::Rows(rows) => {
@@ -101,7 +88,7 @@ impl Table {
     ///
     /// # Panics
     /// Panics like [`Table::project`] when a name is missing.
-    pub fn gather_project(&self, sel: &SelVec, names: &[&str]) -> Table {
+    pub(crate) fn gather_project(&self, sel: &SelVec, names: &[&str]) -> Table {
         let mut fields = Vec::with_capacity(names.len());
         let mut cols = Vec::with_capacity(names.len());
         for &n in names {
@@ -193,8 +180,5 @@ mod tests {
 
     #[test]
     fn selvec_len() {
-        assert_eq!(SelVec::all(7).len(), 7);
-        assert!(SelVec::all(0).is_empty());
-        assert_eq!(SelVec::Rows(vec![3, 9]).len(), 2);
     }
 }

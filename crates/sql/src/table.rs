@@ -10,7 +10,7 @@ pub struct Field {
     /// Column name.
     pub name: String,
     /// Column type.
-    pub dtype: DataType,
+    pub(crate) dtype: DataType,
 }
 
 /// An ordered list of fields.
@@ -35,18 +35,13 @@ impl Schema {
     }
 
     /// Index of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
     }
 
     /// Number of columns.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.fields.len()
-    }
-
-    /// `true` when there are no fields.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
     }
 }
 
@@ -56,7 +51,7 @@ pub struct Table {
     /// Column names and types.
     pub schema: Schema,
     /// The column data, aligned with `schema.fields`.
-    pub columns: Vec<Column>,
+    pub(crate) columns: Vec<Column>,
 }
 
 impl Table {
@@ -97,12 +92,12 @@ impl Table {
     }
 
     /// Number of columns.
-    pub fn num_columns(&self) -> usize {
+    pub(crate) fn num_columns(&self) -> usize {
         self.columns.len()
     }
 
     /// A column by name.
-    pub fn column(&self, name: &str) -> Option<&Column> {
+    pub(crate) fn column(&self, name: &str) -> Option<&Column> {
         self.schema.index_of(name).map(|i| &self.columns[i])
     }
 
@@ -128,7 +123,7 @@ impl Table {
     }
 
     /// Keep rows where `mask` is true.
-    pub fn filter(&self, mask: &[bool]) -> Table {
+    pub(crate) fn filter(&self, mask: &[bool]) -> Table {
         Table {
             schema: self.schema.clone(),
             columns: self.columns.iter().map(|c| c.filter(mask)).collect(),

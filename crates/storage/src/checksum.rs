@@ -96,7 +96,7 @@ pub fn checksum64(data: &[u8], seed: u64) -> u64 {
 }
 
 /// Default store seed: objects are fingerprinted unsalted.
-pub const STORE_SEED: u64 = 0;
+pub(crate) const STORE_SEED: u64 = 0;
 
 #[cfg(test)]
 mod tests {

@@ -51,7 +51,6 @@ pub struct CommitLedger {
     /// `(task, epoch)`. A stage's tasks commit in ascending order, so an
     /// insert is a short search that ends at the tail.
     stages: BTreeMap<u32, Vec<(u32, u32, u64)>>,
-    len: usize,
 }
 
 impl CommitLedger {
@@ -68,7 +67,6 @@ impl CommitLedger {
         match commits.binary_search_by_key(&(task, epoch), |&(t, e, _)| (t, e)) {
             Err(at) => {
                 commits.insert(at, (task, epoch, value));
-                self.len += 1;
                 CommitOutcome::Committed
             }
             Ok(at) if commits[at].2 == value => CommitOutcome::Duplicate,
@@ -81,7 +79,8 @@ impl CommitLedger {
 
     /// Highest committed attempt epoch of object `(stage, task)`, if any
     /// commit exists.
-    pub fn latest_epoch(&self, stage: u32, task: u32) -> Option<u32> {
+    #[cfg(test)]
+    fn latest_epoch(&self, stage: u32, task: u32) -> Option<u32> {
         let commits = self.stages.get(&stage)?;
         let end = commits.partition_point(|&(t, _, _)| t <= task);
         let &(t, epoch, _) = commits[..end].last()?;
@@ -89,13 +88,9 @@ impl CommitLedger {
     }
 
     /// Number of distinct committed `(stage, task, epoch)` entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no commits have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.stages.values().map(Vec::len).sum()
     }
 }
 

@@ -94,7 +94,7 @@ impl DataPlane {
     }
 
     /// Which medium a transfer between the two servers uses.
-    pub fn medium_between(&self, src_server: usize, dst_server: usize) -> Medium {
+    pub(crate) fn medium_between(&self, src_server: usize, dst_server: usize) -> Medium {
         if src_server == dst_server {
             Medium::SharedMemory
         } else {

@@ -13,7 +13,7 @@
 //!   ignored, as in the paper §6);
 //! * **Redis-like in-memory storage** ([`Medium::Redis`]): low latency,
 //!   high bandwidth, bounded capacity, memory-priced;
-//! * **SPRIGHT-like shared memory** ([`sharedmem::SharedMemoryBus`] /
+//! * **SPRIGHT-like shared memory** (`sharedmem::SharedMemoryBus` /
 //!   [`Medium::SharedMemory`]): zero-copy intra-server exchange with
 //!   microsecond latency regardless of size — the mechanism that makes
 //!   function placement matter (§2.2).
@@ -24,16 +24,15 @@
 //! persistence cost the paper charges for shared memory and Redis
 //! (§6.2/§6.3) is [`CostModel`]'s, which the simulator applies.
 
-pub mod checksum;
-pub mod commit;
-pub mod dataplane;
-pub mod medium;
-pub mod object_store;
-pub mod sharedmem;
+pub(crate) mod checksum;
+pub(crate) mod commit;
+pub(crate) mod dataplane;
+pub(crate) mod medium;
+pub(crate) mod object_store;
+pub(crate) mod sharedmem;
 
 pub use checksum::checksum64;
 pub use commit::{CommitLedger, CommitOutcome};
 pub use dataplane::{partition_key, DataPlane, TransferLedger};
 pub use medium::{CostModel, Medium, TransferModel};
 pub use object_store::{ObjectStore, StoreError};
-pub use sharedmem::SharedMemoryBus;

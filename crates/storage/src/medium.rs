@@ -28,9 +28,9 @@ impl fmt::Display for Medium {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferModel {
     /// Fixed per-request latency, seconds.
-    pub latency: f64,
+    pub(crate) latency: f64,
     /// Per-task streaming bandwidth, bytes/second.
-    pub bandwidth: f64,
+    pub(crate) bandwidth: f64,
 }
 
 impl TransferModel {
@@ -71,7 +71,7 @@ impl TransferModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Price per GB of data resident for one second.
-    pub gb_second_price: f64,
+    pub(crate) gb_second_price: f64,
 }
 
 impl CostModel {

@@ -60,17 +60,17 @@ pub struct StoreStats {
     /// Number of put operations served.
     pub puts: u64,
     /// Number of successful get operations served.
-    pub gets: u64,
+    pub(crate) gets: u64,
     /// Bytes currently resident.
     pub resident_bytes: u64,
     /// Peak resident bytes over the store's lifetime.
     pub peak_bytes: u64,
     /// Total bytes ever written.
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
     /// Total bytes ever read.
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Gets that failed checksum verification.
-    pub corrupt_reads: u64,
+    pub(crate) corrupt_reads: u64,
 }
 
 /// A thread-safe keyed blob store.
@@ -114,16 +114,6 @@ impl ObjectStore {
             capacity: Some(capacity),
             inner: Mutex::new(Inner::default()),
         }
-    }
-
-    /// The store's name (for ledger labels).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The capacity bound, if any.
-    pub fn capacity(&self) -> Option<u64> {
-        self.capacity
     }
 
     /// Store a blob under `key`, replacing any previous value. The blob's
@@ -221,11 +211,6 @@ impl ObjectStore {
         true
     }
 
-    /// `true` if the key is present.
-    pub fn contains(&self, key: &str) -> bool {
-        self.inner.lock().objects.contains_key(key)
-    }
-
     /// Snapshot of usage statistics.
     pub fn stats(&self) -> StoreStats {
         self.inner.lock().stats
@@ -251,7 +236,6 @@ mod tests {
         let s = ObjectStore::unbounded("s3");
         s.put("a/0", Bytes::from_static(b"hello")).unwrap();
         assert_eq!(s.get("a/0").unwrap(), Bytes::from_static(b"hello"));
-        assert!(s.contains("a/0"));
         let st = s.stats();
         assert_eq!(st.puts, 1);
         assert_eq!(st.gets, 1);

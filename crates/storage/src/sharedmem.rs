@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// A channel key: (edge id, producer task, consumer task).
-pub type SlotKey = (u32, u32, u32);
+pub(crate) type SlotKey = (u32, u32, u32);
 
 /// Zero-copy publish/take bus for intra-server data exchange.
 ///
@@ -21,26 +21,26 @@ pub type SlotKey = (u32, u32, u32);
 /// hands the consumer the *same* allocation the producer published — the
 /// zero-copy property SPRIGHT provides via shared memory.
 #[derive(Default)]
-pub struct SharedMemoryBus {
+pub(crate) struct SharedMemoryBus {
     slots: Mutex<HashMap<SlotKey, Bytes>>,
 }
 
 impl SharedMemoryBus {
     /// New empty bus.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Publish a buffer for `(edge, from_task, to_task)`. Publishing twice
     /// to the same slot replaces the buffer (retry semantics).
-    pub fn send(&self, key: SlotKey, data: Bytes) {
+    pub(crate) fn send(&self, key: SlotKey, data: Bytes) {
         self.slots.lock().insert(key, data);
     }
 
     /// Take the buffer of a slot, `None` if nothing is published there.
     /// Taking removes the slot (each partition has exactly one consumer
     /// under shuffle/gather).
-    pub fn take(&self, key: SlotKey) -> Option<Bytes> {
+    pub(crate) fn take(&self, key: SlotKey) -> Option<Bytes> {
         self.slots.lock().remove(&key)
     }
 }

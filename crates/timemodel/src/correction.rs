@@ -45,7 +45,8 @@ impl StepCorrections {
     }
 
     /// Uniform factor on all three steps.
-    pub fn uniform(factor: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn uniform(factor: f64) -> Self {
         StepCorrections {
             read: factor,
             compute: factor,
@@ -55,7 +56,7 @@ impl StepCorrections {
 
     /// Factors clamped into `[lo, hi]` — defensive bound so one wild
     /// observation cannot push the corrected model into nonsense.
-    pub fn clamped(&self, lo: f64, hi: f64) -> Self {
+    pub(crate) fn clamped(&self, lo: f64, hi: f64) -> Self {
         StepCorrections {
             read: self.read.clamp(lo, hi),
             compute: self.compute.clamp(lo, hi),
@@ -78,7 +79,8 @@ pub struct ModelCorrections {
 
 impl ModelCorrections {
     /// Identity corrections for an `n`-stage job.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         ModelCorrections {
             per_stage: vec![None; n],
             global: StepCorrections::identity(),
@@ -87,27 +89,16 @@ impl ModelCorrections {
 
     /// The factors that apply to stage `s`: its own if observed, else the
     /// global fallback.
-    pub fn for_stage(&self, s: StageId) -> StepCorrections {
+    pub(crate) fn for_stage(&self, s: StageId) -> StepCorrections {
         self.per_stage
             .get(s.index())
             .and_then(|c| *c)
             .unwrap_or(self.global)
     }
-
-    /// `true` when every applicable factor is within `tol` of 1.0 — the
-    /// corrected model would equal the fitted one and a replan is moot.
-    pub fn is_identity(&self, tol: f64) -> bool {
-        let near = |c: &StepCorrections| {
-            (c.read - 1.0).abs() <= tol
-                && (c.compute - 1.0).abs() <= tol
-                && (c.write - 1.0).abs() <= tol
-        };
-        near(&self.global) && self.per_stage.iter().flatten().all(near)
-    }
 }
 
 /// Bounds applied to every correction factor before it touches the model.
-pub const CORRECTION_CLAMP: (f64, f64) = (0.2, 10.0);
+pub(crate) const CORRECTION_CLAMP: (f64, f64) = (0.2, 10.0);
 
 impl JobTimeModel {
     /// A copy of this model with the corrections applied: each stage's
@@ -188,7 +179,6 @@ mod tests {
         let dag = generators::fig1_join();
         let m = JobTimeModel::from_rates(&dag, &RateConfig::default());
         let c = ModelCorrections::identity(dag.num_stages());
-        assert!(c.is_identity(0.0));
         let m2 = m.corrected(&dag, &c);
         let none = m.no_colocation();
         for s in dag.stages() {
@@ -205,7 +195,6 @@ mod tests {
         let m = JobTimeModel::from_rates(&dag, &RateConfig::default());
         let mut c = ModelCorrections::identity(dag.num_stages());
         c.global = StepCorrections::uniform(2.0);
-        assert!(!c.is_identity(1e-6));
         let m2 = m.corrected(&dag, &c);
         let none = m.no_colocation();
         for s in dag.stages() {

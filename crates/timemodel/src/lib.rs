@@ -27,22 +27,22 @@
 //!
 //! The crate also provides:
 //!
-//! * [`fit`] — least-squares fitting of `(d, t)` profile samples to
+//! * `fit` — least-squares fitting of `(d, t)` profile samples to
 //!   `α/d + β` (the offline model building the paper times in Table 2);
-//! * [`profile`] — job profiles and model building;
-//! * [`resource`] — the linear resource-usage model `M(s, d) = ρ + σ·d`
+//! * `profile` — job profiles and model building;
+//! * `resource` — the linear resource-usage model `M(s, d) = ρ + σ·d`
 //!   (paper Eq. 5) and the stage cost `M · T`.
 
-pub mod correction;
-pub mod fit;
+pub(crate) mod correction;
+pub(crate) mod fit;
 pub mod model;
-pub mod profile;
-pub mod resource;
-pub mod step;
+pub(crate) mod profile;
+pub(crate) mod resource;
+pub(crate) mod step;
 
-pub use correction::{ModelCorrections, StepCorrections, CORRECTION_CLAMP};
-pub use fit::{fit_step, FitResult};
-pub use model::{EdgeIo, JobTimeModel, StageSteps};
+pub use correction::{ModelCorrections, StepCorrections};
+pub use fit::fit_step;
+pub use model::JobTimeModel;
 pub use profile::{JobProfile, ProfileSample, StageProfile, StepTarget};
 pub use resource::ResourceModel;
 pub use step::{Step, StepKind};

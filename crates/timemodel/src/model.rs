@@ -44,15 +44,6 @@ pub struct EdgeIo {
 }
 
 impl EdgeIo {
-    /// Symmetric I/O cost for an edge.
-    pub fn symmetric(alpha: f64, beta: f64) -> Self {
-        EdgeIo {
-            write: Step::new(StepKind::Write, alpha, beta),
-            read: Step::new(StepKind::Read, alpha, beta),
-            pipelined: false,
-        }
-    }
-
     /// Zero-cost edge I/O.
     pub fn zero() -> Self {
         EdgeIo {
@@ -65,7 +56,7 @@ impl EdgeIo {
 
 /// Rates for deriving a model directly from a DAG's byte volumes — the
 /// convenient constructor used by figures, examples and tests (a stand-in
-/// for profiling a real deployment; `ditto-exec` + [`crate::profile`]
+/// for profiling a real deployment; `ditto-exec` + `crate::profile`
 /// provide the "honest" profile-then-fit path).
 #[derive(Debug, Clone)]
 pub struct RateConfig {
@@ -193,62 +184,6 @@ impl JobTimeModel {
         m
     }
 
-    /// Serialize the fitted model to JSON — recurring jobs persist their
-    /// fitted model between runs (the paper fits offline and reuses,
-    /// updating "periodically as new job profiles are generated", §3).
-    #[expect(
-        clippy::expect_used,
-        reason = "serializing a plain struct with derived Serialize cannot fail"
-    )]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("model serializes")
-    }
-
-    /// Load a fitted model from JSON and validate it against the DAG it is
-    /// meant for: matching stage/edge counts, non-negative parameters,
-    /// scaling ≥ 1.
-    pub fn from_json(dag: &JobDag, text: &str) -> Result<JobTimeModel, String> {
-        let m: JobTimeModel = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        if m.stages.len() != dag.num_stages() {
-            return Err(format!(
-                "model has {} stages, DAG has {}",
-                m.stages.len(),
-                dag.num_stages()
-            ));
-        }
-        if m.edges.len() != dag.num_edges() {
-            return Err(format!(
-                "model has {} edges, DAG has {}",
-                m.edges.len(),
-                dag.num_edges()
-            ));
-        }
-        if m.resources.len() != m.stages.len() || m.scaling.len() != m.stages.len() {
-            return Err("resource/scaling vectors mismatch stage count".into());
-        }
-        let step_ok = |s: &Step| s.alpha >= 0.0 && s.beta >= 0.0;
-        for (i, st) in m.stages.iter().enumerate() {
-            if !(step_ok(&st.compute) && step_ok(&st.external_read) && step_ok(&st.external_write))
-            {
-                return Err(format!("stage {i}: negative step parameters"));
-            }
-        }
-        for (i, io) in m.edges.iter().enumerate() {
-            if !(step_ok(&io.read) && step_ok(&io.write)) {
-                return Err(format!("edge {i}: negative step parameters"));
-            }
-        }
-        for (i, r) in m.resources.iter().enumerate() {
-            if r.rho < 0.0 || r.sigma < 0.0 {
-                return Err(format!("stage {i}: negative resource parameters"));
-            }
-        }
-        if let Some(i) = m.scaling.iter().position(|&s| s < 1.0) {
-            return Err(format!("stage {i}: scaling factor below 1"));
-        }
-        Ok(m)
-    }
-
     /// An all-`false` co-location mask (every shuffle goes remote).
     pub fn no_colocation(&self) -> Vec<bool> {
         vec![false; self.edges.len()]
@@ -260,7 +195,7 @@ impl JobTimeModel {
     }
 
     /// Mutable steps of a stage.
-    pub fn stage_steps_mut(&mut self, s: StageId) -> &mut StageSteps {
+    pub(crate) fn stage_steps_mut(&mut self, s: StageId) -> &mut StageSteps {
         &mut self.stages[s.index()]
     }
 
@@ -270,7 +205,7 @@ impl JobTimeModel {
     }
 
     /// Mutable I/O model of an edge.
-    pub fn edge_io_mut(&mut self, e: EdgeId) -> &mut EdgeIo {
+    pub(crate) fn edge_io_mut(&mut self, e: EdgeId) -> &mut EdgeIo {
         &mut self.edges[e.index()]
     }
 
@@ -361,7 +296,8 @@ impl JobTimeModel {
 
     /// Total read time `R(s, d, P)`: external read + non-co-located,
     /// non-pipelined upstream-edge reads.
-    pub fn read_time(&self, dag: &JobDag, s: StageId, d: f64, colocated: &[bool]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn read_time(&self, dag: &JobDag, s: StageId, d: f64, colocated: &[bool]) -> f64 {
         let mut t = self.stages[s.index()].external_read.eval(d);
         for e in dag.in_edges(s) {
             let io = &self.edges[e.id.index()];
@@ -374,7 +310,8 @@ impl JobTimeModel {
 
     /// Total write time `W(s, d, P)`: external write + non-co-located
     /// downstream-edge writes.
-    pub fn write_time(&self, dag: &JobDag, s: StageId, d: f64, colocated: &[bool]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn write_time(&self, dag: &JobDag, s: StageId, d: f64, colocated: &[bool]) -> f64 {
         let mut t = self.stages[s.index()].external_write.eval(d);
         for e in dag.out_edges(s) {
             if !colocated[e.id.index()] {
@@ -387,17 +324,6 @@ impl JobTimeModel {
     /// Stage cost `M(s, d) × T(s, d, P)` in GB·s.
     pub fn stage_cost(&self, dag: &JobDag, s: StageId, d: f64, colocated: &[bool]) -> f64 {
         self.resources[s.index()].cost(d, self.exec_time(dag, s, d, colocated))
-    }
-
-    /// Shuffle time of one edge at the given endpoint DoPs: the upstream
-    /// write plus the downstream read, or ~0 if co-located. This is the
-    /// edge weight `W(sᵢ) + R(sⱼ)` used by greedy grouping for JCT (§4.3).
-    pub fn edge_shuffle_time(&self, e: EdgeId, d_src: f64, d_dst: f64, colocated: &[bool]) -> f64 {
-        if colocated[e.index()] {
-            return 0.0;
-        }
-        let io = &self.edges[e.index()];
-        io.write.eval(d_src) + io.read.eval(d_dst)
     }
 }
 
@@ -436,8 +362,6 @@ mod tests {
         let s_join = StageId(2);
         assert!(m.stage_alpha(&dag, s_map, &colo) < m.stage_alpha(&dag, s_map, &none));
         assert!(m.stage_alpha(&dag, s_join, &colo) < m.stage_alpha(&dag, s_join, &none));
-        assert_eq!(m.edge_shuffle_time(EdgeId(0), 4.0, 4.0, &colo), 0.0);
-        assert!(m.edge_shuffle_time(EdgeId(0), 4.0, 4.0, &none) > 0.0);
     }
 
     #[test]
@@ -478,12 +402,6 @@ mod tests {
         m.set_pipelined(EdgeId(0), true);
         let after = m.exec_time(&dag, join, 4.0, &none);
         assert!(after < before);
-        // The upstream write is still counted.
-        let map1 = StageId(0);
-        assert_eq!(
-            m.write_time(&dag, map1, 4.0, &none),
-            m.write_time(&dag, map1, 4.0, &none)
-        );
     }
 
     #[test]
@@ -519,38 +437,5 @@ mod tests {
     fn rejects_scale_below_one() {
         let (_, mut m) = model();
         m.set_scaling(StageId(0), 0.5);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_predictions() {
-        let (dag, mut m) = model();
-        m.set_scaling(StageId(0), 1.3);
-        m.set_pipelined(EdgeId(1), true);
-        let text = m.to_json();
-        let back = JobTimeModel::from_json(&dag, &text).unwrap();
-        let none = m.no_colocation();
-        for s in dag.stages() {
-            for d in [1.0, 7.0, 42.0] {
-                assert_eq!(
-                    m.exec_time(&dag, s.id, d, &none),
-                    back.exec_time(&dag, s.id, d, &none)
-                );
-            }
-        }
-        assert!(back.edge_io(EdgeId(1)).pipelined);
-        assert_eq!(back.scaling(StageId(0)), 1.3);
-    }
-
-    #[test]
-    fn from_json_rejects_mismatched_dag() {
-        let (dag, m) = model();
-        let other = ditto_dag::generators::q95_shape();
-        let err = JobTimeModel::from_json(&other, &m.to_json()).unwrap_err();
-        assert!(err.contains("stages"), "{err}");
-        // Tampered scaling is caught.
-        let tampered = m.to_json().replace("\"scaling\": [\n    1.15,", "\"scaling\": [\n    0.2,");
-        assert!(JobTimeModel::from_json(&dag, &tampered).is_err());
-        // Garbage is caught.
-        assert!(JobTimeModel::from_json(&dag, "not json").is_err());
     }
 }

@@ -41,7 +41,8 @@ pub struct ProfileSample {
 
 impl ProfileSample {
     /// A sample with no straggler skew.
-    pub fn even(dop: u32, seconds: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn even(dop: u32, seconds: f64) -> Self {
         ProfileSample {
             dop,
             mean_seconds: seconds,
@@ -54,7 +55,7 @@ impl ProfileSample {
 #[derive(Debug, Clone)]
 pub struct StageProfile {
     /// The profiled stage.
-    pub stage: StageId,
+    pub(crate) stage: StageId,
     /// Samples per step target; steps absent here fit to zero.
     pub steps: Vec<(StepTarget, Vec<ProfileSample>)>,
 }
@@ -69,7 +70,8 @@ impl StageProfile {
     }
 
     /// Append samples for one step target.
-    pub fn with_step(mut self, target: StepTarget, samples: Vec<ProfileSample>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_step(mut self, target: StepTarget, samples: Vec<ProfileSample>) -> Self {
         self.steps.push((target, samples));
         self
     }
@@ -79,7 +81,7 @@ impl StageProfile {
 #[derive(Debug, Clone)]
 pub struct JobProfile {
     /// Per-stage profiles; stages without a profile get zero steps.
-    pub stages: Vec<StageProfile>,
+    pub(crate) stages: Vec<StageProfile>,
     /// Per-stage resource models (`M(s,d) = ρ + σd`); when empty, defaults
     /// are used for every stage.
     pub resources: Vec<(StageId, ResourceModel)>,

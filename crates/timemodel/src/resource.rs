@@ -32,7 +32,7 @@ impl ResourceModel {
     }
 
     /// Stage cost in GB·s: `M(s, d) × t` where `t` is the stage time.
-    pub fn cost(&self, d: f64, exec_time: f64) -> f64 {
+    pub(crate) fn cost(&self, d: f64, exec_time: f64) -> f64 {
         self.usage(d) * exec_time
     }
 }

@@ -31,11 +31,11 @@ impl fmt::Display for StepKind {
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Step {
     /// The step class (read / compute / write).
-    pub kind: StepKind,
+    pub(crate) kind: StepKind,
     /// Parallelizable time, seconds·tasks. Non-negative.
     pub alpha: f64,
     /// Inherent time, seconds. Non-negative.
-    pub beta: f64,
+    pub(crate) beta: f64,
 }
 
 impl Step {
@@ -54,7 +54,7 @@ impl Step {
     }
 
     /// A step that contributes no time (co-located zero-copy I/O).
-    pub fn zero(kind: StepKind) -> Self {
+    pub(crate) fn zero(kind: StepKind) -> Self {
         Step {
             kind,
             alpha: 0.0,
@@ -70,7 +70,8 @@ impl Step {
     }
 
     /// `true` if the step contributes no time at any parallelism.
-    pub fn is_zero(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_zero(&self) -> bool {
         self.alpha == 0.0 && self.beta == 0.0
     }
 }

@@ -23,8 +23,8 @@ fn main() {
     // model, never the ground truth.
     let gt = GroundTruth::new(ExecConfig::default());
     let profile = profile_job(&dag, &gt, &[2, 4, 8, 16, 20]);
-    let (model, build_time) = profile.build_model(&dag);
-    println!("model fitted in {build_time:?}\n");
+    let (model, _) = profile.build_model(&dag);
+    println!();
 
     // 2 servers × 10 free slots.
     let rm = ResourceManager::from_free_slots(vec![10, 10]);

@@ -57,8 +57,7 @@ fn main() {
             "  answer: {orders} multi-warehouse orders, ship cost {cost:.2}, profit {profit:.2}"
         );
         println!(
-            "  wall {:.2}s; data plane: {} shared-memory transfers ({} KB), {} s3 transfers ({} KB)\n",
-            out.wall_seconds,
+            "  data plane: {} shared-memory transfers ({} KB), {} s3 transfers ({} KB)\n",
             out.ledger.shared_memory.transfers,
             out.ledger.shared_memory.bytes_in / 1024,
             out.ledger.s3.transfers,

@@ -33,7 +33,8 @@
 //! clean, 1 on findings, 2 on undecodable input.
 
 use ditto::jobspec::JobSpec;
-use ditto_audit::{AuditOptions, RaceOptions};
+use ditto_audit::{AuditOptions, AuditReport, RaceOptions, RaceReport};
+use serde_json::{Map, Number, Value};
 use std::io::Read as _;
 
 fn main() {
@@ -102,7 +103,7 @@ fn main() {
     };
     let report = ditto_audit::audit_with(&dag, &model, &rm, &schedule, &opts);
     if json {
-        println!("{}", report.to_json());
+        println!("{}", audit_json(&report));
     } else {
         print!("{}", report.render());
     }
@@ -158,7 +159,7 @@ fn race_main(mut args: Vec<String>) -> ! {
     }
     let report = ditto_audit::check_trace(&trace, &opts);
     if json {
-        println!("{}", report.to_json());
+        println!("{}", race_json(&report));
     } else {
         if stats.skipped_events > 0 || stats.skipped_attrs > 0 {
             eprintln!(
@@ -238,8 +239,6 @@ fn journal_main(mut args: Vec<String>) -> ! {
     }
     let clean = findings.is_empty();
     if json {
-        use serde_json::{Map, Number, Value};
-        let uint = |v: u64| Value::Number(Number::PosInt(v));
         let mut out = Map::new();
         out.insert("records".into(), uint(decoded.records.len() as u64));
         out.insert("durable_bytes".into(), uint(decoded.durable_len as u64));
@@ -297,6 +296,63 @@ fn journal_main(mut args: Vec<String>) -> ! {
     std::process::exit(if clean { 0 } else { 1 });
 }
 
+fn uint(v: u64) -> Value {
+    Value::Number(Number::PosInt(v))
+}
+
+/// A finding's optional anchors, in key order; absent ones are omitted.
+fn anchor(m: &mut Map, key: &str, v: Option<u32>) {
+    if let Some(v) = v {
+        m.insert(key.into(), uint(v as u64));
+    }
+}
+
+/// An audit report as a JSON document (machine-checkable certificate form).
+fn audit_json(report: &AuditReport) -> Value {
+    let findings = report.findings.iter().map(|f| {
+        let mut m = Map::new();
+        m.insert("check".into(), Value::String(f.check.as_str().into()));
+        m.insert("severity".into(), Value::String(f.severity.as_str().into()));
+        anchor(&mut m, "stage", f.stage);
+        anchor(&mut m, "edge", f.edge);
+        anchor(&mut m, "server", f.server);
+        m.insert("detail".into(), Value::String(f.detail.clone()));
+        Value::Object(m)
+    });
+    let mut out = Map::new();
+    out.insert("checks_run".into(), uint(report.checks_run as u64));
+    out.insert("errors".into(), uint(report.error_count() as u64));
+    out.insert("warnings".into(), uint(report.warning_count() as u64));
+    out.insert("findings".into(), Value::Array(findings.collect()));
+    Value::Object(out)
+}
+
+/// A race report as a JSON document (stable key order).
+fn race_json(report: &RaceReport) -> Value {
+    let findings = report.findings.iter().map(|f| {
+        let mut m = Map::new();
+        m.insert("rule".into(), Value::String(f.rule.as_str().into()));
+        m.insert("severity".into(), Value::String(f.severity.as_str().into()));
+        anchor(&mut m, "stage", f.stage);
+        anchor(&mut m, "task", f.task);
+        anchor(&mut m, "server", f.server);
+        anchor(&mut m, "edge", f.edge);
+        if let Some(k) = &f.object {
+            m.insert("object".into(), Value::String(k.clone()));
+        }
+        m.insert("detail".into(), Value::String(f.detail.clone()));
+        Value::Object(m)
+    });
+    let mut out = Map::new();
+    out.insert("ops".into(), uint(report.ops as u64));
+    out.insert("hb_edges".into(), uint(report.hb_edges as u64));
+    out.insert("malformed".into(), uint(report.malformed as u64));
+    out.insert("errors".into(), uint(report.error_count() as u64));
+    out.insert("warnings".into(), uint(report.warning_count() as u64));
+    out.insert("findings".into(), Value::Array(findings.collect()));
+    Value::Object(out)
+}
+
 fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
     let had = args.iter().any(|a| a == name);
     args.retain(|a| a != name);
@@ -321,5 +377,36 @@ fn take_value(args: &mut Vec<String>, name: &str) -> Option<f64> {
             eprintln!("ditto-audit: {name} needs a positive number, got {raw:?}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ditto_audit::{AuditFinding, CheckId};
+
+    #[test]
+    fn audit_json_keeps_key_order_and_omits_absent_anchors() {
+        let mut r = AuditReport { checks_run: 1, ..Default::default() };
+        r.findings.push(AuditFinding::error(CheckId::ColocationClaim, "bad").at_edge(3));
+        assert_eq!(
+            audit_json(&r).to_string(),
+            r#"{"checks_run":1,"errors":1,"warnings":0,"findings":[{"check":"colocation-claim","severity":"error","edge":3,"detail":"bad"}]}"#
+        );
+    }
+
+    #[test]
+    fn detail_with_quote_backslash_and_control_char_parses_back() {
+        let detail = "stage \"map\\1\"\u{1}\nbad";
+        let mut r = AuditReport::default();
+        r.findings.push(AuditFinding::warning(CheckId::Structure, detail));
+        let back: Value = serde_json::from_str(&audit_json(&r).to_string()).expect("valid JSON");
+        assert_eq!(back["findings"][0]["detail"], detail);
+    }
+
+    #[test]
+    fn race_json_has_stable_shape() {
+        let j = race_json(&RaceReport::default()).to_string();
+        assert_eq!(j, r#"{"ops":0,"hb_edges":0,"malformed":0,"errors":0,"warnings":0,"findings":[]}"#);
     }
 }

@@ -37,11 +37,11 @@ use serde::{Deserialize, Serialize};
 
 /// A fitted step: `t(d) = alpha/d + beta`.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, Default)]
-pub struct StepSpec {
+pub(crate) struct StepSpec {
     /// Parallelizable seconds·tasks.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Inherent seconds.
-    pub beta: f64,
+    pub(crate) beta: f64,
 }
 
 /// Finite and `>= 0`, as every step and resource parameter must be.
@@ -64,36 +64,36 @@ impl StepSpec {
 
 /// One stage of the job.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StageSpecJson {
+pub(crate) struct StageSpecJson {
     /// Unique stage name.
-    pub name: String,
+    pub(crate) name: String,
     /// `map`, `join`, `groupby`, `reduce` or `custom` (default `custom`).
     #[serde(default)]
-    pub kind: Option<String>,
+    pub(crate) kind: Option<String>,
     /// External input bytes (for the NIMBLE baseline; default 0).
     #[serde(default)]
-    pub input_bytes: u64,
+    pub(crate) input_bytes: u64,
     /// External output bytes (default 0).
     #[serde(default)]
-    pub output_bytes: u64,
+    pub(crate) output_bytes: u64,
     /// The compute step.
     #[serde(default)]
-    pub compute: StepSpec,
+    pub(crate) compute: StepSpec,
     /// External-read step (scanning job input).
     #[serde(default)]
-    pub external_read: StepSpec,
+    pub(crate) external_read: StepSpec,
     /// External-write step (final output).
     #[serde(default)]
-    pub external_write: StepSpec,
+    pub(crate) external_write: StepSpec,
     /// Resource model ρ in GB (default 1.0).
     #[serde(default = "default_rho")]
-    pub rho: f64,
+    pub(crate) rho: f64,
     /// Resource model σ in GB/function (default 0).
     #[serde(default)]
-    pub sigma: f64,
+    pub(crate) sigma: f64,
     /// Straggler scaling factor ≥ 1 (default 1.0).
     #[serde(default = "default_scaling")]
-    pub scaling: f64,
+    pub(crate) scaling: f64,
 }
 
 fn default_rho() -> f64 {
@@ -105,49 +105,49 @@ fn default_scaling() -> f64 {
 
 /// One data dependency.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EdgeSpecJson {
+pub(crate) struct EdgeSpecJson {
     /// Producer stage name.
-    pub src: String,
+    pub(crate) src: String,
     /// Consumer stage name.
-    pub dst: String,
+    pub(crate) dst: String,
     /// `shuffle` (default), `gather` or `all_gather`.
     #[serde(default)]
-    pub kind: Option<String>,
+    pub(crate) kind: Option<String>,
     /// Intermediate bytes (default 0).
     #[serde(default)]
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// The producer-side write step.
     #[serde(default)]
-    pub write: StepSpec,
+    pub(crate) write: StepSpec,
     /// The consumer-side read step.
     #[serde(default)]
-    pub read: StepSpec,
+    pub(crate) read: StepSpec,
     /// Pipelining annotation (§4.5).
     #[serde(default)]
-    pub pipelined: bool,
+    pub(crate) pipelined: bool,
 }
 
 /// Free slots per server.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClusterSpecJson {
+pub(crate) struct ClusterSpecJson {
     /// Free function slots per server, in server order.
-    pub free_slots: Vec<u32>,
+    pub(crate) free_slots: Vec<u32>,
 }
 
 /// The full job specification.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Job name.
-    pub name: String,
+    pub(crate) name: String,
     /// `jct` (default) or `cost`.
     #[serde(default)]
-    pub objective: Option<String>,
+    pub(crate) objective: Option<String>,
     /// The cluster's availability.
-    pub cluster: ClusterSpecJson,
+    pub(crate) cluster: ClusterSpecJson,
     /// Stages.
-    pub stages: Vec<StageSpecJson>,
+    pub(crate) stages: Vec<StageSpecJson>,
     /// Data dependencies.
-    pub edges: Vec<EdgeSpecJson>,
+    pub(crate) edges: Vec<EdgeSpecJson>,
 }
 
 /// Errors from parsing or validating a job spec.
@@ -334,33 +334,33 @@ impl JobSpec {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScheduleJson {
     /// Scheduler that produced it.
-    pub scheduler: String,
+    pub(crate) scheduler: String,
     /// Per-stage decisions.
-    pub stages: Vec<StageScheduleJson>,
+    pub(crate) stages: Vec<StageScheduleJson>,
     /// Stage groups by name.
-    pub groups: Vec<Vec<String>>,
+    pub(crate) groups: Vec<Vec<String>>,
     /// Model-predicted job completion time, seconds.
     #[serde(default)]
-    pub predicted_jct_seconds: f64,
+    pub(crate) predicted_jct_seconds: f64,
     /// Model-predicted cost, GB·s.
     #[serde(default)]
-    pub predicted_cost_gb_s: f64,
+    pub(crate) predicted_cost_gb_s: f64,
 }
 
 /// One stage's scheduling outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StageScheduleJson {
+pub(crate) struct StageScheduleJson {
     /// Stage name.
-    pub name: String,
+    pub(crate) name: String,
     /// Chosen degree of parallelism.
-    pub dop: u32,
+    pub(crate) dop: u32,
     /// Tasks per server: `(server index, task count)` in task order.
-    pub placement: Vec<(u32, u32)>,
+    pub(crate) placement: Vec<(u32, u32)>,
 }
 
 impl ScheduleJson {
     /// Convert an in-memory schedule.
-    pub fn from_schedule(dag: &JobDag, s: &Schedule) -> ScheduleJson {
+    pub(crate) fn from_schedule(dag: &JobDag, s: &Schedule) -> ScheduleJson {
         ScheduleJson {
             scheduler: s.scheduler.clone(),
             stages: dag
