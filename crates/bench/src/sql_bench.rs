@@ -10,8 +10,10 @@
 //! * **e2e** — the five TPC-DS query plans as a distributed
 //!   [`LocalRuntime`] run (even-split schedule, 2×8 slots, S3 external
 //!   medium) whose [`TransferLedger`](ditto_storage::TransferLedger)
-//!   supplies shuffle wire bytes and pre-encoding logical bytes. `rows`
-//!   is what the plan's scans read.
+//!   supplies shuffle wire bytes and pre-encoding logical bytes. A
+//!   co-located edge hands its consumer the table itself, never encoded,
+//!   so its wire bytes are its logical bytes. `rows` is what the plan's
+//!   scans read.
 //!
 //! Kernel ≡ reference is proven by `crates/sql/tests/kernel_equivalence.rs`;
 //! wall-clock kernel cost is measured by `ditto-benchmark`

@@ -1,12 +1,14 @@
 //! The local runtime: physically execute a query plan under a schedule.
 //!
 //! This is the "execution engine atop SPRIGHT" of the paper's §5, scaled
-//! to one machine: intermediate tables are encoded with the `ditto-sql`
-//! codec and move through the `ditto-storage` [`DataPlane`] — the
-//! zero-copy shared-memory bus when the schedule co-locates producer and
-//! consumer, the external object store otherwise.
+//! to one machine: intermediate tables move through the `ditto-storage`
+//! [`DataPlane`]. A consumer on its producer's server receives the
+//! producer's [`Table`] itself over that server's shared-memory bus — no
+//! encode, no decode, the α = β = 0 the paper prices co-located I/O at.
+//! A consumer on another server reads a frame the `ditto-sql` codec
+//! encoded from the external object store.
 //!
-//! Tasks run on one worker pool per run: `W = min(CPUs this thread may
+//! Tasks run on one worker pool per run: `W = min(CPUs this process may
 //! use, largest DoP)` workers, of which the calling thread is one (it
 //! runs tasks whenever it has no report to collect) and `W − 1` are
 //! helpers in a single `thread::scope`. Stages run in topological order
@@ -48,7 +50,7 @@ use ditto_sql::{Database, QueryPlan, StageOp, Table};
 use ditto_storage::{partition_key, DataPlane, StoreError, TransferLedger};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What one task hands the stage barrier, which folds the reports in task
@@ -58,8 +60,9 @@ struct TaskReport {
     partial: Option<Table>,
     /// The winning attempt epoch.
     epoch: u32,
-    /// Checksum of the encoded output: names the task's object commit.
-    value: u64,
+    /// Checksum of the encoded output, naming the task's object commit in
+    /// the journal — computed on journaled runs only, `None` otherwise.
+    value: Option<u64>,
     record: TaskRecord,
     /// Failed attempts plus the completed one; empty when un-faulted.
     attempts: Vec<AttemptRecord>,
@@ -150,7 +153,9 @@ impl LocalRuntime {
     /// admission and the schedule commit journal before any task starts,
     /// and each stage barrier journals its tasks' faulted-attempt history
     /// plus an object commit per task (`value` = [`checksum64`] of the
-    /// task's encoded output) *before* the next stage launches. Physical
+    /// task's encoded output) *before* the next stage launches. Only a
+    /// journaled run encodes a task's whole output for that checksum; an
+    /// unjournaled one never computes it. Physical
     /// re-execution after a coordinator crash is at-least-once; the
     /// session's [`CommitLedger`] deduplicates re-delivered commits by
     /// `(stage, task, attempt_epoch)` — and a same-epoch commit whose
@@ -198,6 +203,7 @@ impl LocalRuntime {
             db,
             schedule,
             dataplane,
+            journaled: session.is_some(),
             job_start: Instant::now(),
         };
         let monitor = RuntimeMonitor::new();
@@ -234,8 +240,8 @@ impl LocalRuntime {
                 let mut partials = Vec::new();
                 for (t, r) in reports.into_iter().enumerate() {
                     monitor.record(r.record);
-                    if let Some(j) = session.as_deref_mut() {
-                        j.record_physical_task(s.0, t as u32, r.epoch, r.value, &r.attempts)?;
+                    if let (Some(j), Some(value)) = (session.as_deref_mut(), r.value) {
+                        j.record_physical_task(s.0, t as u32, r.epoch, value, &r.attempts)?;
                     }
                     fault_stats.absorb(&r.stats);
                     retries += r.retries;
@@ -266,9 +272,10 @@ impl LocalRuntime {
 
     /// One task: gather inputs, evaluate the stage operator (under fault
     /// injection and recovery), scatter outputs, and report — the output
-    /// table for final-stage tasks, the winning attempt epoch, the commit
-    /// checksum of the encoded output (the journal's object-commit value)
-    /// and everything the run accounts per task.
+    /// table for final-stage tasks, the winning attempt epoch, on a
+    /// journaled run the commit checksum of the encoded output (the
+    /// journal's object-commit value), and everything the run accounts
+    /// per task.
     fn run_task(&self, cx: &TaskCtx<'_>, s: StageId, t: u32) -> Result<TaskReport, ExecError> {
         let (plan, db, job_start) = (cx.plan, cx.db, cx.job_start);
         let launch = job_start.elapsed().as_secs_f64();
@@ -388,8 +395,11 @@ impl LocalRuntime {
         Ok(TaskReport {
             // Evaluation is deterministic, so the encoded output — and its
             // commit checksum — is identical across re-executions: the
-            // journal's exactly-once conflict check has teeth.
-            value: ditto_storage::checksum64(&out.encode(), JOURNAL_SEED),
+            // journal's exactly-once conflict check has teeth. Only the
+            // journal reads it, so only a journaled run pays the encode.
+            value: cx
+                .journaled
+                .then(|| ditto_storage::checksum64(&out.encode(), JOURNAL_SEED)),
             partial: (plan.dag.out_degree(s) == 0).then_some(out),
             epoch: attempt,
             record: TaskRecord {
@@ -418,7 +428,12 @@ impl LocalRuntime {
     /// failures surface directly: deeper loss escalates as a typed error
     /// instead of recursing.
     ///
-    /// Returns the inputs by upstream stage name and the bytes read.
+    /// A co-located input arrives as the producer's table; only inputs
+    /// from other servers are read from the object store and decoded, so
+    /// only those can be healed.
+    ///
+    /// Returns the inputs by upstream stage name and the bytes read: a
+    /// frame's wire length, a co-located table's in-memory size.
     fn gather_inputs(
         &self,
         cx: &TaskCtx<'_>,
@@ -440,7 +455,17 @@ impl LocalRuntime {
             let mut parts = Vec::new();
             for ut in 0..du {
                 let src_server = cx.server(e.src, ut);
-                let external = src_server != my_server;
+                if DataPlane::colocated(src_server, my_server) {
+                    // The producer's own table, off this server's bus. A
+                    // taken slot cannot be replayed, so a miss is final.
+                    let part: Table = cx
+                        .dataplane
+                        .take_local(e.id.0, ut, t, my_server)
+                        .map_err(|err| missing(format!("{}: edge {}: {err}", cx.plan.name, e.id)))?;
+                    bytes_read += part.byte_size();
+                    parts.push(part);
+                    continue;
+                }
                 let recv = || {
                     cx.dataplane.recv_partition(
                         e.id.0,
@@ -456,7 +481,7 @@ impl LocalRuntime {
                     (
                         Err(err @ (StoreError::NotFound(_) | StoreError::Corrupted { .. })),
                         Some(stats),
-                    ) if external => {
+                    ) => {
                         // The object is gone or fails verification; re-run
                         // the producer this edge reads from, then read again.
                         self.reexec_producer(cx, e.src, ut).map_err(|e2| {
@@ -508,10 +533,15 @@ impl LocalRuntime {
         Ok(())
     }
 
-    /// Scatter task `(s, t)`'s output across its out-edges. With
-    /// `external_only` (the lineage re-execution path) shared-memory sends
-    /// are skipped: only externally stored objects can have been lost, and
-    /// the original consumers already drained their bus slots.
+    /// Scatter task `(s, t)`'s output across its out-edges. A consumer on
+    /// this task's server receives a [`Table`] on the bus; one elsewhere
+    /// an encoded frame in the object store. With `external_only` (the
+    /// lineage re-execution path) shared-memory sends are skipped: only
+    /// externally stored objects can have been lost, and the original
+    /// consumers already drained their bus slots.
+    ///
+    /// Returns the bytes written: frame lengths plus the in-memory size of
+    /// the tables handed over.
     fn scatter_outputs(
         &self,
         cx: &TaskCtx<'_>,
@@ -525,70 +555,124 @@ impl LocalRuntime {
         let mut bytes_written = 0u64;
         for e in dag.out_edges(s) {
             let dv = cx.schedule.dop[e.dst.index()];
-            // Wire frames per consumer: (encoded bytes, logical table bytes).
-            let frames: Vec<(bytes::Bytes, u64)> = match e.kind {
+            let dst_servers: Vec<usize> = (0..dv).map(|vt| cx.server(e.dst, vt)).collect();
+            let local: Vec<bool> = dst_servers
+                .iter()
+                .map(|&dst| DataPlane::colocated(my_server, dst))
+                .collect();
+            let handoffs: Vec<Handoff> = match e.kind {
                 EdgeKind::Shuffle => {
                     let key = cx.plan.stages[s.index()]
                         .output_key
                         .as_deref()
                         .ok_or(ExecError::MissingOutputKey { stage: s.0 })?;
-                    // Fused partition+encode: hashes computed once, bytes
-                    // written straight into each bucket's frame — the
-                    // per-bucket Tables are never materialized.
-                    out.encode_partitions(key, dv as usize)
-                        .into_iter()
-                        .map(|p| (p.data, p.logical_bytes))
-                        .collect()
+                    if local.iter().all(|&l| !l) {
+                        // Fused partition+encode: hashes computed once,
+                        // bytes written straight into each bucket's frame —
+                        // the per-bucket Tables are never materialized.
+                        out.encode_partitions(key, dv as usize)
+                            .into_iter()
+                            .map(|p| Handoff::Wire(p.data, p.logical_bytes))
+                            .collect()
+                    } else {
+                        out.partition_rows(key, dv as usize)
+                            .iter()
+                            .zip(&local)
+                            .map(|(rows, &local)| match local {
+                                true => Handoff::Local(out.gather(rows)),
+                                false => Handoff::wire(&out.gather(rows)),
+                            })
+                            .collect()
+                    }
                 }
-                EdgeKind::Gather => {
-                    // Full output to consumer (t % dv); empty markers keep
-                    // schemas flowing to the rest. Encode each frame once
-                    // and hand out cheap refcounted clones.
-                    let target = t % dv;
-                    let full = (out.encode(), out.byte_size());
-                    let empty_table = Table::empty(out.schema.clone());
-                    let empty = (empty_table.encode(), 0u64);
+                EdgeKind::Gather | EdgeKind::AllGather => {
+                    // Gather: the full output to consumer (t % dv), empty
+                    // markers to the rest so schemas flow. AllGather: the
+                    // full output to everyone. A table hand-off is an
+                    // O(columns) clone; each frame is encoded at most once
+                    // and handed out as a cheap refcounted clone.
+                    let full = |vt: u32| e.kind == EdgeKind::AllGather || vt == t % dv;
+                    let empty = || Table::empty(out.schema.clone());
+                    let (mut full_frame, mut empty_frame) = (None, None);
                     (0..dv)
-                        .map(|vt| if vt == target { full.clone() } else { empty.clone() })
+                        .zip(&local)
+                        .map(|(vt, &local)| match (local, full(vt)) {
+                            (true, true) => Handoff::Local(out.clone()),
+                            (true, false) => Handoff::Local(empty()),
+                            (false, true) => {
+                                full_frame.get_or_insert_with(|| Handoff::wire(out)).clone()
+                            }
+                            (false, false) => {
+                                empty_frame.get_or_insert_with(|| Handoff::wire(&empty())).clone()
+                            }
+                        })
                         .collect()
-                }
-                EdgeKind::AllGather => {
-                    let full = (out.encode(), out.byte_size());
-                    (0..dv).map(|_| full.clone()).collect()
                 }
             };
-            for (vt, (data, logical)) in frames.into_iter().enumerate() {
-                let dst_server = cx.server(e.dst, vt as u32);
-                if external_only && dst_server == my_server {
-                    continue;
+            for ((vt, handoff), dst_server) in (0..dv).zip(handoffs).zip(dst_servers) {
+                match handoff {
+                    Handoff::Local(_) if external_only => {}
+                    Handoff::Local(table) => {
+                        let size = table.byte_size();
+                        bytes_written += size;
+                        cx.dataplane.send_local(e.id.0, t, vt, my_server, table, size);
+                    }
+                    Handoff::Wire(data, logical) => {
+                        bytes_written += data.len() as u64;
+                        cx.dataplane
+                            .send_partition_sized(
+                                e.id.0, t, vt, my_server, dst_server, data, logical,
+                            )
+                            .map_err(|err| {
+                                ExecError::DataPlane(format!(
+                                    "{}: stage {s} task {t}: {err}",
+                                    cx.plan.name
+                                ))
+                            })?;
+                    }
                 }
-                bytes_written += data.len() as u64;
-                cx.dataplane
-                    .send_partition_sized(
-                        e.id.0, t, vt as u32, my_server, dst_server, data, logical,
-                    )
-                    .map_err(|err| {
-                        ExecError::DataPlane(format!(
-                            "{}: stage {s} task {t}: {err}",
-                            cx.plan.name
-                        ))
-                    })?;
             }
         }
         Ok(bytes_written)
     }
 }
 
-/// `W`: the CPUs the calling thread may use, capped at the schedule's
-/// largest DoP — with a barrier between stages no more tasks are ever
-/// ready at once. Asked once per run, and not at all when every stage
-/// has one task.
+/// One consumer's share of a task's output on one edge.
+#[derive(Clone)]
+enum Handoff {
+    /// A table for a consumer on the producer's server: never encoded.
+    Local(Table),
+    /// An encoded frame for a consumer on another server, with the
+    /// logical size of the table it carries.
+    Wire(bytes::Bytes, u64),
+}
+
+impl Handoff {
+    /// `table`'s encoded frame.
+    fn wire(table: &Table) -> Handoff {
+        Handoff::Wire(table.encode(), table.byte_size())
+    }
+}
+
+/// `W`: the CPUs this process may use, capped at the schedule's largest
+/// DoP — with a barrier between stages no more tasks are ever ready at
+/// once. Every stage having one task makes it 1 without asking.
 fn pool_size(schedule: &Schedule) -> usize {
     let widest = schedule.dop.iter().copied().max().unwrap_or(1) as usize;
     if widest <= 1 {
         return 1;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(widest))
+    cpus().min(widest)
+}
+
+/// `available_parallelism`, asked once per process: it reads the
+/// cgroup's CPU quota files on every call (≈ 22 µs in a 2-CPU Linux
+/// container, a twentieth of a small job). A process that narrows its
+/// affinity after its first run keeps the first answer; the pool size
+/// changes no result, only how many threads share the work.
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// One task handed to a worker.
@@ -759,8 +843,12 @@ fn object_fault_targets(
             let Some(kind) = faults.object_fault(e.src, ut) else {
                 continue;
             };
-            let first_external = (0..schedule.dop[s.index()])
-                .find(|&t| readers.server_of_task(t) != producers.server_of_task(ut));
+            let first_external = (0..schedule.dop[s.index()]).find(|&t| {
+                !DataPlane::colocated(
+                    producers.server_of_task(ut).index(),
+                    readers.server_of_task(t).index(),
+                )
+            });
             if let Some(t) = first_external {
                 if applied.insert((e.src.0, ut)) {
                     targets.push((partition_key(e.id.0, ut, t), kind));
@@ -777,6 +865,8 @@ struct TaskCtx<'a> {
     db: &'a Database,
     schedule: &'a Schedule,
     dataplane: &'a DataPlane,
+    /// A journal session is attached: tasks compute their commit value.
+    journaled: bool,
     job_start: Instant,
 }
 
@@ -891,6 +981,42 @@ mod tests {
             "expected zero-copy transfers, ledger: {:?}",
             out.ledger
         );
+    }
+
+    #[test]
+    fn typed_colocated_edges_change_no_answer_and_no_logical_byte() {
+        use ditto_core::TaskPlacement::Single;
+        let db = Database::generate(ScaleConfig::with_sf(0.2));
+        for q in [Query::Q1, Query::Q95] {
+            let plan = q.prepared_plan(&db);
+            let model = JobTimeModel::from_rates(&plan.dag, &RateConfig::default());
+            let rm = ResourceManager::from_free_slots(vec![6, 6, 6]);
+            let placed = EvenSplitScheduler.schedule(&SchedulingContext {
+                dag: &plan.dag,
+                model: &model,
+                resources: &rm,
+                objective: Objective::Jct,
+            });
+            // The same DoPs with every task on server 0: every edge is a
+            // typed hand-off, none is encoded.
+            let mut one_server = placed.clone();
+            for p in &mut one_server.placement {
+                *p = Single(ServerId(0));
+            }
+            let run = |schedule: &Schedule| {
+                LocalRuntime::new().execute(&plan, &db, schedule, &DataPlane::new(Medium::S3, 3))
+            };
+            let (typed, mixed) = (run(&one_server), run(&placed));
+            assert_eq!(typed.result.encode(), mixed.result.encode(), "{}", plan.name);
+            let logical = |l: &TransferLedger| {
+                l.shared_memory.logical_bytes + l.redis.logical_bytes + l.s3.logical_bytes
+            };
+            assert_eq!(logical(&typed.ledger), logical(&mixed.ledger), "{}", plan.name);
+            assert_eq!(typed.ledger.s3.transfers, 0, "{}", plan.name);
+            assert!(mixed.ledger.s3.transfers > 0, "{}", plan.name);
+            let shm = typed.ledger.shared_memory;
+            assert_eq!(shm.bytes_in, shm.logical_bytes, "nothing was encoded");
+        }
     }
 
     #[test]

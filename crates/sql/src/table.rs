@@ -147,11 +147,18 @@ impl Table {
     }
 
     /// Concatenate tables with identical schemas (empty input → `None`).
-    /// Each column is built once, at its exact row count.
+    /// Each column is built once, at its exact row count — unless at most
+    /// one part has rows: then that part (or the first) is returned as an
+    /// O(columns) clone sharing its buffers, the common case of a Gather
+    /// consumer, which receives one real part plus empty markers.
     pub fn concat(tables: &[Table]) -> Option<Table> {
         let (first, rest) = tables.split_first()?;
         for t in rest {
             assert_eq!(first.schema, t.schema, "schema mismatch in concat");
+        }
+        let mut filled = tables.iter().filter(|t| t.num_rows() > 0);
+        if let (only, None) = (filled.next(), filled.next()) {
+            return Some(only.unwrap_or(first).clone());
         }
         let columns = (0..first.num_columns())
             .map(|ci| Column::concat(tables.iter().map(|t| &t.columns[ci])))
@@ -181,8 +188,9 @@ impl Table {
     }
 
     /// The bucket each row lands in under `hash_row(key) % n` — the
-    /// shuffle placement function, shared by [`Table::hash_partition`] and
-    /// [`Table::encode_partitions`] so both agree byte-for-byte.
+    /// shuffle placement function [`Table::partition_rows`] routes by.
+    /// [`Table::encode_partitions`] computes the same ids from its own
+    /// dictionary pass, so both agree byte-for-byte.
     fn bucket_ids(&self, key: &str, n: usize) -> Vec<u32> {
         assert!(n > 0);
         let col = self.column_req(key);
@@ -205,61 +213,28 @@ impl Table {
         }
     }
 
-    /// Hash-partition rows into `n` buckets by the named key column —
-    /// the shuffle partitioner: rows with equal keys land in the same
-    /// bucket regardless of which task partitioned them.
-    ///
-    /// Single pass: hashes are computed once, every bucket column is sized
-    /// exactly, and rows scatter directly to their bucket (no index
-    /// vectors, no [`Table::take`]).
-    pub fn hash_partition(&self, key: &str, n: usize) -> Vec<Table> {
+    /// Hash-partition rows into `n` buckets by the named key column — the
+    /// shuffle router: rows with equal keys land in the same bucket
+    /// regardless of which task partitioned them. Returns each bucket's
+    /// rows, in table order; [`Table::gather`] materializes a bucket, and
+    /// `self.gather(&sel[i]).encode()` equals
+    /// [`Table::encode_partitions`]`(key, n)[i].data`. A bucket holding no
+    /// row or every row is a [`SelVec::Range`](crate::SelVec::Range), so
+    /// gathering it shares this table's buffers.
+    pub fn partition_rows(&self, key: &str, n: usize) -> Vec<crate::SelVec> {
         let ids = self.bucket_ids(key, n);
         let mut counts = vec![0usize; n];
         for &b in &ids {
             counts[b as usize] += 1;
         }
-        let mut buckets: Vec<Vec<Column>> = (0..n)
-            .map(|_| Vec::with_capacity(self.num_columns()))
-            .collect();
-        for c in &self.columns {
-            match c {
-                Column::I64(v) => {
-                    let mut outs: Vec<Vec<i64>> =
-                        counts.iter().map(|&k| Vec::with_capacity(k)).collect();
-                    for (&b, &x) in ids.iter().zip(v) {
-                        outs[b as usize].push(x);
-                    }
-                    for (bucket, o) in buckets.iter_mut().zip(outs) {
-                        bucket.push(Column::I64(o.into()));
-                    }
-                }
-                Column::F64(v) => {
-                    let mut outs: Vec<Vec<f64>> =
-                        counts.iter().map(|&k| Vec::with_capacity(k)).collect();
-                    for (&b, &x) in ids.iter().zip(v) {
-                        outs[b as usize].push(x);
-                    }
-                    for (bucket, o) in buckets.iter_mut().zip(outs) {
-                        bucket.push(Column::F64(o.into()));
-                    }
-                }
-                Column::Str(v) => {
-                    let mut outs: Vec<Vec<String>> =
-                        counts.iter().map(|&k| Vec::with_capacity(k)).collect();
-                    for (&b, x) in ids.iter().zip(v) {
-                        outs[b as usize].push(x.clone());
-                    }
-                    for (bucket, o) in buckets.iter_mut().zip(outs) {
-                        bucket.push(Column::Str(o.into()));
-                    }
-                }
-            }
+        let mut rows: Vec<Vec<u32>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
+        for (r, &b) in ids.iter().enumerate() {
+            rows[b as usize].push(r as u32);
         }
-        buckets
-            .into_iter()
-            .map(|columns| Table {
-                schema: self.schema.clone(),
-                columns,
+        rows.into_iter()
+            .map(|rows| match rows.len() {
+                k if k == 0 || k == ids.len() => crate::SelVec::all(k),
+                _ => crate::SelVec::Rows(rows),
             })
             .collect()
     }
@@ -323,10 +298,10 @@ impl Table {
     /// materializing the bucket tables — the zero-copy shuffle path.
     ///
     /// `result[i].data` is byte-identical to
-    /// `self.hash_partition(key, n)[i].encode()`: hashes are computed once
-    /// per distinct key, numeric cells scatter straight into the wire
-    /// buffers, and string buckets get per-bucket sub-dictionaries (in
-    /// bucket first-appearance order) remapped from one full-column
+    /// `self.gather(&self.partition_rows(key, n)[i]).encode()`: hashes are
+    /// computed once per distinct key, numeric cells scatter straight into
+    /// the wire buffers, and string buckets get per-bucket sub-dictionaries
+    /// (in bucket first-appearance order) remapped from one full-column
     /// dictionary pass — no `String` is cloned anywhere.
     pub fn encode_partitions(&self, key: &str, n: usize) -> Vec<EncodedPartition> {
         assert!(n > 0);
@@ -842,10 +817,15 @@ mod tests {
         assert_eq!(back, t);
     }
 
+    /// Every bucket of [`Table::partition_rows`], materialized.
+    fn buckets(t: &Table, key: &str, n: usize) -> Vec<Table> {
+        t.partition_rows(key, n).iter().map(|sel| t.gather(sel)).collect()
+    }
+
     #[test]
-    fn hash_partition_consistent() {
+    fn partition_rows_is_consistent() {
         let t = sample();
-        let parts = t.hash_partition("st", 3);
+        let parts = buckets(&t, "st", 3);
         assert_eq!(parts.iter().map(|p| p.num_rows()).sum::<usize>(), 4);
         // Rows with st="a" (ids 1 and 3) land in the same bucket.
         let bucket_of = |id: i64| {
@@ -940,7 +920,7 @@ mod tests {
     fn encode_partitions_matches_materialized_encode() {
         let t = sample();
         for n in [1, 2, 3, 7] {
-            let parts = t.hash_partition("st", n);
+            let parts = buckets(&t, "st", n);
             let enc = t.encode_partitions("st", n);
             assert_eq!(enc.len(), n);
             for (p, e) in parts.iter().zip(&enc) {
@@ -955,13 +935,13 @@ mod tests {
     fn encode_partitions_on_numeric_key_and_empty_table() {
         let t = sample();
         let enc = t.encode_partitions("id", 4);
-        let parts = t.hash_partition("id", 4);
+        let parts = buckets(&t, "id", 4);
         for (p, e) in parts.iter().zip(&enc) {
             assert_eq!(e.data, p.encode());
         }
         let empty = Table::empty(t.schema.clone());
         let enc = empty.encode_partitions("st", 3);
-        for (p, e) in empty.hash_partition("st", 3).iter().zip(&enc) {
+        for (p, e) in buckets(&empty, "st", 3).iter().zip(&enc) {
             assert_eq!(e.data, p.encode());
             assert_eq!(e.rows, 0);
         }
@@ -976,12 +956,12 @@ mod tests {
     }
 
     #[test]
-    fn hash_partition_matches_reference() {
+    fn partition_rows_matches_reference() {
         let t = sample();
         for key in ["id", "amt", "st"] {
             for n in [1, 2, 5] {
                 assert_eq!(
-                    t.hash_partition(key, n),
+                    buckets(&t, key, n),
                     crate::reference::hash_partition_reference(&t, key, n),
                     "key={key} n={n}"
                 );
@@ -996,6 +976,46 @@ mod tests {
         a.extend(&t);
         assert_eq!(a.num_rows(), 8);
         assert!(Table::concat(&[]).is_none());
+    }
+
+    #[test]
+    fn concat_of_one_filled_part_shares_its_buffers() {
+        let t = sample();
+        let empty = Table::empty(t.schema.clone());
+        let parts = [empty.clone(), t.clone(), empty.clone()];
+        let got = Table::concat(&parts).unwrap();
+        assert_eq!(got, t);
+        for (g, c) in got.columns.iter().zip(&t.columns) {
+            let (g, c) = match (g, c) {
+                (Column::I64(g), Column::I64(c)) => (g.as_ptr().cast::<u8>(), c.as_ptr().cast()),
+                (Column::F64(g), Column::F64(c)) => (g.as_ptr().cast(), c.as_ptr().cast()),
+                (Column::Str(g), Column::Str(c)) => (g.as_ptr().cast(), c.as_ptr().cast()),
+                _ => unreachable!("concat keeps column types"),
+            };
+            assert_eq!(g, c, "no rows copied");
+        }
+        // All-empty parts concatenate to an empty table of their schema;
+        // two filled parts still build one new table.
+        assert_eq!(Table::concat(&[empty.clone(), empty.clone()]).unwrap(), empty);
+        assert_eq!(Table::concat(&[t.clone(), empty, t.clone()]).unwrap().num_rows(), 8);
+    }
+
+    #[test]
+    fn partition_rows_keeps_whole_and_empty_buckets_as_ranges() {
+        let t = sample();
+        let one = t.partition_rows("st", 1);
+        assert_eq!(one, vec![crate::SelVec::all(4)]);
+        // `st` has three distinct values: at least one of 7 buckets is empty.
+        let seven = t.partition_rows("st", 7);
+        assert!(seven.contains(&crate::SelVec::all(0)));
+        let rows: usize = seven
+            .iter()
+            .map(|sel| match sel {
+                crate::SelVec::Range { len, .. } => *len,
+                crate::SelVec::Rows(r) => r.len(),
+            })
+            .sum();
+        assert_eq!(rows, 4);
     }
 
     #[test]

@@ -143,19 +143,30 @@ proptest! {
         }
     }
 
-    /// Partitioning: bucket assignment, per-bucket contents and the fused
-    /// `encode_partitions` wire bytes all match the two-step reference.
+    /// Partitioning: bucket assignment and per-bucket contents of
+    /// `partition_rows` + `gather` match the two-step reference.
     #[test]
     fn partition_matches_reference(t in arb_table(64), n in 1usize..7, key in 0usize..2) {
         let key = ["k", "s"][key];
-        let parts = t.hash_partition(key, n);
+        let parts: Vec<Table> = t.partition_rows(key, n).iter().map(|sel| t.gather(sel)).collect();
         let expect = refimpl::hash_partition_reference(&t, key, n);
         prop_assert_eq!(&parts, &expect);
+    }
+
+    /// The typed shuffle route and the fused wire route agree: a gathered
+    /// bucket encodes to the fused encoder's frame, and its in-memory size
+    /// is the logical size that frame is booked with.
+    #[test]
+    fn gathered_buckets_match_the_fused_encoder(t in arb_table(64), n in 1usize..7, key in 0usize..4) {
+        let key = ["k", "s", "v", "x"][key];
+        let rows = t.partition_rows(key, n);
         let encoded = t.encode_partitions(key, n);
-        prop_assert_eq!(encoded.len(), parts.len());
-        for (e, p) in encoded.iter().zip(&parts) {
-            prop_assert_eq!(&e.data, &p.encode(), "fused encode differs");
-            prop_assert_eq!(e.rows, p.num_rows());
+        prop_assert_eq!(rows.len(), encoded.len());
+        for (i, (sel, e)) in rows.iter().zip(&encoded).enumerate() {
+            let bucket = t.gather(sel);
+            prop_assert_eq!(&bucket.encode(), &e.data, "bucket {} frame differs", i);
+            prop_assert_eq!(bucket.byte_size(), e.logical_bytes, "bucket {} size", i);
+            prop_assert_eq!(bucket.num_rows(), e.rows);
         }
     }
 

@@ -6,7 +6,13 @@
 //! and downstream tasks" (§5). [`DataPlane`] is that dispatch layer: it
 //! owns one external [`ObjectStore`] (S3- or Redis-like) and one
 //! [`SharedMemoryBus`] per server, and routes each transfer by whether the
-//! producing and consuming tasks share a server.
+//! producing and consuming tasks share a server ([`DataPlane::colocated`]).
+//!
+//! Two paths cross it. Encoded frames (`Bytes`) go through
+//! [`DataPlane::send_partition_sized`] / [`DataPlane::recv_partition`] on
+//! either medium. A co-located edge can skip the codec altogether:
+//! [`DataPlane::send_local`] / [`DataPlane::take_local`] publish any owned
+//! value on the server's bus and hand the consumer that same value.
 //!
 //! It also keeps a [`TransferLedger`] of wire and logical bytes moved per
 //! medium. Persistence cost is the simulator's to charge (`CostModel`).
@@ -16,20 +22,23 @@ use crate::object_store::{ObjectStore, StoreError};
 use crate::sharedmem::SharedMemoryBus;
 use bytes::Bytes;
 use parking_lot::Mutex;
+use std::any::Any;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Accumulated transfer accounting, per medium.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MediumLedger {
-    /// Bytes written into the medium.
+    /// Bytes written into the medium: the encoded frame's length, or for
+    /// a typed shared-memory hand-off ([`DataPlane::send_local`]) the
+    /// value's logical size, since nothing was encoded.
     pub bytes_in: u64,
     /// Number of transfers.
     pub transfers: u64,
     /// Pre-encoding (logical) size of the transferred tables. The gap to
     /// `bytes_in` is what the columnar codec saved on the wire —
     /// dictionary-encoded string columns make wire bytes smaller than the
-    /// in-memory table they carry.
+    /// in-memory table they carry. A typed hand-off has no gap.
     pub logical_bytes: u64,
 }
 
@@ -93,9 +102,18 @@ impl DataPlane {
         &self.external
     }
 
+    /// Whether a producer on `src_server` and a consumer on `dst_server`
+    /// are co-located, so their edge goes through shared memory rather
+    /// than the external store. The one locality rule of the data path:
+    /// the runtime's routing, its reads and its object-fault targeting all
+    /// ask it.
+    pub fn colocated(src_server: usize, dst_server: usize) -> bool {
+        src_server == dst_server
+    }
+
     /// Which medium a transfer between the two servers uses.
-    pub(crate) fn medium_between(&self, src_server: usize, dst_server: usize) -> Medium {
-        if src_server == dst_server {
+    fn medium_between(&self, src_server: usize, dst_server: usize) -> Medium {
+        if Self::colocated(src_server, dst_server) {
             Medium::SharedMemory
         } else {
             self.external_medium
@@ -105,6 +123,15 @@ impl DataPlane {
     /// Ledger snapshot.
     pub fn ledger(&self) -> TransferLedger {
         *self.ledger.lock()
+    }
+
+    /// Book one transfer into `medium`'s ledger row.
+    fn book(&self, medium: Medium, bytes: u64, logical_bytes: u64) {
+        let mut l = self.ledger.lock();
+        let m = l.for_medium_mut(medium);
+        m.bytes_in += bytes;
+        m.transfers += 1;
+        m.logical_bytes += logical_bytes;
     }
 
     // ------------------------------------------------------------------
@@ -135,12 +162,41 @@ impl DataPlane {
                 .external
                 .put(partition_key(edge, from_task, to_task), data)?,
         }
-        let mut l = self.ledger.lock();
-        let m = l.for_medium_mut(medium);
-        m.bytes_in += bytes;
-        m.transfers += 1;
-        m.logical_bytes += logical_bytes;
+        self.book(medium, bytes, logical_bytes);
         Ok(())
+    }
+
+    /// Hand `value` from `(edge, from_task)` to `to_task`, both on
+    /// `server`, through that server's shared-memory bus — no encoding:
+    /// the consumer's [`DataPlane::take_local`] returns this very value.
+    /// `logical_bytes` is booked as both the wire and the logical size.
+    pub fn send_local<T: Any + Send>(
+        &self,
+        edge: u32,
+        from_task: u32,
+        to_task: u32,
+        server: usize,
+        value: T,
+        logical_bytes: u64,
+    ) {
+        self.buses[server].send((edge, from_task, to_task), value);
+        self.book(Medium::SharedMemory, logical_bytes, logical_bytes);
+    }
+
+    /// Take the value [`DataPlane::send_local`] published for
+    /// `(edge, from_task, to_task)` on `server`. A slot that is empty,
+    /// already taken, or holds another type (an encoded frame, say) is
+    /// [`StoreError::NotFound`] at once.
+    pub fn take_local<T: Any>(
+        &self,
+        edge: u32,
+        from_task: u32,
+        to_task: u32,
+        server: usize,
+    ) -> Result<T, StoreError> {
+        self.buses[server]
+            .take((edge, from_task, to_task))
+            .ok_or_else(|| StoreError::NotFound(partition_key(edge, from_task, to_task)))
     }
 
     /// Receive one intermediate partition: one take from the source
@@ -158,9 +214,7 @@ impl DataPlane {
         _timeout: Duration,
     ) -> Result<Bytes, StoreError> {
         match self.medium_between(src_server, dst_server) {
-            Medium::SharedMemory => self.buses[src_server]
-                .take((edge, from_task, to_task))
-                .ok_or_else(|| StoreError::NotFound(partition_key(edge, from_task, to_task))),
+            Medium::SharedMemory => self.take_local(edge, from_task, to_task, src_server),
             _ => self.external.get(&partition_key(edge, from_task, to_task)),
         }
     }
@@ -198,8 +252,42 @@ mod tests {
     #[test]
     fn routes_by_colocation() {
         let dp = DataPlane::new(Medium::S3, 2);
+        assert!(DataPlane::colocated(1, 1));
+        assert!(!DataPlane::colocated(0, 1));
         assert_eq!(dp.medium_between(0, 0), Medium::SharedMemory);
         assert_eq!(dp.medium_between(0, 1), Medium::S3);
+    }
+
+    #[test]
+    fn take_local_returns_the_published_allocation() {
+        let dp = DataPlane::new(Medium::S3, 2);
+        let value = vec![5u64; 512];
+        let ptr = value.as_ptr();
+        dp.send_local(4, 0, 1, 1, value, 4096);
+        let got: Vec<u64> = dp.take_local(4, 0, 1, 1).unwrap();
+        assert_eq!(got.as_ptr(), ptr, "the consumer holds the producer's buffer");
+        // A taken slot is gone.
+        let again = dp.take_local::<Vec<u64>>(4, 0, 1, 1);
+        assert!(matches!(again, Err(StoreError::NotFound(_))));
+        // A typed send books its logical size as wire and logical bytes.
+        let l = dp.ledger().shared_memory;
+        assert_eq!((l.bytes_in, l.logical_bytes, l.transfers), (4096, 4096, 1));
+        assert_eq!(dp.ledger().s3, MediumLedger::default());
+    }
+
+    #[test]
+    fn a_slot_of_another_type_is_not_found() {
+        let dp = DataPlane::new(Medium::S3, 2);
+        // An encoded frame read as a typed value, and a typed value read
+        // as an encoded frame: both miss, neither panics.
+        send(&dp, (0, 0, 1), (1, 1), b"abc");
+        let typed = dp.take_local::<Vec<u64>>(0, 0, 1, 1);
+        assert!(matches!(typed, Err(StoreError::NotFound(_))));
+        dp.send_local(1, 0, 1, 0, vec![1u64], 8);
+        let framed = dp.recv_partition(1, 0, 1, 0, 0, Duration::ZERO);
+        assert!(matches!(framed, Err(StoreError::NotFound(_))));
+        let wrong = dp.take_local::<String>(1, 0, 1, 0);
+        assert!(matches!(wrong, Err(StoreError::NotFound(_))));
     }
 
     #[test]

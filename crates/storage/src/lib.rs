@@ -20,7 +20,11 @@
 //!
 //! [`DataPlane`] ties them together: a put/get surface that routes by
 //! placement (co-located → shared memory, otherwise the configured
-//! external store) and accounts wire and logical bytes per medium. The
+//! external store) and accounts wire and logical bytes per medium.
+//! Encoded frames take either medium; a co-located edge may instead hand
+//! its consumer a typed value through the bus (`send_local` /
+//! `take_local`), which is never encoded, so its wire size is its logical
+//! size. The
 //! persistence cost the paper charges for shared memory and Redis
 //! (§6.2/§6.3) is [`CostModel`]'s, which the simulator applies.
 

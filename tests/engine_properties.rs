@@ -36,7 +36,8 @@ proptest! {
     /// and equal keys land together.
     #[test]
     fn hash_partition_is_partition(t in arb_table(), parts in 1usize..8) {
-        let buckets = t.hash_partition("k", parts);
+        let buckets: Vec<Table> =
+            t.partition_rows("k", parts).iter().map(|sel| t.gather(sel)).collect();
         let total: usize = buckets.iter().map(|b| b.num_rows()).sum();
         prop_assert_eq!(total, t.num_rows());
         // Each key appears in exactly one bucket.
@@ -54,7 +55,8 @@ proptest! {
     #[test]
     fn distributed_group_by_equals_local(t in arb_table(), parts in 1usize..6) {
         let whole = group_by(&t, &["k"], &[AggSpec::new(AggFunc::Sum, "v", "s")], None);
-        let buckets = t.hash_partition("k", parts);
+        let buckets: Vec<Table> =
+            t.partition_rows("k", parts).iter().map(|sel| t.gather(sel)).collect();
         let partials: Vec<Table> = buckets
             .iter()
             .map(|b| group_by(b, &["k"], &[AggSpec::new(AggFunc::Sum, "v", "s")], None))
