@@ -17,16 +17,13 @@ use ditto_timemodel::JobTimeModel;
 use std::collections::BTreeMap;
 
 /// Knobs for [`audit_with`]. The default audits everything that can be
-/// audited for the given schedule.
+/// audited for the given schedule. The DoP-ratio certificate runs only
+/// for schedules named `ditto-jct` / `ditto-cost` — the joint optimizer's
+/// outputs, which claim Algorithm-1 optimality. Baselines (NIMBLE's DoP ∝
+/// input size, fixed DoP, …) are *deliberately* non-optimal and are not
+/// held to the ratio invariant.
 #[derive(Debug, Clone, Default)]
 pub struct AuditOptions {
-    /// Force the DoP-ratio certificate on (`Some(true)`) or off
-    /// (`Some(false)`). By default it runs only for schedules named
-    /// `ditto-jct` / `ditto-cost` — the joint optimizer's outputs, which
-    /// claim Algorithm-1 optimality. Baselines (NIMBLE's DoP ∝ input
-    /// size, fixed DoP, …) are *deliberately* non-optimal and are not
-    /// held to the ratio invariant.
-    pub check_ratios: Option<bool>,
     /// If set, predicted JCT above this many seconds is an error.
     pub deadline: Option<f64>,
     /// If set, predicted cost above this many GB·s is an error.
@@ -61,13 +58,7 @@ pub fn audit_with(
         // Placement/ratio certificates index by the vectors the structural
         // pass just length-checked; skip them on malformed input.
         report.merge(audit_placement(dag, cluster, schedule));
-        let ratios = opts
-            .check_ratios
-            .unwrap_or(matches!(
-                schedule.scheduler.as_str(),
-                "ditto-jct" | "ditto-cost"
-            ));
-        if ratios {
+        if matches!(schedule.scheduler.as_str(), "ditto-jct" | "ditto-cost") {
             report.merge(audit_ratios(dag, model, cluster, schedule));
         }
         report.merge(audit_objective(dag, model, schedule, opts));
@@ -878,14 +869,13 @@ mod tests {
         );
         let report = audit(&dag, &model, &rm, &s);
         assert!(report.is_clean(), "{}", report.render());
-        // But forcing the ratio check on a DoP-∝-input baseline flags it.
-        let forced = audit_with(
-            &dag,
-            &model,
-            &rm,
-            &s,
-            &AuditOptions { check_ratios: Some(true), ..Default::default() },
-        );
+        // But the same DoP-∝-input schedule under the joint optimizer's
+        // name is held to the ratio invariant, and fails it.
+        let named = Schedule {
+            scheduler: "ditto-jct".into(),
+            ..s
+        };
+        let forced = audit(&dag, &model, &rm, &named);
         assert!(forced.findings.iter().any(|f| f.check == CheckId::DopRatio));
     }
 }

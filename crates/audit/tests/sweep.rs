@@ -99,7 +99,6 @@ fn generous_objective_bounds_pass() {
         &AuditOptions {
             deadline: Some(1e12),
             cost_budget: Some(1e18),
-            ..Default::default()
         },
     );
     assert!(report.is_clean(), "{}", report.render());

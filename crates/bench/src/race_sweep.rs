@@ -24,7 +24,7 @@ use ditto_cluster::{ResourceManager, ServerId};
 use ditto_core::{DittoScheduler, JointOptions, Objective, Scheduler, SchedulingContext};
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_exec::{
-    explore_random_dags, simulate, AdaptiveConfig, Engine, ExecConfig, ExploreConfig, FaultPlan,
+    explore_random_dags, simulate, AdaptiveConfig, Engine, ExecConfig, FaultPlan,
     FaultRates, GroundTruth, RecoveryPolicy, ReschedulingContext,
 };
 use ditto_obs::{Recorder, TraceData};
@@ -228,7 +228,7 @@ pub struct RaceExploreRow {
 /// faults and adaptive replanning (the ISSUE's ≥ 16-DAG acceptance bar
 /// for `figures -- race`; the smoke tier runs fewer).
 pub fn race_explore(n: usize) -> Vec<RaceExploreRow> {
-    explore_random_dags(n, &ExploreConfig::default())
+    explore_random_dags(n)
         .expect("seeded fault rates recover within policy bounds")
         .into_iter()
         .enumerate()

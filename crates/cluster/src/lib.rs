@@ -29,5 +29,5 @@ pub(crate) mod server;
 pub use cluster::Cluster;
 pub use distribution::SlotDistribution;
 pub use manager::ResourceManager;
-pub use monitor::{DriftConfig, DriftDetector, RuntimeMonitor, TaskRecord};
+pub use monitor::{DriftDetector, RuntimeMonitor, TaskRecord};
 pub use server::ServerId;

@@ -108,35 +108,24 @@ impl RuntimeMonitor {
 // Drift detection
 // ---------------------------------------------------------------------------
 
-/// Configuration of the [`DriftDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// Multiplicative tolerance band around 1.0: a stage whose smoothed
-    /// observed/predicted time ratio leaves `[1/band, band]` is drifting.
-    pub band: f64,
-    /// EWMA smoothing weight on the newest sample, in `(0, 1]`.
-    pub ewma_alpha: f64,
-    /// Minimum samples for a stage before it can fire a `DriftEvent`
-    /// (single-task noise must not trigger a replan).
-    pub min_samples: u32,
-    /// Predictions below this are treated as "no signal" (ratio 1.0).
-    pub eps: f64,
-}
+/// Multiplicative tolerance band around 1.0: a stage whose smoothed
+/// observed/predicted time ratio leaves `[1/BAND, BAND]` is drifting. 25 %
+/// sustained deviation before the planner is disturbed; the paper's own
+/// model error is well inside this (Fig. 11).
+const BAND: f64 = 1.25;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            // 25% sustained deviation before the planner is disturbed; the
-            // paper's own model error is well inside this (Fig. 11).
-            band: 1.25,
-            ewma_alpha: 0.4,
-            min_samples: 2,
-            eps: 1e-9,
-        }
-    }
-}
+/// EWMA smoothing weight on the newest sample, in `(0, 1]`.
+const EWMA_ALPHA: f64 = 0.4;
 
-/// A stage's realized time has left the configured band around its
+/// Samples a stage needs before it can fire a [`DriftEvent`]. One: the
+/// adaptive executor feeds the detector one observation per *stage* (the
+/// mean over its tasks), and each stage runs once.
+const MIN_SAMPLES: u32 = 1;
+
+/// Predictions below this are treated as "no signal" (ratio 1.0).
+const EPS: f64 = 1e-9;
+
+/// A stage's realized time has left the tolerance band around its
 /// prediction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftEvent {
@@ -216,12 +205,11 @@ impl EwmaState {
 /// Feed it one `(observed, predicted)` [`StepTimings`] pair per completed
 /// task; it maintains per-stage and job-global EWMAs of the per-step and
 /// total observed/predicted ratios. When a stage's smoothed total ratio
-/// leaves the configured multiplicative band (with enough samples), the
+/// leaves the multiplicative band `BAND` (with enough samples), the
 /// observation returns a typed `DriftEvent` — the signal the adaptive
 /// executor uses to re-fit the model and re-optimize the schedule suffix.
 #[derive(Debug)]
 pub struct DriftDetector {
-    config: DriftConfig,
     stages: Vec<EwmaState>,
     /// Stage-type class per stage (empty = no class layer).
     class_of: Vec<u32>,
@@ -233,9 +221,8 @@ pub struct DriftDetector {
 impl DriftDetector {
     /// Detector for an `n_stages`-stage job.
     #[cfg(test)]
-    pub(crate) fn new(n_stages: usize, config: DriftConfig) -> Self {
+    pub(crate) fn new(n_stages: usize) -> Self {
         DriftDetector {
-            config,
             stages: vec![EwmaState::new(); n_stages],
             class_of: Vec::new(),
             classes: Vec::new(),
@@ -250,10 +237,9 @@ impl DriftDetector {
     /// run yet — the only way online feedback can help a stage before
     /// its own first sample. Falls back between the per-stage, class,
     /// and global estimates in that order via [`Self::class_correction`].
-    pub fn with_classes(class_of: &[u32], config: DriftConfig) -> Self {
+    pub fn with_classes(class_of: &[u32]) -> Self {
         let n_classes = class_of.iter().max().map_or(0, |&m| m as usize + 1);
         DriftDetector {
-            config,
             stages: vec![EwmaState::new(); class_of.len()],
             class_of: class_of.to_vec(),
             classes: vec![EwmaState::new(); n_classes],
@@ -263,30 +249,28 @@ impl DriftDetector {
 
     /// Record one completed task's observed vs. predicted step timings.
     /// Returns a `DriftEvent` when the stage's smoothed total ratio has
-    /// left `[1/band, band]` and the stage has `min_samples` samples.
+    /// left `[1/BAND, BAND]` and the stage has `MIN_SAMPLES` samples.
     pub fn observe(
         &mut self,
         stage: u32,
         observed: &StepTimings,
         predicted: &StepTimings,
     ) -> Option<DriftEvent> {
-        let eps = self.config.eps;
-        let step_ratio = observed.ratio_to(predicted, eps);
-        let total_ratio = if predicted.total() > eps {
+        let step_ratio = observed.ratio_to(predicted, EPS);
+        let total_ratio = if predicted.total() > EPS {
             observed.total() / predicted.total()
         } else {
             1.0
         };
         let st = &mut self.stages[stage as usize];
-        st.update(self.config.ewma_alpha, &step_ratio, total_ratio);
+        st.update(EWMA_ALPHA, &step_ratio, total_ratio);
         if let Some(&class) = self.class_of.get(stage as usize) {
-            self.classes[class as usize].update(self.config.ewma_alpha, &step_ratio, total_ratio);
+            self.classes[class as usize].update(EWMA_ALPHA, &step_ratio, total_ratio);
         }
-        self.global
-            .update(self.config.ewma_alpha, &step_ratio, total_ratio);
+        self.global.update(EWMA_ALPHA, &step_ratio, total_ratio);
         let st = &self.stages[stage as usize];
-        let out_of_band = st.total > self.config.band || st.total < 1.0 / self.config.band;
-        if st.samples >= self.config.min_samples && out_of_band {
+        let out_of_band = st.total > BAND || st.total < 1.0 / BAND;
+        if st.samples >= MIN_SAMPLES && out_of_band {
             Some(DriftEvent {
                 stage,
                 factor: st.total,
@@ -386,39 +370,35 @@ mod tests {
 
     #[test]
     fn drift_fires_only_after_min_samples_and_out_of_band() {
-        let mut d = DriftDetector::new(2, DriftConfig::default());
+        let mut d = DriftDetector::new(2);
         let pred = StepTimings::new(0.5, 1.0, 2.0, 0.5);
-        // In-band observation: nothing fires.
-        assert!(d.observe(0, &StepTimings::new(0.5, 1.1, 2.1, 0.5), &pred).is_none());
-        // First wildly-slow sample: still below min_samples... but the
-        // second has both the samples and the smoothed ratio out of band.
+        // In-band observation: nothing fires, however many samples.
+        let near = StepTimings::new(0.5, 1.1, 2.1, 0.5);
+        assert!(d.observe(0, &near, &pred).is_none());
+        assert!(d.observe(0, &near, &pred).is_none());
+        // A wildly-slow sample has the one sample a stage needs and its
+        // ratio out of band.
         let slow = StepTimings::new(0.5, 1.0, 8.0, 0.5); // compute 4x
-        assert!(d.observe(1, &slow, &pred).is_none());
         let ev = d.observe(1, &slow, &pred).expect("drift should fire");
         assert_eq!(ev.stage, 1);
         assert!(ev.factor > 1.25, "factor {}", ev.factor);
         assert!(ev.step_factors.compute > 3.0);
         assert!((ev.step_factors.read - 1.0).abs() < 1e-9);
-        assert_eq!(ev.samples, 2);
+        assert_eq!(ev.samples, 1);
     }
 
     #[test]
     fn drift_fires_on_sustained_speedup_too() {
-        let cfg = DriftConfig {
-            min_samples: 2,
-            ..Default::default()
-        };
-        let mut d = DriftDetector::new(1, cfg);
+        let mut d = DriftDetector::new(1);
         let pred = StepTimings::new(0.0, 1.0, 4.0, 1.0);
         let fast = StepTimings::new(0.0, 0.5, 2.0, 0.5);
-        assert!(d.observe(0, &fast, &pred).is_none());
         let ev = d.observe(0, &fast, &pred).expect("speedup drift");
         assert!(ev.factor < 1.0 / 1.25);
     }
 
     #[test]
     fn corrections_track_per_stage_and_global() {
-        let mut d = DriftDetector::new(3, DriftConfig::default());
+        let mut d = DriftDetector::new(3);
         let pred = StepTimings::new(0.0, 1.0, 1.0, 1.0);
         d.observe(0, &StepTimings::new(0.0, 2.0, 2.0, 2.0), &pred);
         assert_eq!(d.stages[0].samples, 1);
@@ -438,7 +418,7 @@ mod tests {
         // Stages 0 and 2 are class 0 ("map"), stage 1 is class 1. A 2x
         // compute observation on stage 0 must become available to stage 2
         // through the class estimate before stage 2 has any samples.
-        let mut d = DriftDetector::with_classes(&[0, 1, 0], DriftConfig::default());
+        let mut d = DriftDetector::with_classes(&[0, 1, 0]);
         let pred = StepTimings::new(0.0, 1.0, 1.0, 1.0);
         d.observe(0, &StepTimings::new(0.0, 1.0, 2.0, 1.0), &pred);
         assert!(d.stage_correction(2).is_none(), "stage 2 itself unobserved");
@@ -447,7 +427,7 @@ mod tests {
         assert_eq!(d.classes[d.class_of[2] as usize].samples, 1);
         assert!(d.class_correction(1).is_none(), "other class untouched");
         // A detector without a class layer never transfers.
-        let mut plain = DriftDetector::new(3, DriftConfig::default());
+        let mut plain = DriftDetector::new(3);
         plain.observe(0, &StepTimings::new(0.0, 1.0, 2.0, 1.0), &pred);
         assert!(plain.class_correction(2).is_none());
         assert!(plain.classes.is_empty());
@@ -455,7 +435,7 @@ mod tests {
 
     #[test]
     fn zero_prediction_is_neutral_not_infinite() {
-        let mut d = DriftDetector::new(1, DriftConfig::default());
+        let mut d = DriftDetector::new(1);
         let pred = StepTimings::zero();
         for _ in 0..5 {
             assert!(d.observe(0, &StepTimings::new(1.0, 1.0, 1.0, 1.0), &pred).is_none());

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Identifier of a server in the cluster; dense index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub u32);
 
 impl ServerId {

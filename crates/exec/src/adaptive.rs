@@ -38,7 +38,7 @@ use crate::error::ExecError;
 use crate::faults::{finish_pass, ReschedulingContext, SimPass, SimState};
 use crate::groundtruth::GroundTruth;
 use crate::journal::{JournalSession, ReplanDecision};
-use ditto_cluster::{DriftConfig, DriftDetector, ServerId};
+use ditto_cluster::{DriftDetector, ServerId};
 use ditto_core::{joint_optimize_traced, predicted_jct, Schedule};
 use ditto_dag::{JobDag, StageId};
 use ditto_obs::{Recorder, StepTimings, Track};
@@ -63,10 +63,6 @@ const MIN_GAIN: f64 = 0.1;
 /// Configuration of the adaptive execution loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Drift-detector band and smoothing. The adaptive default lowers
-    /// `min_samples` to 1: the detector is fed one observation per
-    /// *stage* (the mean over its tasks), and each stage runs once.
-    pub(crate) drift: DriftConfig,
     /// Maximum suffix replans per run (each one re-runs the joint
     /// optimizer; unbounded replanning on a noisy signal would thrash).
     pub max_replans: u32,
@@ -74,18 +70,12 @@ pub struct AdaptiveConfig {
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
-        AdaptiveConfig {
-            drift: DriftConfig {
-                min_samples: 1,
-                ..Default::default()
-            },
-            max_replans: 4,
-        }
+        AdaptiveConfig { max_replans: 4 }
     }
 }
 
 /// Why a replan fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReplanTrigger {
     /// Sustained deviation of realized step times from the expectation
     /// (environmental drift, stragglers).
@@ -98,7 +88,7 @@ pub(crate) enum ReplanTrigger {
 
 /// One suffix re-optimization, recorded on the
 /// [`ExecutionTrace`](crate::ExecutionTrace).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplanRecord {
     /// What tripped the detector.
     pub(crate) trigger: ReplanTrigger,
@@ -171,7 +161,7 @@ impl<'a> Replanner<'a> {
             ctx,
             cfg,
             order: dag.topo_order().map_err(|_| ExecError::CyclicDag)?,
-            detector: DriftDetector::with_classes(&class_of, cfg.drift),
+            detector: DriftDetector::with_classes(&class_of),
             cur: schedule.clone(),
             replans: Vec::new(),
             last_decision: None,
@@ -658,10 +648,7 @@ mod tests {
     fn replans_are_bounded_and_re_armed() {
         let (dag, model, rm, schedule, gt) = fixture(&[24, 16]);
         let plan = FaultPlan::none().with_drift(3.0);
-        let cfg = AdaptiveConfig {
-            max_replans: 1,
-            ..Default::default()
-        };
+        let cfg = AdaptiveConfig { max_replans: 1 };
         let (trace, _) = Engine::new(&dag, &schedule, &gt)
             .faults(&plan, &RecoveryPolicy::default())
             .adaptive(&ctx(&model, &rm), &cfg)

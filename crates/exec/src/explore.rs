@@ -33,29 +33,14 @@ use ditto_dag::{JobDag, StageKind};
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
 
-/// Exploration budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExploreConfig {
-    /// Interleavings to enumerate exhaustively (depth-first over the
-    /// decision trie, canonical run included). Small DAGs usually have
-    /// fewer total interleavings than this and are covered completely.
-    pub(crate) max_enumerated: usize,
-    /// Seeded-random interleavings sampled after the enumeration budget
-    /// is spent (0 = none).
-    pub(crate) samples: u64,
-    /// Seed for the sampling phase.
-    pub(crate) seed: u64,
-}
+/// Interleavings to enumerate exhaustively (depth-first over the decision
+/// trie, canonical run included). Small DAGs usually have fewer total
+/// interleavings than this and are covered completely.
+const MAX_ENUMERATED: usize = 128;
 
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            max_enumerated: 128,
-            samples: 16,
-            seed: 0,
-        }
-    }
-}
+/// Seeded-random interleavings sampled after the enumeration budget is
+/// spent, with seeds `0..SAMPLES`.
+const SAMPLES: u64 = 16;
 
 /// A tie-break interleaving whose result differs from the canonical one,
 /// shrunk to a minimal witness.
@@ -150,7 +135,6 @@ pub fn explore_schedule(
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
     adaptive: Option<(&ReschedulingContext<'_>, &AdaptiveConfig)>,
-    cfg: &ExploreConfig,
 ) -> Result<ExploreOutcome, ExecError> {
     let run = |mut tie: TieBreak| -> Result<RunResult, ExecError> {
         let engine = Engine::new(dag, schedule, gt).faults(plan, policy).tie_break(&mut tie);
@@ -174,7 +158,7 @@ pub fn explore_schedule(
     // Exhaustive phase: depth-first over the trie.
     let mut cursor = next_script(&canon.decisions, &canon.arity);
     while let Some(script) = cursor {
-        if interleavings >= cfg.max_enumerated {
+        if interleavings >= MAX_ENUMERATED {
             exhaustive = false;
             break;
         }
@@ -189,8 +173,8 @@ pub fn explore_schedule(
 
     // Sampling phase: only when the trie was too big to enumerate.
     if first_divergence.is_none() && !exhaustive {
-        for k in 0..cfg.samples {
-            let r = run(TieBreak::random(cfg.seed.wrapping_add(k)))?;
+        for seed in 0..SAMPLES {
+            let r = run(TieBreak::random(seed))?;
             interleavings += 1;
             if let Some(detail) = diff(&canon, &r) {
                 first_divergence = Some((r.decisions.clone(), detail));
@@ -249,9 +233,9 @@ pub fn explore_schedule(
 
 /// Model-check tie-break invariance on `n` small random DAGs with faults
 /// *and* adaptive replanning enabled — the acceptance sweep behind
-/// `figures -- race`. Deterministic in `(n, cfg.seed)`. Returns one
+/// `figures -- race`. Deterministic in `n`. Returns one
 /// outcome per DAG; the caller fails on any `divergence`.
-pub fn explore_random_dags(n: usize, cfg: &ExploreConfig) -> Result<Vec<ExploreOutcome>, ExecError> {
+pub fn explore_random_dags(n: usize) -> Result<Vec<ExploreOutcome>, ExecError> {
     let gt = GroundTruth::new(ExecConfig::default());
     let mut outcomes = Vec::with_capacity(n);
     for i in 0..n as u64 {
@@ -297,7 +281,6 @@ pub fn explore_random_dags(n: usize, cfg: &ExploreConfig) -> Result<Vec<ExploreO
             &plan,
             &policy,
             Some((&ctx, &acfg)),
-            cfg,
         )?);
     }
     Ok(outcomes)
@@ -347,7 +330,6 @@ mod tests {
             &plan,
             &policy,
             None,
-            &ExploreConfig::default(),
         )
         .unwrap();
         assert!(out.exhaustive, "a diamond's trie fits any budget");
@@ -364,7 +346,7 @@ mod tests {
         // The ISSUE's acceptance bar, in-tree: ≥ 16 small random DAGs,
         // faults and adaptive replanning enabled, bit-identical metrics
         // across every explored interleaving.
-        let outcomes = explore_random_dags(16, &ExploreConfig::default()).unwrap();
+        let outcomes = explore_random_dags(16).unwrap();
         assert_eq!(outcomes.len(), 16);
         let mut with_ties = 0;
         for (i, o) in outcomes.iter().enumerate() {

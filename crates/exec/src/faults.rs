@@ -461,7 +461,7 @@ impl RecoveryPolicy {
 // ---------------------------------------------------------------------
 
 /// What happened to one task attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttemptOutcome {
     /// The attempt finished and its output was used.
     Completed,
@@ -477,7 +477,7 @@ pub enum AttemptOutcome {
 /// One task attempt: recorded for every execution that experienced a
 /// fault, plus the final successful attempt of any task that needed more
 /// than one. Fault-free tasks produce no records.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttemptRecord {
     /// Stage index.
     pub stage: u32,
@@ -505,7 +505,7 @@ pub struct AttemptRecord {
 }
 
 /// Aggregated fault statistics of one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultStats {
     /// Attempts beyond one per task (crashed + killed + superseded).
     pub extra_attempts: u32,

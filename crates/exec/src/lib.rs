@@ -85,7 +85,7 @@ pub(crate) mod trace;
 pub use adaptive::AdaptiveConfig;
 pub use engine::Engine;
 pub use error::ExecError;
-pub use explore::{explore_random_dags, explore_schedule, ExploreConfig};
+pub use explore::{explore_random_dags, explore_schedule};
 pub use faults::{
     AttemptOutcome, FaultEvent, FaultPlan, FaultRates, RecoveryPolicy, ReschedulingContext,
 };

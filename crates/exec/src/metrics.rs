@@ -3,7 +3,7 @@
 use crate::faults::FaultStats;
 
 /// Metrics of one job execution.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobMetrics {
     /// Job completion time, seconds (submission → last task end).
     pub jct: f64,

@@ -430,7 +430,8 @@ impl LocalRuntime {
     ///
     /// A co-located input arrives as the producer's table; only inputs
     /// from other servers are read from the object store and decoded, so
-    /// only those can be healed.
+    /// only those can be healed. A frame that passes the store's checksum
+    /// but fails [`Table::try_decode`] is `MissingInput` at once.
     ///
     /// Returns the inputs by upstream stage name and the bytes read: a
     /// frame's wire length, a co-located table's in-memory size.
@@ -504,7 +505,12 @@ impl LocalRuntime {
                     }
                 };
                 bytes_read += data.len() as u64;
-                parts.push(Table::decode(data));
+                // A frame that passes the store's checksum but does not
+                // parse comes out the same on every re-run: no lineage
+                // re-execution, the task fails.
+                let part = Table::try_decode(data)
+                    .map_err(|err| missing(format!("{}: edge {}: {err}", cx.plan.name, e.id)))?;
+                parts.push(part);
             }
             let merged = Table::concat(&parts).ok_or_else(|| {
                 missing(format!(
@@ -1420,6 +1426,50 @@ mod tests {
             }
             other => panic!("expected MissingInput, got {other}"),
         }
+    }
+
+    #[test]
+    fn checksum_valid_frame_that_does_not_parse_fails_its_task() {
+        use ditto_core::TaskPlacement::Single;
+        let (db, plan, mut schedule) = q1_two_servers(0.05);
+        // An edge whose consumer reads nothing else, its two ends on
+        // different servers so the frame goes through the object store.
+        let e = plan
+            .dag
+            .edges()
+            .iter()
+            .find(|e| plan.dag.in_edges(e.dst).count() == 1)
+            .expect("Q1 has a single-input stage");
+        schedule.placement[e.src.index()] = Single(ServerId(0));
+        schedule.placement[e.dst.index()] = Single(ServerId(1));
+        let dataplane = DataPlane::new(Medium::S3, 2);
+        // One column whose 65 535-byte name is missing.
+        let garbage = bytes::Bytes::from_static(&[1, 0, 0, 0, 0xff, 0xff, 0, 0]);
+        for ut in 0..schedule.dop[e.src.index()] {
+            dataplane
+                .send_partition_sized(e.id.0, ut, 0, 0, 1, garbage.clone(), 0)
+                .unwrap();
+        }
+        let cx = TaskCtx {
+            plan: &plan,
+            db: &db,
+            schedule: &schedule,
+            dataplane: &dataplane,
+            journaled: false,
+            job_start: Instant::now(),
+        };
+        let mut stats = FaultStats::default();
+        let err = LocalRuntime::new()
+            .gather_inputs(&cx, e.dst, 0, Some(&mut stats))
+            .unwrap_err();
+        match err {
+            ExecError::MissingInput { detail, .. } => {
+                assert!(detail.contains(&format!("edge {}", e.id)), "{detail}");
+                assert!(detail.contains("truncated table buffer"), "{detail}");
+            }
+            other => panic!("expected MissingInput, got {other}"),
+        }
+        assert_eq!(stats.lineage_reexecs, 0, "the same frame would come back");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use ditto_cluster::ServerId;
 use ditto_obs::StepTimings;
 
 /// One task's timeline (all times are seconds since job submission).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskTrace {
     /// Stage index.
     pub stage: u32,
@@ -50,7 +50,7 @@ impl TaskTrace {
 }
 
 /// Mean per-step durations of one stage (the Fig. 14 bars).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageBreakdown {
     /// Stage index.
     pub stage: u32,

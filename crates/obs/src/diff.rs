@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 const EPS: f64 = 1e-9;
 
 /// How a stage's JCT-delta contribution is classified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DeltaKind {
     /// On both critical paths: a slowdown/speedup of shared-path work.
     Shared,
@@ -107,7 +107,7 @@ impl StageDelta {
 }
 
 /// Counts of structural events in one trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StructuralSummary {
     /// Suffix replans recorded by the adaptive engine (`sched.replan`).
     pub replans: u32,

@@ -6,7 +6,7 @@
 //! attributes JCT into).
 
 /// Durations of the four steps of one task (or means over many), seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepTimings {
     /// Container / function setup.
     pub setup: f64,

@@ -18,7 +18,7 @@ use crate::ops::group_by::{AggFunc, AggSpec};
 use crate::ops::join::JoinKind;
 use crate::plan::{QueryPlan, StageOp};
 use crate::table::{Field, Schema, Table};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A join key usable as a hash-map key (i64 or string columns).
@@ -367,41 +367,43 @@ pub fn split_reference(t: &Table, n: usize) -> Vec<Table> {
     out
 }
 
-/// The original element-at-a-time wire encoding (v1: strings inline,
-/// numerics pushed one word at a time). [`Table::decode`] still accepts
-/// this format (tag 2), so round-trips through it remain valid.
+/// The original element-at-a-time wire encoding (v1: strings inline
+/// under tag 2, numerics pushed one word at a time). No decoder accepts
+/// this layout any more — [`Table::try_decode`] rejects tag 2 as unknown.
+/// It is kept only as the timing baseline of the fused partition+encode
+/// path's 3× floor.
 pub fn encode_reference(t: &Table) -> Bytes {
-    let mut buf = BytesMut::with_capacity(t.byte_size() as usize + 64);
-    buf.put_u32_le(t.num_columns() as u32);
+    let mut buf: Vec<u8> = Vec::with_capacity(t.byte_size() as usize + 64);
+    buf.extend_from_slice(&(t.num_columns() as u32).to_le_bytes());
     for (f, c) in t.schema.fields.iter().zip(&t.columns) {
-        buf.put_u32_le(f.name.len() as u32);
-        buf.put_slice(f.name.as_bytes());
+        buf.extend_from_slice(&(f.name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(f.name.as_bytes());
         match c {
             Column::I64(v) => {
-                buf.put_u8(0);
-                buf.put_u64_le(v.len() as u64);
+                buf.push(0);
+                buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
                 for x in v {
-                    buf.put_i64_le(*x);
+                    buf.extend_from_slice(&x.to_le_bytes());
                 }
             }
             Column::F64(v) => {
-                buf.put_u8(1);
-                buf.put_u64_le(v.len() as u64);
+                buf.push(1);
+                buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
                 for x in v {
-                    buf.put_f64_le(*x);
+                    buf.extend_from_slice(&x.to_le_bytes());
                 }
             }
             Column::Str(v) => {
-                buf.put_u8(2);
-                buf.put_u64_le(v.len() as u64);
+                buf.push(2);
+                buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
                 for s in v {
-                    buf.put_u32_le(s.len() as u32);
-                    buf.put_slice(s.as_bytes());
+                    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                    buf.extend_from_slice(s.as_bytes());
                 }
             }
         }
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Execute a whole plan with the reference operators only — the oracle the

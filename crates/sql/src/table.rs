@@ -1,7 +1,7 @@
 //! Tables: named, typed column collections with partitioning and a codec.
 
 use crate::column::{Column, DataType};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::fmt;
 
 /// A named, typed column slot in a schema.
@@ -245,53 +245,55 @@ impl Table {
     }
 
     // ------------------------------------------------------------------
-    // Binary codec: how intermediate tables travel through the data plane.
+    // Binary codec: how intermediate tables travel between servers (a
+    // consumer on its producer's server takes the `Table` itself).
     // Format: [ncols:u32] then per column: [name_len:u32][name][tag:u8]
-    // [nrows:u64][data...].
+    // [nrows:u64][data...], every integer little-endian.
     //
-    //   tag 0  i64    — nrows LE words, written as one bulk byte run
-    //   tag 1  f64    — nrows LE bit-patterns, bulk
-    //   tag 2  str    — length-prefixed cells (legacy v1; decode-only)
-    //   tag 3  str    — dictionary-encoded: [ndict:u32] then ndict
-    //                   length-prefixed entries, then nrows u32 LE codes
+    //   tag 0  i64  — nrows words, written as one bulk byte run
+    //   tag 1  f64  — nrows bit-patterns, bulk
+    //   tag 3  str  — dictionary-encoded: [ndict:u32] then ndict
+    //                 length-prefixed entries, then nrows u32 codes
     //
-    // Encoding emits tags 0/1/3; decoding accepts all four, so buffers
-    // written by the retained reference encoder still round-trip.
+    // `encode` and `encode_partitions` write these three tags, and
+    // `try_decode` is the one decoder. Tag 2, the retired v1 inline-string
+    // layout, is an unknown tag: only the timing baseline
+    // `reference::encode_reference` still writes it.
     // ------------------------------------------------------------------
 
     /// Serialize to the compact binary wire format (v2: bulk numerics,
     /// dictionary-encoded strings — repeated cells ship once).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.byte_size() as usize + 64);
-        buf.put_u32_le(self.num_columns() as u32);
+        let mut buf: Vec<u8> = Vec::with_capacity(self.byte_size() as usize + 64);
+        buf.extend_from_slice(&(self.num_columns() as u32).to_le_bytes());
         for (f, c) in self.schema.fields.iter().zip(&self.columns) {
-            buf.put_u32_le(f.name.len() as u32);
-            buf.put_slice(f.name.as_bytes());
+            buf.extend_from_slice(&(f.name.len() as u32).to_le_bytes());
+            buf.extend_from_slice(f.name.as_bytes());
             match c {
                 Column::I64(v) => {
-                    buf.put_u8(0);
-                    buf.put_u64_le(v.len() as u64);
-                    put_words_le(&mut buf, v.iter().map(|&x| x as u64));
+                    buf.push(0);
+                    buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                    put_le(&mut buf, v.iter().map(|x| x.to_le_bytes()));
                 }
                 Column::F64(v) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(v.len() as u64);
-                    put_words_le(&mut buf, v.iter().map(|x| x.to_bits()));
+                    buf.push(1);
+                    buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                    put_le(&mut buf, v.iter().map(|x| x.to_le_bytes()));
                 }
                 Column::Str(v) => {
                     let (dict, codes) = crate::dict::StrDict::encode_column(v);
-                    buf.put_u8(3);
-                    buf.put_u64_le(v.len() as u64);
-                    buf.put_u32_le(dict.len() as u32);
+                    buf.push(3);
+                    buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                    buf.extend_from_slice(&(dict.len() as u32).to_le_bytes());
                     for s in dict.entries() {
-                        buf.put_u32_le(s.len() as u32);
-                        buf.put_slice(s.as_bytes());
+                        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                        buf.extend_from_slice(s.as_bytes());
                     }
-                    put_u32s_le(&mut buf, codes.iter().copied());
+                    put_le(&mut buf, codes.iter().map(|c| c.to_le_bytes()));
                 }
             }
         }
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Hash-partition by `key` and encode every bucket, without ever
@@ -510,173 +512,75 @@ impl Table {
             .collect()
     }
 
-    /// Deserialize from the wire format, validating framing first.
-    /// Returns a descriptive error for truncated or corrupt buffers.
+    /// Deserialize from the wire format in one bounds-checked pass that
+    /// builds each column as it validates it. A truncated or corrupt frame
+    /// is a descriptive error, never a panic, and no vector is sized from
+    /// a length field before that field is checked against the bytes left.
     pub fn try_decode(data: Bytes) -> Result<Table, String> {
-        // Pre-validate the framing with a non-consuming cursor walk so the
-        // panicking fast path below can never be reached on bad input.
-        let buf = &data[..];
-        let mut pos = 0usize;
-        // `pos <= buf.len()` throughout, and `n` can be anything a hostile
-        // length field makes it: compare without adding.
-        let need = |pos: usize, n: usize, what: &str| -> Result<(), String> {
-            if n > buf.len() - pos {
-                Err(format!("truncated table buffer while reading {what}"))
-            } else {
-                Ok(())
-            }
-        };
-        need(pos, 4, "column count")?;
-        let ncols = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
+        let mut r = Reader { rest: &data };
+        let ncols = r.u32("column count")?;
         if ncols > 4096 {
             return Err(format!("implausible column count {ncols}"));
         }
+        // 13 bytes is the smallest column: name length, tag and row count.
+        let cap = ncols.min(r.rest.len() / 13);
+        let mut fields = Vec::with_capacity(cap);
+        let mut columns = Vec::with_capacity(cap);
         let mut table_rows = None;
         for _ in 0..ncols {
-            need(pos, 4, "name length")?;
-            let name_len =
-                u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            need(pos, name_len, "column name")?;
-            std::str::from_utf8(&buf[pos..pos + name_len])
-                .map_err(|_| "column name is not UTF-8".to_string())?;
-            pos += name_len;
-            need(pos, 9, "column header")?;
-            let tag = buf[pos];
-            pos += 1;
-            let nrows =
-                u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap()) as usize;
-            pos += 8;
+            let name = r.str("column name")?.to_owned();
+            let [tag] = r.array("column header")?;
+            let nrows = u64::from_le_bytes(r.array("column header")?) as usize;
             let rows = *table_rows.get_or_insert(nrows);
             if nrows != rows {
                 return Err(format!("column of {nrows} rows in a table of {rows}"));
             }
-            match tag {
-                0 | 1 => {
-                    need(pos, nrows.checked_mul(8).ok_or("row count overflow")?, "numeric data")?;
-                    pos += nrows * 8;
+            let (dtype, col) = match tag {
+                0 => {
+                    let words = r.chunks::<8>(nrows, "numeric data")?;
+                    let v = words.iter().map(|w| i64::from_le_bytes(*w)).collect();
+                    (DataType::I64, Column::I64(v))
                 }
-                2 => {
-                    for _ in 0..nrows {
-                        need(pos, 4, "string length")?;
-                        let len =
-                            u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-                        pos += 4;
-                        need(pos, len, "string data")?;
-                        std::str::from_utf8(&buf[pos..pos + len])
-                            .map_err(|_| "string cell is not UTF-8".to_string())?;
-                        pos += len;
-                    }
+                1 => {
+                    let words = r.chunks::<8>(nrows, "numeric data")?;
+                    let v = words.iter().map(|w| f64::from_le_bytes(*w)).collect();
+                    (DataType::F64, Column::F64(v))
                 }
                 3 => {
-                    need(pos, 4, "dictionary size")?;
-                    let ndict =
-                        u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-                    pos += 4;
+                    let ndict = r.u32("dictionary size")?;
                     if ndict > nrows {
                         return Err(format!(
                             "dictionary larger than column: {ndict} entries, {nrows} rows"
                         ));
                     }
+                    // Each entry is at least its 4-byte length.
+                    let mut dict = Vec::with_capacity(ndict.min(r.rest.len() / 4));
                     for _ in 0..ndict {
-                        need(pos, 4, "dictionary entry length")?;
-                        let len =
-                            u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-                        pos += 4;
-                        need(pos, len, "dictionary entry")?;
-                        std::str::from_utf8(&buf[pos..pos + len])
-                            .map_err(|_| "dictionary entry is not UTF-8".to_string())?;
-                        pos += len;
+                        dict.push(r.str("dictionary entry")?);
                     }
-                    need(pos, nrows.checked_mul(4).ok_or("row count overflow")?, "dictionary codes")?;
-                    for chunk in buf[pos..pos + nrows * 4].chunks_exact(4) {
-                        let code = u32::from_le_bytes(chunk.try_into().unwrap()) as usize;
-                        if code >= ndict {
-                            return Err(format!(
-                                "dictionary code {code} out of range (dictionary has {ndict})"
-                            ));
-                        }
+                    let codes = r.chunks::<4>(nrows, "dictionary codes")?;
+                    let mut cells = Vec::with_capacity(nrows);
+                    for code in codes {
+                        let code = u32::from_le_bytes(*code) as usize;
+                        let cell = dict.get(code).ok_or_else(|| {
+                            format!("dictionary code {code} out of range (dictionary has {ndict})")
+                        })?;
+                        cells.push((*cell).to_owned());
                     }
-                    pos += nrows * 4;
+                    (DataType::Str, Column::Str(cells.into()))
                 }
                 t => return Err(format!("unknown column tag {t}")),
-            }
-        }
-        if pos != buf.len() {
-            return Err(format!("{} trailing bytes after table", buf.len() - pos));
-        }
-        Ok(Self::decode(data))
-    }
-
-    /// Deserialize from the wire format.
-    ///
-    /// # Panics
-    /// Panics on malformed input; the runtime only decodes its own encoded
-    /// buffers. Use [`Table::try_decode`] for untrusted data.
-    pub fn decode(mut data: Bytes) -> Table {
-        let ncols = data.get_u32_le() as usize;
-        let mut fields = Vec::with_capacity(ncols);
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let name_len = data.get_u32_le() as usize;
-            let name = String::from_utf8(data.split_to(name_len).to_vec()).expect("utf8 name");
-            let tag = data.get_u8();
-            let nrows = data.get_u64_le() as usize;
-            let (dtype, col) = match tag {
-                0 => {
-                    let raw = data.split_to(nrows * 8);
-                    let v = raw
-                        .chunks_exact(8)
-                        .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte word")))
-                        .collect();
-                    (DataType::I64, Column::I64(v))
-                }
-                1 => {
-                    let raw = data.split_to(nrows * 8);
-                    let v = raw
-                        .chunks_exact(8)
-                        .map(|c| {
-                            f64::from_bits(u64::from_le_bytes(
-                                c.try_into().expect("8-byte word"),
-                            ))
-                        })
-                        .collect();
-                    (DataType::F64, Column::F64(v))
-                }
-                2 => {
-                    let mut v = Vec::with_capacity(nrows);
-                    for _ in 0..nrows {
-                        let len = data.get_u32_le() as usize;
-                        v.push(String::from_utf8(data.split_to(len).to_vec()).expect("utf8"));
-                    }
-                    (DataType::Str, Column::Str(v.into()))
-                }
-                3 => {
-                    let ndict = data.get_u32_le() as usize;
-                    let mut dict = Vec::with_capacity(ndict);
-                    for _ in 0..ndict {
-                        let len = data.get_u32_le() as usize;
-                        dict.push(
-                            String::from_utf8(data.split_to(len).to_vec()).expect("utf8"),
-                        );
-                    }
-                    let raw = data.split_to(nrows * 4);
-                    let v = raw
-                        .chunks_exact(4)
-                        .map(|c| {
-                            let code = u32::from_le_bytes(c.try_into().expect("4-byte code"));
-                            dict[code as usize].clone()
-                        })
-                        .collect();
-                    (DataType::Str, Column::Str(v))
-                }
-                t => panic!("unknown column tag {t}"),
             };
             fields.push(Field { name, dtype });
             columns.push(col);
         }
-        Table::new(Schema { fields }, columns)
+        if !r.rest.is_empty() {
+            return Err(format!("{} trailing bytes after table", r.rest.len()));
+        }
+        Ok(Table {
+            schema: Schema { fields },
+            columns,
+        })
     }
 }
 
@@ -695,36 +599,56 @@ pub struct EncodedPartition {
     pub logical_bytes: u64,
 }
 
-/// Write 64-bit LE words as one byte run, staged through a stack buffer so
-/// the `BytesMut` reserve/copy machinery runs once per 512 words instead of
-/// once per word.
-fn put_words_le(buf: &mut BytesMut, words: impl Iterator<Item = u64>) {
-    let mut tmp = [0u8; 8 * 512];
-    let mut fill = 0usize;
-    for w in words {
-        tmp[fill..fill + 8].copy_from_slice(&w.to_le_bytes());
-        fill += 8;
-        if fill == tmp.len() {
-            buf.put_slice(&tmp);
-            fill = 0;
-        }
+/// Append fixed-width values as one byte run: the run is sized once, then
+/// filled in place.
+fn put_le<const N: usize>(buf: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = [u8; N]>) {
+    let start = buf.len();
+    buf.resize(start + vals.len() * N, 0);
+    for (dst, v) in buf[start..].as_chunks_mut().0.iter_mut().zip(vals) {
+        *dst = v;
     }
-    buf.put_slice(&tmp[..fill]);
 }
 
-/// [`put_words_le`] for 32-bit values (dictionary codes).
-fn put_u32s_le(buf: &mut BytesMut, vals: impl Iterator<Item = u32>) {
-    let mut tmp = [0u8; 4 * 512];
-    let mut fill = 0usize;
-    for v in vals {
-        tmp[fill..fill + 4].copy_from_slice(&v.to_le_bytes());
-        fill += 4;
-        if fill == tmp.len() {
-            buf.put_slice(&tmp);
-            fill = 0;
-        }
+/// The unread rest of one frame. Every read checks the bytes left first
+/// and errors on underrun.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    #[cold]
+    fn truncated(what: &str) -> String {
+        format!("truncated table buffer while reading {what}")
     }
-    buf.put_slice(&tmp[..fill]);
+
+    fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        let (out, rest) = self.rest.split_at_checked(n).ok_or_else(|| Self::truncated(what))?;
+        self.rest = rest;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], String> {
+        let (out, rest) = self.rest.split_first_chunk().ok_or_else(|| Self::truncated(what))?;
+        self.rest = rest;
+        Ok(*out)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<usize, String> {
+        Ok(u32::from_le_bytes(self.array(what)?) as usize)
+    }
+
+    /// `n` values of `N` bytes each; `n` may be anything a hostile row
+    /// count makes it.
+    fn chunks<const N: usize>(&mut self, n: usize, what: &str) -> Result<&'a [[u8; N]], String> {
+        let len = n.checked_mul(N).ok_or("row count overflow")?;
+        Ok(self.bytes(len, what)?.as_chunks().0)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string.
+    fn str(&mut self, what: &str) -> Result<&'a str, String> {
+        let len = self.u32(what)?;
+        std::str::from_utf8(self.bytes(len, what)?).map_err(|_| format!("{what} is not UTF-8"))
+    }
 }
 
 impl fmt::Display for Table {
@@ -840,8 +764,7 @@ mod tests {
     #[test]
     fn codec_roundtrip() {
         let t = sample();
-        let bytes = t.encode();
-        let back = Table::decode(bytes);
+        let back = Table::try_decode(t.encode()).unwrap();
         assert_eq!(back, t);
     }
 
@@ -872,7 +795,7 @@ mod tests {
     #[test]
     fn codec_empty_table() {
         let t = Table::empty(Schema::new(&[("x", DataType::Str)]));
-        let back = Table::decode(t.encode());
+        let back = Table::try_decode(t.encode()).unwrap();
         assert_eq!(back.num_rows(), 0);
         assert_eq!(back.schema, t.schema);
     }
@@ -901,8 +824,8 @@ mod tests {
 
     #[test]
     fn dict_encoding_shrinks_repetitive_columns() {
-        // v1 (reference) buffers still decode — tag 2 is kept — and the
-        // v2 dictionary format is smaller on repetitive string columns.
+        // The v2 dictionary format is smaller than the retired v1 layout
+        // on repetitive string columns, and v1's tag 2 no longer decodes.
         let names = ["Tennessee", "California", "New York"];
         let states: Vec<String> = (0..100).map(|i| names[i % 3].to_string()).collect();
         let t = Table::new(
@@ -912,8 +835,9 @@ mod tests {
         let v1 = crate::reference::encode_reference(&t);
         let v2 = t.encode();
         assert!(v2.len() < v1.len(), "v2 {} >= v1 {}", v2.len(), v1.len());
-        assert_eq!(Table::decode(v1), t);
-        assert_eq!(Table::decode(v2), t);
+        let err = Table::try_decode(v1).unwrap_err();
+        assert!(err.contains("unknown column tag 2"), "{err}");
+        assert_eq!(Table::try_decode(v2).unwrap(), t);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::step::{Step, StepKind};
 use ditto_dag::{JobDag, StageId};
 
 /// Multiplicative per-step correction factors (observed / predicted).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepCorrections {
     /// Factor on read steps (external input + shuffle reads).
     pub read: f64,
@@ -68,7 +68,7 @@ impl StepCorrections {
 /// Per-stage corrections for a whole job, with a global fallback for
 /// stages that have not produced observations yet (exactly the suffix
 /// stages a replan re-optimizes).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModelCorrections {
     /// Per-stage factors; `None` means no direct observations for that
     /// stage and the global factors apply.

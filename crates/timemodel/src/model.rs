@@ -7,7 +7,7 @@ use ditto_dag::{EdgeId, JobDag, StageId};
 /// The non-I/O steps of a stage plus its *external* I/O (scanning job input
 /// from the object store, writing final output). External I/O never goes
 /// through shared memory, so it is unaffected by placement.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StageSteps {
     /// CPU work; unaffected by placement.
     pub compute: Step,
@@ -31,7 +31,7 @@ impl StageSteps {
 /// Fitted I/O steps of one data-dependency edge: the upstream stage's write
 /// and the downstream stage's read. Both collapse to zero time when the
 /// placement co-locates the two stages (zero-copy shared memory, §4.1).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EdgeIo {
     /// Write step, charged to the upstream (`src`) stage.
     pub write: Step,
@@ -102,7 +102,7 @@ impl Default for RateConfig {
 /// [`EdgeId`]: `colocated[e]` means the placement puts the edge's endpoint
 /// stages in the same stage group (same server), so its I/O steps cost
 /// nothing. Use [`JobTimeModel::no_colocation`] for the all-remote mask.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobTimeModel {
     stages: Vec<StageSteps>,
     edges: Vec<EdgeIo>,

@@ -10,7 +10,7 @@
 ///
 /// The cost of a stage is `M(s, d) × T(s, d, P)` in GB·seconds, matching
 /// the paper's billing definition (Σ memory·time per task).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceModel {
     /// Data-processing resource usage (GB), independent of DoP.
     pub rho: f64,

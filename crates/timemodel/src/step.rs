@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// The class of work a step performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StepKind {
     /// Reading input (from external storage or an upstream stage).
     Read,
@@ -28,7 +28,7 @@ impl fmt::Display for StepKind {
 /// `α` (seconds·tasks) is the parallelizable work: the time the step takes
 /// with a single task. `β` (seconds) is the inherent overhead that no
 /// parallelism removes (setup, request latency, stragglers' floor).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Step {
     /// The step class (read / compute / write).
     pub(crate) kind: StepKind,

@@ -1,10 +1,10 @@
-//! Minimal offline stand-in for the `bytes` crate.
+//! Minimal offline stand-in for the `bytes` crate: just the frame type.
 //!
-//! Implements the subset the workspace uses: cheaply cloneable,
-//! reference-counted immutable byte buffers (`Bytes`), a growable builder
-//! (`BytesMut`), and little-endian cursor-style accessors via the `Buf` /
-//! `BufMut` traits. Clones of `Bytes` share one allocation, preserving the
-//! zero-copy property the shared-memory bus relies on.
+//! [`Bytes`] is a cheaply cloneable, reference-counted, immutable byte
+//! buffer. Clones and slices share one allocation, preserving the
+//! zero-copy property the object store relies on. Frames are built as a
+//! plain `Vec<u8>` (little-endian fields via `to_le_bytes`) and wrapped
+//! with [`Bytes::from`]; readers borrow the bytes as a `&[u8]`.
 
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ impl Bytes {
         Bytes::from(Vec::new())
     }
 
-    /// Wrap a static byte string without copying semantics concerns.
+    /// Copy a static byte string into a new buffer.
     pub fn from_static(s: &'static [u8]) -> Self {
         Bytes::from(s.to_vec())
     }
@@ -31,29 +31,6 @@ impl Bytes {
     /// Copy a slice into a new buffer.
     pub fn copy_from_slice(s: &[u8]) -> Self {
         Bytes::from(s.to_vec())
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Split off and return the first `n` bytes, advancing `self` past them.
-    /// Both halves share the original allocation.
-    pub fn split_to(&mut self, n: usize) -> Bytes {
-        assert!(n <= self.len(), "split_to out of bounds");
-        let head = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + n,
-        };
-        self.start += n;
-        head
     }
 
     /// A sub-slice sharing the same allocation.
@@ -75,23 +52,6 @@ impl Bytes {
             end: self.start + hi,
         }
     }
-
-    /// Shorten to `len` bytes (no-op if already shorter).
-    pub fn truncate(&mut self, len: usize) {
-        if len < self.len() {
-            self.end = self.start + len;
-        }
-    }
-
-    /// View as a plain slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
-
-    /// Copy out into an owned `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
 }
 
 impl Default for Bytes {
@@ -107,61 +67,25 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-impl From<&[u8]> for Bytes {
-    fn from(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
-    }
-}
-
 impl std::ops::Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl std::borrow::Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
+        &self.data[self.start..self.end]
     }
 }
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        **self == **other
     }
 }
 
 impl Eq for Bytes {}
 
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl std::hash::Hash for Bytes {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.as_slice().iter().take(64) {
+        for &b in self.iter().take(64) {
             if b.is_ascii_graphic() || b == b' ' {
                 write!(f, "{}", b as char)?;
             } else {
@@ -175,190 +99,14 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
-    }
-}
-
-/// Growable byte buffer that freezes into an immutable [`Bytes`].
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct BytesMut {
-    vec: Vec<u8>,
-}
-
-impl BytesMut {
-    /// New empty buffer.
-    pub fn new() -> Self {
-        BytesMut { vec: Vec::new() }
-    }
-
-    /// New buffer with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut { vec: Vec::with_capacity(cap) }
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-
-    /// Convert into an immutable `Bytes` without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.vec)
-    }
-
-    /// Append a slice.
-    pub fn extend_from_slice(&mut self, s: &[u8]) {
-        self.vec.extend_from_slice(s);
-    }
-}
-
-impl std::ops::Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-/// Cursor-style little-endian reads; consuming methods advance the buffer.
-pub trait Buf {
-    /// Bytes remaining.
-    fn remaining(&self) -> usize;
-    /// Advance past `n` bytes.
-    fn advance(&mut self, n: usize);
-    /// Borrow the unread bytes.
-    fn chunk(&self) -> &[u8];
-
-    /// Read one byte.
-    fn get_u8(&mut self) -> u8 {
-        let b = self.chunk()[0];
-        self.advance(1);
-        b
-    }
-
-    /// Read a little-endian u32.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_le_bytes(raw)
-    }
-
-    /// Read a little-endian u64.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        u64::from_le_bytes(raw)
-    }
-
-    /// Read a little-endian i64.
-    fn get_i64_le(&mut self) -> i64 {
-        self.get_u64_le() as i64
-    }
-
-    /// Read a little-endian f64.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.len(), "advance out of bounds");
-        self.start += n;
-    }
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-/// Little-endian writes into a growable buffer.
-pub trait BufMut {
-    /// Append raw bytes.
-    fn put_slice(&mut self, s: &[u8]);
-
-    /// Append one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-    /// Append a little-endian u32.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian u64.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian i64.
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian f64.
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_u64_le(v.to_bits());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.vec.extend_from_slice(s);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.extend_from_slice(s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_le() {
-        let mut m = BytesMut::with_capacity(32);
-        m.put_u32_le(7);
-        m.put_u8(9);
-        m.put_u64_le(u64::MAX - 1);
-        m.put_i64_le(-42);
-        m.put_f64_le(1.5);
-        m.put_slice(b"hi");
-        let mut b = m.freeze();
-        assert_eq!(b.get_u32_le(), 7);
-        assert_eq!(b.get_u8(), 9);
-        assert_eq!(b.get_u64_le(), u64::MAX - 1);
-        assert_eq!(b.get_i64_le(), -42);
-        assert_eq!(b.get_f64_le(), 1.5);
-        assert_eq!(&b[..], b"hi");
-    }
 
     #[test]
     fn clone_is_zero_copy() {
         let b = Bytes::from(vec![1u8; 64]);
         let c = b.clone();
         assert_eq!(b.as_ptr(), c.as_ptr());
-    }
-
-    #[test]
-    fn split_to_shares_and_advances() {
-        let mut b = Bytes::from(vec![1, 2, 3, 4]);
-        let head = b.clone().split_to(2);
-        assert_eq!(&head[..], &[1, 2]);
-        let h2 = b.split_to(3);
-        assert_eq!(&h2[..], &[1, 2, 3]);
-        assert_eq!(&b[..], &[4]);
     }
 }

@@ -70,14 +70,6 @@ pub trait Deserialize: Sized {
     fn from_content(c: &Content) -> Result<Self, String>;
 }
 
-/// Deserialization with a lifetime parameter, matching upstream's
-/// `serde::de::DeserializeOwned` bound spelling where needed.
-pub mod de {
-    /// Owned deserialization (the only flavor the shim supports).
-    pub trait DeserializeOwned: super::Deserialize {}
-    impl<T: super::Deserialize> DeserializeOwned for T {}
-}
-
 macro_rules! int_content {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -100,7 +92,7 @@ macro_rules! int_content {
     )*};
 }
 
-int_content!(i8, i16, i32, i64, isize, u8, u16, u32, usize);
+int_content!(i32, i64, u32, usize);
 
 impl Serialize for u64 {
     fn to_content(&self) -> Content {
@@ -140,18 +132,6 @@ impl Deserialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn to_content(&self) -> Content {
-        Content::F64(*self as f64)
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_content(c: &Content) -> Result<Self, String> {
-        f64::from_content(c).map(|v| v as f32)
-    }
-}
-
 impl Serialize for bool {
     fn to_content(&self) -> Content {
         Content::Bool(*self)
@@ -178,27 +158,6 @@ impl Deserialize for String {
         match c {
             Content::Str(s) => Ok(s.clone()),
             other => Err(format!("expected string, got {}", other.kind())),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
-    }
-}
-
-impl Serialize for () {
-    fn to_content(&self) -> Content {
-        Content::Null
-    }
-}
-
-impl Deserialize for () {
-    fn from_content(c: &Content) -> Result<Self, String> {
-        match c {
-            Content::Null => Ok(()),
-            other => Err(format!("expected null, got {}", other.kind())),
         }
     }
 }
@@ -248,46 +207,21 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-macro_rules! tuple_content {
-    ($(($($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_content(&self) -> Content {
-                Content::Seq(vec![$(self.$n.to_content()),+])
-            }
-        }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_content(c: &Content) -> Result<Self, String> {
-                match c {
-                    Content::Seq(items) => {
-                        const LEN: usize = 0 $(+ { let _ = $n; 1 })+;
-                        if items.len() != LEN {
-                            return Err(format!(
-                                "expected tuple of {LEN}, got {} elements", items.len()
-                            ));
-                        }
-                        Ok(($($t::from_content(&items[$n])?,)+))
-                    }
-                    other => Err(format!("expected sequence, got {}", other.kind())),
-                }
-            }
-        }
-    )*};
-}
-
-tuple_content! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-}
-
-impl<K: ToString, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_content(&self) -> Content {
-        Content::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_content()))
-                .collect(),
-        )
+        Content::Seq(vec![self.0.to_content(), self.1.to_content()])
+    }
+}
+
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn from_content(c: &Content) -> Result<Self, String> {
+        match c {
+            Content::Seq(items) => match items.as_slice() {
+                [a, b] => Ok((A::from_content(a)?, B::from_content(b)?)),
+                _ => Err(format!("expected pair, got {} elements", items.len())),
+            },
+            other => Err(format!("expected sequence, got {}", other.kind())),
+        }
     }
 }
 
@@ -329,6 +263,6 @@ mod tests {
     fn type_errors_are_reported() {
         assert!(u32::from_content(&Content::Str("x".into())).is_err());
         assert!(u64::from_content(&Content::I64(-1)).is_err());
-        assert!(u8::from_content(&Content::I64(300)).is_err());
+        assert!(i32::from_content(&Content::I64(1 << 40)).is_err());
     }
 }

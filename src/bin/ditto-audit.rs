@@ -99,7 +99,6 @@ fn main() {
     let opts = AuditOptions {
         deadline,
         cost_budget,
-        ..Default::default()
     };
     let report = ditto_audit::audit_with(&dag, &model, &rm, &schedule, &opts);
     if json {

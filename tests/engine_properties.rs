@@ -29,7 +29,7 @@ proptest! {
     /// Codec roundtrip: encode/decode is the identity.
     #[test]
     fn codec_roundtrip(t in arb_table()) {
-        prop_assert_eq!(Table::decode(t.encode()), t);
+        prop_assert_eq!(Table::try_decode(t.encode()), Ok(t));
     }
 
     /// Hash partitioning is a partition: no row lost, none duplicated,
@@ -361,7 +361,7 @@ mod engine {
     use ditto::dag::{generators, JobDag, StageId};
     use ditto::exec::{
         explore_schedule, simulate, AdaptiveConfig, Engine, ExecConfig, ExecError, ExecutionTrace,
-        ExploreConfig, FaultPlan, FaultRates, GroundTruth, JobMetrics, JournalSession,
+        FaultPlan, FaultRates, GroundTruth, JobMetrics, JournalSession,
         RecoveryPolicy, ReschedulingContext,
     };
     use ditto::obs::{to_chrome_trace, Recorder};
@@ -588,7 +588,6 @@ mod engine {
             &plan,
             &policy(),
             Some((&ctx, &cfg)),
-            &ExploreConfig::default(),
         )
         .unwrap();
         assert!(out.interleavings > 1, "a diamond has simultaneous stages to permute");
